@@ -27,6 +27,7 @@ The ``zetaladder`` console script exposes the same operations
 from .config import DEFAULT_CONFIG, EULER_GAMMA, RunConfig
 from .errors import (
     BracketInvalid,
+    CacheCorrupt,
     CacheHashMismatch,
     ConditionTooHigh,
     DeltaDegenerate,
@@ -84,6 +85,7 @@ __all__ = [
     # errors
     "ZetaLadderError", "UsageError", "NumericalError", "DomainTooSmall",
     "RangeTooLarge", "DeltaDegenerate", "IndexOutOfTower", "CacheHashMismatch",
+    "CacheCorrupt",
     "NonConvergence", "BracketInvalid", "NoCrossing", "TableExhausted",
     "ConditionTooHigh",
     # numerics

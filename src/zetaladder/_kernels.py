@@ -1,16 +1,21 @@
 """Hot numerical kernels: Riemann-Siegel Z and adaptive Z^2 quadrature.
 
-Two execution paths provide the same API:
+One source for every formula:
 
-* default: scalar cores compiled with ``numba.njit`` (cached to disk), used
-  everywhere the ladder construction grinds through Z evaluations;
-* fallback: vectorized numpy drivers, selected when numba is unavailable or
-  ``ZETALADDER_NO_NUMBA=1`` is set.
+* scalar cores (``_theta_asym``, ``_clenshaw``, ``_rs_remainder``,
+  ``_z_rs``) serve every one-point evaluation -- :func:`z_rs_one`,
+  :func:`theta_asym`, and through them ``hardy_z``, ``ztilde_sq`` and the
+  chain weights.  They are compiled
+  with ``numba.njit`` when numba imports, and run as plain Python otherwise;
+* one numpy batched evaluator, :func:`_z_rs_many_np`, serves arrays (the 33
+  nodes of a quadrature panel, :func:`z_rs_many`).  It vectorizes the main
+  sum and shares theta and the correction terms with the scalar core, whose
+  helpers accept floats and arrays alike.
 
-The two paths implement identical formulas but different summation orders, so
-they agree to rounding (~1e-13 absolute on Z), not bit-for-bit; the test suite
-pins the agreement.  `benchmarks/bench_kernels.py` times one against the
-other.
+The scalar and batched paths differ only in how the main sum is accumulated,
+so they agree to rounding (~1e-13 absolute on Z); the test suite pins it.
+:func:`zsq_integral_rs` runs the package's one adaptive panel driver,
+:func:`numerics.adaptive_panels`, over batched Z^2 panels.
 
 Only the t >= rs_switch regime lives here.  The low-t alternating-series route
 is cold (table build below t = 100 and direct low-t queries) and stays in
@@ -19,24 +24,18 @@ is cold (table build below t = 100 and direct low-t queries) and stays in
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-from ._quadrule import NODES_HI, WEIGHTS_HI, WEIGHTS_LO
 from ._rs_tables import CTAB
-from .errors import NonConvergence
+from .numerics import adaptive_panels
 
-ENV_FLAG = "ZETALADDER_NO_NUMBA"
+try:
+    from numba import njit
 
-HAS_NUMBA = False
-if os.environ.get(ENV_FLAG, "") in ("", "0"):
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        HAS_NUMBA = False
+    HAS_NUMBA = True
+except ImportError:
+    HAS_NUMBA = False
 
 TWO_PI = 2.0 * math.pi
 _NC = CTAB.shape[1]  # Chebyshev coefficient count per correction function
@@ -47,26 +46,37 @@ RS_BOUND_CONST = (0.127, 0.053, 0.011, 0.031)
 
 
 # --------------------------------------------------------------------------
-# scalar cores (compiled under numba; also usable as plain python)
+# scalar cores (all but _z_rs also take arrays, for the batch)
 # --------------------------------------------------------------------------
 
-def _theta_asym(t: float) -> float:
+def _theta_asym(t):
     """Riemann-Siegel theta, asymptotic expansion (abs err < 5e-13 for t >= 10)."""
-    lg = math.log(t / TWO_PI)
+    lg = np.log(t / TWO_PI)
     inv = 1.0 / t
     inv2 = inv * inv
     corr = inv * (1.0 / 48.0 + inv2 * (7.0 / 5760.0 + inv2 * (31.0 / 80640.0 + inv2 * (127.0 / 430080.0))))
     return 0.5 * t * lg - 0.5 * t - math.pi / 8.0 + corr
 
 
-def _clenshaw(row: int, x: float) -> float:
+def _clenshaw(row, x):
     # Chebyshev evaluation of CTAB[row] at p mapped from [0,1] to [-1,1]
     u = 2.0 * x - 1.0
-    b1 = 0.0
-    b2 = 0.0
+    b1 = 0.0 * u
+    b2 = 0.0 * u
     for k in range(_NC - 1, 0, -1):
         b1, b2 = 2.0 * u * b1 - b2 + CTAB[row, k], b1
     return u * b1 - b2 + CTAB[row, 0]
+
+
+def _rs_remainder(rt, big_n, nterms):
+    """Signed correction sum (-1)^(N-1) sum_k C_k(p) rt^-k / sqrt(rt), p = rt - N."""
+    p = rt - big_n
+    irt = 1.0 / rt
+    corr = 0.0 * rt
+    for k in range(nterms - 1, -1, -1):
+        corr = corr * irt + _clenshaw(k, p)
+    sgn = 1.0 - 2.0 * ((big_n - 1) % 2)
+    return sgn * corr / np.sqrt(rt)
 
 
 def _z_rs(t: float, nterms: int) -> float:
@@ -75,220 +85,62 @@ def _z_rs(t: float, nterms: int) -> float:
     tau = t / TWO_PI
     rt = math.sqrt(tau)
     big_n = int(rt)
-    p = rt - big_n
     s = 0.0
     for n in range(1, big_n + 1):
         s += math.cos(th - t * math.log(n)) / math.sqrt(n)
-    s *= 2.0
-    irt = 1.0 / rt
-    corr = 0.0
-    for k in range(nterms - 1, -1, -1):
-        corr = corr * irt + _clenshaw(k, p)
-    sgn = 1.0 if (big_n - 1) % 2 == 0 else -1.0
-    return s + sgn * corr / math.sqrt(rt)
+    return 2.0 * s + _rs_remainder(rt, big_n, nterms)
 
-
-def _z_rs_fill(ts: np.ndarray, nterms: int, out: np.ndarray) -> None:
-    for i in range(ts.shape[0]):
-        out[i] = _z_rs(ts[i], nterms)
-
-
-def _zsq_panel(a: float, b: float, nterms: int) -> tuple[float, float]:
-    """Nested 17/33-point panel of Z(t)^2 over [a, b]: (value, error estimate)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    hi = 0.0
-    lo = 0.0
-    for j in range(NODES_HI.shape[0]):
-        z = _z_rs(mid + half * NODES_HI[j], nterms)
-        v = z * z
-        hi += WEIGHTS_HI[j] * v
-        if j % 2 == 0:
-            lo += WEIGHTS_LO[j // 2] * v
-    return hi * half, abs(hi - lo) * half
-
-
-def _zsq_adaptive(a: float, b: float, tol: float, min_wavelength: float,
-                  nterms: int) -> tuple[float, float, int]:
-    """Adaptive Z^2 integral; mirrors numerics.integrate's splitting policy.
-
-    Returns (value, error_estimate, evaluations); evaluations == -1 flags
-    non-convergence (the python wrapper raises).
-    """
-    if a == b:
-        return 0.0, 0.0, 0
-    width = b - a
-    n0 = int(math.ceil(width / (0.5 * min_wavelength)))
-    if n0 < 1:
-        n0 = 1
-    cap = 4096
-    stack_lo = np.empty(cap)
-    stack_hi = np.empty(cap)
-    stack_tol = np.empty(cap)
-    stack_dep = np.empty(cap, dtype=np.int64)
-    top = 0
-    for i in range(n0 - 1, -1, -1):
-        stack_lo[top] = a + width * i / n0
-        stack_hi[top] = a + width * (i + 1) / n0
-        stack_tol[top] = tol / n0
-        stack_dep[top] = 0
-        top += 1
-    total = 0.0
-    err_total = 0.0
-    evals = 0
-    while top > 0:
-        top -= 1
-        lo = stack_lo[top]
-        hi = stack_hi[top]
-        share = stack_tol[top]
-        dep = stack_dep[top]
-        val, err = _zsq_panel(lo, hi, nterms)
-        evals += NODES_HI.shape[0]
-        if err <= share or (hi - lo) <= 1e-14 * max(1.0, abs(lo)):
-            total += val
-            err_total += err
-            continue
-        if dep >= 48 or top + 2 >= cap:
-            return math.nan, err, -1
-        mid = 0.5 * (lo + hi)
-        stack_lo[top] = mid
-        stack_hi[top] = hi
-        stack_tol[top] = 0.5 * share
-        stack_dep[top] = dep + 1
-        top += 1
-        stack_lo[top] = lo
-        stack_hi[top] = mid
-        stack_tol[top] = 0.5 * share
-        stack_dep[top] = dep + 1
-        top += 1
-    return total, err_total, evals
-
-
-# --------------------------------------------------------------------------
-# vectorized numpy fallback drivers
-# --------------------------------------------------------------------------
-
-def _theta_asym_np(ts: np.ndarray) -> np.ndarray:
-    lg = np.log(ts / TWO_PI)
-    inv = 1.0 / ts
-    inv2 = inv * inv
-    corr = inv * (1.0 / 48.0 + inv2 * (7.0 / 5760.0 + inv2 * (31.0 / 80640.0 + inv2 * (127.0 / 430080.0))))
-    return 0.5 * ts * lg - 0.5 * ts - np.pi / 8.0 + corr
-
-
-def _clenshaw_np(row: int, x: np.ndarray) -> np.ndarray:
-    u = 2.0 * x - 1.0
-    b1 = np.zeros_like(u)
-    b2 = np.zeros_like(u)
-    for k in range(_NC - 1, 0, -1):
-        b1, b2 = 2.0 * u * b1 - b2 + CTAB[row, k], b1
-    return u * b1 - b2 + CTAB[row, 0]
-
-
-def _z_rs_many_np(ts: np.ndarray, nterms: int) -> np.ndarray:
-    ts = np.asarray(ts, dtype=np.float64)
-    th = _theta_asym_np(ts)
-    tau = ts / TWO_PI
-    rt = np.sqrt(tau)
-    big_n = rt.astype(np.int64)
-    p = rt - big_n
-    nmax = int(big_n.max()) if ts.size else 0
-    n = np.arange(1, nmax + 1, dtype=np.float64)
-    terms = np.cos(th[:, None] - ts[:, None] * np.log(n)[None, :]) / np.sqrt(n)[None, :]
-    terms[n[None, :] > big_n[:, None]] = 0.0
-    s = 2.0 * terms.sum(axis=1)
-    irt = 1.0 / rt
-    corr = np.zeros_like(ts)
-    for k in range(nterms - 1, -1, -1):
-        corr = corr * irt + _clenshaw_np(k, p)
-    sgn = np.where((big_n - 1) % 2 == 0, 1.0, -1.0)
-    return s + sgn * corr / np.sqrt(rt)
-
-
-def _zsq_panel_np(a: float, b: float, nterms: int) -> tuple[float, float]:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    z = _z_rs_many_np(mid + half * NODES_HI, nterms)
-    v = z * z
-    hi = float(WEIGHTS_HI @ v)
-    lo = float(WEIGHTS_LO @ v[::2])
-    return hi * half, abs(hi - lo) * half
-
-
-def _zsq_adaptive_np(a: float, b: float, tol: float, min_wavelength: float,
-                     nterms: int) -> tuple[float, float, int]:
-    if a == b:
-        return 0.0, 0.0, 0
-    width = b - a
-    n0 = max(1, int(math.ceil(width / (0.5 * min_wavelength))))
-    stack = [(a + width * i / n0, a + width * (i + 1) / n0, tol / n0, 0)
-             for i in range(n0 - 1, -1, -1)]
-    total = err_total = 0.0
-    evals = 0
-    while stack:
-        lo, hi, share, dep = stack.pop()
-        val, err = _zsq_panel_np(lo, hi, nterms)
-        evals += NODES_HI.shape[0]
-        if err <= share or (hi - lo) <= 1e-14 * max(1.0, abs(lo)):
-            total += val
-            err_total += err
-            continue
-        if dep >= 48:
-            return math.nan, err, -1
-        mid = 0.5 * (lo + hi)
-        stack.append((mid, hi, 0.5 * share, dep + 1))
-        stack.append((lo, mid, 0.5 * share, dep + 1))
-    return total, err_total, evals
-
-
-# --------------------------------------------------------------------------
-# path selection + public kernel API
-# --------------------------------------------------------------------------
 
 if HAS_NUMBA:
     _theta_asym = njit(cache=True)(_theta_asym)
     _clenshaw = njit(cache=True)(_clenshaw)
+    _rs_remainder = njit(cache=True)(_rs_remainder)
     _z_rs = njit(cache=True)(_z_rs)
-    _z_rs_fill = njit(cache=True)(_z_rs_fill)
-    _zsq_panel = njit(cache=True)(_zsq_panel)
-    _zsq_adaptive = njit(cache=True)(_zsq_adaptive)
+
+
+# --------------------------------------------------------------------------
+# batched evaluator + public kernel API
+# --------------------------------------------------------------------------
+
+def _z_rs_many_np(ts: np.ndarray, nterms: int) -> np.ndarray:
+    """Hardy Z on an array of heights: the scalar core with a vectorized main sum."""
+    ts = np.asarray(ts, dtype=np.float64)
+    th = _theta_asym(ts)
+    tau = ts / TWO_PI
+    rt = np.sqrt(tau)
+    big_n = rt.astype(np.int64)
+    nmax = int(big_n.max()) if ts.size else 0
+    n = np.arange(1, nmax + 1, dtype=np.float64)
+    terms = np.cos(th[:, None] - ts[:, None] * np.log(n)[None, :]) / np.sqrt(n)[None, :]
+    terms[n[None, :] > big_n[:, None]] = 0.0
+    return 2.0 * terms.sum(axis=1) + _rs_remainder(rt, big_n, nterms)
 
 
 def z_rs_many(ts: np.ndarray, nterms: int) -> np.ndarray:
     """Hardy Z on an array of heights (all must be >= the RS switch)."""
-    ts = np.ascontiguousarray(ts, dtype=np.float64)
-    if HAS_NUMBA:
-        out = np.empty_like(ts)
-        _z_rs_fill(ts, nterms, out)
-        return out
     return _z_rs_many_np(ts, nterms)
 
 
 def z_rs_one(t: float, nterms: int) -> float:
-    if HAS_NUMBA:
-        return float(_z_rs(t, nterms))
-    return float(_z_rs_many_np(np.array([t]), nterms)[0])
+    return float(_z_rs(float(t), nterms))
 
 
 def theta_asym(t: float) -> float:
-    if HAS_NUMBA:
-        return float(_theta_asym(t))
-    return float(_theta_asym_np(np.array([t]))[0])
+    return float(_theta_asym(float(t)))
 
 
 def zsq_integral_rs(a: float, b: float, tol: float, min_wavelength: float,
                     nterms: int) -> tuple[float, float, int]:
     """Adaptive integral of Z^2 over [a, b] (RS regime only).
 
-    Raises NonConvergence if the splitting budget is exhausted.
+    Returns (value, error_estimate, evaluations).  Raises NonConvergence if
+    the splitting budget is exhausted.
     """
-    fn = _zsq_adaptive if HAS_NUMBA else _zsq_adaptive_np
-    val, err, evals = fn(a, b, tol, min_wavelength, nterms)
-    if evals < 0:
-        raise NonConvergence(
-            f"Z^2 quadrature over [{a}, {b}] stalled (err est {err:.3e})", achieved=err
-        )
-    return float(val), float(err), int(evals)
+    def zsq(ts: np.ndarray) -> np.ndarray:
+        z = _z_rs_many_np(ts, nterms)
+        return z * z
+
+    return adaptive_panels(zsq, a, b, tol, min_wavelength)
 
 
 def err_bound_rs(t: float, nterms: int) -> float:

@@ -39,8 +39,12 @@ class CacheHashMismatch(UsageError):
     """Persisted cumulative table was built under a different configuration."""
 
 
+class CacheCorrupt(UsageError):
+    """Persisted cumulative table has unparsable, non-finite or decreasing rows."""
+
+
 class NonConvergence(NumericalError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """Adaptive quadrature or a Newton solve could not reach its tolerance."""
 
     def __init__(self, msg: str, achieved: float | None = None):
         super().__init__(msg)

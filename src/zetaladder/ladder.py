@@ -22,7 +22,8 @@ not contracts.
 Persistence: ``save_table``/``load_table`` write a versioned CSV ``t,a`` with
 the configuration checksum in a header comment.  Loading under a different
 configuration raises :class:`CacheHashMismatch` rather than silently mixing
-incompatible values.
+incompatible values; an unparsable, non-finite or decreasing row raises
+:class:`CacheCorrupt`.
 """
 from __future__ import annotations
 
@@ -35,8 +36,10 @@ import numpy as np
 from . import _kernels, zeta
 from .config import DEFAULT_CONFIG, EULER_GAMMA, TABLE_FORMAT, RunConfig
 from .errors import (
+    CacheCorrupt,
     CacheHashMismatch,
     DomainTooSmall,
+    NonConvergence,
     TableExhausted,
 )
 from .numerics import Bracket, integrate, invert_increasing
@@ -82,6 +85,16 @@ def normalizer_prime(y: float) -> float:
 def _min_wavelength(b: float) -> float:
     """Shortest Z oscillation scale on [0, b]: 2 pi / log(b / 2pi), floored."""
     return 2.0 * math.pi / max(0.5, math.log(max(b, 7.0) / (2.0 * math.pi)))
+
+
+def _parse_float(path: str, text: str) -> float:
+    try:
+        val = float(text)
+    except ValueError:
+        raise CacheCorrupt(f"table {path}: unparsable number {text!r}") from None
+    if not math.isfinite(val):
+        raise CacheCorrupt(f"table {path}: non-finite number {text!r}")
+    return val
 
 
 @dataclass
@@ -178,26 +191,34 @@ class LadderModel:
 
     def phi1(self, t: float) -> float:
         """V^{-1}(A(t)): Newton on the convex normalizer, ~1e-12 residual."""
+        if t < self.config.t_start:
+            raise DomainTooSmall(
+                f"phi1 requested at t={t} < t_start={self.config.t_start}"
+            )
+        return self.phi1_unguarded(t)
+
+    def phi1_unguarded(self, t: float) -> float:
+        """V^{-1}(A(t)) without phi1's t_start guard; Newton from max(t, t_min).
+
+        V is convex and increasing above t_min, so Newton from above converges
+        monotonically; t itself lies above the root at working heights.
+        Raises DomainTooSmall when A(t) < V(t_min) and NonConvergence when 64
+        steps do not settle to root_tol.
+        """
         cfg = self.config
-        if t < cfg.t_start:
-            raise DomainTooSmall(f"phi1 requested at t={t} < t_start={cfg.t_start}")
         a = self.cumulative_hl(t)
         v_min = normalizer(cfg.t_min)
         if a < v_min:
             raise DomainTooSmall(
                 f"A({t})={a} below normalizer floor V({cfg.t_min})={v_min}"
             )
-        # V is convex and increasing here, so Newton from above converges
-        # monotonically; t itself lies above the root at working heights.
-        y = t
+        y = max(t, cfg.t_min)
         for _ in range(64):
             step = (normalizer(y) - a) / normalizer_prime(y)
-            y -= step
-            if y < cfg.t_min:
-                y = cfg.t_min
+            y = max(y - step, cfg.t_min)
             if abs(step) <= 0.25 * cfg.root_tol:
-                break
-        return y
+                return y
+        raise NonConvergence(f"V^-1(A({t})={a}) did not converge in 64 Newton steps")
 
     def omega(self, t: float) -> float:
         """Slope of the normalizer at the mapped point: V'(phi1(t)) > 0."""
@@ -274,15 +295,21 @@ class LadderModel:
                     continue
                 if line == "t,a" or not line:
                     continue
-                _t, _, a = line.partition(",")
-                values.append(float(a))
+                t, _, a = line.partition(",")
+                _parse_float(path, t)
+                val = _parse_float(path, a)
+                if val < (values[-1] if values else 0.0):
+                    raise CacheCorrupt(f"table {path}: A decreases at t={t}")
+                values.append(val)
         want = config.config_hash()
         got = header.get("config_hash", "<missing>")
         if got != want:
             raise CacheHashMismatch(
                 f"table {path} was built under config {got}, current is {want}"
             )
-        spacing = float(header.get("spacing", repr(config.knot_spacing)))
+        if not values:
+            raise CacheCorrupt(f"table {path} has no rows")
+        spacing = _parse_float(path, header.get("spacing", repr(config.knot_spacing)))
         table = CumulativeTable(spacing=spacing, config_hash=got, values=values)
         return cls(config=config, table=table)
 

@@ -7,7 +7,9 @@ use for integrals and root solves, so their contracts are deliberately narrow:
   nested Clenshaw-Curtis 17/33 pair with interval halving.  For oscillatory
   integrands the caller passes ``min_wavelength`` and the initial panels are
   capped at half of it, so no panel ever straddles more than half an
-  oscillation.
+  oscillation.  Its loop, :func:`adaptive_panels`, takes an integrand that
+  maps a panel's 33 nodes to values, so the batched Z^2 kernel runs the very
+  same policy.
 * :func:`invert_increasing` -- bisection for g(x) = target with g strictly
   increasing on the bracket.
 * :func:`find_level_crossing` -- leftmost solution of g(x) = level on an open
@@ -22,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from ._quadrule import NODES_HI, WEIGHTS_HI, WEIGHTS_LO
 from .errors import BracketInvalid, NoCrossing, NonConvergence
@@ -72,18 +76,68 @@ class Bracket:
         return 0.5 * (self.lo + self.hi)
 
 
-def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, int]:
-    """One 33-point panel: (high estimate, |hi-lo| error estimate, evals)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    hi = 0.0
-    lo = 0.0
-    for j in range(NODES_HI.shape[0]):
-        v = f(mid + half * NODES_HI[j])
-        hi += WEIGHTS_HI[j] * v
-        if j % 2 == 0:
-            lo += WEIGHTS_LO[j // 2] * v
-    return hi * half, abs(hi - lo) * half, NODES_HI.shape[0]
+def adaptive_panels(
+    fvals: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    tol: float,
+    min_wavelength: float | None = None,
+) -> tuple[float, float, int]:
+    """The package's one adaptive loop: (value, error estimate, evaluations).
+
+    ``fvals`` maps the 33 nodes of a panel to the integrand's values there.
+    Initial panels are capped at half of ``min_wavelength`` and share ``tol``
+    equally; a panel whose 17/33 difference exceeds its share is halved, and
+    each half gets half the share.  Panels are processed depth-first, left to
+    right.  Raises :class:`NonConvergence` past depth 48 or _MAX_PANELS
+    accepted panels.
+    """
+    if a == b:
+        return 0.0, 0.0, 0
+    sign = 1.0
+    if b < a:
+        a, b = b, a
+        sign = -1.0
+
+    width = b - a
+    if min_wavelength is not None and min_wavelength > 0.0:
+        n0 = max(1, math.ceil(width / (0.5 * min_wavelength)))
+    else:
+        n0 = 1
+    # stack of (lo, hi, tol_share, depth); deterministic LIFO processing
+    stack = [(a + width * i / n0, a + width * (i + 1) / n0, tol / n0, 0)
+             for i in range(n0 - 1, -1, -1)]
+
+    total = 0.0
+    err_total = 0.0
+    evals = 0
+    panels = 0
+    while stack:
+        lo, hi, tshare, depth = stack.pop()
+        half = 0.5 * (hi - lo)
+        v = fvals(0.5 * (lo + hi) + half * NODES_HI)
+        evals += NODES_HI.shape[0]
+        est_hi = float(WEIGHTS_HI @ v)
+        err = abs(est_hi - float(WEIGHTS_LO @ v[::2])) * half
+        # accept on meeting the local share or on hitting resolution limits
+        if err <= tshare or (hi - lo) <= 1e-14 * max(1.0, abs(lo)):
+            total += est_hi * half
+            err_total += err
+            panels += 1
+            if panels > _MAX_PANELS:
+                raise NonConvergence(
+                    f"panel budget exceeded integrating [{a}, {b}]", achieved=err_total
+                )
+            continue
+        if depth >= _MAX_SPLIT_DEPTH:
+            raise NonConvergence(
+                f"splitting depth exceeded at [{lo}, {hi}] (err {err:.3e} > {tshare:.3e})",
+                achieved=err,
+            )
+        mid = 0.5 * (lo + hi)
+        stack.append((mid, hi, 0.5 * tshare, depth + 1))
+        stack.append((lo, mid, 0.5 * tshare, depth + 1))
+    return sign * total, err_total, evals
 
 
 def integrate(
@@ -102,50 +156,9 @@ def integrate(
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
-    if a == b:
-        return QuadratureResult(0.0, 0.0, 0)
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-
-    width = b - a
-    if min_wavelength is not None and min_wavelength > 0.0:
-        n0 = max(1, math.ceil(width / (0.5 * min_wavelength)))
-    else:
-        n0 = 1
-    # stack of (lo, hi, tol_share, depth); deterministic LIFO processing
-    edges = [a + width * i / n0 for i in range(n0 + 1)]
-    stack = [(edges[i], edges[i + 1], tol / n0, 0) for i in range(n0)]
-    stack.reverse()
-
-    total = 0.0
-    err_total = 0.0
-    evals = 0
-    panels = 0
-    while stack:
-        lo, hi, tshare, depth = stack.pop()
-        val, err, n = _panel(f, lo, hi)
-        evals += n
-        # accept on meeting the local share or on hitting resolution limits
-        if err <= tshare or (hi - lo) <= 1e-14 * max(1.0, abs(lo)):
-            total += val
-            err_total += err
-            panels += 1
-            if panels > _MAX_PANELS:
-                raise NonConvergence(
-                    f"panel budget exceeded integrating [{a}, {b}]", achieved=err_total
-                )
-            continue
-        if depth >= _MAX_SPLIT_DEPTH:
-            raise NonConvergence(
-                f"splitting depth exceeded at [{lo}, {hi}] (err {err:.3e} > {tshare:.3e})",
-                achieved=err,
-            )
-        mid = 0.5 * (lo + hi)
-        stack.append((mid, hi, 0.5 * tshare, depth + 1))
-        stack.append((lo, mid, 0.5 * tshare, depth + 1))
-    return QuadratureResult(sign * total, err_total, evals)
+    return QuadratureResult(*adaptive_panels(
+        lambda xs: np.array([f(x) for x in xs.tolist()]), a, b, tol, min_wavelength
+    ))
 
 
 def invert_increasing(

@@ -40,7 +40,7 @@ from .errors import (
     IndexOutOfTower,
     RangeTooLarge,
 )
-from .ladder import LadderModel
+from .ladder import LadderModel, normalizer_prime
 from .numerics import find_level_crossing
 
 __all__ = [
@@ -338,23 +338,10 @@ def _omega_direct(model: LadderModel, t: float) -> float:
 
     alpha_0 lives on the base window, which can start below t_start for the
     smallest admissible towers; the slope there is still well defined through
-    the cumulative mass, so bypass the guard rather than refuse.
+    the cumulative mass, so bypass the t_start guard rather than refuse.  A
+    mass below V(t_min) still raises DomainTooSmall.
     """
-    from .ladder import normalizer, normalizer_prime
-
-    if t >= model.config.t_start:
-        return model.omega(t)
-    # same Newton iteration as phi1, without the t_start guard
-    a = model.cumulative_hl(t)
-    y = max(t, model.config.t_min)
-    for _ in range(64):
-        step = (normalizer(y) - a) / normalizer_prime(y)
-        y -= step
-        if y < model.config.t_min:
-            y = model.config.t_min
-        if abs(step) <= 0.25 * model.config.root_tol:
-            break
-    return normalizer_prime(y)
+    return normalizer_prime(model.phi1_unguarded(t))
 
 
 def chain_identity_residual(model: LadderModel, chain: ChainPoints) -> float:

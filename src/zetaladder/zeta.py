@@ -8,7 +8,7 @@ Two evaluation routes, switched at ``config.rs_switch`` (default t = 100):
   terms the bound stays below 1e-6 for every t >= 100.
 * **eta** -- the alternating series for the Dirichlet eta function with
   Borwein's acceleration weights, converted through
-  zeta(s) = eta(s) / (1 - 2^{1-s}).  Cost grows linearly with t, accuracysits
+  zeta(s) = eta(s) / (1 - 2^{1-s}).  Cost grows linearly with t, accuracy sits
   at rounding level; only used below the switch, where the main-sum route has
   too few terms to meet the error budget.
 

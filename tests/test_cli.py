@@ -176,6 +176,31 @@ def test_ladder_build_rejects_foreign_cache(capsys, cache, tmp_path):
     assert err.strip()
 
 
+def test_ladder_build_corrupt_cache_exit_2(capsys, cache, tmp_path):
+    f = tmp_path / "table.csv"
+    code, _, _ = _run(capsys, "ladder-build", "--tmax", "5",
+                      "--cache-file", str(f), *cache)
+    assert code == 0
+    # truncate the last row after its comma
+    head, _, _ = f.read_text().rstrip("\n").rpartition(",")
+    f.write_text(head + ",\n")
+    code, out, err = _run(capsys, "ladder-build", "--tmax", "6",
+                          "--cache-file", str(f), *cache)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "Traceback" not in err
+
+
+def test_verify_mass_below_normalizer_floor_exit_2(capsys, cache):
+    # the sin^2 point of a k = 0 chain on [0, 0.2] has A(alpha_0) < V(t_min)
+    code, _, err = _run(
+        capsys, "verify", "echf1", "--L", "0", "--U", "0.2",
+        "--k1", "0", "--k2", "0", "--l-floor", "0", *cache,
+    )
+    assert code == 2
+    assert "normalizer floor" in err
+
+
 # ---------------------------------------------------------------------------
 # scans
 # ---------------------------------------------------------------------------

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from zetaladder.config import EULER_GAMMA, RunConfig
-from zetaladder.errors import CacheHashMismatch, DomainTooSmall, TableExhausted
+from zetaladder.errors import (
+    CacheCorrupt,
+    CacheHashMismatch,
+    DomainTooSmall,
+    NonConvergence,
+    TableExhausted,
+)
 from zetaladder.ladder import (
     CONSTANTS,
     LadderModel,
@@ -17,6 +23,7 @@ from zetaladder.ladder import (
     normalizer_prime,
 )
 from zetaladder.numerics import integrate
+from zetaladder.tower import _omega_direct
 
 from _oracles import A_100
 
@@ -156,6 +163,26 @@ def test_phi_chain_prefix_property(model):
     assert all(b < a for a, b in zip(pts, pts[1:]))
 
 
+def test_phi1_unguarded_rejects_mass_below_normalizer_floor(small_config):
+    # A(0.2) ~ 0.41 < V(t_min) = V(4) ~ 0.50: no y >= t_min solves V(y) = A
+    m = LadderModel(small_config)
+    with pytest.raises(DomainTooSmall):
+        m.phi1_unguarded(0.2)
+    with pytest.raises(DomainTooSmall):
+        _omega_direct(m, 0.2)
+
+
+def test_phi1_raises_when_newton_does_not_converge(small_config, monkeypatch):
+    m = LadderModel(small_config)
+    monkeypatch.setattr(m, "cumulative_hl", lambda t: math.nan)
+    with pytest.raises(NonConvergence):
+        m.phi1(300.0)
+
+
+def test_omega_direct_matches_omega_above_start(model):
+    assert _omega_direct(model, 612.5) == model.omega(612.5)
+
+
 # ---------------------------------------------------------------------------
 # reverse step (the ladder's upward rung)
 # ---------------------------------------------------------------------------
@@ -240,6 +267,23 @@ def test_load_rejects_garbage_file(small_config, tmp_path):
     path.write_text("not a table\n1,2\n")
     with pytest.raises(CacheHashMismatch):
         LadderModel.load_table(str(path), small_config)
+
+
+@pytest.mark.parametrize(
+    "row", ["0.5,", "0.5,inf", "0.5,nan", "0.5,-1.0", "0.5;1.0", "x,1.0"]
+)
+def test_load_rejects_corrupt_rows(small_config, tmp_path, row):
+    path = str(tmp_path / "t.csv")
+    m = LadderModel(small_config)
+    m.extend_to(1.0)
+    m.save_table(path)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    lines[-2] = row  # the knot at t = 0.5
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(CacheCorrupt):
+        LadderModel.load_table(path, small_config)
 
 
 def test_default_cache_path_contains_config_hash(small_config):
