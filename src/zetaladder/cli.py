@@ -125,45 +125,34 @@ def _report_passes(report: HybridReport, tol: float) -> bool:
     return report.rel_residual <= tol
 
 
-def _needs(args: argparse.Namespace, names: list[str]) -> list[Any]:
-    missing = [n for n in names if getattr(args, n, None) is None]
-    if missing:
-        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
-        raise UsageError(f"formula {args.formula!r} requires {flags}")
-    return [getattr(args, n) for n in names]
+#: verify's formulas: CLI names (canonical first) -> (function, depth flags,
+#: whether it takes a delta pair)
+_FORMULAS = {
+    ("echf1", "2.9"): (echf1, ("k1", "k2"), False),
+    ("echf2", "3.7"): (echf2, ("k3", "k4"), True),
+    ("beta-elim", "beta-elim-42", "4.2"): (beta_product_elim, ("k",), True),
+    ("secondary1", "secondary1-44", "secondary1-11", "4.4", "1.1"):
+        (secondary_v1, ("k1", "k2"), True),
+    ("mixed", "mixed-52", "5.2"): (mixed_product, ("k",), False),
+    ("secondary2", "secondary2-54", "5.4"): (secondary_v2, ("k3", "k4"), True),
+    ("ternary", "ternary-61", "6.1"): (ternary, ("k1", "k2", "k3", "k4"), True),
+    ("asymptotic", "asymptotic-17", "1.7"): (asymptotic_secondary, ("k1", "k2"), True),
+}
 
 
 def _run_formula(args: argparse.Namespace, factory: ChainFactory) -> HybridReport:
     name = args.formula.lower().replace("_", "-")
-    if name in ("echf1", "2.9"):
-        k1, k2 = _needs(args, ["k1", "k2"])
-        return echf1(factory, args.L, args.U, k1, k2)
-    pair = None
-    if name not in ("mixed", "mixed-52"):
-        d3, d4 = _needs(args, ["delta3", "delta4"])
-        pair = DeltaPair(d3, d4)
-    if name in ("echf2", "3.7"):
-        k3, k4 = _needs(args, ["k3", "k4"])
-        return echf2(factory, pair, args.L, args.U, k3, k4)
-    if name in ("beta-elim", "beta-elim-42", "4.2"):
-        (k,) = _needs(args, ["k"])
-        return beta_product_elim(factory, pair, args.L, args.U, k)
-    if name in ("secondary1", "secondary1-44", "secondary1-11", "4.4", "1.1"):
-        k1, k2 = _needs(args, ["k1", "k2"])
-        return secondary_v1(factory, pair, args.L, args.U, k1, k2)
-    if name in ("mixed", "mixed-52", "5.2"):
-        (k,) = _needs(args, ["k"])
-        return mixed_product(factory, args.L, args.U, k)
-    if name in ("secondary2", "secondary2-54", "5.4"):
-        k3, k4 = _needs(args, ["k3", "k4"])
-        return secondary_v2(factory, pair, args.L, args.U, k3, k4)
-    if name in ("ternary", "ternary-61", "6.1"):
-        k1, k2, k3, k4 = _needs(args, ["k1", "k2", "k3", "k4"])
-        return ternary(factory, pair, args.L, args.U, k1, k2, k3, k4)
-    if name in ("asymptotic", "asymptotic-17", "1.7"):
-        k1, k2 = _needs(args, ["k1", "k2"])
-        return asymptotic_secondary(factory, pair, args.L, args.U, k1, k2)
-    raise UsageError(f"unknown formula {args.formula!r}")
+    spec = next((v for names, v in _FORMULAS.items() if name in names), None)
+    if spec is None:
+        raise UsageError(f"unknown formula {args.formula!r}")
+    fn, depth_flags, paired = spec
+    pair_flags = ("delta3", "delta4") if paired else ()
+    missing = [f for f in pair_flags + depth_flags if getattr(args, f) is None]
+    if missing:
+        listed = ", ".join("--" + f for f in missing)
+        raise UsageError(f"formula {args.formula!r} requires {listed}")
+    head = [DeltaPair(args.delta3, args.delta4)] if paired else []
+    return fn(factory, *head, args.L, args.U, *(getattr(args, f) for f in depth_flags))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -301,9 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.set_defaults(fn=_cmd_ladder_build)
 
     pv = sub.add_parser("verify", help="evaluate one identity and report")
-    pv.add_argument("formula",
-                    help="echf1 | echf2 | beta-elim | secondary1 | mixed | "
-                         "secondary2 | ternary | asymptotic")
+    pv.add_argument("formula", help=" | ".join(names[0] for names in _FORMULAS))
     pv.add_argument("--L", type=int, required=True, help="base window index")
     pv.add_argument("--U", type=float, required=True, help="base window width")
     for k in ("k1", "k2", "k3", "k4", "k"):

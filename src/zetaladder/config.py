@@ -6,6 +6,8 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Any
 
+from .errors import UsageError
+
 
 #: Euler's constant, to double precision.
 EULER_GAMMA = 0.5772156649015329
@@ -27,7 +29,7 @@ class RunConfig:
     quad_tol: float = 1e-10
     # root solves: final bracket width (absolute, in t units)
     root_tol: float = 1e-11
-    # Riemann-Siegel correction depth: number of correction terms (2..4)
+    # Riemann-Siegel correction depth: number of correction terms (1..4)
     rs_terms: int = 4
     # below this height Z is evaluated through the alternating-series route
     rs_switch: float = 100.0
@@ -52,6 +54,11 @@ class RunConfig:
     kappa_max: float = 1e5
     # cache file override (None -> env var ZETALADDER_CACHE_DIR -> ./.zl-cache)
     cache_dir: str | None = None
+
+    def __post_init__(self):
+        # one row of the correction table (and of its error bound) per term
+        if not 1 <= self.rs_terms <= 4:
+            raise UsageError(f"rs_terms={self.rs_terms} must be in 1..4")
 
     def config_hash(self) -> str:
         """Short checksum over every field that affects cached table values."""

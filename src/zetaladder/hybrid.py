@@ -37,6 +37,16 @@ arrangement from solved chains and report ``lhs``, ``rhs``,
                       drift from the constant is reported together with the
                       omega-ratio factor that predicts it.
 
+Each formula is a declaration: the chains it reads, as (role, depth) pairs
+with role one of ``one`` (the plain chain), ``sin2``, ``cos2``, ``pow3``,
+``pow4`` and a condition weight each, plus a combiner from the solved chains
+to (lhs, rhs, extras).  One runner solves every distinct chain once, times
+the solves and the combiner, and builds the report, so ``condition`` and
+``error_budget`` cover exactly the chains the identity uses.  Chains are named
+``<role>@k<depth>``.  ``points`` has one entry per chain other than the plain
+one; its ``beta`` column is the plain chain of the same depth where the
+identity solves it, and null where it does not.
+
 All products and powers are accumulated in log space.  Exponents stay exact
 :class:`fractions.Fraction` arithmetic whenever the deltas are rational, so
 e.g. the (1/3, 1/5) constant is sqrt(6561/6250) = 81 sqrt(10) / 250 with no
@@ -52,16 +62,24 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import DeltaDegenerate, DomainTooSmall, ZetaLadderError
+from .errors import DeltaDegenerate, DomainTooSmall, NonConvergence, ZetaLadderError
 from .ladder import LadderModel
-from .tower import ChainFactory, ChainPoints, gf_cos2, gf_one, gf_power, gf_sin2
+from .tower import (
+    ChainFactory,
+    ChainPoints,
+    GeneratingFunction,
+    gf_cos2,
+    gf_one,
+    gf_power,
+    gf_sin2,
+)
 
 __all__ = [
     "DeltaPair",
@@ -195,18 +213,7 @@ class HybridReport:
     timings: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "formula_id": self.formula_id,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "rel_residual": self.rel_residual,
-            "condition": self.condition,
-            "points": self.points,
-            "extras": self.extras,
-            "error_budget": self.error_budget,
-            "timings": self.timings,
-        }
+        return asdict(self)
 
 
 def _rel(lhs: float, rhs: float) -> float:
@@ -221,22 +228,6 @@ def _offset0(chain: ChainPoints) -> float:
     return float(chain.alpha[0]) - math.pi * chain.l
 
 
-def _points_json(alpha: ChainPoints, beta: ChainPoints | None,
-                 factory: ChainFactory) -> list[dict]:
-    tower = factory.tower(alpha.l, alpha.u, alpha.k)
-    rows = []
-    for r in range(alpha.k + 1):
-        seg = tower.segment(r)
-        rows.append({
-            "r": r,
-            "alpha": float(alpha.alpha[r]),
-            "beta": float(beta.alpha[r]) if (beta is not None and r >= 1) else None,
-            "segment_lo": seg.lo,
-            "segment_hi": seg.hi,
-        })
-    return rows
-
-
 def _params(l: int, u: float, *, k1=None, k2=None, k3=None, k4=None,
             pair: DeltaPair | None = None) -> dict[str, Any]:
     d = {"U": u, "L": l, "k1": k1, "k2": k2, "k3": k3, "k4": k4}
@@ -245,26 +236,126 @@ def _params(l: int, u: float, *, k1=None, k2=None, k3=None, k4=None,
     return d
 
 
-def _budget(cfg: RunConfig, chains: dict[str, ChainPoints],
-            weights: dict[str, float] | None = None) -> dict[str, Any]:
-    res = {key: ch.rel_residual for key, ch in chains.items()}
-    stacked = sum(
-        abs((weights or {}).get(key, 1.0)) * r for key, r in res.items()
-    )
-    return {
-        "root_tol": cfg.root_tol,
-        "quad_tol": cfg.quad_tol,
-        "chain_residuals": res,
-        "stacked_bound": stacked,
+# a solved chain is addressed by (role, depth); the roles besides these are
+# the power weights pow3 (v^d3) and pow4 (v^d4)
+_ROLES = {"one": gf_one, "sin2": gf_sin2, "cos2": gf_cos2}
+_Chains = dict[tuple[str, int], ChainPoints]
+_Need = tuple[str, int, float]
+
+
+def _gf(role: str, pair: DeltaPair | None) -> GeneratingFunction:
+    if role in _ROLES:
+        return _ROLES[role]()
+    d = pair.d3 if role == "pow3" else pair.d4
+    return gf_power(Fraction(d) if isinstance(d, int) else d)
+
+
+def _run(factory: ChainFactory, pair: DeltaPair | None, l: int, u: float,
+         formula_id: str, needs: list[_Need],
+         combine: Callable[[_Chains], tuple[float, float, dict[str, float]]],
+         **depths: int) -> HybridReport:
+    """Solve the declared chains once each, combine them, build the report.
+
+    ``needs`` lists (role, depth, weight); a chain declared twice keeps its
+    largest |weight|, which scales its condition and residual in the report.
+    ``combine`` maps {(role, depth): chain} to (lhs, rhs, extras).
+    """
+    weights: dict[tuple[str, int], float] = {}
+    for role, k, w in needs:
+        weights[role, k] = max(abs(w), weights.get((role, k), 0.0))
+    t0 = time.perf_counter()
+    chains = {(role, k): factory.solve(l, u, k, _gf(role, pair))
+              for role, k in weights}
+    t1 = time.perf_counter()
+    lhs, rhs, extras = combine(chains)
+    names = {key: f"{key[0]}@k{key[1]}" for key in chains}
+    points = {
+        names[key]: _points(factory, ch, chains.get(("one", key[1])))
+        for key, ch in chains.items() if key[0] != "one"
     }
-
-
-def _condition(chains: dict[str, ChainPoints],
-               weights: dict[str, float] | None = None) -> float:
-    return sum(
-        abs((weights or {}).get(key, 1.0)) * ch.condition
-        for key, ch in chains.items()
+    budget = {
+        "root_tol": factory.model.config.root_tol,
+        "quad_tol": factory.model.config.quad_tol,
+        "chain_residuals": {names[key]: ch.rel_residual
+                            for key, ch in chains.items()},
+        "stacked_bound": sum(weights[key] * ch.rel_residual
+                             for key, ch in chains.items()),
+    }
+    return HybridReport(
+        formula_id=formula_id, params=_params(l, u, pair=pair, **depths),
+        lhs=lhs, rhs=rhs, rel_residual=_rel(lhs, rhs),
+        condition=sum(weights[key] * ch.condition for key, ch in chains.items()),
+        points=points, extras=extras, error_budget=budget,
+        timings={"chains_s": t1 - t0, "assemble_s": time.perf_counter() - t1},
     )
+
+
+def _points(factory: ChainFactory, alpha: ChainPoints,
+            beta: ChainPoints | None) -> list[dict]:
+    segments = factory.tower(alpha.l, alpha.u, alpha.k).segments
+    return [{
+        "r": r,
+        "alpha": float(alpha.alpha[r]),
+        "beta": float(beta.alpha[r]) if (beta is not None and r >= 1) else None,
+        "segment_lo": seg.lo,
+        "segment_hi": seg.hi,
+    } for r, seg in enumerate(segments)]
+
+
+# -- log-space terms, pure functions of solved chains ---------------------------
+
+
+def _plain_ratio_log(c: _Chains, role: str, k: int) -> float:
+    """log prod ztilde_sq(alpha^role) / prod ztilde_sq(beta), both at depth k."""
+    return _log_prod(c[role, k]) - _log_prod(c["one", k])
+
+
+def _trig_mix(c: _Chains, k: int) -> float:
+    """Equal-depth trig combination that stands in for the plain product."""
+    return (math.exp(_log_prod(c["cos2", k])) * c["cos2", k].f0
+            + math.exp(_log_prod(c["sin2", k])) * c["sin2", k].f0)
+
+
+def _mix_ratio_log(c: _Chains, role: str, k: int) -> float:
+    """log of a power-chain product over the trig combination at depth k."""
+    return _log_prod(c[role, k]) - math.log(_trig_mix(c, k))
+
+
+def _mix_ratio_needs(k3: int, k4: int, w3: float, w4: float) -> list[_Need]:
+    return [("pow3", k3, w3), ("pow4", k4, w4), ("sin2", k3, w3),
+            ("cos2", k3, w3), ("sin2", k4, w4), ("cos2", k4, w4)]
+
+
+def _secondary_log_term(c: _Chains, pair: DeltaPair, k: int, trig: str) -> float:
+    """log of one secondary term (without the trig factor).
+
+    The term is the depth-k ratio product of the trig chain against the two
+    power chains, divided by the offset-ratio prefactor:
+
+        prod ztilde_sq(a^trig) ztilde_sq(a^3)^a ztilde_sq(a^4)^b
+            / (x4 / x3)^e
+
+    with (a, b, e) = (d4, -d3, d3 d4)/(d3 - d4).
+    """
+    a, b, e = (float(x) for x in _exponents(pair))
+    return (
+        _log_prod(c[trig, k])
+        + a * _log_prod(c["pow3", k])
+        + b * _log_prod(c["pow4", k])
+        - e * (math.log(_offset0(c["pow4", k])) - math.log(_offset0(c["pow3", k])))
+    )
+
+
+def _secondary_sum(c: _Chains, pair: DeltaPair, k1: int, k2: int) -> float:
+    """term(k2) cos^2(a0^{2,k2}) + term(k1) sin^2(a0^{1,k1})."""
+    return (math.exp(_secondary_log_term(c, pair, k2, "cos2")) * c["cos2", k2].f0
+            + math.exp(_secondary_log_term(c, pair, k1, "sin2")) * c["sin2", k1].f0)
+
+
+def _secondary_needs(pair: DeltaPair, k1: int, k2: int) -> list[_Need]:
+    a, b, _ = (float(x) for x in _exponents(pair))
+    return [(role, k, w) for trig, k in (("sin2", k1), ("cos2", k2))
+            for role, w in ((trig, 1.0), ("pow3", a), ("pow4", b))]
 
 
 # -- the formulas --------------------------------------------------------------
@@ -272,77 +363,35 @@ def _condition(chains: dict[str, ChainPoints],
 
 def echf1(factory: ChainFactory, l: int, u: float, k1: int, k2: int) -> HybridReport:
     """Trig pair: ratio(cos^2; k2) * cos^2(a0) + ratio(sin^2; k1) * sin^2(a0) = 1."""
-    t0 = time.perf_counter()
-    s1 = factory.solve(l, u, k1, gf_sin2())
-    c2 = factory.solve(l, u, k2, gf_cos2())
-    b1 = factory.beta(l, u, k1)
-    b2 = factory.beta(l, u, k2)
-    t1 = time.perf_counter()
+    def combine(c: _Chains):
+        term_cos = math.exp(_plain_ratio_log(c, "cos2", k2)) * c["cos2", k2].f0
+        term_sin = math.exp(_plain_ratio_log(c, "sin2", k1)) * c["sin2", k1].f0
+        return term_cos + term_sin, 1.0, {"term_cos": term_cos, "term_sin": term_sin}
 
-    term_cos = math.exp(_log_prod(c2) - _log_prod(b2)) * c2.f0
-    term_sin = math.exp(_log_prod(s1) - _log_prod(b1)) * s1.f0
-    lhs = term_cos + term_sin
-    rhs = 1.0
-    chains = {"sin2@k1": s1, "cos2@k2": c2, "one@k1": b1, "one@k2": b2}
-    return HybridReport(
-        formula_id="ECHF1",
-        params=_params(l, u, k1=k1, k2=k2),
-        lhs=lhs, rhs=rhs, rel_residual=_rel(lhs, rhs),
-        condition=_condition(chains),
-        points={
-            "sin2@k1": _points_json(s1, b1, factory),
-            "cos2@k2": _points_json(c2, b2, factory),
-        },
-        extras={"term_cos": term_cos, "term_sin": term_sin},
-        error_budget=_budget(factory.model.config, chains),
-        timings={"chains_s": t1 - t0, "assemble_s": time.perf_counter() - t1},
-    )
-
-
-def _echf2_side(factory: ChainFactory, l: int, u: float, k: int,
-                delta: Rational) -> tuple[float, ChainPoints, ChainPoints]:
-    """log of (1+d)^(1/d) (a0 - pi L) {prod ratio}^(1/d), plus its chains."""
-    ch = factory.solve(l, u, k, gf_power(_as_exact(delta)))
-    b = factory.beta(l, u, k)
-    log_side = (
-        _log1p_delta_over_delta(delta)
-        + math.log(_offset0(ch))
-        + (_log_prod(ch) - _log_prod(b)) / float(delta)
-    )
-    return log_side, ch, b
-
-
-def _as_exact(d: Rational) -> Fraction | float:
-    if isinstance(d, int):
-        return Fraction(d)
-    return d
+    return _run(factory, None, l, u, "ECHF1",
+                [("sin2", k1, 1.0), ("cos2", k2, 1.0),
+                 ("one", k1, 1.0), ("one", k2, 1.0)], combine, k1=k1, k2=k2)
 
 
 def echf2(factory: ChainFactory, pair: DeltaPair, l: int, u: float,
           k3: int, k4: int) -> HybridReport:
     """Power pair: both arrangements evaluate the same U-free closed form."""
-    t0 = time.perf_counter()
-    log_lhs, ch3, b3 = _echf2_side(factory, l, u, k3, pair.d3)
-    log_rhs, ch4, b4 = _echf2_side(factory, l, u, k4, pair.d4)
-    t1 = time.perf_counter()
-    lhs, rhs = math.exp(log_lhs), math.exp(log_rhs)
-    w = {
-        "pow3@k3": 1.0 / float(pair.d3), "pow4@k4": 1.0 / float(pair.d4),
-        "one@k3": 1.0 / float(pair.d3), "one@k4": 1.0 / float(pair.d4),
-    }
-    chains = {"pow3@k3": ch3, "pow4@k4": ch4, "one@k3": b3, "one@k4": b4}
-    return HybridReport(
-        formula_id="ECHF2",
-        params=_params(l, u, k3=k3, k4=k4, pair=pair),
-        lhs=lhs, rhs=rhs, rel_residual=_rel(lhs, rhs),
-        condition=_condition(chains, w),
-        points={
-            "pow3@k3": _points_json(ch3, b3, factory),
-            "pow4@k4": _points_json(ch4, b4, factory),
-        },
-        error_budget=_budget(factory.model.config, chains, w),
-        timings={"chains_s": t1 - t0, "assemble_s": time.perf_counter() - t1},
-    )
+    def side_log(c: _Chains, role: str, k: int, delta: Rational) -> float:
+        # log of (1+d)^(1/d) (a0 - pi L) {prod ratio}^(1/d)
+        return (
+            _log1p_delta_over_delta(delta)
+            + math.log(_offset0(c[role, k]))
+            + _plain_ratio_log(c, role, k) / float(delta)
+        )
+
+    def combine(c: _Chains):
+        return (math.exp(side_log(c, "pow3", k3, pair.d3)),
+                math.exp(side_log(c, "pow4", k4, pair.d4)), {})
+
+    w3, w4 = 1.0 / float(pair.d3), 1.0 / float(pair.d4)
+    return _run(factory, pair, l, u, "ECHF2",
+                [("pow3", k3, w3), ("pow4", k4, w4),
+                 ("one", k3, w3), ("one", k4, w4)], combine, k3=k3, k4=k4)
 
 
 def beta_product_elim(factory: ChainFactory, pair: DeltaPair, l: int, u: float,
@@ -355,64 +404,24 @@ def beta_product_elim(factory: ChainFactory, pair: DeltaPair, l: int, u: float,
 
     with (a, b, e) = (d4, -d3, d3 d4)/(d4 - d3) and x_i the base offsets.
     """
-    t0 = time.perf_counter()
-    ch3 = factory.solve(l, u, k, gf_power(_as_exact(pair.d3)))
-    ch4 = factory.solve(l, u, k, gf_power(_as_exact(pair.d4)))
-    b = factory.beta(l, u, k)
-    t1 = time.perf_counter()
-
     # _exponents uses denominator (d3 - d4); this arrangement wants (d4 - d3)
     a_, b_, e_ = _exponents(pair)
     a, bb, e = -float(a_), -float(b_), -float(e_)
-    log_rhs = (
-        e * (_log1p_delta_over_delta(pair.d3) - _log1p_delta_over_delta(pair.d4))
-        + e * (math.log(_offset0(ch3)) - math.log(_offset0(ch4)))
-        + a * _log_prod(ch3)
-        + bb * _log_prod(ch4)
-    )
-    lhs = math.exp(_log_prod(b))
-    rhs = math.exp(log_rhs)
-    w = {"pow3@k": abs(a), "pow4@k": abs(bb), "one@k": 1.0}
-    chains = {"pow3@k": ch3, "pow4@k": ch4, "one@k": b}
-    return HybridReport(
-        formula_id="BETA_ELIM_42",
-        params=_params(l, u, k3=k, k4=k, pair=pair),
-        lhs=lhs, rhs=rhs, rel_residual=_rel(lhs, rhs),
-        condition=_condition(chains, w),
-        points={
-            "pow3@k": _points_json(ch3, b, factory),
-            "pow4@k": _points_json(ch4, b, factory),
-        },
-        extras={"exp_a": a, "exp_b": bb, "exp_e": e},
-        error_budget=_budget(factory.model.config, chains, w),
-        timings={"chains_s": t1 - t0, "assemble_s": time.perf_counter() - t1},
-    )
 
+    def combine(c: _Chains):
+        ch3, ch4 = c["pow3", k], c["pow4", k]
+        log_rhs = (
+            e * (_log1p_delta_over_delta(pair.d3) - _log1p_delta_over_delta(pair.d4))
+            + e * (math.log(_offset0(ch3)) - math.log(_offset0(ch4)))
+            + a * _log_prod(ch3)
+            + bb * _log_prod(ch4)
+        )
+        return (math.exp(_log_prod(c["one", k])), math.exp(log_rhs),
+                {"exp_a": a, "exp_b": bb, "exp_e": e})
 
-def _secondary_term(factory: ChainFactory, pair: DeltaPair, l: int, u: float,
-                    k: int, trig: str) -> tuple[float, dict[str, ChainPoints]]:
-    """log of one secondary term (without the trig factor), plus its chains.
-
-    The term is the depth-k ratio product of the trig chain against the two
-    power chains, divided by the offset-ratio prefactor:
-
-        prod ztilde_sq(a^trig) ztilde_sq(a^3)^a ztilde_sq(a^4)^b
-            / (x4 / x3)^e
-
-    with (a, b, e) = (d4, -d3, d3 d4)/(d3 - d4).
-    """
-    gf_trig = gf_sin2() if trig == "sin2" else gf_cos2()
-    cht = factory.solve(l, u, k, gf_trig)
-    ch3 = factory.solve(l, u, k, gf_power(_as_exact(pair.d3)))
-    ch4 = factory.solve(l, u, k, gf_power(_as_exact(pair.d4)))
-    a, b, e = (float(x) for x in _exponents(pair))
-    log_term = (
-        _log_prod(cht)
-        + a * _log_prod(ch3)
-        + b * _log_prod(ch4)
-        - e * (math.log(_offset0(ch4)) - math.log(_offset0(ch3)))
-    )
-    return log_term, {f"{trig}@k{k}": cht, f"pow3@k{k}": ch3, f"pow4@k{k}": ch4}
+    return _run(factory, pair, l, u, "BETA_ELIM_42",
+                [("pow3", k, a), ("pow4", k, bb), ("one", k, 1.0)], combine,
+                k3=k, k4=k)
 
 
 def secondary_v1(factory: ChainFactory, pair: DeltaPair, l: int, u: float,
@@ -426,47 +435,25 @@ def secondary_v1(factory: ChainFactory, pair: DeltaPair, l: int, u: float,
     which is what the invariance scan exercises.  At (1/3, 1/5) the constant
     is 81 sqrt(10) / 250 and the report id switches to the specialized form.
     """
-    t0 = time.perf_counter()
-    log_t2, chains2 = _secondary_term(factory, pair, l, u, k2, "cos2")
-    log_t1, chains1 = _secondary_term(factory, pair, l, u, k1, "sin2")
-    t1 = time.perf_counter()
+    is_11 = pair.label() == ("1/3", "1/5")
 
-    cos0 = chains2[f"cos2@k{k2}"].f0
-    sin0 = chains1[f"sin2@k{k1}"].f0
-    term2 = math.exp(log_t2) * cos0
-    term1 = math.exp(log_t1) * sin0
-    lhs = term2 + term1
-    rhs = theorem1_constant(pair)
+    def combine(c: _Chains):
+        term2 = math.exp(_secondary_log_term(c, pair, k2, "cos2")) * c["cos2", k2].f0
+        log_t1 = _secondary_log_term(c, pair, k1, "sin2")
+        term1 = math.exp(log_t1) * c["sin2", k1].f0
+        extras = {"term_cos": term2, "term_sin": term1}
+        if is_11:
+            # as-printed variant of the specialized form, which carries cos^2 on
+            # the second term where the identity needs sin^2; reported so the
+            # failure of that variant is visible next to the corrected value
+            alpha0_1 = _offset0(c["sin2", k1])
+            extras["literal_second_trig_lhs"] = (
+                term2 + math.exp(log_t1) * math.cos(alpha0_1) ** 2
+            )
+        return term2 + term1, theorem1_constant(pair), extras
 
-    is_11 = (
-        isinstance(pair.d3, Fraction) and isinstance(pair.d4, Fraction)
-        and pair.d3 == Fraction(1, 3) and pair.d4 == Fraction(1, 5)
-    )
-    a, b, _ = (float(x) for x in _exponents(pair))
-    w = {}
-    for key in {**chains1, **chains2}:
-        w[key] = abs(a) if "pow3" in key else abs(b) if "pow4" in key else 1.0
-    chains = {**chains1, **chains2}
-    extras = {"term_cos": term2, "term_sin": term1}
-    if is_11:
-        # as-printed variant of the specialized form, which carries cos^2 on
-        # the second term where the identity needs sin^2; reported so the
-        # failure of that variant is visible next to the corrected value
-        alpha0_1 = _offset0(chains1[f"sin2@k{k1}"])
-        extras["literal_second_trig_lhs"] = (
-            term2 + math.exp(log_t1) * math.cos(alpha0_1) ** 2
-        )
-    return HybridReport(
-        formula_id="SECONDARY1_11" if is_11 else "SECONDARY1_44",
-        params=_params(l, u, k1=k1, k2=k2, pair=pair),
-        lhs=lhs, rhs=rhs, rel_residual=_rel(lhs, rhs),
-        condition=_condition(chains, w),
-        points={key: _points_json(ch, factory.beta(l, u, ch.k), factory)
-                for key, ch in chains.items()},
-        extras=extras,
-        error_budget=_budget(factory.model.config, chains, w),
-        timings={"chains_s": t1 - t0, "assemble_s": time.perf_counter() - t1},
-    )
+    return _run(factory, pair, l, u, "SECONDARY1_11" if is_11 else "SECONDARY1_44",
+                _secondary_needs(pair, k1, k2), combine, k1=k1, k2=k2)
 
 
 def mixed_product(factory: ChainFactory, l: int, u: float, k: int) -> HybridReport:
@@ -475,35 +462,12 @@ def mixed_product(factory: ChainFactory, l: int, u: float, k: int) -> HybridRepo
         prod ztilde_sq(beta_r) =
             {prod ztilde_sq(a^2)} cos^2(a0^2) + {prod ztilde_sq(a^1)} sin^2(a0^1)
     """
-    t0 = time.perf_counter()
-    s = factory.solve(l, u, k, gf_sin2())
-    c = factory.solve(l, u, k, gf_cos2())
-    b = factory.beta(l, u, k)
-    t1 = time.perf_counter()
-    lhs = math.exp(_log_prod(b))
-    rhs = math.exp(_log_prod(c)) * c.f0 + math.exp(_log_prod(s)) * s.f0
-    chains = {"sin2@k": s, "cos2@k": c, "one@k": b}
-    return HybridReport(
-        formula_id="MIXED_52",
-        params=_params(l, u, k1=k, k2=k),
-        lhs=lhs, rhs=rhs, rel_residual=_rel(lhs, rhs),
-        condition=_condition(chains),
-        points={
-            "sin2@k": _points_json(s, b, factory),
-            "cos2@k": _points_json(c, b, factory),
-        },
-        error_budget=_budget(factory.model.config, chains),
-        timings={"chains_s": t1 - t0, "assemble_s": time.perf_counter() - t1},
-    )
+    def combine(c: _Chains):
+        return math.exp(_log_prod(c["one", k])), _trig_mix(c, k), {}
 
-
-def _trig_mix_log(factory: ChainFactory, l: int, u: float, k: int) -> float:
-    """log of the equal-depth trig combination standing in for the plain product."""
-    s = factory.solve(l, u, k, gf_sin2())
-    c = factory.solve(l, u, k, gf_cos2())
-    return math.log(
-        math.exp(_log_prod(c)) * c.f0 + math.exp(_log_prod(s)) * s.f0
-    )
+    return _run(factory, None, l, u, "MIXED_52",
+                [("sin2", k, 1.0), ("cos2", k, 1.0), ("one", k, 1.0)], combine,
+                k1=k, k2=k)
 
 
 def secondary_v2(factory: ChainFactory, pair: DeltaPair, l: int, u: float,
@@ -518,40 +482,21 @@ def secondary_v2(factory: ChainFactory, pair: DeltaPair, l: int, u: float,
     as-printed source form has x3/x3 (identically 1) as the prefactor; its
     value is reported in ``extras`` alongside, never asserted.
     """
-    t0 = time.perf_counter()
-    ch3 = factory.solve(l, u, k3, gf_power(_as_exact(pair.d3)))
-    ch4 = factory.solve(l, u, k4, gf_power(_as_exact(pair.d4)))
-    log_d3 = _trig_mix_log(factory, l, u, k3)
-    log_d4 = _trig_mix_log(factory, l, u, k4)
-    t1 = time.perf_counter()
-
-    x3, x4 = _offset0(ch3), _offset0(ch4)
-    log_core = (
-        (_log_prod(ch3) - log_d3) / float(pair.d3)
-        - (_log_prod(ch4) - log_d4) / float(pair.d4)
-    )
-    lhs = math.exp(math.log(x3) - math.log(x4) + log_core)
-    rhs = theorem2_constant(pair)
-    literal_lhs = math.exp(log_core)  # prefactor x3/x3 == 1
-    w = {"pow3@k3": 1.0 / float(pair.d3), "pow4@k4": 1.0 / float(pair.d4)}
-    chains = {"pow3@k3": ch3, "pow4@k4": ch4}
-    return HybridReport(
-        formula_id="SECONDARY2_54",
-        params=_params(l, u, k3=k3, k4=k4, pair=pair),
-        lhs=lhs, rhs=rhs, rel_residual=_rel(lhs, rhs),
-        condition=_condition(chains, w),
-        points={
-            "pow3@k3": _points_json(ch3, factory.beta(l, u, k3), factory),
-            "pow4@k4": _points_json(ch4, factory.beta(l, u, k4), factory),
-        },
-        extras={
+    def combine(c: _Chains):
+        x3, x4 = _offset0(c["pow3", k3]), _offset0(c["pow4", k4])
+        log_core = (_mix_ratio_log(c, "pow3", k3) / float(pair.d3)
+                    - _mix_ratio_log(c, "pow4", k4) / float(pair.d4))
+        rhs = theorem2_constant(pair)
+        literal_lhs = math.exp(log_core)  # prefactor x3/x3 == 1
+        return math.exp(math.log(x3) - math.log(x4) + log_core), rhs, {
             "literal_lhs": literal_lhs,
             "literal_rel_residual": _rel(literal_lhs, rhs),
             "prefactor": x3 / x4,
-        },
-        error_budget=_budget(factory.model.config, chains, w),
-        timings={"chains_s": t1 - t0, "assemble_s": time.perf_counter() - t1},
-    )
+        }
+
+    return _run(factory, pair, l, u, "SECONDARY2_54",
+                _mix_ratio_needs(k3, k4, 1.0 / float(pair.d3), 1.0 / float(pair.d4)),
+                combine, k3=k3, k4=k4)
 
 
 def ternary(factory: ChainFactory, pair: DeltaPair, l: int, u: float,
@@ -563,41 +508,22 @@ def ternary(factory: ChainFactory, pair: DeltaPair, l: int, u: float,
     d3 d4 / (d3 - d4).  The as-printed RHS prefactor is again the x3/x3
     ratio; the corrected x3/x4 form is asserted, the literal one reported.
     """
-    t0 = time.perf_counter()
-    log_t2, chains2 = _secondary_term(factory, pair, l, u, k2, "cos2")
-    log_t1, chains1 = _secondary_term(factory, pair, l, u, k1, "sin2")
-    ch3 = factory.solve(l, u, k3, gf_power(_as_exact(pair.d3)))
-    ch4 = factory.solve(l, u, k4, gf_power(_as_exact(pair.d4)))
-    log_d3 = _trig_mix_log(factory, l, u, k3)
-    log_d4 = _trig_mix_log(factory, l, u, k4)
-    t1 = time.perf_counter()
-
-    lhs = (
-        math.exp(log_t2) * chains2[f"cos2@k{k2}"].f0
-        + math.exp(log_t1) * chains1[f"sin2@k{k1}"].f0
-    )
     a, b, e = (float(x) for x in _exponents(pair))
-    x3, x4 = _offset0(ch3), _offset0(ch4)
-    log_core = a * (_log_prod(ch3) - log_d3) + b * (_log_prod(ch4) - log_d4)
-    rhs = math.exp(e * (math.log(x3) - math.log(x4)) + log_core)
-    literal_rhs = math.exp(log_core)
-    chains = {**chains1, **chains2, "pow3@k3": ch3, "pow4@k4": ch4}
-    w = {key: abs(a) if "pow3" in key else abs(b) if "pow4" in key else 1.0
-         for key in chains}
-    return HybridReport(
-        formula_id="TERNARY_61",
-        params=_params(l, u, k1=k1, k2=k2, k3=k3, k4=k4, pair=pair),
-        lhs=lhs, rhs=rhs, rel_residual=_rel(lhs, rhs),
-        condition=_condition(chains, w),
-        points={key: _points_json(ch, factory.beta(l, u, ch.k), factory)
-                for key, ch in chains.items()},
-        extras={
+
+    def combine(c: _Chains):
+        lhs = _secondary_sum(c, pair, k1, k2)
+        x3, x4 = _offset0(c["pow3", k3]), _offset0(c["pow4", k4])
+        log_core = (a * _mix_ratio_log(c, "pow3", k3)
+                    + b * _mix_ratio_log(c, "pow4", k4))
+        literal_rhs = math.exp(log_core)
+        return lhs, math.exp(e * (math.log(x3) - math.log(x4)) + log_core), {
             "literal_rhs": literal_rhs,
             "literal_rel_residual": _rel(lhs, literal_rhs),
-        },
-        error_budget=_budget(factory.model.config, chains, w),
-        timings={"chains_s": t1 - t0, "assemble_s": time.perf_counter() - t1},
-    )
+        }
+
+    return _run(factory, pair, l, u, "TERNARY_61",
+                _secondary_needs(pair, k1, k2) + _mix_ratio_needs(k3, k4, a, b),
+                combine, k1=k1, k2=k2, k3=k3, k4=k4)
 
 
 def asymptotic_secondary(factory: ChainFactory, pair: DeltaPair, l: int,
@@ -616,53 +542,36 @@ def asymptotic_secondary(factory: ChainFactory, pair: DeltaPair, l: int,
     The exact-arrangement anchor at the same points is reported as
     ``anchor_residual``.
     """
-    t0 = time.perf_counter()
-    log_t2, chains2 = _secondary_term(factory, pair, l, u, k2, "cos2")
-    log_t1, chains1 = _secondary_term(factory, pair, l, u, k1, "sin2")
-    t1 = time.perf_counter()
-
     a, b, _ = (float(x) for x in _exponents(pair))
 
-    def omega_mix_log(chs: dict[str, ChainPoints], k: int, trig: str) -> float:
-        lt = np.log(chs[f"{trig}@k{k}"].omega[1:])
-        l3 = np.log(chs[f"pow3@k{k}"].omega[1:])
-        l4 = np.log(chs[f"pow4@k{k}"].omega[1:])
+    def omega_mix_log(c: _Chains, k: int, trig: str) -> float:
+        lt = np.log(c[trig, k].omega[1:])
+        l3 = np.log(c["pow3", k].omega[1:])
+        l4 = np.log(c["pow4", k].omega[1:])
         return float(np.sum(lt) + a * np.sum(l3) + b * np.sum(l4))
 
-    mix2 = omega_mix_log(chains2, k2, "cos2")
-    mix1 = omega_mix_log(chains1, k1, "sin2")
-    cos0 = chains2[f"cos2@k{k2}"].f0
-    sin0 = chains1[f"sin2@k{k1}"].f0
-
-    exact_lhs = math.exp(log_t2) * cos0 + math.exp(log_t1) * sin0
-    raw_lhs = math.exp(log_t2 + mix2) * cos0 + math.exp(log_t1 + mix1) * sin0
-    rhs = theorem1_constant(pair)
-
-    deviation = raw_lhs / rhs - 1.0
-    predicted = (
-        math.exp(log_t2) * math.expm1(mix2) * cos0
-        + math.exp(log_t1) * math.expm1(mix1) * sin0
-    ) / rhs
-    chains = {**chains1, **chains2}
-    w = {key: abs(a) if "pow3" in key else abs(b) if "pow4" in key else 1.0
-         for key in chains}
-    return HybridReport(
-        formula_id="ASYMPTOTIC_17",
-        params=_params(l, u, k1=k1, k2=k2, pair=pair),
-        lhs=raw_lhs, rhs=rhs, rel_residual=_rel(raw_lhs, rhs),
-        condition=_condition(chains, w),
-        points={key: _points_json(ch, factory.beta(l, u, ch.k), factory)
-                for key, ch in chains.items()},
-        extras={
-            "anchor_residual": _rel(exact_lhs, rhs),
-            "deviation": deviation,
+    def combine(c: _Chains):
+        log_t2 = _secondary_log_term(c, pair, k2, "cos2")
+        log_t1 = _secondary_log_term(c, pair, k1, "sin2")
+        mix2 = omega_mix_log(c, k2, "cos2")
+        mix1 = omega_mix_log(c, k1, "sin2")
+        cos0, sin0 = c["cos2", k2].f0, c["sin2", k1].f0
+        raw_lhs = math.exp(log_t2 + mix2) * cos0 + math.exp(log_t1 + mix1) * sin0
+        rhs = theorem1_constant(pair)
+        predicted = (
+            math.exp(log_t2) * math.expm1(mix2) * cos0
+            + math.exp(log_t1) * math.expm1(mix1) * sin0
+        ) / rhs
+        return raw_lhs, rhs, {
+            "anchor_residual": _rel(_secondary_sum(c, pair, k1, k2), rhs),
+            "deviation": raw_lhs / rhs - 1.0,
             "predicted_deviation": predicted,
             "omega_mix_factor_k1": math.exp(mix1),
             "omega_mix_factor_k2": math.exp(mix2),
-        },
-        error_budget=_budget(factory.model.config, chains, w),
-        timings={"chains_s": t1 - t0, "assemble_s": time.perf_counter() - t1},
-    )
+        }
+
+    return _run(factory, pair, l, u, "ASYMPTOTIC_17",
+                _secondary_needs(pair, k1, k2), combine, k1=k1, k2=k2)
 
 
 # -- invariance scans -----------------------------------------------------------
@@ -699,15 +608,21 @@ def _scan_init(config: RunConfig, d3: str, d4: str) -> None:
     _WORKER_STATE["pair"] = DeltaPair(Fraction(d3), Fraction(d4))
 
 
-def _scan_eval(sample: tuple[float, int, int, int]) -> tuple[float | None, str | None]:
+_Outcome = tuple[float | None, str | None]
+
+
+def _scan_sample(factory: ChainFactory, pair: DeltaPair,
+                 sample: tuple[float, int, int, int]) -> _Outcome:
+    """The sample's secondary_v1 lhs, or the error that stopped it."""
     u, l, k1, k2 = sample
     try:
-        rep = secondary_v1(
-            _WORKER_STATE["factory"], _WORKER_STATE["pair"], l, u, k1, k2
-        )
-        return rep.lhs, None
+        return secondary_v1(factory, pair, l, u, k1, k2).lhs, None
     except ZetaLadderError as exc:  # aggregate, do not abort the scan
         return None, f"{type(exc).__name__}: {exc}"
+
+
+def _scan_eval(sample: tuple[float, int, int, int]) -> _Outcome:
+    return _scan_sample(_WORKER_STATE["factory"], _WORKER_STATE["pair"], sample)
 
 
 def invariance_scan(
@@ -751,13 +666,7 @@ def invariance_scan(
     else:
         if factory is None:
             factory = ChainFactory(LadderModel(config))
-        outcomes = []
-        for u, l, k1, k2 in samples:
-            try:
-                rep = secondary_v1(factory, pair, l, u, k1, k2)
-                outcomes.append((rep.lhs, None))
-            except ZetaLadderError as exc:
-                outcomes.append((None, f"{type(exc).__name__}: {exc}"))
+        outcomes = [_scan_sample(factory, pair, s) for s in samples]
 
     const = theorem1_constant(pair)
     good: list[tuple[dict[str, Any], float]] = []
@@ -769,8 +678,6 @@ def invariance_scan(
         else:
             good.append((params, lhs))
     if not good:
-        from .errors import NonConvergence
-
         raise NonConvergence(f"all {n_samples} scan samples failed: {bad[0][1]}")
     values = np.array([v for _, v in good])
     return InvarianceScan(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -89,12 +90,28 @@ def test_verify_unknown_formula_exit_2(capsys, cache):
     assert code == 2
 
 
-def test_verify_missing_required_depths_exit_2(capsys, cache):
-    code, _, err = _run(
-        capsys, "verify", "echf1", "--L", "150", "--U", "1.0", *cache,
+_REQUIRED_FLAGS = {
+    "echf1": "k1 k2",
+    "echf2": "delta3 delta4 k3 k4",
+    "beta-elim": "delta3 delta4 k",
+    "secondary1": "delta3 delta4 k1 k2",
+    "mixed": "k",
+    "secondary2": "delta3 delta4 k3 k4",
+    "ternary": "delta3 delta4 k1 k2 k3 k4",
+    "asymptotic": "delta3 delta4 k1 k2",
+}
+
+
+@pytest.mark.parametrize("name", list(_REQUIRED_FLAGS))
+def test_verify_missing_required_depths_exit_2(capsys, cache, name):
+    # fails before any chain is solved, so it is cheap for every formula
+    code, out, err = _run(
+        capsys, "verify", name, "--L", "150", "--U", "1.0", *cache,
     )
     assert code == 2
-    assert "k1" in err or "k2" in err
+    assert out == ""
+    named = re.findall(r"--[\w-]+", err)
+    assert named == ["--" + f for f in _REQUIRED_FLAGS[name].split()]
 
 
 def test_verify_window_too_wide_exit_2(capsys, cache):
@@ -189,6 +206,15 @@ def test_ladder_build_corrupt_cache_exit_2(capsys, cache, tmp_path):
     assert code == 2
     assert out == ""
     assert "usage error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("terms", ["0", "5"])
+def test_rs_terms_outside_correction_table_exit_2(capsys, cache, terms):
+    code, out, err = _run(capsys, "ladder-build", "--tmax", "101",
+                          "--rs-terms", terms, *cache)
+    assert code == 2
+    assert out == ""
+    assert "rs_terms" in err and "Traceback" not in err
 
 
 def test_verify_mass_below_normalizer_floor_exit_2(capsys, cache):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from zetaladder.hybrid import (
     theorem1_constant,
     theorem2_constant,
 )
+from zetaladder.tower import gf_cos2, gf_power, gf_sin2
 
 PAIR_35 = DeltaPair(Fraction(1, 3), Fraction(1, 5))
 PAIR_HALF1 = DeltaPair(Fraction(1, 2), Fraction(1))
@@ -133,9 +135,16 @@ def _check_report_shape(rep: HybridReport, formula_id: str) -> None:
         assert key in d
     assert d["params"]["L"] >= 100
     assert rep.condition > 0.0
-    for rows in rep.points.values():
+    residuals = rep.error_budget["chain_residuals"]
+    for key, rows in rep.points.items():
+        # <role>@k<depth>; beta only where the identity solves the plain chain
+        role, depth = key.split("@k")
+        assert role in ("sin2", "cos2", "pow3", "pow4") and key in residuals
+        assert [row["r"] for row in rows] == list(range(int(depth) + 1))
+        has_beta = f"one@k{depth}" in residuals
         for row in rows:
             assert set(row) >= {"r", "alpha", "beta", "segment_lo", "segment_hi"}
+            assert (row["beta"] is not None) == (has_beta and row["r"] >= 1)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +240,32 @@ def test_ternary_links_the_two_secondaries(factory):
     assert rep.extras["literal_rel_residual"] > 1e-3
 
 
+def test_secondary_v2_condition_covers_its_trig_chains(factory):
+    rep = secondary_v2(factory, PAIR_35, 150, 1.0, 1, 2)
+    w3, w4 = 1.0 / float(PAIR_35.d3), 1.0 / float(PAIR_35.d4)
+    weighted = [
+        (w3, 1, gf_power(PAIR_35.d3)), (w3, 1, gf_sin2()), (w3, 1, gf_cos2()),
+        (w4, 2, gf_power(PAIR_35.d4)), (w4, 2, gf_sin2()), (w4, 2, gf_cos2()),
+    ]
+    chains = [(w, factory.solve(150, 1.0, k, gf)) for w, k, gf in weighted]
+    assert rep.condition == pytest.approx(
+        sum(w * ch.condition for w, ch in chains), rel=1e-12)
+    assert rep.error_budget["stacked_bound"] == pytest.approx(
+        sum(w * ch.rel_residual for w, ch in chains), rel=1e-12)
+    assert set(rep.error_budget["chain_residuals"]) == {
+        "pow3@k1", "sin2@k1", "cos2@k1", "pow4@k2", "sin2@k2", "cos2@k2"}
+
+
+def test_ternary_reports_every_chain_under_its_own_depth(factory):
+    rep = ternary(factory, PAIR_35, 150, 1.0, 3, 2, 1, 2)
+    _check_report_shape(rep, "TERNARY_61")
+    residuals = rep.error_budget["chain_residuals"]
+    for k in (3, 1):
+        chain = factory.solve(150, 1.0, k, gf_power(PAIR_35.d3))
+        assert residuals[f"pow3@k{k}"] == chain.rel_residual
+        assert len(rep.points[f"pow3@k{k}"]) == k + 1
+
+
 def test_asymptotic_anchor_and_deviation(factory):
     rep = asymptotic_secondary(factory, PAIR_35, 150, 1.0, 1, 2)
     _check_report_shape(rep, "ASYMPTOTIC_17")
@@ -246,6 +281,21 @@ def test_asymptotic_deviation_shrinks_with_height(factory):
     lo = asymptotic_secondary(factory, PAIR_35, 150, 1.0, 1, 2)
     hi = asymptotic_secondary(factory, PAIR_35, 500, 1.0, 1, 2)
     assert hi.extras["deviation"] < lo.extras["deviation"]
+
+
+@pytest.mark.parametrize("fn, names", [
+    (echf1, "factory l u k1 k2"),
+    (echf2, "factory pair l u k3 k4"),
+    (beta_product_elim, "factory pair l u k"),
+    (secondary_v1, "factory pair l u k1 k2"),
+    (mixed_product, "factory l u k"),
+    (secondary_v2, "factory pair l u k3 k4"),
+    (ternary, "factory pair l u k1 k2 k3 k4"),
+    (asymptotic_secondary, "factory pair l u k1 k2"),
+])
+def test_formula_parameter_names_are_stable(fn, names):
+    # called positionally by perfbench and by keyword (l=, u=) in the README
+    assert list(inspect.signature(fn).parameters) == names.split()
 
 
 # ---------------------------------------------------------------------------
