@@ -366,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ZetaLadderError as exc:  # any remaining domain error
+    except (ZetaLadderError, OSError) as exc:  # other domain errors, bad paths
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -59,6 +60,9 @@ class RunConfig:
         # one row of the correction table (and of its error bound) per term
         if not 1 <= self.rs_terms <= 4:
             raise UsageError(f"rs_terms={self.rs_terms} must be in 1..4")
+        for name, tol in (("quad_tol", self.quad_tol), ("root_tol", self.root_tol)):
+            if not (math.isfinite(tol) and tol > 0.0):
+                raise UsageError(f"{name}={tol} must be finite and > 0")
 
     def config_hash(self) -> str:
         """Short checksum over every field that affects cached table values."""

@@ -40,7 +40,7 @@ class CacheHashMismatch(UsageError):
 
 
 class CacheCorrupt(UsageError):
-    """Persisted cumulative table has unparsable, non-finite or decreasing rows."""
+    """Persisted table has unparsable, non-finite, decreasing or off-grid rows."""
 
 
 class NonConvergence(NumericalError):

@@ -15,6 +15,10 @@ The model has three ingredients:
   ztilde_sq(t) = Z(t)^2 / V'(phi1(t)); the **reverse step** solves
   A(u) = V(x), so phi1(reverse_step(x)) = x up to the solver tolerances.
 
+One **ladder step**, ``step(t) -> (phi1(t), omega(t), ztilde_sq(t))``, makes
+one phi1 solve and one Z evaluation; ``ztilde_sq`` and every chain walk in
+:mod:`zetaladder.tower` go through it, so each ladder level costs one solve.
+
 At working heights phi1(t) < t and the gap t - phi1(t) tracks
 (1 - gamma) t / log t; both show up in the test suite as sampled properties,
 not contracts.
@@ -22,8 +26,8 @@ not contracts.
 Persistence: ``save_table``/``load_table`` write a versioned CSV ``t,a`` with
 the configuration checksum in a header comment.  Loading under a different
 configuration raises :class:`CacheHashMismatch` rather than silently mixing
-incompatible values; an unparsable, non-finite or decreasing row raises
-:class:`CacheCorrupt`.
+incompatible values; an unparsable, non-finite or decreasing row, or a row j
+whose t does not read ``repr(j * spacing)``, raises :class:`CacheCorrupt`.
 """
 from __future__ import annotations
 
@@ -159,6 +163,8 @@ class LadderModel:
 
     def extend_to(self, t: float) -> None:
         """Grow the knot table to cover t; existing knots never change."""
+        if not math.isfinite(t):
+            raise DomainTooSmall(f"table coverage requested at non-finite t={t}")
         if t > self.config.t_table_max:
             raise TableExhausted(
                 f"requested coverage {t}, hard ceiling {self.config.t_table_max}"
@@ -224,10 +230,16 @@ class LadderModel:
         """Slope of the normalizer at the mapped point: V'(phi1(t)) > 0."""
         return normalizer_prime(self.phi1(t))
 
+    def step(self, t: float) -> tuple[float, float, float]:
+        """(phi1(t), omega(t), ztilde_sq(t)) from one phi1 solve and one Z."""
+        y = self.phi1(t)
+        om = normalizer_prime(y)
+        z = zeta.hardy_z(t, self.config).z
+        return y, om, z * z / om
+
     def ztilde_sq(self, t: float) -> float:
         """Z(t)^2 / omega(t) -- the exact derivative of phi1 at t."""
-        z = zeta.hardy_z(t, self.config).z
-        return z * z / self.omega(t)
+        return self.step(t)[2]
 
     def phi_chain(self, t: float, depth: int) -> np.ndarray:
         """[t, phi1(t), ..., phi1^depth(t)] with each step reusing the last."""
@@ -282,6 +294,7 @@ class LadderModel:
     @classmethod
     def load_table(cls, path: str, config: RunConfig = DEFAULT_CONFIG) -> "LadderModel":
         header: dict[str, str] = {}
+        ts: list[str] = []
         values: list[float] = []
         with open(path) as fh:
             first = fh.readline().strip()
@@ -296,10 +309,10 @@ class LadderModel:
                 if line == "t,a" or not line:
                     continue
                 t, _, a = line.partition(",")
-                _parse_float(path, t)
                 val = _parse_float(path, a)
                 if val < (values[-1] if values else 0.0):
                     raise CacheCorrupt(f"table {path}: A decreases at t={t}")
+                ts.append(t)
                 values.append(val)
         want = config.config_hash()
         got = header.get("config_hash", "<missing>")
@@ -310,15 +323,9 @@ class LadderModel:
         if not values:
             raise CacheCorrupt(f"table {path} has no rows")
         spacing = _parse_float(path, header.get("spacing", repr(config.knot_spacing)))
+        for j, t in enumerate(ts):
+            if t != repr(j * spacing):
+                raise CacheCorrupt(f"table {path}: row {j} has t={t!r}, "
+                                   f"expected {j * spacing!r}")
         table = CumulativeTable(spacing=spacing, config_hash=got, values=values)
         return cls(config=config, table=table)
-
-    def load_or_build(self, t_target: float) -> None:
-        """Populate from the default cache when present, then extend and save."""
-        path = self.default_cache_path()
-        if os.path.exists(path):
-            other = type(self).load_table(path, self.config)
-            if len(other.table.values) > len(self.table.values):
-                self.table = other.table
-        self.extend_to(t_target)
-        self.save_table(path)

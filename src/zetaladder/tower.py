@@ -17,10 +17,16 @@ integrand equals its mean
 
     f(alpha_0 - pi L) * prod_{r=1}^{k} ztilde_sq(alpha_r)  =  mass(f) / |seg_k| ,
 
-with alpha_{r-1} = phi1(alpha_r).  ``solve_chain`` locates such a point by a
-sign-change scan (the integrand oscillates through zero near every zero of Z,
-so crossings are plentiful) and returns the full chain with its residual and
-a log-space condition number.  Chains are cached per
+with alpha_{r-1} = phi1(alpha_r).  ``ChainFactory.solve`` locates such a point
+by a sign-change scan (the integrand oscillates through zero near every zero
+of Z, so crossings are plentiful) and returns the full chain with its
+residual and a log-space condition number.
+
+Both the integrand and the assembly of a solved chain walk down from
+xi = alpha_k through one private walk built on ``LadderModel.step``, which
+gives (phi1, omega, ztilde_sq) at a level from one phi1 solve: an integrand
+evaluation costs k solves, an assembly k + 1 (omega at alpha_0 is the one
+extra).  Chains are cached per
 (L, U, k, weight) so that repeated requests -- in particular the plain
 ``beta`` chain reused across several formulas -- are bit-identical.
 """
@@ -176,8 +182,8 @@ class ChainPoints:
     """A solved mean-value chain alpha_0..alpha_k with its product identity.
 
     ``alpha[r]`` lies in segment r; ``zt2[r-1] = ztilde_sq(alpha[r])`` for
-    r = 1..k; ``omega[r]`` is the normalizer slope at alpha[r] for every r.
-    The defining identity is
+    r = 1..k; ``omega[r]`` is the normalizer slope at alpha[r] for every r;
+    ``gf`` is the weight f.  The defining identity is
 
         f(alpha[0] - pi L) * prod(zt2) = level = mass(f) / |seg_k| .
     """
@@ -185,7 +191,7 @@ class ChainPoints:
     l: int
     u: float
     k: int
-    f_key: str
+    gf: GeneratingFunction
     alpha: np.ndarray
     zt2: np.ndarray
     omega: np.ndarray
@@ -196,12 +202,32 @@ class ChainPoints:
     flagged: bool
 
     @property
+    def f_key(self) -> str:
+        return self.gf.key
+
+    @property
     def xi(self) -> float:
         return float(self.alpha[-1])
 
     @property
     def product(self) -> float:
         return self.f0 * float(np.prod(self.zt2))
+
+
+def _walk(model: LadderModel, xi: float,
+          k: int) -> tuple[list[float], list[float], list[float]]:
+    """One ladder step per level from xi = alpha_k down to alpha_0.
+
+    Returns alpha_k..alpha_0, and ztilde_sq(alpha_r) and omega(alpha_r) for
+    r = k..1, each list in walk order.
+    """
+    alpha, zt2, omega = [xi], [], []
+    for _ in range(k):
+        t, om, zt = model.step(alpha[-1])
+        alpha.append(t)
+        omega.append(om)
+        zt2.append(zt)
+    return alpha, zt2, omega
 
 
 def make_chain_weight(
@@ -212,12 +238,11 @@ def make_chain_weight(
     base_lo = tower.base.lo
 
     def g(xi: float) -> float:
-        t = xi
+        alpha, zt2, _ = _walk(model, xi, k)
         acc = 1.0
-        for _ in range(k):
-            acc *= model.ztilde_sq(t)
-            t = model.phi1(t)
-        return acc * gf.fn(t - base_lo)
+        for v in zt2:
+            acc *= v
+        return acc * gf.fn(alpha[-1] - base_lo)
 
     return g
 
@@ -301,17 +326,14 @@ class ChainFactory:
         model = self.model
         cfg = model.config
         k = tower.k
-        alpha = np.empty(k + 1)
-        zt2 = np.empty(k)
-        omega = np.empty(k + 1)
-        t = xi
-        for r in range(k, 0, -1):
-            alpha[r] = t
-            omega[r] = model.omega(t)
-            zt2[r - 1] = model.ztilde_sq(t)
-            t = model.phi1(t)
-        alpha[0] = t
-        omega[0] = _omega_direct(model, t)
+        walk_alpha, walk_zt2, walk_omega = _walk(model, xi, k)
+        # alpha_0 lives on the base window, which can start below the phi1
+        # guard t_start for the smallest towers; omega there is still
+        # defined through the mass (below V(t_min) it raises DomainTooSmall)
+        omega0 = normalizer_prime(model.phi1_unguarded(walk_alpha[-1]))
+        alpha = np.array(walk_alpha[::-1])
+        zt2 = np.array(walk_zt2[::-1])
+        omega = np.array([omega0, *walk_omega[::-1]])
         f0 = gf.fn(alpha[0] - tower.base.lo)
 
         log_level = math.log(level)
@@ -326,41 +348,26 @@ class ChainFactory:
             )
         rel = abs(math.expm1((log_f0 + sum(logs)) - log_level))
         return ChainPoints(
-            l=tower.l, u=tower.u, k=k, f_key=gf.key,
+            l=tower.l, u=tower.u, k=k, gf=gf,
             alpha=alpha, zt2=zt2, omega=omega, f0=f0, level=level,
             rel_residual=rel, condition=condition,
             flagged=condition > cfg.kappa_flag,
         )
 
 
-def _omega_direct(model: LadderModel, t: float) -> float:
-    """omega at a point that may sit below the phi1 domain guard.
+def _fresh_logs(model: LadderModel, chain: ChainPoints) -> tuple[float, float]:
+    """(log f(alpha_0 - pi L), sum_r log ztilde_sq(alpha_r)) from scratch.
 
-    alpha_0 lives on the base window, which can start below t_start for the
-    smallest admissible towers; the slope there is still well defined through
-    the cumulative mass, so bypass the t_start guard rather than refuse.  A
-    mass below V(t_min) still raises DomainTooSmall.
+    Every factor is recomputed at the stored points (no reuse of the stored
+    zt2); a nonpositive one has no logarithm and raises ConditionTooHigh.
     """
-    return normalizer_prime(model.phi1_unguarded(t))
-
-
-def chain_identity_residual(model: LadderModel, chain: ChainPoints) -> float:
-    """Freshly re-evaluate the defining chain identity at the stored points.
-
-    Recomputes every factor from scratch (no reuse of the stored zt2) and
-    returns |lhs/rhs - 1| accumulated in log space, so enormous or tiny
-    factors do not overflow the comparison.
-    """
-    gf = _gf_from_key(chain.f_key)
-    base_lo = math.pi * chain.l
-    log_lhs = 0.0
-    f0 = gf.fn(float(chain.alpha[0]) - base_lo)
+    f0 = chain.gf.fn(float(chain.alpha[0]) - math.pi * chain.l)
     if f0 <= 0.0:
         raise ConditionTooHigh(
             f"stored chain has nonpositive weight factor f0={f0}",
             condition=math.inf,
         )
-    log_lhs += math.log(f0)
+    log_prod = 0.0
     for r in range(1, chain.k + 1):
         v = model.ztilde_sq(float(chain.alpha[r]))
         if v <= 0.0:
@@ -368,8 +375,18 @@ def chain_identity_residual(model: LadderModel, chain: ChainPoints) -> float:
                 f"stored chain point alpha_{r} sits on a zero of Z",
                 condition=math.inf,
             )
-        log_lhs += math.log(v)
-    return abs(math.expm1(log_lhs - math.log(chain.level)))
+        log_prod += math.log(v)
+    return math.log(f0), log_prod
+
+
+def chain_identity_residual(model: LadderModel, chain: ChainPoints) -> float:
+    """Freshly re-evaluate the defining chain identity at the stored points.
+
+    Returns |lhs/rhs - 1| accumulated in log space, so enormous or tiny
+    factors do not overflow the comparison.
+    """
+    log_f0, log_prod = _fresh_logs(model, chain)
+    return abs(math.expm1(log_f0 + log_prod - math.log(chain.level)))
 
 
 def lemma_residual(model: LadderModel, alpha_chain: ChainPoints,
@@ -381,8 +398,8 @@ def lemma_residual(model: LadderModel, alpha_chain: ChainPoints,
 
         prod_r ztilde_sq(alpha_r) / ztilde_sq(beta_r)  =  mean(f) / f(alpha_0)
 
-    Every ztilde_sq is recomputed from scratch at the stored points and the
-    comparison runs in log space; the result is |LHS/RHS - 1|.
+    Both chains are re-evaluated from scratch and compared in log space; the
+    result is |LHS/RHS - 1|.
     """
     if (alpha_chain.l, alpha_chain.u, alpha_chain.k) != (
         beta_chain.l, beta_chain.u, beta_chain.k
@@ -390,38 +407,7 @@ def lemma_residual(model: LadderModel, alpha_chain: ChainPoints,
         raise ValueError("lemma_residual needs chains over the same (L, U, k)")
     if beta_chain.f_key != "one":
         raise ValueError("second argument must be the plain (f = 1) chain")
-    gf = _gf_from_key(alpha_chain.f_key)
-    base_lo = math.pi * alpha_chain.l
-    f0 = gf.fn(float(alpha_chain.alpha[0]) - base_lo)
-    mean_f = gf.mass(alpha_chain.u) / alpha_chain.u
-    if f0 <= 0.0:
-        raise ConditionTooHigh(
-            f"stored chain has nonpositive weight factor f0={f0}",
-            condition=math.inf,
-        )
-    log_ratio = math.log(f0) - math.log(mean_f)
-    for r in range(1, alpha_chain.k + 1):
-        va = model.ztilde_sq(float(alpha_chain.alpha[r]))
-        vb = model.ztilde_sq(float(beta_chain.alpha[r]))
-        if va <= 0.0 or vb <= 0.0:
-            raise ConditionTooHigh(
-                f"stored chain point at iterate {r} sits on a zero of Z",
-                condition=math.inf,
-            )
-        log_ratio += math.log(va) - math.log(vb)
-    return abs(math.expm1(log_ratio))
-
-
-def _gf_from_key(key: str) -> GeneratingFunction:
-    if key == "one":
-        return gf_one()
-    if key == "sin2":
-        return gf_sin2()
-    if key == "cos2":
-        return gf_cos2()
-    if key.startswith("pow:"):
-        delta_part = key[4:]
-        if "/" in delta_part:
-            return gf_power(Fraction(delta_part))
-        return gf_power(float(delta_part))
-    raise KeyError(f"unknown generating function key {key!r}")
+    log_f0, log_alpha = _fresh_logs(model, alpha_chain)
+    _, log_beta = _fresh_logs(model, beta_chain)
+    mean_f = alpha_chain.gf.mass(alpha_chain.u) / alpha_chain.u
+    return abs(math.expm1(log_f0 - math.log(mean_f) + log_alpha - log_beta))

@@ -217,6 +217,32 @@ def test_rs_terms_outside_correction_table_exit_2(capsys, cache, terms):
     assert "rs_terms" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--quad-tol", "--root-tol"])
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_invalid_tolerance_exit_2(capsys, cache, flag, value):
+    code, out, err = _run(capsys, "ladder-build", "--tmax", "5",
+                          flag, value, *cache)
+    assert code == 2
+    assert out == ""
+    assert flag[2:].replace("-", "_") in err and "Traceback" not in err
+
+
+def test_ladder_build_nan_height_exit_2(capsys, cache):
+    code, out, err = _run(capsys, "ladder-build", "--tmax", "nan", *cache)
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err and "Traceback" not in err
+
+
+def test_ladder_build_unwritable_output_exit_2(capsys, cache, tmp_path):
+    missing = tmp_path / "no-such-dir" / "o.json"
+    code, _, err = _run(capsys, "ladder-build", "--tmax", "5",
+                        "--output", str(missing), *cache)
+    assert code == 2
+    assert str(missing) in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_verify_mass_below_normalizer_floor_exit_2(capsys, cache):
     # the sin^2 point of a k = 0 chain on [0, 0.2] has A(alpha_0) < V(t_min)
     code, _, err = _run(

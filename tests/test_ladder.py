@@ -23,7 +23,7 @@ from zetaladder.ladder import (
     normalizer_prime,
 )
 from zetaladder.numerics import integrate
-from zetaladder.tower import _omega_direct
+from zetaladder.zeta import hardy_z
 
 from _oracles import A_100
 
@@ -168,8 +168,9 @@ def test_phi1_unguarded_rejects_mass_below_normalizer_floor(small_config):
     m = LadderModel(small_config)
     with pytest.raises(DomainTooSmall):
         m.phi1_unguarded(0.2)
+    # omega at a base point below t_start goes through the same solve
     with pytest.raises(DomainTooSmall):
-        _omega_direct(m, 0.2)
+        normalizer_prime(m.phi1_unguarded(0.2))
 
 
 def test_phi1_raises_when_newton_does_not_converge(small_config, monkeypatch):
@@ -180,7 +181,16 @@ def test_phi1_raises_when_newton_does_not_converge(small_config, monkeypatch):
 
 
 def test_omega_direct_matches_omega_above_start(model):
-    assert _omega_direct(model, 612.5) == model.omega(612.5)
+    # the unguarded slope used at alpha_0 equals omega wherever both apply
+    assert normalizer_prime(model.phi1_unguarded(612.5)) == model.omega(612.5)
+
+
+def test_step_is_phi1_omega_and_ztilde_sq_at_once(model):
+    for t in (612.5, 1000.3):
+        y, om, zt = model.step(t)
+        z = hardy_z(t, model.config).z
+        assert (y, om, zt) == (model.phi1(t), model.omega(t), z * z / om)
+        assert model.ztilde_sq(t) == zt
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +301,32 @@ def test_default_cache_path_contains_config_hash(small_config):
     p = m.default_cache_path()
     assert small_config.config_hash() in os.path.basename(p)
     assert p.endswith(".csv")
+
+
+@pytest.mark.parametrize("case", ["row dropped", "t shifted"])
+def test_load_rejects_rows_off_the_spacing_grid(small_config, tmp_path, case):
+    # A keeps increasing in both cases; only the t column shows the damage
+    path = str(tmp_path / "t.csv")
+    m = LadderModel(small_config)
+    m.extend_to(20.0)
+    m.save_table(path)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    row = lines.index("t,a") + 20  # the knot at t = 9.5
+    if case == "row dropped":
+        del lines[row]
+    else:
+        lines[row] = "9.75," + lines[row].partition(",")[2]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(CacheCorrupt, match="row 19"):
+        LadderModel.load_table(path, small_config)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_extend_to_rejects_non_finite_height(small_config, t):
+    with pytest.raises(DomainTooSmall):
+        LadderModel(small_config).extend_to(t)
 
 
 def test_table_exhausted_beyond_cap(small_config):

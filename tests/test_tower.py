@@ -13,6 +13,7 @@ from zetaladder.errors import (
     IndexOutOfTower,
     RangeTooLarge,
 )
+from zetaladder.ladder import LadderModel
 from zetaladder.numerics import integrate
 from zetaladder.tower import (
     ChainFactory,
@@ -204,6 +205,38 @@ def test_chain_weight_integral_recovers_mass(model, factory):
     seg = tw.segment(2)
     val = integrate(g, seg.lo, seg.hi, tol=1e-9).value
     assert val == pytest.approx(gf.mass(1.0), abs=1e-7)
+
+
+@pytest.fixture()
+def solve_count(monkeypatch):
+    """Counts phi1 Newton solves (every phi1, omega and step makes one)."""
+    calls = []
+    unguarded = LadderModel.phi1_unguarded
+
+    def counted(self, t):
+        calls.append(t)
+        return unguarded(self, t)
+
+    monkeypatch.setattr(LadderModel, "phi1_unguarded", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_one_phi1_solve_per_ladder_level(model, factory, solve_count, k):
+    # the weight walks k levels; assembly adds omega at alpha_0
+    gf = gf_sin2()
+    ch = factory.solve(150, 1.0, k, gf)
+    tw = factory.tower(150, 1.0, k)
+    g = make_chain_weight(model, tw, gf)
+    solve_count.clear()
+    g(ch.xi)
+    assert len(solve_count) == k
+    solve_count.clear()
+    again = factory._assemble(tw, gf, ch.xi, ch.level)
+    assert len(solve_count) == k + 1
+    assert np.array_equal(again.alpha, ch.alpha)
+    assert np.array_equal(again.zt2, ch.zt2)
+    assert np.array_equal(again.omega, ch.omega)
 
 
 # ---------------------------------------------------------------------------
