@@ -99,11 +99,12 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _emit(payload: dict[str, Any], path: str | None) -> None:
+    # write the file first, so a bad path fails before anything is printed
     text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 # -- verify -----------------------------------------------------------------
@@ -231,10 +232,10 @@ def _cmd_scan_gaps(args: argparse.Namespace) -> int:
         for r in args.r:
             reports.append(gap_rho(tower, r))
     csv_text = gap_csv_rows(reports)
-    sys.stdout.write(csv_text)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(csv_text)
+    sys.stdout.write(csv_text)
     worst = max(abs(math.log(rep.ratio)) for rep in reports)
     hard_breach = any(not 0.5 <= rep.ratio <= 1.5 for rep in reports)
     soft_breach = any(not 0.7 <= rep.ratio <= 1.3 for rep in reports)

@@ -34,8 +34,6 @@ class RunConfig:
     rs_terms: int = 4
     # below this height Z is evaluated through the alternating-series route
     rs_switch: float = 100.0
-    # normalizer family (single member; see ladder.normalizer)
-    normalizer_id: str = "HL_STANDARD"
     # cumulative-table knot spacing in t
     knot_spacing: float = 0.5
     # domain floor for the normalizer inversion
@@ -47,12 +45,6 @@ class RunConfig:
     # tower defaults
     l_floor: int = 100
     k_max: int = 4
-    # level-crossing scan: initial interior sample count and doubling depth
-    scan_points: int = 64
-    scan_refine_max: int = 8
-    # condition handling: flag above kappa_flag, refuse above kappa_max
-    kappa_flag: float = 1e3
-    kappa_max: float = 1e5
     # cache file override (None -> env var ZETALADDER_CACHE_DIR -> ./.zl-cache)
     cache_dir: str | None = None
 
@@ -69,7 +61,9 @@ class RunConfig:
         payload = "|".join([
             TABLE_FORMAT,
             f"quad_tol={self.quad_tol!r}",
-            f"normalizer={self.normalizer_id}",
+            # the normalizer family has one member (ladder.normalizer); the
+            # literal keeps the hash, and so every saved table, unchanged
+            "normalizer=HL_STANDARD",
             f"rs_terms={self.rs_terms}",
             f"rs_switch={self.rs_switch!r}",
             f"knot_spacing={self.knot_spacing!r}",

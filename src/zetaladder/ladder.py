@@ -13,7 +13,8 @@ The model has three ingredients:
   disturbing existing knots;
 * the **forward map** phi1(t) = V^{-1}(A(t)), whose derivative is exactly
   ztilde_sq(t) = Z(t)^2 / V'(phi1(t)); the **reverse step** solves
-  A(u) = V(x), so phi1(reverse_step(x)) = x up to the solver tolerances.
+  A(u) = V(x) by bisection on the one knot interval that holds the root, so
+  phi1(reverse_step(x)) = x up to the solver tolerances.
 
 One **ladder step**, ``step(t) -> (phi1(t), omega(t), ztilde_sq(t))``, makes
 one phi1 solve and one Z evaluation; ``ztilde_sq`` and every chain walk in
@@ -31,6 +32,7 @@ whose t does not read ``repr(j * spacing)``, raises :class:`CacheCorrupt`.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from dataclasses import dataclass, field
@@ -250,25 +252,26 @@ class LadderModel:
         return pts
 
     def reverse_step(self, x: float) -> float:
-        """The unique u with A(u) = V(x); above working heights u > x."""
+        """The unique u with A(u) = V(x); above working heights u > x.
+
+        A is increasing, so the knot table brackets the root: knots are added
+        one at a time until the last one reaches V(x), and the first knot j
+        with A(j h) >= V(x) closes the knot interval [(j-1) h, j h].  Both
+        ends are knots and cost no quadrature; bisecting the interval from
+        width h to root_tol takes ceil(log2(h / root_tol)) off-knot A(t)
+        solves (36 at the defaults).
+        """
         cfg = self.config
         if x < cfg.t_min:
             raise DomainTooSmall(f"reverse_step requested at x={x} < t_min={cfg.t_min}")
         target = normalizer(x)
-        # expand a bracket upward from x; the expected gap is
-        # (1-gamma) x / log x with O(sqrt x) fluctuation
-        hi = x + (1.0 - EULER_GAMMA) * x / max(math.log(x), 1.0) + 5.0
-        lo = 0.0
-        for _ in range(64):
-            self.extend_to(hi)
-            if self.cumulative_hl(hi) >= target:
-                break
-            lo = hi
-            hi = x + (hi - x) * 1.6 + 5.0
-        else:
-            raise TableExhausted(f"could not bracket reverse step from x={x}")
+        h = self.table.spacing
+        vals = self.table.values
+        while vals[-1] < target:
+            self.extend_to(len(vals) * h)
+        j = bisect.bisect_left(vals, target, 1)
         return invert_increasing(
-            self.cumulative_hl, Bracket(lo, hi), target, cfg.root_tol
+            self.cumulative_hl, Bracket((j - 1) * h, j * h), target, cfg.root_tol
         )
 
     # -- persistence ---------------------------------------------------------

@@ -10,11 +10,13 @@ use for integrals and root solves, so their contracts are deliberately narrow:
   oscillation.  Its loop, :func:`adaptive_panels`, takes an integrand that
   maps a panel's 33 nodes to values, so the batched Z^2 kernel runs the very
   same policy.
-* :func:`invert_increasing` -- bisection for g(x) = target with g strictly
-  increasing on the bracket.
+* :func:`invert_increasing` -- g(x) = target with g strictly increasing on
+  the bracket.
 * :func:`find_level_crossing` -- leftmost solution of g(x) = level on an open
   interval, located by a uniform interior scan (refined by doubling when no
-  sign change is found) and polished by bisection.
+  sign change is found).
+
+Both root solves finish in the same bisection loop, :func:`_bisect`.
 
 Everything is deterministic: fixed node counts, fixed refinement policy, no
 randomness.
@@ -161,6 +163,33 @@ def integrate(
     ))
 
 
+def _bisect(
+    g: Callable[[float], float],
+    lo: float,
+    hi: float,
+    f_lo: float,
+    tol: float,
+) -> float:
+    """Bisect [lo, hi], on which g changes sign and f_lo = g(lo) != 0.
+
+    Halves the interval until its width is <= tol or its midpoint no longer
+    lies strictly inside (the double-precision floor), and returns the final
+    midpoint; an exact zero g(mid) == 0 returns mid at once.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        f_mid = g(mid)
+        if f_mid == 0.0:
+            return mid
+        if f_lo * f_mid < 0.0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
 def invert_increasing(
     g: Callable[[float], float],
     bracket: Bracket,
@@ -169,9 +198,9 @@ def invert_increasing(
 ) -> float:
     """Solve g(x) = target for strictly increasing g on the bracket.
 
-    Plain bisection: ~50 iterations regardless of g's shape, returning the
-    midpoint of a final bracket of width <= tol.  The endpoint values must
-    enclose the target or :class:`BracketInvalid` is raised.
+    Bisection from the bracket to a width <= tol: log2(width / tol) steps
+    regardless of g's shape, returning the final midpoint.  The endpoint
+    values must enclose the target or :class:`BracketInvalid` is raised.
     """
     lo, hi = bracket.lo, bracket.hi
     glo = g(lo) - target
@@ -184,18 +213,7 @@ def invert_increasing(
         return lo
     if ghi == 0.0:
         return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # double-precision floor
-            break
-        gm = g(mid) - target
-        if gm == 0.0:
-            return mid
-        if gm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda x: g(x) - target, lo, hi, glo, tol)
 
 
 def find_level_crossing(
@@ -219,37 +237,24 @@ def find_level_crossing(
     """
     if not (hi > lo):
         raise BracketInvalid(f"empty interval ({lo}, {hi})")
+    def f(x: float) -> float:
+        return g(x) - level
+
     n = max(2, scan_points)
     for _ in range(refine_max + 1):
         h = (hi - lo) / (n + 1)
         x_prev = lo + h
-        f_prev = g(x_prev) - level
+        f_prev = f(x_prev)
         if f_prev == 0.0:
             return x_prev
-        found = None
         for i in range(2, n + 1):
             x = lo + i * h
-            fx = g(x) - level
+            fx = f(x)
             if fx == 0.0:
                 return x
             if f_prev * fx < 0.0:
-                found = (x_prev, x, f_prev)
-                break
+                return _bisect(f, x_prev, x, f_prev, tol)
             x_prev, f_prev = x, fx
-        if found is not None:
-            blo, bhi, flo = found
-            while bhi - blo > tol:
-                mid = 0.5 * (blo + bhi)
-                if mid <= blo or mid >= bhi:
-                    break
-                fm = g(mid) - level
-                if fm == 0.0:
-                    return mid
-                if flo * fm < 0.0:
-                    bhi = mid
-                else:
-                    blo, flo = mid, fm
-            return 0.5 * (blo + bhi)
         n *= 2
     raise NoCrossing(
         f"no crossing of level {level!r} on ({lo!r}, {hi!r}) after {refine_max} refinements"

@@ -64,6 +64,11 @@ __all__ = [
     "lemma_residual",
 ]
 
+#: a chain's log-space condition number is flagged above KAPPA_FLAG and
+#: refused (ConditionTooHigh) above KAPPA_MAX
+KAPPA_FLAG = 1e3
+KAPPA_MAX = 1e5
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -252,36 +257,25 @@ class ChainFactory:
 
     def __init__(self, model: LadderModel):
         self.model = model
-        self._towers: dict[tuple[int, float, int], IterationTower] = {}
+        self._segments: dict[tuple[int, float], list[Segment]] = {}
         self._chains: dict[tuple[int, float, int, str], ChainPoints] = {}
 
     # towers -----------------------------------------------------------------
 
     def tower(self, l: int, u: float, k: int) -> IterationTower:
-        cfg = self.model.config
-        l = _check_window(l, u, k, cfg)
-        key = (l, u, k)
-        hit = self._towers.get(key)
-        if hit is not None:
-            return hit
-        # reuse the deepest cached tower over the same window
-        best: IterationTower | None = None
-        for (l2, u2, k2), t2 in self._towers.items():
-            if l2 == l and u2 == u and (best is None or k2 > best.k):
-                best = t2
-        segs = list(best.segments[: k + 1]) if best else []
-        if not segs:
+        l = _check_window(l, u, k, self.model.config)
+        segs = self._segments.get((l, u))
+        if segs is None:
             lo = math.pi * l
-            segs.append(Segment(lo, lo + u))
+            segs = self._segments[(l, u)] = [Segment(lo, lo + u)]
+        # one growing segment list per window: deeper towers extend it
         while len(segs) <= k:
             prev = segs[-1]
             segs.append(
                 Segment(self.model.reverse_step(prev.lo),
                         self.model.reverse_step(prev.hi))
             )
-        tower = IterationTower(l=l, u=u, segments=tuple(segs))
-        self._towers[key] = tower
-        return tower
+        return IterationTower(l=l, u=u, segments=tuple(segs[: k + 1]))
 
     # chains -----------------------------------------------------------------
 
@@ -303,7 +297,6 @@ class ChainFactory:
     def _solve_fresh(self, l: int, u: float, k: int,
                      gf: GeneratingFunction) -> ChainPoints:
         model = self.model
-        cfg = model.config
         tower = self.tower(l, u, k)
         seg_k = tower.segment(k)
         level = gf.mass(u) / seg_k.length
@@ -313,18 +306,13 @@ class ChainFactory:
             xi = tower.base.mid
         else:
             g = make_chain_weight(model, tower, gf)
-            xi = find_level_crossing(
-                g, seg_k.lo, seg_k.hi, level,
-                scan_points=cfg.scan_points,
-                tol=cfg.root_tol,
-                refine_max=cfg.scan_refine_max,
-            )
+            xi = find_level_crossing(g, seg_k.lo, seg_k.hi, level,
+                                     tol=model.config.root_tol)
         return self._assemble(tower, gf, xi, level)
 
     def _assemble(self, tower: IterationTower, gf: GeneratingFunction,
                   xi: float, level: float) -> ChainPoints:
         model = self.model
-        cfg = model.config
         k = tower.k
         walk_alpha, walk_zt2, walk_omega = _walk(model, xi, k)
         # alpha_0 lives on the base window, which can start below the phi1
@@ -340,7 +328,7 @@ class ChainFactory:
         logs = [math.log(v) if v > 0.0 else -math.inf for v in zt2]
         log_f0 = math.log(f0) if f0 > 0.0 else -math.inf
         condition = abs(log_f0) + sum(abs(x) for x in logs) if f0 > 0.0 else math.inf
-        if math.isinf(condition) or condition > cfg.kappa_max:
+        if math.isinf(condition) or condition > KAPPA_MAX:
             raise ConditionTooHigh(
                 f"chain at L={tower.l}, U={tower.u}, k={k}, f={gf.key} "
                 f"landed on a near-zero factor",
@@ -351,7 +339,7 @@ class ChainFactory:
             l=tower.l, u=tower.u, k=k, gf=gf,
             alpha=alpha, zt2=zt2, omega=omega, f0=f0, level=level,
             rel_residual=rel, condition=condition,
-            flagged=condition > cfg.kappa_flag,
+            flagged=condition > KAPPA_FLAG,
         )
 
 

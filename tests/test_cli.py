@@ -243,6 +243,18 @@ def test_ladder_build_unwritable_output_exit_2(capsys, cache, tmp_path):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("ladder-build", "--tmax", "5", "--output"),
+    ("scan", "gaps", "--L", "150", "--U", "1.0", "--r", "0", "--csv"),
+], ids=["ladder-build", "scan-gaps"])
+def test_unwritable_output_prints_nothing(capsys, cache, tmp_path, argv):
+    # the output file is opened before anything reaches stdout
+    missing = tmp_path / "no-such-dir" / "out"
+    code, out, _ = _run(capsys, *argv, str(missing), *cache)
+    assert code == 2
+    assert out == ""
+
+
 def test_verify_mass_below_normalizer_floor_exit_2(capsys, cache):
     # the sin^2 point of a k = 0 chain on [0, 0.2] has A(alpha_0) < V(t_min)
     code, _, err = _run(

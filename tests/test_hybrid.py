@@ -215,12 +215,12 @@ def test_mixed_product(factory):
 
 
 def test_echf1_equal_depths_is_mixed_rearranged(factory):
-    # with k1 = k2 = k, multiplying the unit sum by the constant-family
-    # product gives exactly the mixed identity; both use the same cached
-    # chains so the recombination agrees to rounding noise
+    # with k1 = k2 = k, echf1's lhs is the mixed identity's rhs over its
+    # lhs; both use the same cached chains, so the two agree to rounding
     e = echf1(factory, 150, 1.0, 2, 2)
     m = mixed_product(factory, 150, 1.0, 2)
-    assert e.lhs == pytest.approx(m.lhs / m.rhs, rel=1e-10)
+    assert e.lhs == pytest.approx(m.rhs / m.lhs, rel=1e-12)
+    assert e.rel_residual <= 1e-8
 
 
 def test_secondary_v2_corrected_prefactor(factory):

@@ -218,6 +218,36 @@ def test_reverse_step_rejects_below_t_min(model):
         model.reverse_step(model.config.t_min - 1.0)
 
 
+def test_reverse_step_bisects_one_knot_interval(model, monkeypatch):
+    # both bracket ends are knots; only the bisection steps cost quadrature:
+    # from width 0.5 to root_tol = 1e-11 that is ceil(log2(5e10)) = 36
+    x = 1500.0
+    model.reverse_step(x)  # the table already covers the root
+    h = model.table.spacing
+    offknot = []
+    original = LadderModel.cumulative_hl
+
+    def counting(self, t):
+        if t != self.table.knot_below(t) * h:
+            offknot.append(t)
+        return original(self, t)
+
+    monkeypatch.setattr(LadderModel, "cumulative_hl", counting)
+    u = model.reverse_step(x)
+    assert len(offknot) <= 36
+    j = math.ceil(u / h)
+    assert all((j - 1) * h < t < j * h for t in offknot)
+
+
+def test_reverse_step_grows_a_cold_table_to_the_root_knot(small_config):
+    m = LadderModel(small_config)
+    target = normalizer(300.0)
+    u = m.reverse_step(300.0)
+    vals = m.table.values
+    assert vals[-2] < target <= vals[-1]
+    assert m.table.t_covered - m.table.spacing <= u <= m.table.t_covered
+
+
 def test_change_of_variables_identity(model):
     # int_{phi1(a)}^{phi1(b)} h = int_a^b h(phi1(t)) ztilde_sq(t) dt
     a, b = 700.0, 702.0
@@ -296,6 +326,11 @@ def test_load_rejects_corrupt_rows(small_config, tmp_path, row):
         LadderModel.load_table(path, small_config)
 
 
+def test_default_config_hash_is_pinned():
+    # the hash names every saved table; a change here orphans existing caches
+    assert RunConfig().config_hash() == "47d4c5aec864ed1b"
+
+
 def test_default_cache_path_contains_config_hash(small_config):
     m = LadderModel(small_config)
     p = m.default_cache_path()
@@ -334,3 +369,11 @@ def test_table_exhausted_beyond_cap(small_config):
     m = LadderModel(cfg)
     with pytest.raises(TableExhausted):
         m.extend_to(600.0)
+
+
+def test_reverse_step_stops_at_the_table_ceiling(small_config):
+    # V(30) ~ 64 lies above A(20) ~ 35, so the knot loop hits the ceiling
+    m = LadderModel(small_config.with_overrides(t_table_max=20.0))
+    with pytest.raises(TableExhausted):
+        m.reverse_step(30.0)
+    assert m.table.t_covered <= 20.0
