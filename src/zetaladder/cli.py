@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Any
@@ -65,37 +66,38 @@ def _fraction(text: str) -> Fraction:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
+        vals = [int(part) for part in text.split(",") if part]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a comma list of ints: {text!r}") from exc
+    if not vals:
+        raise argparse.ArgumentTypeError(f"empty comma list: {text!r}")
+    return vals
+
+
+#: RunConfig fields settable from the command line: name -> (type, help)
+_CONFIG_FLAGS: dict[str, tuple[Any, str]] = {
+    "quad_tol": (float, "absolute tolerance per unit length for the mass quadrature"),
+    "root_tol": (float, "abscissa tolerance for root and crossing solves"),
+    "rs_terms": (int, "number of correction terms in the high-range Z evaluation (1-4)"),
+    "cache_dir": (str, "directory for the knot-table cache (default ./.zl-cache)"),
+    "l_floor": (int, "smallest admissible window index L"),
+    "k_max": (int, "deepest admissible tower"),
+}
+#: what a chain-solving command reads; only ladder-build touches a table file
+_SOLVE_FLAGS = ("quad_tol", "root_tol", "rs_terms", "l_floor", "k_max")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides: dict[str, Any] = {}
-    for attr, key in (
-        ("quad_tol", "quad_tol"), ("root_tol", "root_tol"),
-        ("rs_terms", "rs_terms"), ("cache_dir", "cache_dir"),
-        ("l_floor", "l_floor"), ("k_max", "k_max"),
-    ):
-        val = getattr(args, attr, None)
-        if val is not None:
-            overrides[key] = val
-    return DEFAULT_CONFIG.with_overrides(**overrides) if overrides else DEFAULT_CONFIG
+    return DEFAULT_CONFIG.with_overrides(**{
+        name: getattr(args, name) for name in _CONFIG_FLAGS
+        if getattr(args, name, None) is not None})
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--quad-tol", dest="quad_tol", type=float, default=None,
-                   help="absolute tolerance per unit length for the mass quadrature")
-    p.add_argument("--root-tol", dest="root_tol", type=float, default=None,
-                   help="abscissa tolerance for root and crossing solves")
-    p.add_argument("--rs-terms", dest="rs_terms", type=int, default=None,
-                   help="number of correction terms in the high-range Z evaluation (1-4)")
-    p.add_argument("--cache-dir", dest="cache_dir", default=None,
-                   help="directory for the knot-table cache (default ./.zl-cache)")
-    p.add_argument("--l-floor", dest="l_floor", type=int, default=None,
-                   help="smallest admissible window index L")
-    p.add_argument("--k-max", dest="k_max", type=int, default=None,
-                   help="deepest admissible tower")
+def _add_config_flags(p: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
+    for name in names:
+        kind, text = _CONFIG_FLAGS[name]
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
+                       default=None, help=text)
 
 
 def _emit(payload: dict[str, Any], path: str | None) -> None:
@@ -176,8 +178,6 @@ def _cmd_ladder_build(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     model = LadderModel(config)
     path = args.cache_file or model.default_cache_path()
-    import os
-
     if os.path.exists(path):
         model = LadderModel.load_table(path, config)
     model.extend_to(args.tmax)
@@ -287,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--cache-file", default=None,
                     help="explicit cache path (default: hash-named file in cache dir)")
     pb.add_argument("--output", default=None, help="also write the JSON summary here")
-    _add_config_flags(pb)
+    _add_config_flags(pb, ("quad_tol", "rs_terms", "cache_dir"))
     pb.set_defaults(fn=_cmd_ladder_build)
 
     pv = sub.add_parser("verify", help="evaluate one identity and report")
@@ -302,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="second power exponent, exact fraction like 1/5")
     pv.add_argument("--tol", type=float, default=_VERIFY_TOL_DEFAULT)
     pv.add_argument("--output", default=None, help="also write the JSON report here")
-    _add_config_flags(pv)
+    _add_config_flags(pv, _SOLVE_FLAGS)
     pv.set_defaults(fn=_cmd_verify)
 
     ps = sub.add_parser("scan", help="seeded sampling and diagnostics")
@@ -324,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--scan-tol", dest="scan_tol", type=float,
                     default=_SCAN_TOL_DEFAULT)
     pi.add_argument("--output", default=None)
-    _add_config_flags(pi)
+    _add_config_flags(pi, _SOLVE_FLAGS)
     pi.set_defaults(fn=_cmd_scan_invariance)
 
     pg = scan_sub.add_parser("gaps", help="segment spacing vs (1-gamma) pi(pi L)")
@@ -334,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--r", type=_int_list, default=[0],
                     help="comma list of gap indices")
     pg.add_argument("--csv", default=None, help="also write the CSV here")
-    _add_config_flags(pg)
+    _add_config_flags(pg, _SOLVE_FLAGS)
     pg.set_defaults(fn=_cmd_scan_gaps)
 
     pa = scan_sub.add_parser("asymptotic", help="raw-moment drift across heights")
@@ -346,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--k2", type=int, default=2)
     pa.add_argument("--tol", type=float, default=_VERIFY_TOL_DEFAULT)
     pa.add_argument("--output", default=None)
-    _add_config_flags(pa)
+    _add_config_flags(pa, _SOLVE_FLAGS)
     pa.set_defaults(fn=_cmd_scan_asymptotic)
 
     return parser

@@ -75,6 +75,7 @@ from .tower import (
     ChainFactory,
     ChainPoints,
     GeneratingFunction,
+    _check_window,
     gf_cos2,
     gf_one,
     gf_power,
@@ -545,9 +546,9 @@ def asymptotic_secondary(factory: ChainFactory, pair: DeltaPair, l: int,
     a, b, _ = (float(x) for x in _exponents(pair))
 
     def omega_mix_log(c: _Chains, k: int, trig: str) -> float:
-        lt = np.log(c[trig, k].omega[1:])
-        l3 = np.log(c["pow3", k].omega[1:])
-        l4 = np.log(c["pow4", k].omega[1:])
+        lt = np.log(c[trig, k].omega)
+        l3 = np.log(c["pow3", k].omega)
+        l4 = np.log(c["pow4", k].omega)
         return float(np.sum(lt) + a * np.sum(l3) + b * np.sum(l4))
 
     def combine(c: _Chains):
@@ -602,10 +603,8 @@ class InvarianceScan:
 _WORKER_STATE: dict[str, Any] = {}
 
 
-def _scan_init(config: RunConfig, d3: str, d4: str) -> None:
-    model = LadderModel(config)
-    _WORKER_STATE["factory"] = ChainFactory(model)
-    _WORKER_STATE["pair"] = DeltaPair(Fraction(d3), Fraction(d4))
+def _scan_init(model: LadderModel, pair: DeltaPair) -> None:
+    _WORKER_STATE.update(factory=ChainFactory(model), pair=pair)
 
 
 _Outcome = tuple[float | None, str | None]
@@ -636,36 +635,49 @@ def invariance_scan(
     workers: int = 1,
     factory: ChainFactory | None = None,
 ) -> InvarianceScan:
-    """Sample (U, L, {k1, k2}) at a fixed delta pair and summarize the spread.
+    """Sample (U, L, {k1, k2}) at any real delta pair and summarize the spread.
 
     All samples are drawn up front from one seeded generator, so the set of
     evaluated parameter tuples -- and therefore the statistics -- do not
-    depend on ``workers``.  Per-sample failures are collected, not raised,
-    unless every sample fails.
+    depend on ``workers``.  The table of ``factory`` (fresh under ``config``
+    if none is given) is warmed once, here, to the top of the tallest tower;
+    the serial loop and every pool worker read that one table.  Per-sample
+    failures are collected, not raised, unless every sample fails.
     """
     if n_samples < 2:
         raise DomainTooSmall(f"need at least 2 samples, got {n_samples}")
-    if not pair.is_rational:
-        raise DomainTooSmall("scan pairs must be rational for worker transport")
+    if factory is None:
+        factory = ChainFactory(LadderModel(config))
+    (u_lo, u_hi), (l_lo, l_hi), (k_lo, k_hi) = u_range, l_range, k_range
+    if not (l_lo <= l_hi and u_lo <= u_hi and k_lo < k_hi):
+        raise DomainTooSmall(f"scan needs lo <= hi in L {l_range} and U {u_range}, "
+                             f"and two depths in k {k_range}")
+    for corner in ((l_lo, u_lo, k_lo), (l_hi, u_hi, k_hi)):
+        _check_window(*corner, factory.model.config)
     rng = np.random.default_rng(seed)
-    ks = np.arange(k_range[0], k_range[1] + 1)
+    ks = np.arange(k_lo, k_hi + 1)
     samples: list[tuple[float, int, int, int]] = []
     for _ in range(n_samples):
-        u = float(rng.uniform(*u_range))
-        l = int(rng.integers(l_range[0], l_range[1] + 1))
+        u = float(rng.uniform(u_lo, u_hi))
+        l = int(rng.integers(l_lo, l_hi + 1))
         k1, k2 = (int(x) for x in rng.choice(ks, size=2, replace=False))
         samples.append((u, l, k1, k2))
 
-    d3s, d4s = pair.label()
+    # reverse_step increases and climbs, so the deepest tower over the
+    # highest base end covers every point any sample's chain solve reaches
+    u_top, l_top, _, _ = max(samples, key=lambda s: math.pi * s[1] + s[0])
+    depth = max(max(k1, k2) for _, _, k1, k2 in samples)
+    try:
+        factory.tower(l_top, u_top, depth)
+    except ZetaLadderError:  # the samples that need it fail one by one
+        pass
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_scan_init,
-            initargs=(config, d3s, d4s),
+            initargs=(factory.model, pair),
         ) as pool:
             outcomes = list(pool.map(_scan_eval, samples))
     else:
-        if factory is None:
-            factory = ChainFactory(LadderModel(config))
         outcomes = [_scan_sample(factory, pair, s) for s in samples]
 
     const = theorem1_constant(pair)

@@ -198,28 +198,21 @@ class LadderModel:
     # -- forward map and friends --------------------------------------------
 
     def phi1(self, t: float) -> float:
-        """V^{-1}(A(t)): Newton on the convex normalizer, ~1e-12 residual."""
-        if t < self.config.t_start:
-            raise DomainTooSmall(
-                f"phi1 requested at t={t} < t_start={self.config.t_start}"
-            )
-        return self.phi1_unguarded(t)
-
-    def phi1_unguarded(self, t: float) -> float:
-        """V^{-1}(A(t)) without phi1's t_start guard; Newton from max(t, t_min).
+        """V^{-1}(A(t)) for t >= t_start by Newton from max(t, t_min).
 
         V is convex and increasing above t_min, so Newton from above converges
         monotonically; t itself lies above the root at working heights.
-        Raises DomainTooSmall when A(t) < V(t_min) and NonConvergence when 64
-        steps do not settle to root_tol.
+        Raises DomainTooSmall below t_start or when A(t) < V(t_min), and
+        NonConvergence when 64 steps do not settle to root_tol.
         """
         cfg = self.config
+        if t < cfg.t_start:
+            raise DomainTooSmall(f"phi1 requested at t={t} < t_start={cfg.t_start}")
         a = self.cumulative_hl(t)
         v_min = normalizer(cfg.t_min)
         if a < v_min:
-            raise DomainTooSmall(
-                f"A({t})={a} below normalizer floor V({cfg.t_min})={v_min}"
-            )
+            raise DomainTooSmall(f"A({t})={a} below normalizer floor "
+                                 f"V({cfg.t_min})={v_min}")
         y = max(t, cfg.t_min)
         for _ in range(64):
             step = (normalizer(y) - a) / normalizer_prime(y)

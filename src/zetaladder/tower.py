@@ -25,8 +25,7 @@ residual and a log-space condition number.
 Both the integrand and the assembly of a solved chain walk down from
 xi = alpha_k through one private walk built on ``LadderModel.step``, which
 gives (phi1, omega, ztilde_sq) at a level from one phi1 solve: an integrand
-evaluation costs k solves, an assembly k + 1 (omega at alpha_0 is the one
-extra).  Chains are cached per
+evaluation and an assembly each cost k solves.  Chains are cached per
 (L, U, k, weight) so that repeated requests -- in particular the plain
 ``beta`` chain reused across several formulas -- are bit-identical.
 """
@@ -46,7 +45,7 @@ from .errors import (
     IndexOutOfTower,
     RangeTooLarge,
 )
-from .ladder import LadderModel, normalizer_prime
+from .ladder import LadderModel
 from .numerics import find_level_crossing
 
 __all__ = [
@@ -186,8 +185,8 @@ def gf_power(delta: Fraction | float) -> GeneratingFunction:
 class ChainPoints:
     """A solved mean-value chain alpha_0..alpha_k with its product identity.
 
-    ``alpha[r]`` lies in segment r; ``zt2[r-1] = ztilde_sq(alpha[r])`` for
-    r = 1..k; ``omega[r]`` is the normalizer slope at alpha[r] for every r;
+    ``alpha[r]`` lies in segment r; ``zt2[r-1] = ztilde_sq(alpha[r])`` and
+    ``omega[r-1] = omega(alpha[r])``, the normalizer slope, for r = 1..k;
     ``gf`` is the weight f.  The defining identity is
 
         f(alpha[0] - pi L) * prod(zt2) = level = mass(f) / |seg_k| .
@@ -312,16 +311,11 @@ class ChainFactory:
 
     def _assemble(self, tower: IterationTower, gf: GeneratingFunction,
                   xi: float, level: float) -> ChainPoints:
-        model = self.model
         k = tower.k
-        walk_alpha, walk_zt2, walk_omega = _walk(model, xi, k)
-        # alpha_0 lives on the base window, which can start below the phi1
-        # guard t_start for the smallest towers; omega there is still
-        # defined through the mass (below V(t_min) it raises DomainTooSmall)
-        omega0 = normalizer_prime(model.phi1_unguarded(walk_alpha[-1]))
+        walk_alpha, walk_zt2, walk_omega = _walk(self.model, xi, k)
         alpha = np.array(walk_alpha[::-1])
         zt2 = np.array(walk_zt2[::-1])
-        omega = np.array([omega0, *walk_omega[::-1]])
+        omega = np.array(walk_omega[::-1])
         f0 = gf.fn(alpha[0] - tower.base.lo)
 
         log_level = math.log(level)

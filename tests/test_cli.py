@@ -10,7 +10,8 @@ import pytest
 from zetaladder.cli import main
 
 # A tiny window keeps every invocation here under a second after the first
-# table build; all commands share one cache directory per test via --cache-dir.
+# table build.  Only ladder-build reads or writes a table file, so only its
+# invocations get a per-test --cache-dir.
 
 
 def _run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -29,10 +30,10 @@ def cache(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_verify_echf1_passes_with_json_report(capsys, cache):
+def test_verify_echf1_passes_with_json_report(capsys):
     code, out, err = _run(
         capsys, "verify", "echf1", "--L", "150", "--U", "1.0",
-        "--k1", "1", "--k2", "2", *cache,
+        "--k1", "1", "--k2", "2",
     )
     assert code == 0
     payload = json.loads(out)
@@ -44,19 +45,19 @@ def test_verify_echf1_passes_with_json_report(capsys, cache):
     assert "PASS" in err
 
 
-def test_verify_accepts_numeric_alias(capsys, cache):
+def test_verify_accepts_numeric_alias(capsys):
     code, out, _ = _run(
         capsys, "verify", "2.9", "--L", "150", "--U", "1.0",
-        "--k1", "1", "--k2", "2", *cache,
+        "--k1", "1", "--k2", "2",
     )
     assert code == 0
     assert json.loads(out)["report"]["formula_id"] == "ECHF1"
 
 
-def test_verify_secondary1_full_flags(capsys, cache):
+def test_verify_secondary1_full_flags(capsys):
     code, out, err = _run(
         capsys, "verify", "secondary1", "--delta3", "1/3", "--delta4", "1/5",
-        "--L", "200", "--U", "1.0", "--k1", "1", "--k2", "2", *cache,
+        "--L", "200", "--U", "1.0", "--k1", "1", "--k2", "2",
     )
     assert code == 0
     rep = json.loads(out)["report"]
@@ -64,28 +65,28 @@ def test_verify_secondary1_full_flags(capsys, cache):
     assert rep["params"]["delta3"] == "1/3"
 
 
-def test_verify_fails_with_exit_1_on_unreachable_tolerance(capsys, cache):
+def test_verify_fails_with_exit_1_on_unreachable_tolerance(capsys):
     code, out, err = _run(
         capsys, "verify", "echf1", "--L", "150", "--U", "1.0",
-        "--k1", "1", "--k2", "2", "--tol", "1e-18", *cache,
+        "--k1", "1", "--k2", "2", "--tol", "1e-18",
     )
     assert code == 1
     assert json.loads(out)["pass"] is False
     assert "FAIL" in err
 
 
-def test_verify_degenerate_deltas_exit_2(capsys, cache):
+def test_verify_degenerate_deltas_exit_2(capsys):
     code, _, err = _run(
         capsys, "verify", "echf2", "--delta3", "1/3", "--delta4", "1/3",
-        "--L", "150", "--U", "1.0", "--k3", "1", "--k4", "2", *cache,
+        "--L", "150", "--U", "1.0", "--k3", "1", "--k4", "2",
     )
     assert code == 2
     assert err.strip()
 
 
-def test_verify_unknown_formula_exit_2(capsys, cache):
+def test_verify_unknown_formula_exit_2(capsys):
     code, _, err = _run(
-        capsys, "verify", "nonsense", "--L", "150", "--U", "1.0", *cache,
+        capsys, "verify", "nonsense", "--L", "150", "--U", "1.0",
     )
     assert code == 2
 
@@ -103,10 +104,10 @@ _REQUIRED_FLAGS = {
 
 
 @pytest.mark.parametrize("name", list(_REQUIRED_FLAGS))
-def test_verify_missing_required_depths_exit_2(capsys, cache, name):
+def test_verify_missing_required_depths_exit_2(capsys, name):
     # fails before any chain is solved, so it is cheap for every formula
     code, out, err = _run(
-        capsys, "verify", name, "--L", "150", "--U", "1.0", *cache,
+        capsys, "verify", name, "--L", "150", "--U", "1.0",
     )
     assert code == 2
     assert out == ""
@@ -114,36 +115,36 @@ def test_verify_missing_required_depths_exit_2(capsys, cache, name):
     assert named == ["--" + f for f in _REQUIRED_FLAGS[name].split()]
 
 
-def test_verify_window_too_wide_exit_2(capsys, cache):
+def test_verify_window_too_wide_exit_2(capsys):
     code, _, _ = _run(
         capsys, "verify", "echf1", "--L", "150", "--U", "1.6",
-        "--k1", "1", "--k2", "2", *cache,
+        "--k1", "1", "--k2", "2",
     )
     assert code == 2
 
 
-def test_verify_bad_fraction_exit_2(capsys, cache):
+def test_verify_bad_fraction_exit_2(capsys):
     code, _, _ = _run(
         capsys, "verify", "echf2", "--delta3", "one-third", "--delta4", "1/5",
-        "--L", "150", "--U", "1.0", "--k3", "1", "--k4", "2", *cache,
+        "--L", "150", "--U", "1.0", "--k3", "1", "--k4", "2",
     )
     assert code == 2
 
 
-def test_verify_output_file_matches_stdout(capsys, cache, tmp_path):
+def test_verify_output_file_matches_stdout(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = _run(
         capsys, "verify", "mixed", "--L", "150", "--U", "1.0", "--k", "2",
-        "--output", str(out_path), *cache,
+        "--output", str(out_path),
     )
     assert code == 0
     assert json.loads(out) == json.loads(out_path.read_text())
 
 
-def test_verify_is_deterministic_up_to_timings(capsys, cache):
+def test_verify_is_deterministic_up_to_timings(capsys):
     argv = ["verify", "ternary", "--delta3", "1/3", "--delta4", "1/5",
             "--L", "150", "--U", "1.0", "--k1", "1", "--k2", "2",
-            "--k3", "1", "--k4", "2", *cache]
+            "--k3", "1", "--k4", "2"]
     code1, out1, _ = _run(capsys, *argv)
     code2, out2, _ = _run(capsys, *argv)
     assert code1 == code2 == 0
@@ -220,8 +221,10 @@ def test_rs_terms_outside_correction_table_exit_2(capsys, cache, terms):
 @pytest.mark.parametrize("flag", ["--quad-tol", "--root-tol"])
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
 def test_invalid_tolerance_exit_2(capsys, cache, flag, value):
-    code, out, err = _run(capsys, "ladder-build", "--tmax", "5",
-                          flag, value, *cache)
+    # --root-tol only reaches the solvers, so it is checked through verify
+    argv = (["ladder-build", "--tmax", "5", *cache] if flag == "--quad-tol" else
+            ["verify", "echf1", "--L", "150", "--U", "1.0", "--k1", "1", "--k2", "2"])
+    code, out, err = _run(capsys, *argv, flag, value)
     assert code == 2
     assert out == ""
     assert flag[2:].replace("-", "_") in err and "Traceback" not in err
@@ -250,19 +253,46 @@ def test_ladder_build_unwritable_output_exit_2(capsys, cache, tmp_path):
 def test_unwritable_output_prints_nothing(capsys, cache, tmp_path, argv):
     # the output file is opened before anything reaches stdout
     missing = tmp_path / "no-such-dir" / "out"
-    code, out, _ = _run(capsys, *argv, str(missing), *cache)
+    table = cache if argv[0] == "ladder-build" else []
+    code, out, _ = _run(capsys, *argv, str(missing), *table)
     assert code == 2
     assert out == ""
 
 
-def test_verify_mass_below_normalizer_floor_exit_2(capsys, cache):
-    # the sin^2 point of a k = 0 chain on [0, 0.2] has A(alpha_0) < V(t_min)
-    code, _, err = _run(
-        capsys, "verify", "echf1", "--L", "0", "--U", "0.2",
-        "--k1", "0", "--k2", "0", "--l-floor", "0", *cache,
-    )
+def test_verify_mass_below_normalizer_floor_exit_2(capsys):
+    # k = 0 chains make no phi1 solve: on [0, 0.2] echf1 is the mean-value
+    # identity of the base window and passes
+    argv = ["verify", "echf1", "--L", "0", "--U", "0.2", "--k2", "0",
+            "--l-floor", "0"]
+    code, _, _ = _run(capsys, *argv, "--k1", "0")
+    assert code == 0
+    # one level up, the reverse step starts below the normalizer floor t_min
+    code, out, err = _run(capsys, *argv, "--k1", "1")
     assert code == 2
-    assert "normalizer floor" in err
+    assert out == ""
+    assert re.search(r"reverse_step requested .* < t_min", err)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--root-tol", "--l-floor", "--k-max"])
+def test_ladder_build_refuses_flags_it_does_not_read(capsys, cache, flag):
+    # a table build solves no chain and builds no tower
+    code, out, err = _run(capsys, "ladder-build", "--tmax", "5", *cache, flag, "1")
+    assert code == 2
+    assert out == "" and f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "echf1", "--L", "150", "--U", "1.0", "--k1", "1", "--k2", "2"),
+    ("scan", "invariance", "--delta3", "1/3", "--delta4", "1/5"),
+    ("scan", "gaps"),
+    ("scan", "asymptotic", "--delta3", "1/3", "--delta4", "1/5"),
+], ids=["verify", "scan-invariance", "scan-gaps", "scan-asymptotic"])
+def test_only_ladder_build_takes_cache_dir(capsys, cache, argv):
+    # they never read or write a table file; argparse refuses the flag
+    code, out, err = _run(capsys, *argv, *cache)
+    assert code == 2
+    assert out == "" and "unrecognized arguments: --cache-dir" in err
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +300,10 @@ def test_verify_mass_below_normalizer_floor_exit_2(capsys, cache):
 # ---------------------------------------------------------------------------
 
 
-def test_scan_gaps_emits_csv_and_passes(capsys, cache):
+def test_scan_gaps_emits_csv_and_passes(capsys):
     code, out, err = _run(
         capsys, "scan", "gaps", "--L", "150,300", "--U", "1.0", "--r", "0",
-        *cache,
-    )
+            )
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "L,U,r,rho,predicted,ratio"
@@ -283,12 +312,12 @@ def test_scan_gaps_emits_csv_and_passes(capsys, cache):
     assert all(0.5 <= r <= 1.5 for r in ratios)
 
 
-def test_scan_invariance_small_sample(capsys, cache):
+def test_scan_invariance_small_sample(capsys):
     code, out, err = _run(
         capsys, "scan", "invariance", "--delta3", "1/3", "--delta4", "1/5",
         "--samples", "3", "--seed", "3", "--u-min", "0.5", "--u-max", "1.0",
         "--l-min", "100", "--l-max", "130", "--k-min", "1",
-        "--k-max-scan", "2", *cache,
+        "--k-max-scan", "2",
     )
     assert code == 0
     payload = json.loads(out)
@@ -297,10 +326,43 @@ def test_scan_invariance_small_sample(capsys, cache):
     assert payload["scan"]["max_rel_dev"] <= 1e-5
 
 
-def test_scan_asymptotic_reports_heights(capsys, cache):
+@pytest.mark.parametrize("ranges", [
+    ("--k-min", "2", "--k-max-scan", "2"),
+    ("--k-min", "3", "--k-max-scan", "1"),
+    ("--k-min", "4", "--k-max-scan", "5"),
+    ("--l-min", "300", "--l-max", "200"),
+    ("--u-min", "1.0", "--u-max", "0.5"),
+    ("--l-min", "50"),
+    ("--u-max", "1.6"),
+], ids=["one-depth", "reversed-depths", "depth-above-k-max", "reversed-l",
+        "reversed-u", "l-below-floor", "u-too-wide"])
+def test_scan_invariance_bad_ranges_exit_2(capsys, ranges):
+    # checked before any sample is drawn or solved
+    code, out, err = _run(
+        capsys, "scan", "invariance", "--delta3", "1/3", "--delta4", "1/5",
+        "--samples", "2", *ranges,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "gaps", "--L", ""),
+    ("scan", "gaps", "--L", ","),
+    ("scan", "gaps", "--r", ""),
+    ("scan", "asymptotic", "--delta3", "1/3", "--delta4", "1/5", "--L", ""),
+], ids=["gaps-L-empty", "gaps-L-comma", "gaps-r-empty", "asymptotic-L-empty"])
+def test_empty_comma_list_exit_2(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "empty comma list" in err
+
+
+def test_scan_asymptotic_reports_heights(capsys):
     code, out, _ = _run(
         capsys, "scan", "asymptotic", "--delta3", "1/3", "--delta4", "1/5",
-        "--L", "150,200", "--U", "1.0", "--k1", "1", "--k2", "2", *cache,
+        "--L", "150,200", "--U", "1.0", "--k1", "1", "--k2", "2",
     )
     assert code == 0
     payload = json.loads(out)

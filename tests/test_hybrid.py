@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetaladder import hybrid
 from zetaladder.errors import DeltaDegenerate, DomainTooSmall
 from zetaladder.hybrid import (
     DeltaPair,
@@ -27,7 +28,8 @@ from zetaladder.hybrid import (
     theorem1_constant,
     theorem2_constant,
 )
-from zetaladder.tower import gf_cos2, gf_power, gf_sin2
+from zetaladder.ladder import LadderModel
+from zetaladder.tower import ChainFactory, gf_cos2, gf_power, gf_sin2
 
 PAIR_35 = DeltaPair(Fraction(1, 3), Fraction(1, 5))
 PAIR_HALF1 = DeltaPair(Fraction(1, 2), Fraction(1))
@@ -330,17 +332,50 @@ def test_scan_values_hug_the_constant(factory):
     assert scan.to_dict()["samples"][0]["params"]["k1"] != 0
 
 
-def test_scan_worker_count_does_not_change_results(config, factory):
+@pytest.mark.parametrize("pair", [PAIR_35, DeltaPair(0.3, 0.7)],
+                         ids=["rational", "float"])
+def test_scan_worker_count_does_not_change_results(config, factory, pair):
     kw = dict(n_samples=3, seed=5, u_range=(0.5, 1.0), l_range=(100, 120),
               k_range=(1, 2), config=config)
-    serial = invariance_scan(PAIR_35, factory=factory, **kw)
-    parallel = invariance_scan(PAIR_35, workers=2, **kw)
-    assert [v for _, v in serial.samples] == [v for _, v in parallel.samples]
-    assert serial.max_rel_dev == parallel.max_rel_dev
+    serial = invariance_scan(pair, factory=factory, **kw)
+    parallel = invariance_scan(pair, workers=2, **kw)
+    assert not serial.failures
+    assert serial.to_dict() == parallel.to_dict()
+
+
+def test_scan_samples_read_one_warm_table(small_config, monkeypatch):
+    # the scan warms the table before the first sample; no sample grows it
+    model = LadderModel(small_config)
+    seen = []
+    sample = hybrid._scan_sample
+
+    def counted(factory, pair, s):
+        seen.append(len(factory.model.table.values))
+        return sample(factory, pair, s)
+
+    monkeypatch.setattr(hybrid, "_scan_sample", counted)
+    scan = invariance_scan(PAIR_35, n_samples=3, seed=5, u_range=(0.5, 1.0),
+                           l_range=(100, 120), k_range=(1, 2),
+                           factory=ChainFactory(model))
+    assert not scan.failures
+    assert seen == [len(model.table.values)] * 3
+
+
+def test_scan_collects_samples_past_the_table_ceiling(small_config):
+    # the warm-up tower (the highest base) cannot be built under this
+    # ceiling; the samples that need it fail alone, the lower ones pass
+    cfg = small_config.with_overrides(t_table_max=450.0)
+    scan = invariance_scan(PAIR_35, n_samples=4, seed=3, config=cfg,
+                           u_range=(0.5, 1.0), l_range=(100, 140), k_range=(1, 2))
+    assert [p["L"] for p, _ in scan.samples] == [107, 106]
+    assert [p["L"] for p, _ in scan.failures] == [132, 125]
+    assert all(e.startswith("TableExhausted") for _, e in scan.failures)
+    assert scan.max_rel_dev <= 1e-6
 
 
 def test_scan_rejects_degenerate_requests(factory):
-    with pytest.raises(DomainTooSmall):
-        invariance_scan(PAIR_35, n_samples=1, factory=factory)
-    with pytest.raises(DomainTooSmall):
-        invariance_scan(DeltaPair(0.3, 0.2), n_samples=3, factory=factory)
+    # one sample, one depth, or an empty range: refused before any sample
+    for kw in (dict(n_samples=1), dict(k_range=(2, 2)), dict(k_range=(3, 1)),
+               dict(l_range=(300, 200)), dict(u_range=(1.0, 0.5))):
+        with pytest.raises(DomainTooSmall):
+            invariance_scan(PAIR_35, factory=factory, **kw)

@@ -163,14 +163,11 @@ def test_phi_chain_prefix_property(model):
     assert all(b < a for a, b in zip(pts, pts[1:]))
 
 
-def test_phi1_unguarded_rejects_mass_below_normalizer_floor(small_config):
+def test_phi1_rejects_mass_below_normalizer_floor(small_config):
     # A(0.2) ~ 0.41 < V(t_min) = V(4) ~ 0.50: no y >= t_min solves V(y) = A
-    m = LadderModel(small_config)
-    with pytest.raises(DomainTooSmall):
-        m.phi1_unguarded(0.2)
-    # omega at a base point below t_start goes through the same solve
-    with pytest.raises(DomainTooSmall):
-        normalizer_prime(m.phi1_unguarded(0.2))
+    m = LadderModel(small_config.with_overrides(t_start=0.0))
+    with pytest.raises(DomainTooSmall, match="normalizer floor"):
+        m.phi1(0.2)
 
 
 def test_phi1_raises_when_newton_does_not_converge(small_config, monkeypatch):
@@ -178,11 +175,6 @@ def test_phi1_raises_when_newton_does_not_converge(small_config, monkeypatch):
     monkeypatch.setattr(m, "cumulative_hl", lambda t: math.nan)
     with pytest.raises(NonConvergence):
         m.phi1(300.0)
-
-
-def test_omega_direct_matches_omega_above_start(model):
-    # the unguarded slope used at alpha_0 equals omega wherever both apply
-    assert normalizer_prime(model.phi1_unguarded(612.5)) == model.omega(612.5)
 
 
 def test_step_is_phi1_omega_and_ztilde_sq_at_once(model):

@@ -211,19 +211,19 @@ def test_chain_weight_integral_recovers_mass(model, factory):
 def solve_count(monkeypatch):
     """Counts phi1 Newton solves (every phi1, omega and step makes one)."""
     calls = []
-    unguarded = LadderModel.phi1_unguarded
+    phi1 = LadderModel.phi1
 
     def counted(self, t):
         calls.append(t)
-        return unguarded(self, t)
+        return phi1(self, t)
 
-    monkeypatch.setattr(LadderModel, "phi1_unguarded", counted)
+    monkeypatch.setattr(LadderModel, "phi1", counted)
     return calls
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_one_phi1_solve_per_ladder_level(model, factory, solve_count, k):
-    # the weight walks k levels; assembly adds omega at alpha_0
+    # the weight and the assembly each walk k levels, one solve per level
     gf = gf_sin2()
     ch = factory.solve(150, 1.0, k, gf)
     tw = factory.tower(150, 1.0, k)
@@ -233,7 +233,8 @@ def test_one_phi1_solve_per_ladder_level(model, factory, solve_count, k):
     assert len(solve_count) == k
     solve_count.clear()
     again = factory._assemble(tw, gf, ch.xi, ch.level)
-    assert len(solve_count) == k + 1
+    assert len(solve_count) == k
+    assert len(again.omega) == len(again.zt2) == k
     assert np.array_equal(again.alpha, ch.alpha)
     assert np.array_equal(again.zt2, ch.zt2)
     assert np.array_equal(again.omega, ch.omega)
