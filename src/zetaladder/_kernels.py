@@ -2,15 +2,16 @@
 
 One source for every formula:
 
-* scalar cores (``_theta_asym``, ``_clenshaw``, ``_rs_remainder``,
-  ``_z_rs``) serve every one-point evaluation -- :func:`z_rs_one`,
-  :func:`theta_asym`, and through them ``hardy_z``, ``ztilde_sq`` and the
-  chain weights.  They are compiled
+* scalar cores (``_theta_asym``, ``_rs_remainder``, ``_z_rs``) serve every
+  one-point evaluation -- :func:`z_rs_one`, :func:`theta_asym`, and through
+  them ``hardy_z``, ``ztilde_sq`` and the chain weights.  They are compiled
   with ``numba.njit`` when numba imports, and run as plain Python otherwise;
 * one numpy batched evaluator, :func:`_z_rs_many_np`, serves arrays (the 33
   nodes of a quadrature panel, :func:`z_rs_many`).  It vectorizes the main
-  sum and shares theta and the correction terms with the scalar core, whose
-  helpers accept floats and arrays alike.
+  sum and shares theta and the correction terms with the scalar core.
+
+The correction rows C_0..C_3 are fit to Chebyshev degree 64 (``_rs_tables``)
+and evaluated to index 28, past which each row is below its noise floor.
 
 The scalar and batched paths differ only in how the main sum is accumulated,
 so they agree to rounding (~1e-13 absolute on Z); the test suite pins it.
@@ -38,7 +39,10 @@ except ImportError:
     HAS_NUMBA = False
 
 TWO_PI = 2.0 * math.pi
-_NC = CTAB.shape[1]  # Chebyshev coefficient count per correction function
+#: Chebyshev coefficients kept per correction row (k = 0..28): no dropped one
+#: exceeds 1.3e-15, and row 0's dropped tail sums to 1.2e-14
+_CT = np.ascontiguousarray(CTAB[:, :29].T)
+_CHEB_K = np.arange(_CT.shape[0], dtype=np.float64)
 #: Gabcke-style truncation constants: |remainder| <= _RS_BOUND[m-1] * t^{-(2m+1)/4}
 #: for m correction terms, plus the argument-reduction noise floor added in
 #: :func:`err_bound_rs`.
@@ -46,7 +50,7 @@ RS_BOUND_CONST = (0.127, 0.053, 0.011, 0.031)
 
 
 # --------------------------------------------------------------------------
-# scalar cores (all but _z_rs also take arrays, for the batch)
+# scalar cores (all but _z_rs also serve the batch)
 # --------------------------------------------------------------------------
 
 def _theta_asym(t):
@@ -58,23 +62,18 @@ def _theta_asym(t):
     return 0.5 * t * lg - 0.5 * t - math.pi / 8.0 + corr
 
 
-def _clenshaw(row, x):
-    # Chebyshev evaluation of CTAB[row] at p mapped from [0,1] to [-1,1]
-    u = 2.0 * x - 1.0
-    b1 = 0.0 * u
-    b2 = 0.0 * u
-    for k in range(_NC - 1, 0, -1):
-        b1, b2 = 2.0 * u * b1 - b2 + CTAB[row, k], b1
-    return u * b1 - b2 + CTAB[row, 0]
-
-
 def _rs_remainder(rt, big_n, nterms):
-    """Signed correction sum (-1)^(N-1) sum_k C_k(p) rt^-k / sqrt(rt), p = rt - N."""
-    p = rt - big_n
+    """Signed correction sum (-1)^(N-1) sum_k C_k(p) rt^-k / sqrt(rt), p = rt - N.
+
+    On 1-D arrays: T_j(cos a) = cos(j a), so one basis matrix times the
+    coefficient block gives C_0..C_3 at every height.
+    """
+    u = 2.0 * (rt - big_n) - 1.0
+    rows = np.cos(np.outer(np.arccos(u), _CHEB_K)) @ _CT  # (n, 4)
     irt = 1.0 / rt
     corr = 0.0 * rt
     for k in range(nterms - 1, -1, -1):
-        corr = corr * irt + _clenshaw(k, p)
+        corr = corr * irt + rows[:, k]
     sgn = 1.0 - 2.0 * ((big_n - 1) % 2)
     return sgn * corr / np.sqrt(rt)
 
@@ -88,12 +87,11 @@ def _z_rs(t: float, nterms: int) -> float:
     s = 0.0
     for n in range(1, big_n + 1):
         s += math.cos(th - t * math.log(n)) / math.sqrt(n)
-    return 2.0 * s + _rs_remainder(rt, big_n, nterms)
+    return 2.0 * s + _rs_remainder(np.array([rt]), np.array([big_n]), nterms)[0]
 
 
 if HAS_NUMBA:
     _theta_asym = njit(cache=True)(_theta_asym)
-    _clenshaw = njit(cache=True)(_clenshaw)
     _rs_remainder = njit(cache=True)(_rs_remainder)
     _z_rs = njit(cache=True)(_z_rs)
 

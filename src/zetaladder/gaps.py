@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expi
 
 from .config import EULER_GAMMA
 from .errors import DomainTooSmall, IndexOutOfTower, RangeTooLarge
@@ -56,6 +55,8 @@ def li(x: float) -> float:
     """Logarithmic integral Ei(log x) -- auxiliary smooth companion to prime_pi."""
     if x <= 1.0:
         raise DomainTooSmall(f"li requested at x={x} <= 1")
+    from scipy.special import expi  # here: importing it costs ~19 MB and ~0.25 s
+
     return float(expi(math.log(x)))
 
 

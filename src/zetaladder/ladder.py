@@ -35,6 +35,7 @@ from __future__ import annotations
 import bisect
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,11 +106,11 @@ def _parse_float(path: str, text: str) -> float:
 
 @dataclass
 class CumulativeTable:
-    """Knot table for A(T): values[j] = A(j * spacing), append-only."""
+    """Knot table for A(T): values[j] = A(j * spacing), append-only, 8 B a knot."""
 
     spacing: float
     config_hash: str
-    values: list[float] = field(default_factory=lambda: [0.0])
+    values: array = field(default_factory=lambda: array("d", [0.0]))
 
     @property
     def t_covered(self) -> float:
@@ -150,7 +151,7 @@ class LadderModel:
             top = min(b, switch)
             cfg = self.config
             res = integrate(
-                lambda u: zeta.hardy_z(u, cfg).z ** 2,
+                lambda u: zeta.zeta_mod_sq(u, cfg),
                 a, top, tol=tol * max(top - a, 1e-6) / max(b - a, 1e-6),
                 min_wavelength=_min_wavelength(top),
             )
@@ -178,7 +179,7 @@ class LadderModel:
         while len(vals) - 1 < need:
             j = len(vals) - 1
             inc = self._zsq_between(j * h, (j + 1) * h, tol)
-            vals.append(float(vals[-1] + inc))
+            vals.append(vals[-1] + inc)
 
     def cumulative_hl(self, t: float) -> float:
         """A(t): nearest knot at or below t plus a fresh local quadrature."""
@@ -283,7 +284,7 @@ class LadderModel:
             fh.write(f"# spacing={self.table.spacing!r}\n")
             fh.write("t,a\n")
             for j, v in enumerate(self.table.values):
-                fh.write(f"{j * self.table.spacing!r},{float(v)!r}\n")
+                fh.write(f"{j * self.table.spacing!r},{v!r}\n")
         os.replace(tmp, path)
         return path
 
@@ -291,7 +292,7 @@ class LadderModel:
     def load_table(cls, path: str, config: RunConfig = DEFAULT_CONFIG) -> "LadderModel":
         header: dict[str, str] = {}
         ts: list[str] = []
-        values: list[float] = []
+        values = array("d")
         with open(path) as fh:
             first = fh.readline().strip()
             if first != f"# {TABLE_FORMAT}":

@@ -15,7 +15,8 @@ Two evaluation routes, switched at ``config.rs_switch`` (default t = 100):
 theta itself is exact (log-gamma) below t = 10 and a seven-term asymptotic
 expansion above, with error < 5e-13 at the seam.
 
-|zeta(1/2+it)|^2 == Z(t)^2 exactly, which is what :func:`zeta_mod_sq` returns.
+|zeta(1/2+it)|^2 == Z(t)^2 exactly; :func:`zeta_mod_sq` returns Z(t)^2 on the
+rs route and |zeta|^2 from the eta series, without theta, below the switch.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma
 
 from . import _kernels
 from .config import DEFAULT_CONFIG, RunConfig
@@ -54,12 +54,14 @@ def rs_theta(t: float, config: RunConfig = DEFAULT_CONFIG) -> float:
     if t < 0.0:
         raise DomainTooSmall(f"theta requested at t={t} < 0")
     if t < _THETA_EXACT_BELOW:
+        from scipy.special import loggamma  # here: importing it costs ~19 MB and ~0.25 s
+
         return float(loggamma(0.25 + 0.5j * t).imag - 0.5 * t * math.log(math.pi))
     return _kernels.theta_asym(t)
 
 
-def _eta_z(t: float, theta: float) -> float:
-    """Z(t) from the accelerated alternating series (cold path, t < switch)."""
+def _eta_zeta(t: float) -> complex:
+    """zeta(1/2 + it) from the accelerated alternating series (cold path, t < switch)."""
     n = int((1.5708 * t + 45.0) / 1.7627) + 8
     # Borwein weights d_k via the stable increasing recurrence
     i = np.arange(1, n + 1, dtype=np.float64)
@@ -70,8 +72,12 @@ def _eta_z(t: float, theta: float) -> float:
     k = np.arange(n, dtype=np.float64)
     coeff = (d[:n] - d[n]) * np.where(k % 2 == 0, 1.0, -1.0)
     eta = -(coeff * np.exp(-s * np.log(k + 1.0))).sum() / d[n]
-    zeta = eta / (1.0 - 2.0 ** (1.0 - s))
-    return float((complex(math.cos(theta), math.sin(theta)) * zeta).real)
+    return complex(eta / (1.0 - 2.0 ** (1.0 - s)))
+
+
+def _eta_z(t: float, theta: float) -> float:
+    """Z(t) = Re(e^{i theta} zeta(1/2 + it)) on the eta route."""
+    return (complex(math.cos(theta), math.sin(theta)) * _eta_zeta(t)).real
 
 
 def err_bound(t: float, config: RunConfig = DEFAULT_CONFIG) -> float:
@@ -95,7 +101,9 @@ def hardy_z(t: float, config: RunConfig = DEFAULT_CONFIG) -> ZSample:
 
 
 def zeta_mod_sq(t: float, config: RunConfig = DEFAULT_CONFIG) -> float:
-    """|zeta(1/2 + it)|^2, evaluated as Z(t)^2."""
+    """|zeta(1/2 + it)|^2: Z(t)^2 on the rs route, |zeta|^2 directly below the switch."""
+    if 0.0 <= t < config.rs_switch:
+        return abs(_eta_zeta(t)) ** 2
     z = hardy_z(t, config).z
     return z * z
 

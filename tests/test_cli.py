@@ -194,6 +194,20 @@ def test_ladder_build_rejects_foreign_cache(capsys, cache, tmp_path):
     assert err.strip()
 
 
+def test_ladder_build_refuses_v2_cache(capsys, cache, tmp_path):
+    # a table from before the zl-table-v3 bump must be rebuilt
+    f = tmp_path / "table.csv"
+    assert _run(capsys, "ladder-build", "--tmax", "5", "--cache-file", str(f), *cache)[0] == 0
+    lines = f.read_text().splitlines()
+    f.write_text("\n".join(["# zl-table-v2", "# config_hash=47d4c5aec864ed1b"]
+                           + lines[2:]) + "\n")
+    code, out, err = _run(capsys, "ladder-build", "--tmax", "5",
+                          "--cache-file", str(f), *cache)
+    assert code == 2
+    assert out == ""
+    assert "zl-table-v2" in err and "Traceback" not in err
+
+
 def test_ladder_build_corrupt_cache_exit_2(capsys, cache, tmp_path):
     f = tmp_path / "table.csv"
     code, _, _ = _run(capsys, "ladder-build", "--tmax", "5",

@@ -1,8 +1,11 @@
-"""Kernel paths checked against each other.
+"""Kernel paths checked against each other and against the correction tables.
 
 Every one-point Z goes through the scalar core; arrays go through the numpy
-batch, which shares theta and the Clenshaw recurrence with it but sums the
-main series in one vectorized pass.  The Z^2 integral runs batched panels;
+batch, which shares theta and the Riemann-Siegel correction with it but sums
+the main series in one vectorized pass.  The correction evaluates each
+Chebyshev row to index 28 through one basis product; here it is checked
+against the full degree-64 rows evaluated by ``chebval`` and against the
+high-precision spot values.  The Z^2 integral runs batched panels;
 ``numerics.integrate`` over scalar ``zeta_mod_sq`` reaches the same integral
 through the scalar core instead.
 """
@@ -13,9 +16,12 @@ import numpy as np
 import pytest
 
 from zetaladder import _kernels
+from zetaladder._rs_tables import CTAB
 from zetaladder.config import DEFAULT_CONFIG
 from zetaladder.numerics import integrate
 from zetaladder.zeta import err_bound, zeta_mod_sq
+
+from _oracles import C_TABLES
 
 _TS = (100.0, 120.0, 150.0, 314.159, 777.0, 1000.0, 2200.0, 2500.25, 4321.5, 9999.5)
 
@@ -63,3 +69,55 @@ def test_err_bound_identical_between_paths():
     assert _kernels.err_bound_rs(1000.0, 4) == pytest.approx(
         0.031 * 1000.0 ** -2.25 + 5e-14 * 1000.0, rel=1e-15
     )
+
+
+# ---------------------------------------------------------------------------
+# the stacked Riemann-Siegel correction
+# ---------------------------------------------------------------------------
+
+
+def _remainder_heights() -> np.ndarray:
+    """10^5 random heights in [100, 9000] plus heights with p = 0+ and p = 1-."""
+    rng = np.random.default_rng(20261018)
+    n = np.arange(4, 38, dtype=np.float64)
+    edges = np.concatenate([n + 1e-12, n + 1.0 - 1e-12, n + 1e-9, n + 1.0 - 1e-9, n])
+    ts = np.concatenate([rng.uniform(100.0, 9000.0, 100_000), 2.0 * np.pi * edges**2])
+    return ts[(ts >= 100.0) & (ts <= 9000.0)]
+
+
+@pytest.mark.parametrize("nterms", [1, 2, 3, 4])
+def test_remainder_matches_full_rows(nterms):
+    # reference: every fitted coefficient, evaluated row by row by chebval
+    ts = _remainder_heights()
+    rt = np.sqrt(ts / (2.0 * np.pi))
+    big_n = rt.astype(np.int64)
+    p = rt - big_n
+    assert p.min() < 1e-11 and p.max() > 1.0 - 1e-11
+    ref = np.zeros_like(rt)
+    for k in range(nterms - 1, -1, -1):
+        ref = ref / rt + np.polynomial.chebyshev.chebval(2.0 * p - 1.0, CTAB[k])
+    ref *= np.where(big_n % 2 == 1, 1.0, -1.0) / np.sqrt(rt)
+    got = _kernels._rs_remainder(rt, big_n, nterms)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=5e-15)
+
+
+def test_remainder_rows_match_spot_values():
+    # with N = 1 and rt = 1 + p, successive depths peel off one row each:
+    # C_j(p) = (R_{j+1} - R_j) * rt^(j + 1/2)
+    ps = np.array(sorted(C_TABLES))
+    rt = 1.0 + ps
+    one = np.ones(len(ps), dtype=np.int64)
+    prev = np.zeros_like(rt)
+    for j in range(4):
+        cur = _kernels._rs_remainder(rt, one, j + 1)
+        rows = (cur - prev) * rt ** (j + 0.5)
+        prev = cur
+        ref = np.array([C_TABLES[p][j] for p in ps])
+        np.testing.assert_allclose(rows, ref, rtol=0.0, atol=2e-13)
+
+
+def test_dropped_chebyshev_tail_is_below_noise():
+    kept = _kernels._CT.shape[0]
+    assert kept == 29 and CTAB.shape[1] == 65
+    np.testing.assert_array_equal(_kernels._CT, CTAB[:, :kept].T)
+    assert np.abs(CTAB[:, kept:]).sum(axis=1).max() <= 1.3e-14

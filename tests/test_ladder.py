@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 
 import numpy as np
 import pytest
@@ -320,7 +321,34 @@ def test_load_rejects_corrupt_rows(small_config, tmp_path, row):
 
 def test_default_config_hash_is_pinned():
     # the hash names every saved table; a change here orphans existing caches
-    assert RunConfig().config_hash() == "47d4c5aec864ed1b"
+    assert RunConfig().config_hash() == "5a2ced47249a516d"
+
+
+#: the header of a table saved before the correction rows were cut at index 28
+V2_HEADER = ["# zl-table-v2", "# config_hash=47d4c5aec864ed1b"]
+
+
+def test_load_refuses_a_v2_table(small_config, tmp_path):
+    # v2 knots carry the full-row correction; they must be rebuilt, not mixed
+    path = tmp_path / "t.csv"
+    m = LadderModel(small_config)
+    m.extend_to(1.0)
+    m.save_table(str(path))
+    LadderModel.load_table(str(path), small_config)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(V2_HEADER + lines[2:]) + "\n")
+    with pytest.raises(CacheHashMismatch):
+        LadderModel.load_table(str(path), small_config)
+
+
+def test_knots_are_a_double_array_when_built_and_loaded(small_config, tmp_path):
+    path = str(tmp_path / "t.csv")
+    m = LadderModel(small_config)
+    m.extend_to(5.0)
+    m.save_table(path)
+    for table in (m.table, LadderModel.load_table(path, small_config).table):
+        assert isinstance(table.values, array) and table.values.typecode == "d"
+    assert isinstance(LadderModel(small_config).table.values, array)
 
 
 def test_default_cache_path_contains_config_hash(small_config):

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -109,6 +112,30 @@ def test_z_many_matches_scalar_on_mixed_routes():
         assert v == pytest.approx(hardy_z(float(t)).z, abs=1e-12)
 
 
+def test_zeta_mod_sq_below_switch_matches_z_squared():
+    # below the switch |zeta|^2 comes from the eta series without theta
+    for t in np.linspace(0.0, 100.0, 41)[1:-1]:
+        assert zeta_mod_sq(float(t)) == pytest.approx(hardy_z(float(t)).z ** 2,
+                                                      rel=0.0, abs=1e-13)
+
+
+def test_import_and_table_build_leave_scipy_special_unloaded():
+    # scipy.special costs ~19 MB and ~0.25 s to import; only theta below
+    # t = 10 and li need it, and a table build reaches neither
+    import zetaladder
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(zetaladder.__file__)))
+    code = ("import sys, zetaladder\n"
+            "from zetaladder.zeta import zeta_mod_sq\n"
+            "zetaladder.LadderModel().extend_to(120.0)\n"
+            "zeta_mod_sq(5.0)\n"
+            "assert 'scipy.special' not in sys.modules, 'scipy.special imported'\n")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_z_many_rejects_negative_heights():
     with pytest.raises(DomainTooSmall):
         z_many(np.array([10.0, -0.5]))
@@ -155,7 +182,7 @@ def test_err_bound_covers_actual_error_at_reference_points():
 def _coeff(j: int, p: float) -> float:
     """Evaluate correction function C_j at fractional part p via chebval.
 
-    Deliberately does NOT reuse the package's Clenshaw kernel, so the stored
+    Deliberately does NOT reuse the package's correction kernel, so the stored
     coefficient tables get an independent evaluation path here.
     """
     from zetaladder._rs_tables import CTAB
