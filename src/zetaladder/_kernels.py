@@ -4,11 +4,13 @@ One source for every formula:
 
 * scalar cores (``_theta_asym``, ``_rs_remainder``, ``_z_rs``) serve every
   one-point evaluation -- :func:`z_rs_one`, :func:`theta_asym`, and through
-  them ``hardy_z``, ``ztilde_sq`` and the chain weights.  They are compiled
-  with ``numba.njit`` when numba imports, and run as plain Python otherwise;
+  them ``hardy_z``.  The ladder and the chain weights no longer call them:
+  they read Z^2 from a knot interval's interpolant.  They are compiled with
+  ``numba.njit`` when numba imports, and run as plain Python otherwise;
 * one numpy batched evaluator, :func:`_z_rs_many_np`, serves arrays (the 33
-  nodes of a quadrature panel, :func:`z_rs_many`).  It vectorizes the main
-  sum and shares theta and the correction terms with the scalar core.
+  nodes of a quadrature panel or of an interval's interpolant,
+  :func:`z_rs_many`).  It vectorizes the main sum and shares theta and the
+  correction terms with the scalar core.
 
 The correction rows C_0..C_3 are fit to Chebyshev degree 64 (``_rs_tables``)
 and evaluated to index 28, past which each row is below its noise floor.

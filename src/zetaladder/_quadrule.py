@@ -9,6 +9,10 @@ estimate. Weights come from integrating the Chebyshev interpolant:
 
 with endpoint halving; they are computed once here and verified by the test
 suite against polynomial exactness (degree <= N+1 for even N).
+
+The same 33 values also give the degree-32 Chebyshev interpolant itself:
+``CHEB_FIT`` maps them to the 34 coefficients of its integral from -1
+(degree 33) followed by its own 33 coefficients, one matrix product for both.
 """
 from __future__ import annotations
 
@@ -40,3 +44,25 @@ WEIGHTS_LO: np.ndarray = _cc_weights(N_LO)
 NODES_HI = np.ascontiguousarray(NODES_HI, dtype=np.float64)
 WEIGHTS_HI = np.ascontiguousarray(WEIGHTS_HI, dtype=np.float64)
 WEIGHTS_LO = np.ascontiguousarray(WEIGHTS_LO, dtype=np.float64)
+
+
+def _cheb_fit(n: int) -> np.ndarray:
+    """(2n+3, n+1): node values -> integral coefficients b_0..b_{n+1}, then c_0..c_n."""
+    k = np.arange(n + 1)
+    # DCT-I: c_m = (2/n) sum'' f_j cos(pi m j / n), halved at m = 0, n and j = 0, n
+    dct = (2.0 / n) * np.cos(np.pi * np.outer(k, k) / n)
+    dct[:, [0, n]] *= 0.5
+    dct[[0, n], :] *= 0.5
+    # integral from -1: b_m = (c_{m-1} - c_{m+1}) / (2m), with c_0 counted twice
+    # in b_1; b_0 makes the integral vanish at x = -1, where T_m = (-1)^m
+    integ = np.zeros((n + 2, n + 1))
+    for m in range(1, n + 2):
+        integ[m, m - 1] += (2.0 if m == 1 else 1.0) / (2.0 * m)
+        if m + 1 <= n:
+            integ[m, m + 1] -= 1.0 / (2.0 * m)
+    integ[0] = -((-1.0) ** np.arange(1, n + 2)) @ integ[1:]
+    return np.ascontiguousarray(np.vstack([integ @ dct, dct]))
+
+
+#: node values (in NODES_HI order) -> [integral coefficients (34), coefficients (33)]
+CHEB_FIT: np.ndarray = _cheb_fit(N_HI)

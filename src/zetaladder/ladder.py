@@ -7,32 +7,42 @@ The model has three ingredients:
   positive for y > 2 pi e^{-1-gamma} ~= 1.3, so V is invertible on the working
   domain;
 * the **cumulative mass** A(T) = integral of Z(u)^2 over [0, T], maintained as
-  a knot table (spacing <= 2, default 0.5) plus a fresh oscillation-capped
-  quadrature from the nearest knot at or below the query -- so A is exact up
-  to quadrature on every call, deterministic, and extendable in place without
-  disturbing existing knots;
+  a knot table (spacing <= 2, default 0.5), extendable in place without
+  disturbing existing knots.  Between knots j h and (j + 1) h, A and Z^2 come
+  from one **interpolant** of the interval: Z^2 sampled once at its 33
+  Clenshaw-Curtis nodes, its Chebyshev coefficients and those of its
+  integral, plus the linear term that lands the integral on the next knot.
+  It is fitted on the interval's first off-knot query and kept in memory
+  (about 0.5 KB; halved into pieces while its coefficient tail exceeds
+  quad_tol * h), so A is continuous, exact at knots, within quadrature
+  tolerance between them, and costs a polynomial evaluation per call;
 * the **forward map** phi1(t) = V^{-1}(A(t)), whose derivative is exactly
-  ztilde_sq(t) = Z(t)^2 / V'(phi1(t)); the **reverse step** solves
+  ztilde_sq(t) = Z(t)^2 / V'(phi1(t)) -- inside the model too, since Z^2 is
+  the derivative of the interpolated A; the **reverse step** solves
   A(u) = V(x) by bisection on the one knot interval that holds the root, so
   phi1(reverse_step(x)) = x up to the solver tolerances.
 
 One **ladder step**, ``step(t) -> (phi1(t), omega(t), ztilde_sq(t))``, makes
-one phi1 solve and one Z evaluation; ``ztilde_sq`` and every chain walk in
-:mod:`zetaladder.tower` go through it, so each ladder level costs one solve.
+one phi1 solve and reads Z^2 from the same interpolant, with no Z
+evaluation; ``ztilde_sq`` and every chain walk in :mod:`zetaladder.tower` go
+through it, so each ladder level costs one solve.
 
 At working heights phi1(t) < t and the gap t - phi1(t) tracks
 (1 - gamma) t / log t; both show up in the test suite as sampled properties,
 not contracts.
 
 Persistence: ``save_table``/``load_table`` write a versioned CSV ``t,a`` with
-the configuration checksum in a header comment.  Loading under a different
+the configuration checksum and a sha256 of the knot values in header
+comments; interpolants are never saved.  Loading under a different
 configuration raises :class:`CacheHashMismatch` rather than silently mixing
-incompatible values; an unparsable, non-finite or decreasing row, or a row j
-whose t does not read ``repr(j * spacing)``, raises :class:`CacheCorrupt`.
+incompatible values; an unparsable, non-finite or decreasing row, a row j
+whose t does not read ``repr(j * spacing)``, or values that do not match
+their sha256, raises :class:`CacheCorrupt`.
 """
 from __future__ import annotations
 
 import bisect
+import hashlib
 import math
 import os
 from array import array
@@ -49,7 +59,8 @@ from .errors import (
     NonConvergence,
     TableExhausted,
 )
-from .numerics import Bracket, integrate, invert_increasing
+from ._quadrule import N_HI
+from .numerics import Bracket, chebyshev_pieces, integrate, invert_increasing
 
 __all__ = [
     "Constants",
@@ -60,6 +71,9 @@ __all__ = [
 ]
 
 _LOG_TWO_PI = math.log(2.0 * math.pi)
+#: integral coefficients per interpolant row; T_0..T_{_NB-1} evaluate them
+_NB = N_HI + 2
+_CHEB_K = np.arange(_NB, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -92,6 +106,11 @@ def normalizer_prime(y: float) -> float:
 def _min_wavelength(b: float) -> float:
     """Shortest Z oscillation scale on [0, b]: 2 pi / log(b / 2pi), floored."""
     return 2.0 * math.pi / max(0.5, math.log(max(b, 7.0) / (2.0 * math.pi)))
+
+
+def _values_digest(values: array) -> str:
+    """sha256 of the knot values' bytes: the saved table's content checksum."""
+    return hashlib.sha256(values.tobytes()).hexdigest()
 
 
 def _parse_float(path: str, text: str) -> float:
@@ -138,6 +157,8 @@ class LadderModel:
         self.table = table or CumulativeTable(
             spacing=config.knot_spacing, config_hash=config.config_hash()
         )
+        #: knot interval j -> its interpolant rows; memory only, never saved
+        self._pieces: dict[int, np.ndarray] = {}
 
     # -- cumulative mass ---------------------------------------------------
 
@@ -181,20 +202,83 @@ class LadderModel:
             inc = self._zsq_between(j * h, (j + 1) * h, tol)
             vals.append(vals[-1] + inc)
 
+    def _interval(self, t: float) -> int:
+        """The knot interval j with jh < t <= (j + 1)h, for t > 0, in the table.
+
+        t / h can round up to the knot above t, or to the top knot; the
+        interval below holds t then.
+        """
+        self.extend_to(t)
+        j = self.table.knot_below(t)
+        if t <= j * self.table.spacing or j == len(self.table.values) - 1:
+            j -= 1
+        return j
+
+    def _fit_interval(self, j: int) -> np.ndarray:
+        """Interpolant rows of Z^2 and A on knot interval j (see chebyshev_pieces).
+
+        Z^2 is sampled once per piece: one Riemann-Siegel batch, or the eta
+        series for an interval that starts below the switch -- a piece never
+        mixes the two routes, whose values differ by the RS error.  The linear
+        term delta (x + 1) / 2, spread over the pieces by width, makes the
+        integral end exactly at values[j + 1]; its slope delta / h joins Z^2,
+        so dA/dt = Z^2 holds on the interpolant.
+        """
+        cfg = self.config
+        h = self.table.spacing
+        lo = j * h
+
+        if lo < cfg.rs_switch:
+            def zsq(ts: np.ndarray) -> np.ndarray:
+                return np.array([zeta.eta_mod_sq(u) for u in ts.tolist()])
+        else:
+            def zsq(ts: np.ndarray) -> np.ndarray:
+                z = _kernels.z_rs_many(ts, cfg.rs_terms)
+                return z * z
+
+        rows = chebyshev_pieces(zsq, lo, (j + 1) * h, cfg.quad_tol * h)
+        b = rows[:, 2:2 + _NB]
+        ints = b.sum(axis=1)  # each piece's integral: T_m(1) = 1
+        vals = self.table.values
+        delta = (vals[j + 1] - vals[j]) - float(ints.sum())
+        share = delta * (rows[:, 1] - rows[:, 0]) / h
+        # A at each piece's left end, relative to values[j], then the linear term
+        b[:, 0] += np.cumsum(ints + share) - (ints + share) + 0.5 * share
+        b[:, 1] += 0.5 * share
+        rows[:, 2 + _NB] += delta / h
+        return rows
+
+    def _locate(self, j: int, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The piece of interval j that holds t, and T_0..T_33 at t's place on it."""
+        rows = self._pieces.get(j)
+        if rows is None:
+            rows = self._pieces[j] = self._fit_interval(j)
+        if len(rows) == 1:
+            row = rows[0]
+        else:
+            row = rows[min(int(np.searchsorted(rows[:, 1], t)), len(rows) - 1)]
+        lo, hi = float(row[0]), float(row[1])
+        # clamped: rounding can put t a few ulps outside its piece
+        x = min(1.0, max(-1.0, (2.0 * t - lo - hi) / (hi - lo)))
+        return row, np.cos(math.acos(x) * _CHEB_K)
+
     def cumulative_hl(self, t: float) -> float:
-        """A(t): nearest knot at or below t plus a fresh local quadrature."""
+        """A(t): the knot value at a knot, else its interval's interpolant."""
         if t < 0.0:
             raise DomainTooSmall(f"cumulative mass requested at t={t} < 0")
         if t == 0.0:
             return 0.0
-        self.extend_to(t)
-        j = self.table.knot_below(t)
-        t0 = j * self.table.spacing
-        if t0 == t:
-            return self.table.values[j]
-        return self.table.values[j] + self._zsq_between(
-            t0, t, self.config.quad_tol * self.table.spacing
-        )
+        j = self._interval(t)
+        vals = self.table.values
+        if (j + 1) * self.table.spacing == t:
+            return vals[j + 1]
+        row, basis = self._locate(j, t)
+        return vals[j] + float(basis @ row[2:2 + _NB])
+
+    def _zsq(self, t: float) -> float:
+        """Z(t)^2 from the interpolant of t's knot interval (t > 0): dA/dt exactly."""
+        row, basis = self._locate(self._interval(t), t)
+        return float(basis[:-1] @ row[2 + _NB:])
 
     # -- forward map and friends --------------------------------------------
 
@@ -227,11 +311,10 @@ class LadderModel:
         return normalizer_prime(self.phi1(t))
 
     def step(self, t: float) -> tuple[float, float, float]:
-        """(phi1(t), omega(t), ztilde_sq(t)) from one phi1 solve and one Z."""
+        """(phi1(t), omega(t), ztilde_sq(t)): one phi1 solve, Z^2 from the same interpolant."""
         y = self.phi1(t)
         om = normalizer_prime(y)
-        z = zeta.hardy_z(t, self.config).z
-        return y, om, z * z / om
+        return y, om, self._zsq(t) / om
 
     def ztilde_sq(self, t: float) -> float:
         """Z(t)^2 / omega(t) -- the exact derivative of phi1 at t."""
@@ -251,9 +334,9 @@ class LadderModel:
         A is increasing, so the knot table brackets the root: knots are added
         one at a time until the last one reaches V(x), and the first knot j
         with A(j h) >= V(x) closes the knot interval [(j-1) h, j h].  Both
-        ends are knots and cost no quadrature; bisecting the interval from
-        width h to root_tol takes ceil(log2(h / root_tol)) off-knot A(t)
-        solves (36 at the defaults).
+        ends are knots; bisecting the interval from width h to root_tol takes
+        ceil(log2(h / root_tol)) off-knot A(t) evaluations (36 at the
+        defaults), all on that one interval's interpolant.
         """
         cfg = self.config
         if x < cfg.t_min:
@@ -282,6 +365,7 @@ class LadderModel:
             fh.write(f"# {TABLE_FORMAT}\n")
             fh.write(f"# config_hash={self.table.config_hash}\n")
             fh.write(f"# spacing={self.table.spacing!r}\n")
+            fh.write(f"# values_sha256={_values_digest(self.table.values)}\n")
             fh.write("t,a\n")
             for j, v in enumerate(self.table.values):
                 fh.write(f"{j * self.table.spacing!r},{v!r}\n")
@@ -324,5 +408,7 @@ class LadderModel:
             if t != repr(j * spacing):
                 raise CacheCorrupt(f"table {path}: row {j} has t={t!r}, "
                                    f"expected {j * spacing!r}")
+        if header.get("values_sha256") != _values_digest(values):
+            raise CacheCorrupt(f"table {path}: values do not match their checksum")
         table = CumulativeTable(spacing=spacing, config_hash=got, values=values)
         return cls(config=config, table=table)

@@ -10,6 +10,9 @@ use for integrals and root solves, so their contracts are deliberately narrow:
   oscillation.  Its loop, :func:`adaptive_panels`, takes an integrand that
   maps a panel's 33 nodes to values, so the batched Z^2 kernel runs the very
   same policy.
+* :func:`chebyshev_pieces` -- the interpolant behind those 33 values, and its
+  integral, on pieces halved by the same splitting loop until the integral's
+  coefficient tail meets the tolerance.
 * :func:`invert_increasing` -- g(x) = target with g strictly increasing on
   the bracket.
 * :func:`find_level_crossing` -- leftmost solution of g(x) = level on an open
@@ -25,16 +28,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from ._quadrule import NODES_HI, WEIGHTS_HI, WEIGHTS_LO
+from ._quadrule import CHEB_FIT, N_HI, NODES_HI, WEIGHTS_HI, WEIGHTS_LO
 from .errors import BracketInvalid, NoCrossing, NonConvergence
 
 __all__ = [
     "QuadratureResult",
     "Bracket",
+    "chebyshev_pieces",
     "integrate",
     "invert_increasing",
     "find_level_crossing",
@@ -78,58 +82,39 @@ class Bracket:
         return 0.5 * (self.lo + self.hi)
 
 
-def adaptive_panels(
-    fvals: Callable[[np.ndarray], np.ndarray],
+def _accepted_panels(
+    panel: Callable[[float, float], tuple[float, Any]],
     a: float,
     b: float,
     tol: float,
-    min_wavelength: float | None = None,
-) -> tuple[float, float, int]:
-    """The package's one adaptive loop: (value, error estimate, evaluations).
+    n0: int,
+) -> Iterator[Any]:
+    """The package's one splitting policy: yield each accepted panel's payload.
 
-    ``fvals`` maps the 33 nodes of a panel to the integrand's values there.
-    Initial panels are capped at half of ``min_wavelength`` and share ``tol``
-    equally; a panel whose 17/33 difference exceeds its share is halved, and
-    each half gets half the share.  Panels are processed depth-first, left to
-    right.  Raises :class:`NonConvergence` past depth 48 or _MAX_PANELS
-    accepted panels.
+    ``panel(lo, hi)`` returns (error, payload).  [a < b] starts as ``n0``
+    equal panels sharing ``tol`` equally; a panel whose error exceeds its
+    share is halved, and each half gets half the share.  Panels are processed
+    depth-first, so payloads come left to right.  A panel is also accepted at
+    the resolution limit (width <= 1e-14 |lo|).  Raises
+    :class:`NonConvergence` past depth 48 or _MAX_PANELS accepted panels.
     """
-    if a == b:
-        return 0.0, 0.0, 0
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-
     width = b - a
-    if min_wavelength is not None and min_wavelength > 0.0:
-        n0 = max(1, math.ceil(width / (0.5 * min_wavelength)))
-    else:
-        n0 = 1
     # stack of (lo, hi, tol_share, depth); deterministic LIFO processing
     stack = [(a + width * i / n0, a + width * (i + 1) / n0, tol / n0, 0)
              for i in range(n0 - 1, -1, -1)]
-
-    total = 0.0
     err_total = 0.0
-    evals = 0
     panels = 0
     while stack:
         lo, hi, tshare, depth = stack.pop()
-        half = 0.5 * (hi - lo)
-        v = fvals(0.5 * (lo + hi) + half * NODES_HI)
-        evals += NODES_HI.shape[0]
-        est_hi = float(WEIGHTS_HI @ v)
-        err = abs(est_hi - float(WEIGHTS_LO @ v[::2])) * half
-        # accept on meeting the local share or on hitting resolution limits
+        err, payload = panel(lo, hi)
         if err <= tshare or (hi - lo) <= 1e-14 * max(1.0, abs(lo)):
-            total += est_hi * half
             err_total += err
             panels += 1
             if panels > _MAX_PANELS:
                 raise NonConvergence(
-                    f"panel budget exceeded integrating [{a}, {b}]", achieved=err_total
+                    f"panel budget exceeded on [{a}, {b}]", achieved=err_total
                 )
+            yield payload
             continue
         if depth >= _MAX_SPLIT_DEPTH:
             raise NonConvergence(
@@ -139,7 +124,76 @@ def adaptive_panels(
         mid = 0.5 * (lo + hi)
         stack.append((mid, hi, 0.5 * tshare, depth + 1))
         stack.append((lo, mid, 0.5 * tshare, depth + 1))
+
+
+def adaptive_panels(
+    fvals: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    tol: float,
+    min_wavelength: float | None = None,
+) -> tuple[float, float, int]:
+    """Adaptive 17/33 quadrature: (value, error estimate, evaluations).
+
+    ``fvals`` maps the 33 nodes of a panel to the integrand's values there,
+    and a panel's error is its 17/33 difference.  Initial panels are capped
+    at half of ``min_wavelength``; :func:`_accepted_panels` does the rest.
+    """
+    if a == b:
+        return 0.0, 0.0, 0
+    sign = 1.0
+    if b < a:
+        a, b = b, a
+        sign = -1.0
+
+    if min_wavelength is not None and min_wavelength > 0.0:
+        n0 = max(1, math.ceil((b - a) / (0.5 * min_wavelength)))
+    else:
+        n0 = 1
+    evals = 0
+
+    def panel(lo: float, hi: float) -> tuple[float, tuple[float, float]]:
+        nonlocal evals
+        half = 0.5 * (hi - lo)
+        v = fvals(0.5 * (lo + hi) + half * NODES_HI)
+        evals += NODES_HI.shape[0]
+        est_hi = float(WEIGHTS_HI @ v)
+        err = abs(est_hi - float(WEIGHTS_LO @ v[::2])) * half
+        return err, (est_hi * half, err)
+
+    total = 0.0
+    err_total = 0.0
+    for value, err in _accepted_panels(panel, a, b, tol, n0):
+        total += value
+        err_total += err
     return sign * total, err_total, evals
+
+
+def chebyshev_pieces(
+    fvals: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    tol: float,
+) -> np.ndarray:
+    """Piecewise Chebyshev interpolant of f on [a < b] and of its integral.
+
+    Each piece [lo, hi] interpolates f at its 33 Clenshaw-Curtis nodes, in
+    x = (2t - lo - hi) / (hi - lo).  Returns one row per piece, left to right:
+    ``[lo, hi, b_0..b_33, c_0..c_32]``, where c are the coefficients of f and
+    b those of its integral from lo, in t units.  A piece is accepted when
+    its integral's last four coefficients sum to at most its share of
+    ``tol`` -- the chop rule, on the quantity the caller integrates -- and
+    halved otherwise, by :func:`_accepted_panels`.
+    """
+    nb = N_HI + 2  # integral coefficients lead each fit
+
+    def panel(lo: float, hi: float) -> tuple[float, np.ndarray]:
+        half = 0.5 * (hi - lo)
+        coef = CHEB_FIT @ fvals(0.5 * (lo + hi) + half * NODES_HI)
+        coef[:nb] *= half
+        return float(np.abs(coef[nb - 4:nb]).sum()), np.concatenate(([lo, hi], coef))
+
+    return np.array(list(_accepted_panels(panel, a, b, tol, 1)))
 
 
 def integrate(

@@ -29,7 +29,7 @@ from . import _kernels
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DomainTooSmall
 
-__all__ = ["ZSample", "rs_theta", "hardy_z", "zeta_mod_sq", "z_many", "err_bound"]
+__all__ = ["ZSample", "rs_theta", "hardy_z", "zeta_mod_sq", "eta_mod_sq", "z_many", "err_bound"]
 
 TWO_PI = 2.0 * math.pi
 #: below this height the asymptotic theta expansion is replaced by log-gamma
@@ -75,6 +75,11 @@ def _eta_zeta(t: float) -> complex:
     return complex(eta / (1.0 - 2.0 ** (1.0 - s)))
 
 
+def eta_mod_sq(t: float) -> float:
+    """|zeta(1/2 + it)|^2 from the eta series alone, at any t >= 0 (no theta)."""
+    return abs(_eta_zeta(t)) ** 2
+
+
 def _eta_z(t: float, theta: float) -> float:
     """Z(t) = Re(e^{i theta} zeta(1/2 + it)) on the eta route."""
     return (complex(math.cos(theta), math.sin(theta)) * _eta_zeta(t)).real
@@ -103,7 +108,7 @@ def hardy_z(t: float, config: RunConfig = DEFAULT_CONFIG) -> ZSample:
 def zeta_mod_sq(t: float, config: RunConfig = DEFAULT_CONFIG) -> float:
     """|zeta(1/2 + it)|^2: Z(t)^2 on the rs route, |zeta|^2 directly below the switch."""
     if 0.0 <= t < config.rs_switch:
-        return abs(_eta_zeta(t)) ** 2
+        return eta_mod_sq(t)
     z = hardy_z(t, config).z
     return z * z
 

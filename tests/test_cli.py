@@ -223,6 +223,19 @@ def test_ladder_build_corrupt_cache_exit_2(capsys, cache, tmp_path):
     assert "usage error" in err and "Traceback" not in err
 
 
+def test_ladder_build_monotone_edit_exit_2(capsys, cache, tmp_path):
+    # raising the last knot keeps A increasing; the values checksum catches it
+    f = tmp_path / "table.csv"
+    assert _run(capsys, "ladder-build", "--tmax", "5", "--cache-file", str(f), *cache)[0] == 0
+    head, _, last = f.read_text().rstrip("\n").rpartition(",")
+    f.write_text(f"{head},{float(last) + 1e-9!r}\n")
+    code, out, err = _run(capsys, "ladder-build", "--tmax", "6",
+                          "--cache-file", str(f), *cache)
+    assert code == 2
+    assert out == ""
+    assert "checksum" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("terms", ["0", "5"])
 def test_rs_terms_outside_correction_table_exit_2(capsys, cache, terms):
     code, out, err = _run(capsys, "ladder-build", "--tmax", "101",

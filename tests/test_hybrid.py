@@ -73,8 +73,12 @@ def test_exponents_one_third_one_fifth_exact():
     st.fractions(min_value=Fraction(1, 9), max_value=Fraction(4)),
 )
 def test_exponent_sum_rule(d3, d4):
-    # the three exponents always satisfy a + b + 1 = 0 and e = d3 * a
-    if d3 == d4:
+    # the three exponents always satisfy a + b + 1 = 0 and e = d3 * a; a pair
+    # equal in double precision is refused as degenerate, even when the
+    # fractions differ
+    if float(d3) == float(d4):
+        with pytest.raises(DeltaDegenerate):
+            DeltaPair(d3, d4)
         return
     a, b, e = _exponents(DeltaPair(d3, d4))
     assert a + b + 1 == 0

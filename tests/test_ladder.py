@@ -8,7 +8,10 @@ from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zetaladder import _kernels
 from zetaladder.config import EULER_GAMMA, RunConfig
 from zetaladder.errors import (
     CacheCorrupt,
@@ -102,6 +105,90 @@ def test_cumulative_increment_matches_fresh_quadrature(model):
     assert inc == pytest.approx(fresh, abs=5e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=250.0, max_value=3000.0))
+def test_dense_mass_matches_fresh_quadrature(model, t):
+    h = model.table.spacing
+    tol = model.config.quad_tol * h
+    dense = model.cumulative_hl(t)  # extends the table past 2200 when asked
+    j = int(t / h)
+    fresh = model.table.values[j] + model._zsq_between(j * h, t, tol)
+    assert abs(dense - fresh) <= tol
+
+
+@pytest.mark.parametrize("j", [100, 601, 2000, 4399])
+def test_mass_is_exact_at_knots_and_continuous_across_them(model, j):
+    h = model.table.spacing
+    vals = model.table.values
+    assert model.cumulative_hl(j * h) == vals[j]
+    assert model.cumulative_hl((j + 1) * h) == vals[j + 1]
+    above = model.cumulative_hl(math.nextafter(j * h, math.inf))
+    below = model.cumulative_hl(math.nextafter((j + 1) * h, 0.0))
+    assert above == pytest.approx(vals[j], abs=4 * math.ulp(vals[j]))
+    assert below == pytest.approx(vals[j + 1], abs=4 * math.ulp(vals[j + 1]))
+
+
+def test_interpolated_zsq_matches_hardy_z(model):
+    # both routes: the eta series below t = 100, Riemann-Siegel above
+    rng = np.random.default_rng(300)
+    for t in np.concatenate([rng.uniform(1.0, 100.0, 30), rng.uniform(250.0, 2190.0, 270)]):
+        t = float(t)
+        assert abs(model._zsq(t) - hardy_z(t, model.config).z ** 2) <= 1e-9
+
+
+def test_a_built_interval_answers_without_z(model, monkeypatch):
+    fresh = LadderModel(model.config, model.table)  # same knots, no interpolants
+    calls = []
+    many, one = _kernels._z_rs_many_np, _kernels.z_rs_one
+    monkeypatch.setattr(_kernels, "_z_rs_many_np",
+                        lambda ts, n: calls.append(len(ts)) or many(ts, n))
+    monkeypatch.setattr(_kernels, "z_rs_one", lambda t, n: calls.append(1) or one(t, n))
+    fresh.cumulative_hl(1234.1)
+    assert calls == [33]  # one batch at the interval's nodes
+    fresh.cumulative_hl(1234.4)
+    fresh.step(1234.2)
+    fresh.ztilde_sq(1234.3)
+    fresh.reverse_step(fresh.phi1(1234.25))
+    assert calls == [33]
+
+
+def test_interval_that_fails_the_tail_test_is_halved(small_config):
+    # 33 nodes do not resolve Z^2 over a 16-wide interval at t ~ 300
+    m = LadderModel(small_config.with_overrides(knot_spacing=16.0))
+    h, j = 16.0, 18
+    tol = m.config.quad_tol * h
+    vals = m.table.values
+    m.cumulative_hl(300.0)
+    rows = m._pieces[j]
+    assert len(rows) > 1
+    assert rows[0, 0] == j * h and rows[-1, 1] == (j + 1) * h
+    assert np.array_equal(rows[1:, 0], rows[:-1, 1])
+    for t in np.linspace(j * h, (j + 1) * h, 41)[1:-1]:
+        t = float(t)
+        fresh = vals[j] + m._zsq_between(j * h, t, tol)
+        assert abs(m.cumulative_hl(t) - fresh) <= tol
+        assert abs(m._zsq(t) - hardy_z(t, m.config).z ** 2) <= 1e-9
+    for edge in rows[:-1, 1]:
+        left = m.cumulative_hl(float(edge))
+        right = m.cumulative_hl(math.nextafter(float(edge), math.inf))
+        assert right == pytest.approx(left, abs=1e-12)
+    end = m.cumulative_hl(math.nextafter((j + 1) * h, 0.0))
+    assert end == pytest.approx(vals[j + 1], abs=4 * math.ulp(vals[j + 1]))
+
+
+@pytest.mark.parametrize("t, j", [
+    (5.699999999999999, 19),  # one ulp below 19 * 0.3 = 5.7, yet int(t / 0.3) = 19
+    (0.9, 3),  # above 3 * 0.3 = 0.8999999999999999, yet t / 0.3 = 3: the top knot
+])
+def test_mass_where_t_over_h_rounds_to_a_knot(small_config, t, j):
+    m = LadderModel(small_config.with_overrides(knot_spacing=0.3))
+    assert t / 0.3 == j and t != j * 0.3
+    a = m.cumulative_hl(t)
+    assert len(m.table.values) == j + 1
+    assert a == pytest.approx(m.table.values[j], abs=4 * math.ulp(m.table.values[j]))
+    assert m._zsq(t) == pytest.approx(hardy_z(t, m.config).z ** 2, abs=1e-9)
+
+
 def test_cumulative_deterministic_across_instances(small_config):
     m1 = LadderModel(small_config)
     m2 = LadderModel(small_config)
@@ -179,10 +266,13 @@ def test_phi1_raises_when_newton_does_not_converge(small_config, monkeypatch):
 
 
 def test_step_is_phi1_omega_and_ztilde_sq_at_once(model):
+    # Z^2 comes from the interval's interpolant, not a fresh Z evaluation;
+    # it stays well inside the Riemann-Siegel bound of the direct route
     for t in (612.5, 1000.3):
         y, om, zt = model.step(t)
-        z = hardy_z(t, model.config).z
-        assert (y, om, zt) == (model.phi1(t), model.omega(t), z * z / om)
+        assert (y, om) == (model.phi1(t), model.omega(t))
+        assert zt == model._zsq(t) / om
+        assert model._zsq(t) == pytest.approx(hardy_z(t, model.config).z ** 2, abs=1e-9)
         assert model.ztilde_sq(t) == zt
 
 
@@ -321,24 +411,81 @@ def test_load_rejects_corrupt_rows(small_config, tmp_path, row):
 
 def test_default_config_hash_is_pinned():
     # the hash names every saved table; a change here orphans existing caches
-    assert RunConfig().config_hash() == "5a2ced47249a516d"
+    assert RunConfig().config_hash() == "f729cb08f9678cb8"
 
 
-#: the header of a table saved before the correction rows were cut at index 28
-V2_HEADER = ["# zl-table-v2", "# config_hash=47d4c5aec864ed1b"]
+#: headers of tables saved before the correction rows were cut at index 28
+#: (v2) and before the values checksum (v3)
+OLD_HEADERS = [["# zl-table-v2", "# config_hash=47d4c5aec864ed1b"],
+               ["# zl-table-v3", "# config_hash=5a2ced47249a516d"]]
 
 
 def test_load_refuses_a_v2_table(small_config, tmp_path):
-    # v2 knots carry the full-row correction; they must be rebuilt, not mixed
+    # v2 knots carry the full-row correction and v3 files no checksum; both
+    # must be rebuilt, not mixed
     path = tmp_path / "t.csv"
     m = LadderModel(small_config)
     m.extend_to(1.0)
     m.save_table(str(path))
     LadderModel.load_table(str(path), small_config)
     lines = path.read_text().splitlines()
-    path.write_text("\n".join(V2_HEADER + lines[2:]) + "\n")
-    with pytest.raises(CacheHashMismatch):
-        LadderModel.load_table(str(path), small_config)
+    for header in OLD_HEADERS:
+        path.write_text("\n".join(header + lines[2:]) + "\n")
+        with pytest.raises(CacheHashMismatch):
+            LadderModel.load_table(str(path), small_config)
+
+
+def _rewrite_value(path, row, value):
+    """Replace the value of knot `row` in a saved table, keeping its t."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    i = lines.index("t,a") + 1 + row
+    lines[i] = lines[i].partition(",")[0] + "," + repr(value)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_load_rejects_a_monotone_in_place_edit(small_config, tmp_path):
+    # A still increases after the edit, so only the checksum shows it
+    path = str(tmp_path / "t.csv")
+    m = LadderModel(small_config)
+    m.extend_to(5.0)
+    m.save_table(path)
+    vals = m.table.values
+    _rewrite_value(path, 4, 0.5 * (vals[3] + vals[4]))
+    with pytest.raises(CacheCorrupt, match="checksum"):
+        LadderModel.load_table(path, small_config)
+
+
+@pytest.fixture(scope="module")
+def saved_table(tmp_path_factory):
+    cfg = RunConfig(cache_dir=str(tmp_path_factory.mktemp("zl-cache")))
+    m = LadderModel(cfg)
+    m.extend_to(10.0)
+    path = str(tmp_path_factory.mktemp("saved") / "t.csv")
+    m.save_table(path)
+    with open(path) as fh:
+        return cfg, fh.read(), m.table.values
+
+
+@settings(max_examples=60, deadline=None)
+@given(row=st.integers(min_value=1, max_value=19),
+       frac=st.floats(min_value=0.0, max_value=1.0),
+       wild=st.one_of(st.none(), st.floats()))
+def test_single_row_corruption_never_loads(saved_table, tmp_path_factory, row, frac, wild):
+    # a row moved anywhere between its neighbours, or to any float at all,
+    # loads only when it is the same float
+    cfg, text, vals = saved_table
+    path = str(tmp_path_factory.mktemp("edit") / "t.csv")
+    with open(path, "w") as fh:
+        fh.write(text)
+    value = vals[row - 1] + frac * (vals[row + 1] - vals[row - 1]) if wild is None else wild
+    _rewrite_value(path, row, value)
+    if value == vals[row]:
+        assert LadderModel.load_table(path, cfg).table.values == vals
+    else:
+        with pytest.raises(CacheCorrupt):
+            LadderModel.load_table(path, cfg)
 
 
 def test_knots_are_a_double_array_when_built_and_loaded(small_config, tmp_path):

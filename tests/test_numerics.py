@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from zetaladder.errors import BracketInvalid, NoCrossing
 from zetaladder.numerics import (
     Bracket,
     QuadratureResult,
+    chebyshev_pieces,
     find_level_crossing,
     integrate,
     invert_increasing,
@@ -117,6 +119,44 @@ def test_integrate_matches_antiderivative_of_cubic(width):
     F = lambda x: 0.25 * x**4 - x**2  # noqa: E731
     res = integrate(f, -1.0, -1.0 + width, tol=1e-12)
     assert res.value == pytest.approx(F(-1.0 + width) - F(-1.0), abs=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# piecewise Chebyshev interpolants
+# ---------------------------------------------------------------------------
+
+
+def _piece_at(rows: np.ndarray, t: float) -> tuple[float, float]:
+    """(integral from the first piece's lo, f) at t, from chebyshev_pieces rows."""
+    i = min(int(np.searchsorted(rows[:, 1], t)), len(rows) - 1)
+    row = rows[i]
+    x = (2.0 * t - row[0] - row[1]) / (row[1] - row[0])
+    done = float(rows[:i, 2:36].sum())  # each earlier piece's whole integral
+    return done + chebval(x, row[2:36]), chebval(x, row[36:])
+
+
+def test_chebyshev_piece_reproduces_a_polynomial_and_its_integral():
+    # degree 12 < 33 nodes: one piece, exact to rounding
+    coef = np.random.default_rng(12).normal(size=13)
+    f = np.polynomial.Polynomial(coef, domain=[2.0, 5.0], window=[-1.0, 1.0])
+    rows = chebyshev_pieces(f, 2.0, 5.0, 1e-12)
+    assert rows.shape == (1, 69)
+    for t in np.linspace(2.0, 5.0, 13):
+        integral, value = _piece_at(rows, float(t))
+        assert value == pytest.approx(f(t), abs=1e-12)
+        assert integral == pytest.approx(f.integ(lbnd=2.0)(t), abs=1e-12)
+
+
+def test_chebyshev_pieces_halve_until_the_integral_tail_is_small():
+    # sin(40 t) on [0, 2] has ~13 oscillations: 33 nodes cannot resolve it
+    rows = chebyshev_pieces(lambda ts: np.sin(40.0 * ts), 0.0, 2.0, 1e-10)
+    assert len(rows) > 1
+    assert rows[0, 0] == 0.0 and rows[-1, 1] == 2.0
+    assert np.array_equal(rows[1:, 0], rows[:-1, 1])
+    for t in np.linspace(0.0, 2.0, 41):
+        integral, value = _piece_at(rows, float(t))
+        assert value == pytest.approx(math.sin(40.0 * t), abs=1e-9)
+        assert integral == pytest.approx((1.0 - math.cos(40.0 * t)) / 40.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
