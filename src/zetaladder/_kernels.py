@@ -1,16 +1,14 @@
-"""Hot numerical kernels: Riemann-Siegel Z and adaptive Z^2 quadrature.
+"""Hot numerical kernels: Riemann-Siegel Z, scalar and batched.
 
-One source for every formula:
+One source for every formula, in plain Python and numpy:
 
 * scalar cores (``_theta_asym``, ``_rs_remainder``, ``_z_rs``) serve every
   one-point evaluation -- :func:`z_rs_one`, :func:`theta_asym`, and through
   them ``hardy_z``.  The ladder and the chain weights no longer call them:
-  they read Z^2 from a knot interval's interpolant.  They are compiled with
-  ``numba.njit`` when numba imports, and run as plain Python otherwise;
+  they read Z^2 from a knot interval's interpolant;
 * one numpy batched evaluator, :func:`_z_rs_many_np`, serves arrays (the 33
-  nodes of a quadrature panel or of an interval's interpolant,
-  :func:`z_rs_many`).  It vectorizes the main sum and shares theta and the
-  correction terms with the scalar core.
+  nodes of an interval's fit, :func:`z_rs_many`).  It vectorizes the main
+  sum and shares theta and the correction terms with the scalar core.
 
 The correction rows C_0..C_3 are fit to Chebyshev degree 64 (``_rs_tables``)
 and evaluated to index 28, past which each row is below its noise floor.
@@ -18,11 +16,13 @@ and evaluated to index 28, past which each row is below its noise floor.
 The scalar and batched paths differ only in how the main sum is accumulated,
 so they agree to rounding (~1e-13 absolute on Z); the test suite pins it.
 :func:`zsq_integral_rs` runs the package's one adaptive panel driver,
-:func:`numerics.adaptive_panels`, over batched Z^2 panels.
+:func:`numerics.adaptive_panels`, over batched Z^2 panels; the ladder fits
+its knot intervals itself, so only the tests and the benchmark's kernel
+cases call it.
 
 Only the t >= rs_switch regime lives here.  The low-t alternating-series route
-is cold (table build below t = 100 and direct low-t queries) and stays in
-:mod:`zetaladder.zeta` as plain numpy.
+is cold (the fits of knot intervals below t = 100 and direct low-t queries)
+and stays in :mod:`zetaladder.zeta` as plain numpy.
 """
 from __future__ import annotations
 
@@ -33,12 +33,9 @@ import numpy as np
 from ._rs_tables import CTAB
 from .numerics import adaptive_panels
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
+#: always False: the kernels have no compiled twin.  Kept only because the
+#: perfbench tags its runs with it (``kernel_path``).
+HAS_NUMBA = False
 
 TWO_PI = 2.0 * math.pi
 #: Chebyshev coefficients kept per correction row (k = 0..28): no dropped one
@@ -92,12 +89,6 @@ def _z_rs(t: float, nterms: int) -> float:
     return 2.0 * s + _rs_remainder(np.array([rt]), np.array([big_n]), nterms)[0]
 
 
-if HAS_NUMBA:
-    _theta_asym = njit(cache=True)(_theta_asym)
-    _rs_remainder = njit(cache=True)(_rs_remainder)
-    _z_rs = njit(cache=True)(_z_rs)
-
-
 # --------------------------------------------------------------------------
 # batched evaluator + public kernel API
 # --------------------------------------------------------------------------
@@ -114,6 +105,29 @@ def _z_rs_many_np(ts: np.ndarray, nterms: int) -> np.ndarray:
     terms = np.cos(th[:, None] - ts[:, None] * np.log(n)[None, :]) / np.sqrt(n)[None, :]
     terms[n[None, :] > big_n[:, None]] = 0.0
     return 2.0 * terms.sum(axis=1) + _rs_remainder(rt, big_n, nterms)
+
+
+def rs_spans(lo: float, hi: float) -> list[tuple[float, float]]:
+    """[lo, hi] cut where the main sum gains its N-th term (t ~ 2 pi N^2).
+
+    The truncated formula jumps there by its own error.  Every height in a
+    span gets one N in :func:`_z_rs_many_np`; each cut leaves out the one-ulp
+    gap between the last height of N - 1 and the first of N.
+    """
+    def branch(t: float) -> int:
+        return int(math.sqrt(t / TWO_PI))  # as the kernels round it
+
+    spans = []
+    for n in range(branch(lo) + 1, branch(hi) + 1):
+        c = TWO_PI * n * n  # nudged to the first height given n
+        while branch(c) < n:
+            c = math.nextafter(c, math.inf)
+        while branch(below := math.nextafter(c, -math.inf)) >= n:
+            c = below
+        if lo < below and c < hi:
+            spans.append((lo, below))
+            lo = c
+    return spans + [(lo, hi)]
 
 
 def z_rs_many(ts: np.ndarray, nterms: int) -> np.ndarray:

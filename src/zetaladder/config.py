@@ -15,7 +15,7 @@ EULER_GAMMA = 0.5772156649015329
 
 #: Table file format tag; bump when the on-disk layout or the meaning of any
 #: hashed field changes.
-TABLE_FORMAT = "zl-table-v4"
+TABLE_FORMAT = "zl-table-v5"
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,16 @@ The model has three ingredients:
   domain;
 * the **cumulative mass** A(T) = integral of Z(u)^2 over [0, T], maintained as
   a knot table (spacing <= 2, default 0.5), extendable in place without
-  disturbing existing knots.  Between knots j h and (j + 1) h, A and Z^2 come
-  from one **interpolant** of the interval: Z^2 sampled once at its 33
-  Clenshaw-Curtis nodes, its Chebyshev coefficients and those of its
-  integral, plus the linear term that lands the integral on the next knot.
-  It is fitted on the interval's first off-knot query and kept in memory
-  (about 0.5 KB; halved into pieces while its coefficient tail exceeds
-  quad_tol * h), so A is continuous, exact at knots, within quadrature
-  tolerance between them, and costs a polynomial evaluation per call;
+  disturbing existing knots.  Each knot interval [j h, (j + 1) h] has one
+  **fit**, the package's one Z^2 quadrature: Z^2 sampled at the 33
+  Clenshaw-Curtis nodes of each piece, its Chebyshev coefficients and those
+  of its integral, with pieces halved while their 17/33 difference exceeds
+  their share of quad_tol * h.  A new knot adds the sum of its interval's
+  piece integrals and drops the rows.  An off-knot query refits the
+  interval, adds the linear term that lands the integral on the next knot,
+  and keeps the rows in memory (about 0.5 KB a piece), so A is continuous,
+  exact at knots, within quadrature tolerance between them, and costs a
+  polynomial evaluation per call;
 * the **forward map** phi1(t) = V^{-1}(A(t)), whose derivative is exactly
   ztilde_sq(t) = Z(t)^2 / V'(phi1(t)) -- inside the model too, since Z^2 is
   the derivative of the interpolated A; the **reverse step** solves
@@ -60,7 +62,7 @@ from .errors import (
     TableExhausted,
 )
 from ._quadrule import N_HI
-from .numerics import Bracket, chebyshev_pieces, integrate, invert_increasing
+from .numerics import Bracket, chebyshev_pieces, invert_increasing
 
 __all__ = [
     "Constants",
@@ -106,6 +108,11 @@ def normalizer_prime(y: float) -> float:
 def _min_wavelength(b: float) -> float:
     """Shortest Z oscillation scale on [0, b]: 2 pi / log(b / 2pi), floored."""
     return 2.0 * math.pi / max(0.5, math.log(max(b, 7.0) / (2.0 * math.pi)))
+
+
+def _piece_integrals(rows: np.ndarray) -> np.ndarray:
+    """Each piece's integral, from its integral coefficients: T_m(1) = 1."""
+    return rows[:, 2:2 + _NB].sum(axis=1)
 
 
 def _values_digest(values: array) -> str:
@@ -162,31 +169,11 @@ class LadderModel:
 
     # -- cumulative mass ---------------------------------------------------
 
-    def _zsq_between(self, a: float, b: float, tol: float) -> float:
-        """Integral of Z^2 over [a, b], routed across the evaluation switch."""
-        if b <= a:
-            return 0.0
-        switch = self.config.rs_switch
-        total = 0.0
-        if a < switch:
-            top = min(b, switch)
-            cfg = self.config
-            res = integrate(
-                lambda u: zeta.zeta_mod_sq(u, cfg),
-                a, top, tol=tol * max(top - a, 1e-6) / max(b - a, 1e-6),
-                min_wavelength=_min_wavelength(top),
-            )
-            total += res.value
-            a = top
-        if b > a:
-            val, _err, _n = _kernels.zsq_integral_rs(
-                a, b, tol, _min_wavelength(b), self.config.rs_terms
-            )
-            total += val
-        return float(total)
-
     def extend_to(self, t: float) -> None:
-        """Grow the knot table to cover t; existing knots never change."""
+        """Grow the knot table to cover t; existing knots never change.
+
+        Each new knot adds the integral of its interval's raw fit.
+        """
         if not math.isfinite(t):
             raise DomainTooSmall(f"table coverage requested at non-finite t={t}")
         if t > self.config.t_table_max:
@@ -196,11 +183,10 @@ class LadderModel:
         h = self.table.spacing
         need = int(math.ceil(t / h))
         vals = self.table.values
-        tol = self.config.quad_tol * h
         while len(vals) - 1 < need:
-            j = len(vals) - 1
-            inc = self._zsq_between(j * h, (j + 1) * h, tol)
-            vals.append(vals[-1] + inc)
+            # the fit's rows are dropped: kept, they cost ~3 MB up to t = 2200
+            inc = _piece_integrals(self._raw_fit(len(vals) - 1)).sum()
+            vals.append(vals[-1] + float(inc))
 
     def _interval(self, t: float) -> int:
         """The knot interval j with jh < t <= (j + 1)h, for t > 0, in the table.
@@ -214,31 +200,50 @@ class LadderModel:
             j -= 1
         return j
 
-    def _fit_interval(self, j: int) -> np.ndarray:
-        """Interpolant rows of Z^2 and A on knot interval j (see chebyshev_pieces).
+    def _raw_fit(self, j: int) -> np.ndarray:
+        """Z^2 on knot interval j as chebyshev_pieces rows: the one Z^2 quadrature.
 
-        Z^2 is sampled once per piece: one Riemann-Siegel batch, or the eta
-        series for an interval that starts below the switch -- a piece never
-        mixes the two routes, whose values differ by the RS error.  The linear
-        term delta (x + 1) / 2, spread over the pieces by width, makes the
-        integral end exactly at values[j + 1]; its slope delta / h joins Z^2,
-        so dA/dt = Z^2 holds on the interpolant.
+        The one place that picks the route: one Riemann-Siegel batch per
+        piece, or the eta series for an interval that starts below the
+        switch -- a piece never mixes the two, whose values differ by the RS
+        error.  Nor does a piece straddle a jump of the RS formula: the
+        interval is cut there first (``_kernels.rs_spans``), each span
+        sharing the tolerance by its width.  Initial pieces are capped at
+        half the shortest Z wavelength.
         """
         cfg = self.config
         h = self.table.spacing
-        lo = j * h
+        lo, hi = j * h, (j + 1) * h
 
         if lo < cfg.rs_switch:
+            spans = [(lo, hi)]
+
             def zsq(ts: np.ndarray) -> np.ndarray:
                 return np.array([zeta.eta_mod_sq(u) for u in ts.tolist()])
         else:
+            spans = _kernels.rs_spans(lo, hi)
+
             def zsq(ts: np.ndarray) -> np.ndarray:
                 z = _kernels.z_rs_many(ts, cfg.rs_terms)
                 return z * z
 
-        rows = chebyshev_pieces(zsq, lo, (j + 1) * h, cfg.quad_tol * h)
+        wavelength = _min_wavelength(hi)
+        return np.vstack([chebyshev_pieces(zsq, a, b, cfg.quad_tol * (b - a), wavelength)
+                          for a, b in spans])
+
+    def _fit_interval(self, j: int) -> np.ndarray:
+        """The raw fit of interval j, landed on its knots.
+
+        A table built here has values[j + 1] = values[j] + the pieces'
+        integrals, to rounding; a loaded one is checked, not trusted, so the
+        linear term delta (x + 1) / 2, spread over the pieces by width, makes
+        the integral end exactly at values[j + 1].  Its slope delta / h joins
+        Z^2, so dA/dt = Z^2 holds on the interpolant.
+        """
+        h = self.table.spacing
+        rows = self._raw_fit(j)
         b = rows[:, 2:2 + _NB]
-        ints = b.sum(axis=1)  # each piece's integral: T_m(1) = 1
+        ints = _piece_integrals(rows)
         vals = self.table.values
         delta = (vals[j + 1] - vals[j]) - float(ints.sum())
         share = delta * (rows[:, 1] - rows[:, 0]) / h

@@ -11,8 +11,11 @@ use for integrals and root solves, so their contracts are deliberately narrow:
   maps a panel's 33 nodes to values, so the batched Z^2 kernel runs the very
   same policy.
 * :func:`chebyshev_pieces` -- the interpolant behind those 33 values, and its
-  integral, on pieces halved by the same splitting loop until the integral's
-  coefficient tail meets the tolerance.
+  integral, on the very pieces :func:`adaptive_panels` accepts: both read one
+  splitting loop, :func:`_pieces`, which turns each piece's 33 values into its
+  17/33 error and its coefficient row.  A loop that cannot meet its tolerance
+  raises :class:`NonConvergence` rather than halving below the integrand's
+  noise.
 * :func:`invert_increasing` -- g(x) = target with g strictly increasing on
   the bracket.
 * :func:`find_level_crossing` -- leftmost solution of g(x) = level on an open
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -48,6 +51,11 @@ __all__ = [
 _MAX_SPLIT_DEPTH = 48
 #: hard cap on total accepted panels (runaway guard)
 _MAX_PANELS = 200_000
+#: a rejected piece whose 17/33 error is within this fraction of its weighted
+#: values (2^10 ulps) is at the noise floor of its integrand's evaluation
+_ROUNDING_FLOOR = 1024 * np.finfo(np.float64).eps
+#: integral coefficients lead each piece's row, after lo and hi
+_NB = N_HI + 2
 
 
 @dataclass(frozen=True)
@@ -82,23 +90,35 @@ class Bracket:
         return 0.5 * (self.lo + self.hi)
 
 
-def _accepted_panels(
-    panel: Callable[[float, float], tuple[float, Any]],
+def _pieces(
+    fvals: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     tol: float,
-    n0: int,
-) -> Iterator[Any]:
-    """The package's one splitting policy: yield each accepted panel's payload.
+    min_wavelength: float | None,
+) -> Iterator[tuple[float, np.ndarray]]:
+    """The package's one quadrature policy: (error, row) per accepted piece of [a < b].
 
-    ``panel(lo, hi)`` returns (error, payload).  [a < b] starts as ``n0``
-    equal panels sharing ``tol`` equally; a panel whose error exceeds its
-    share is halved, and each half gets half the share.  Panels are processed
-    depth-first, so payloads come left to right.  A panel is also accepted at
-    the resolution limit (width <= 1e-14 |lo|).  Raises
-    :class:`NonConvergence` past depth 48 or _MAX_PANELS accepted panels.
+    Each piece [lo, hi] gets one batch of f at its 33 Clenshaw-Curtis nodes,
+    in x = (2t - lo - hi) / (hi - lo); its error is the 17/33 difference and
+    its row is ``[lo, hi, b_0..b_33, c_0..c_32]``, where c are the Chebyshev
+    coefficients of f and b those of its integral from lo, in t units (the
+    piece's integral is sum(b), since T_m(1) = 1).
+
+    [a, b] starts as equal pieces no wider than half of ``min_wavelength``,
+    sharing ``tol`` equally; a piece whose error exceeds its share is halved,
+    and each half gets half the share.  Pieces are processed depth-first, so
+    rows come left to right.  A piece is also accepted at the resolution
+    limit (width <= 1e-14 |lo|), which a jump in f reaches.  Raises
+    :class:`NonConvergence` when a rejected piece's error is at the rounding
+    floor of its own weighted values (noise shrinks with the width, as the
+    share does, so halving cannot help), past depth 48, or past _MAX_PANELS
+    accepted pieces.
     """
     width = b - a
+    n0 = 1
+    if min_wavelength is not None and min_wavelength > 0.0:
+        n0 = max(1, math.ceil(width / (0.5 * min_wavelength)))
     # stack of (lo, hi, tol_share, depth); deterministic LIFO processing
     stack = [(a + width * i / n0, a + width * (i + 1) / n0, tol / n0, 0)
              for i in range(n0 - 1, -1, -1)]
@@ -106,7 +126,9 @@ def _accepted_panels(
     panels = 0
     while stack:
         lo, hi, tshare, depth = stack.pop()
-        err, payload = panel(lo, hi)
+        half = 0.5 * (hi - lo)
+        v = fvals(0.5 * (lo + hi) + half * NODES_HI)
+        err = abs(float(WEIGHTS_HI @ v) - float(WEIGHTS_LO @ v[::2])) * half
         if err <= tshare or (hi - lo) <= 1e-14 * max(1.0, abs(lo)):
             err_total += err
             panels += 1
@@ -114,8 +136,15 @@ def _accepted_panels(
                 raise NonConvergence(
                     f"panel budget exceeded on [{a}, {b}]", achieved=err_total
                 )
-            yield payload
+            coef = CHEB_FIT @ v
+            coef[:_NB] *= half
+            yield err, np.concatenate(([lo, hi], coef))
             continue
+        if err <= _ROUNDING_FLOOR * half * float(WEIGHTS_HI @ np.abs(v)):
+            raise NonConvergence(
+                f"rounding floor at [{lo}, {hi}] (err {err:.3e} > {tshare:.3e})",
+                achieved=err,
+            )
         if depth >= _MAX_SPLIT_DEPTH:
             raise NonConvergence(
                 f"splitting depth exceeded at [{lo}, {hi}] (err {err:.3e} > {tshare:.3e})",
@@ -135,9 +164,9 @@ def adaptive_panels(
 ) -> tuple[float, float, int]:
     """Adaptive 17/33 quadrature: (value, error estimate, evaluations).
 
-    ``fvals`` maps the 33 nodes of a panel to the integrand's values there,
-    and a panel's error is its 17/33 difference.  Initial panels are capped
-    at half of ``min_wavelength``; :func:`_accepted_panels` does the rest.
+    ``fvals`` maps the 33 nodes of a piece to the integrand's values there;
+    :func:`_pieces` does the rest, and the value is the sum of its pieces'
+    integrals.
     """
     if a == b:
         return 0.0, 0.0, 0
@@ -145,26 +174,17 @@ def adaptive_panels(
     if b < a:
         a, b = b, a
         sign = -1.0
-
-    if min_wavelength is not None and min_wavelength > 0.0:
-        n0 = max(1, math.ceil((b - a) / (0.5 * min_wavelength)))
-    else:
-        n0 = 1
     evals = 0
 
-    def panel(lo: float, hi: float) -> tuple[float, tuple[float, float]]:
+    def counted(ts: np.ndarray) -> np.ndarray:
         nonlocal evals
-        half = 0.5 * (hi - lo)
-        v = fvals(0.5 * (lo + hi) + half * NODES_HI)
-        evals += NODES_HI.shape[0]
-        est_hi = float(WEIGHTS_HI @ v)
-        err = abs(est_hi - float(WEIGHTS_LO @ v[::2])) * half
-        return err, (est_hi * half, err)
+        evals += ts.shape[0]
+        return fvals(ts)
 
     total = 0.0
     err_total = 0.0
-    for value, err in _accepted_panels(panel, a, b, tol, n0):
-        total += value
+    for err, row in _pieces(counted, a, b, tol, min_wavelength):
+        total += float(row[2:2 + _NB].sum())
         err_total += err
     return sign * total, err_total, evals
 
@@ -174,26 +194,15 @@ def chebyshev_pieces(
     a: float,
     b: float,
     tol: float,
+    min_wavelength: float | None = None,
 ) -> np.ndarray:
     """Piecewise Chebyshev interpolant of f on [a < b] and of its integral.
 
-    Each piece [lo, hi] interpolates f at its 33 Clenshaw-Curtis nodes, in
-    x = (2t - lo - hi) / (hi - lo).  Returns one row per piece, left to right:
-    ``[lo, hi, b_0..b_33, c_0..c_32]``, where c are the coefficients of f and
-    b those of its integral from lo, in t units.  A piece is accepted when
-    its integral's last four coefficients sum to at most its share of
-    ``tol`` -- the chop rule, on the quantity the caller integrates -- and
-    halved otherwise, by :func:`_accepted_panels`.
+    One row per piece accepted by :func:`_pieces`, left to right:
+    ``[lo, hi, b_0..b_33, c_0..c_32]``.  The pieces are exactly those
+    :func:`adaptive_panels` sums, so the rows' integrals add up to its value.
     """
-    nb = N_HI + 2  # integral coefficients lead each fit
-
-    def panel(lo: float, hi: float) -> tuple[float, np.ndarray]:
-        half = 0.5 * (hi - lo)
-        coef = CHEB_FIT @ fvals(0.5 * (lo + hi) + half * NODES_HI)
-        coef[:nb] *= half
-        return float(np.abs(coef[nb - 4:nb]).sum()), np.concatenate(([lo, hi], coef))
-
-    return np.array(list(_accepted_panels(panel, a, b, tol, 1)))
+    return np.array([row for _err, row in _pieces(fvals, a, b, tol, min_wavelength)])
 
 
 def integrate(

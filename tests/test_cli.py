@@ -195,17 +195,28 @@ def test_ladder_build_rejects_foreign_cache(capsys, cache, tmp_path):
 
 
 def test_ladder_build_refuses_v2_cache(capsys, cache, tmp_path):
-    # a table from before the zl-table-v3 bump must be rebuilt
+    # tables from before the zl-table-v3 and zl-table-v5 bumps must be rebuilt
     f = tmp_path / "table.csv"
     assert _run(capsys, "ladder-build", "--tmax", "5", "--cache-file", str(f), *cache)[0] == 0
     lines = f.read_text().splitlines()
-    f.write_text("\n".join(["# zl-table-v2", "# config_hash=47d4c5aec864ed1b"]
-                           + lines[2:]) + "\n")
-    code, out, err = _run(capsys, "ladder-build", "--tmax", "5",
-                          "--cache-file", str(f), *cache)
-    assert code == 2
+    for header in (["# zl-table-v2", "# config_hash=47d4c5aec864ed1b"],
+                   ["# zl-table-v4", "# config_hash=f729cb08f9678cb8"]):
+        f.write_text("\n".join(header + lines[2:]) + "\n")
+        code, out, err = _run(capsys, "ladder-build", "--tmax", "5",
+                              "--cache-file", str(f), *cache)
+        assert code == 2
+        assert out == ""
+        assert header[0][2:] in err and "Traceback" not in err
+
+
+def test_ladder_build_at_the_rounding_floor_exit_3(capsys, cache):
+    # 5e-13 per knot is below the noise of Z^2 there: the quadrature says
+    # so at once rather than halving toward the width limit
+    code, out, err = _run(capsys, "ladder-build", "--tmax", "2200",
+                          "--quad-tol", "1e-12", *cache)
+    assert code == 3
     assert out == ""
-    assert "zl-table-v2" in err and "Traceback" not in err
+    assert "rounding floor" in err and "Traceback" not in err
 
 
 def test_ladder_build_corrupt_cache_exit_2(capsys, cache, tmp_path):

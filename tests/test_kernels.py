@@ -2,15 +2,20 @@
 
 Every one-point Z goes through the scalar core; arrays go through the numpy
 batch, which shares theta and the Riemann-Siegel correction with it but sums
-the main series in one vectorized pass.  The correction evaluates each
-Chebyshev row to index 28 through one basis product; here it is checked
-against the full degree-64 rows evaluated by ``chebval`` and against the
-high-precision spot values.  The Z^2 integral runs batched panels;
-``numerics.integrate`` over scalar ``zeta_mod_sq`` reaches the same integral
-through the scalar core instead.
+the main series in one vectorized pass.  Both are plain Python and numpy:
+there is no compiled twin.  The correction evaluates each Chebyshev row to
+index 28 through one basis product; here it is checked against the full
+degree-64 rows evaluated by ``chebval`` and against the high-precision spot
+values.  The Z^2 integral runs batched panels under the package's one
+quadrature loop; ``numerics.integrate`` over scalar ``zeta_mod_sq`` reaches
+the same integral through the scalar core instead.  The formula jumps where
+its main sum gains a term, and ``rs_spans`` cuts an interval there.
 """
 
 from __future__ import annotations
+
+import math
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ import pytest
 from zetaladder import _kernels
 from zetaladder._rs_tables import CTAB
 from zetaladder.config import DEFAULT_CONFIG
+from zetaladder.errors import NonConvergence
 from zetaladder.numerics import integrate
 from zetaladder.zeta import err_bound, zeta_mod_sq
 
@@ -61,6 +67,28 @@ def test_zsq_integral_empty_and_reversed_intervals():
     fwd = _kernels.zsq_integral_rs(500.0, 503.0, 1e-10, 1.0, 4)
     back = _kernels.zsq_integral_rs(503.0, 500.0, 1e-10, 1.0, 4)
     assert back[0] == -fwd[0]
+
+
+def test_zsq_integral_at_the_rounding_floor_raises_at_once():
+    # the 17/33 difference floors at ~6.5e-13 here, from the noise of Z^2;
+    # halving shrinks it with the tolerance share, so it never converges
+    t0 = time.perf_counter()
+    with pytest.raises(NonConvergence, match="rounding floor"):
+        _kernels.zsq_integral_rs(2112.0, 2112.3716350247705, 5e-13, 1.08, 4)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_rs_spans_cut_where_the_main_sum_gains_a_term():
+    # t = 2 pi N^2 for N = 4..7 lie in [100, 310]: five spans, each with one N
+    spans = _kernels.rs_spans(100.0, 310.0)
+    assert len(spans) == 5
+    assert spans[0][0] == 100.0 and spans[-1][1] == 310.0
+    for (lo, hi), (nxt, _) in zip(spans, spans[1:]):
+        assert nxt == math.nextafter(hi, math.inf)
+    for n, (lo, hi) in enumerate(spans, start=3):
+        rt = np.sqrt(np.linspace(lo, hi, 33) / _kernels.TWO_PI)
+        assert (rt.astype(np.int64) == n).all()
+    assert _kernels.rs_spans(300.0, 301.0) == [(300.0, 301.0)]
 
 
 def test_err_bound_identical_between_paths():

@@ -8,7 +8,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetaladder import _kernels
@@ -23,15 +23,24 @@ from zetaladder.errors import (
 from zetaladder.ladder import (
     CONSTANTS,
     LadderModel,
+    _piece_integrals,
     normalizer,
     normalizer_prime,
 )
 from zetaladder.numerics import integrate
-from zetaladder.zeta import hardy_z
+from zetaladder.zeta import hardy_z, zeta_mod_sq
 
 from _oracles import A_100
 
 _LOG_2PI = math.log(2.0 * math.pi)
+#: where the Riemann-Siegel main sum gains its N-th term, t = 2 pi N^2:
+#: the truncated formula jumps there by its own error
+JUMPS = [2.0 * math.pi * n * n for n in range(4, 8)]
+
+
+def _fresh(m, a, b, tol):
+    """Integral of Z^2 over [a, b] by the scalar path, apart from the ladder's fits."""
+    return integrate(lambda u: zeta_mod_sq(u, m.config), a, b, tol).value
 
 
 # ---------------------------------------------------------------------------
@@ -101,18 +110,22 @@ def test_cumulative_increment_matches_fresh_quadrature(model):
     # A(b) - A(a) must equal a table-free quadrature of Z^2 over [a, b]
     a, b = 431.0, 437.5
     inc = model.cumulative_hl(b) - model.cumulative_hl(a)
-    fresh = model._zsq_between(a, b, 1e-11)
+    fresh = _fresh(model, a, b, 1e-11)
     assert inc == pytest.approx(fresh, abs=5e-9)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=250.0, max_value=3000.0))
+@example(JUMPS[0])
+@example(JUMPS[1])
+@example(JUMPS[2])
+@example(JUMPS[3])
 def test_dense_mass_matches_fresh_quadrature(model, t):
     h = model.table.spacing
     tol = model.config.quad_tol * h
     dense = model.cumulative_hl(t)  # extends the table past 2200 when asked
     j = int(t / h)
-    fresh = model.table.values[j] + model._zsq_between(j * h, t, tol)
+    fresh = model.table.values[j] + _fresh(model, j * h, t, tol)
     assert abs(dense - fresh) <= tol
 
 
@@ -129,9 +142,11 @@ def test_mass_is_exact_at_knots_and_continuous_across_them(model, j):
 
 
 def test_interpolated_zsq_matches_hardy_z(model):
-    # both routes: the eta series below t = 100, Riemann-Siegel above
+    # both routes: the eta series below t = 100, Riemann-Siegel above, and
+    # the intervals where the Riemann-Siegel formula jumps
     rng = np.random.default_rng(300)
-    for t in np.concatenate([rng.uniform(1.0, 100.0, 30), rng.uniform(250.0, 2190.0, 270)]):
+    for t in np.concatenate([rng.uniform(1.0, 100.0, 30), rng.uniform(250.0, 2190.0, 270),
+                             rng.uniform(100.0, 250.0, 30), JUMPS]):
         t = float(t)
         assert abs(model._zsq(t) - hardy_z(t, model.config).z ** 2) <= 1e-9
 
@@ -152,7 +167,7 @@ def test_a_built_interval_answers_without_z(model, monkeypatch):
     assert calls == [33]
 
 
-def test_interval_that_fails_the_tail_test_is_halved(small_config):
+def test_interval_that_fails_the_17_33_test_is_halved(small_config):
     # 33 nodes do not resolve Z^2 over a 16-wide interval at t ~ 300
     m = LadderModel(small_config.with_overrides(knot_spacing=16.0))
     h, j = 16.0, 18
@@ -165,7 +180,7 @@ def test_interval_that_fails_the_tail_test_is_halved(small_config):
     assert np.array_equal(rows[1:, 0], rows[:-1, 1])
     for t in np.linspace(j * h, (j + 1) * h, 41)[1:-1]:
         t = float(t)
-        fresh = vals[j] + m._zsq_between(j * h, t, tol)
+        fresh = vals[j] + _fresh(m, j * h, t, tol)
         assert abs(m.cumulative_hl(t) - fresh) <= tol
         assert abs(m._zsq(t) - hardy_z(t, m.config).z ** 2) <= 1e-9
     for edge in rows[:-1, 1]:
@@ -187,6 +202,30 @@ def test_mass_where_t_over_h_rounds_to_a_knot(small_config, t, j):
     assert len(m.table.values) == j + 1
     assert a == pytest.approx(m.table.values[j], abs=4 * math.ulp(m.table.values[j]))
     assert m._zsq(t) == pytest.approx(hardy_z(t, m.config).z ** 2, abs=1e-9)
+
+
+def test_built_knots_land_on_their_fits(small_config):
+    # each built knot is the one below plus its interval's piece integrals,
+    # so the landing term only absorbs the rounding of that addition
+    m = LadderModel(small_config)
+    m.extend_to(400.0)
+    vals = m.table.values
+    for j in range(len(vals) - 1):
+        delta = (vals[j + 1] - vals[j]) - float(_piece_integrals(m._raw_fit(j)).sum())
+        assert abs(delta) <= 2 * math.ulp(vals[j + 1])
+
+
+def test_jump_intervals_are_cut_not_halved(model):
+    # a piece never straddles t = 2 pi N^2, so no piece shrinks toward it
+    h = model.table.spacing
+    for t in JUMPS:
+        j = int(t / h)
+        model.cumulative_hl(j * h + 0.25)
+        rows = model._pieces[j]
+        assert rows[0, 0] == j * h and rows[-1, 1] == (j + 1) * h
+        cuts = [row[1] for row, nxt in zip(rows, rows[1:]) if row[1] != nxt[0]]
+        assert len(cuts) == 1 and abs(cuts[0] - t) <= 4 * math.ulp(t)
+        assert (rows[:, 1] - rows[:, 0]).min() > 1e-3
 
 
 def test_cumulative_deterministic_across_instances(small_config):
@@ -411,18 +450,20 @@ def test_load_rejects_corrupt_rows(small_config, tmp_path, row):
 
 def test_default_config_hash_is_pinned():
     # the hash names every saved table; a change here orphans existing caches
-    assert RunConfig().config_hash() == "f729cb08f9678cb8"
+    assert RunConfig().config_hash() == "a383e6b2eb3db463"
 
 
 #: headers of tables saved before the correction rows were cut at index 28
-#: (v2) and before the values checksum (v3)
+#: (v2), before the values checksum (v3) and before knots came from the
+#: interval fit (v4)
 OLD_HEADERS = [["# zl-table-v2", "# config_hash=47d4c5aec864ed1b"],
-               ["# zl-table-v3", "# config_hash=5a2ced47249a516d"]]
+               ["# zl-table-v3", "# config_hash=5a2ced47249a516d"],
+               ["# zl-table-v4", "# config_hash=f729cb08f9678cb8"]]
 
 
 def test_load_refuses_a_v2_table(small_config, tmp_path):
-    # v2 knots carry the full-row correction and v3 files no checksum; both
-    # must be rebuilt, not mixed
+    # v2 knots carry the full-row correction, v3 files no checksum and v4
+    # knots the older quadrature; all must be rebuilt, not mixed
     path = tmp_path / "t.csv"
     m = LadderModel(small_config)
     m.extend_to(1.0)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaladder._quadrule import N_HI, N_LO, NODES_HI, WEIGHTS_HI, WEIGHTS_LO
-from zetaladder.errors import BracketInvalid, NoCrossing
+from zetaladder.errors import BracketInvalid, NoCrossing, NonConvergence
 from zetaladder.numerics import (
     Bracket,
     QuadratureResult,
@@ -121,6 +121,17 @@ def test_integrate_matches_antiderivative_of_cubic(width):
     assert res.value == pytest.approx(F(-1.0 + width) - F(-1.0), abs=1e-11)
 
 
+def test_integrate_raises_below_the_integrands_noise():
+    # values carry 1e-13 of deterministic noise: halving shrinks the 17/33
+    # difference only as fast as the tolerance share, so the loop stops at once
+    def noisy(x: float) -> float:
+        return 1.0 + 1e-13 * (hash(x) % 997) / 997
+
+    assert integrate(noisy, 0.0, 1.0, tol=1e-10).value == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(NonConvergence, match="rounding floor"):
+        integrate(noisy, 0.0, 1.0, tol=1e-16)
+
+
 # ---------------------------------------------------------------------------
 # piecewise Chebyshev interpolants
 # ---------------------------------------------------------------------------
@@ -147,7 +158,7 @@ def test_chebyshev_piece_reproduces_a_polynomial_and_its_integral():
         assert integral == pytest.approx(f.integ(lbnd=2.0)(t), abs=1e-12)
 
 
-def test_chebyshev_pieces_halve_until_the_integral_tail_is_small():
+def test_chebyshev_pieces_halve_until_the_17_33_difference_is_small():
     # sin(40 t) on [0, 2] has ~13 oscillations: 33 nodes cannot resolve it
     rows = chebyshev_pieces(lambda ts: np.sin(40.0 * ts), 0.0, 2.0, 1e-10)
     assert len(rows) > 1
