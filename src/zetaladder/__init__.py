@@ -41,7 +41,7 @@ from .errors import (
     UsageError,
     ZetaLadderError,
 )
-from .gaps import GapReport, gap_rho, li, prime_pi
+from .gaps import GapReport, gap_rho, prime_pi
 from .hybrid import (
     DeltaPair,
     HybridReport,
@@ -106,5 +106,5 @@ __all__ = [
     "secondary_v1", "mixed_product", "secondary_v2", "ternary",
     "asymptotic_secondary", "invariance_scan",
     # gaps
-    "GapReport", "prime_pi", "li", "gap_rho",
+    "GapReport", "prime_pi", "gap_rho",
 ]

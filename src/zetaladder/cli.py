@@ -64,6 +64,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _tolerance(text: str) -> float:
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(val) and val > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0: {text!r}")
+    return val
+
+
 def _int_list(text: str) -> list[int]:
     try:
         vals = [int(part) for part in text.split(",") if part]
@@ -300,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="first power exponent, exact fraction like 1/3")
     pv.add_argument("--delta4", type=_fraction, default=None,
                     help="second power exponent, exact fraction like 1/5")
-    pv.add_argument("--tol", type=float, default=_VERIFY_TOL_DEFAULT)
+    pv.add_argument("--tol", type=_tolerance, default=_VERIFY_TOL_DEFAULT)
     pv.add_argument("--output", default=None, help="also write the JSON report here")
     _add_config_flags(pv, _SOLVE_FLAGS)
     pv.set_defaults(fn=_cmd_verify)
@@ -321,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--l-max", dest="l_max", type=int, default=260)
     pi.add_argument("--k-min", dest="k_min", type=int, default=1)
     pi.add_argument("--k-max-scan", dest="k_max_scan", type=int, default=3)
-    pi.add_argument("--scan-tol", dest="scan_tol", type=float,
+    pi.add_argument("--scan-tol", dest="scan_tol", type=_tolerance,
                     default=_SCAN_TOL_DEFAULT)
     pi.add_argument("--output", default=None)
     _add_config_flags(pi, _SOLVE_FLAGS)
@@ -344,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--U", type=float, default=1.0)
     pa.add_argument("--k1", type=int, default=1)
     pa.add_argument("--k2", type=int, default=2)
-    pa.add_argument("--tol", type=float, default=_VERIFY_TOL_DEFAULT)
+    pa.add_argument("--tol", type=_tolerance, default=_VERIFY_TOL_DEFAULT)
     pa.add_argument("--output", default=None)
     _add_config_flags(pa, _SOLVE_FLAGS)
     pa.set_defaults(fn=_cmd_scan_asymptotic)

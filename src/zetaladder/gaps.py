@@ -5,8 +5,7 @@ Consecutive tower segments are separated by distances that track
 the same quantity that drives the ladder gap ``t - phi1(t) ~ (1-gamma) t / ln t``
 via the prime number theorem.  This module provides an exact sieve-based
 ``prime_pi`` (the stated law names the counting function, not its smooth
-approximations), the logarithmic integral as an auxiliary column, and
-``gap_rho`` reports with the measured/predicted ratio.
+approximations) and ``gap_rho`` reports with the measured/predicted ratio.
 """
 from __future__ import annotations
 
@@ -19,7 +18,7 @@ from .config import EULER_GAMMA
 from .errors import DomainTooSmall, IndexOutOfTower, RangeTooLarge
 from .tower import IterationTower
 
-__all__ = ["GapReport", "prime_pi", "li", "gap_rho", "gap_csv_rows"]
+__all__ = ["GapReport", "prime_pi", "gap_rho", "gap_csv_rows"]
 
 _SIEVE_CAP = 100_000_000
 
@@ -51,15 +50,6 @@ def prime_pi(x: float) -> int:
     return int(np.count_nonzero(_sieve_mask[: n + 1]))
 
 
-def li(x: float) -> float:
-    """Logarithmic integral Ei(log x) -- auxiliary smooth companion to prime_pi."""
-    if x <= 1.0:
-        raise DomainTooSmall(f"li requested at x={x} <= 1")
-    from scipy.special import expi  # here: importing it costs ~19 MB and ~0.25 s
-
-    return float(expi(math.log(x)))
-
-
 @dataclass(frozen=True)
 class GapReport:
     l: int
@@ -68,7 +58,6 @@ class GapReport:
     rho: float
     predicted: float
     ratio: float
-    li_predicted: float
 
     def csv_row(self) -> str:
         return (f"{self.l},{self.u!r},{self.r},{self.rho!r},"
@@ -89,7 +78,6 @@ def gap_rho(tower: IterationTower, r: int) -> GapReport:
     return GapReport(
         l=tower.l, u=tower.u, r=r, rho=rho,
         predicted=predicted, ratio=rho / predicted,
-        li_predicted=(1.0 - EULER_GAMMA) * li(x),
     )
 
 

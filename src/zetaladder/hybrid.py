@@ -60,6 +60,7 @@ independent of the worker count.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -639,7 +640,8 @@ def invariance_scan(
 
     All samples are drawn up front from one seeded generator, so the set of
     evaluated parameter tuples -- and therefore the statistics -- do not
-    depend on ``workers``.  The table of ``factory`` (fresh under ``config``
+    depend on ``workers``; no more processes start than there are samples
+    or cores.  The table of ``factory`` (fresh under ``config``
     if none is given) is warmed once, here, to the top of the tallest tower;
     the serial loop and every pool worker read that one table.  Per-sample
     failures are collected, not raised, unless every sample fails.
@@ -671,6 +673,7 @@ def invariance_scan(
         factory.tower(l_top, u_top, depth)
     except ZetaLadderError:  # the samples that need it fail one by one
         pass
+    workers = min(workers, n_samples, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_scan_init,

@@ -9,25 +9,23 @@ The model has three ingredients:
 * the **cumulative mass** A(T) = integral of Z(u)^2 over [0, T], maintained as
   a knot table (spacing <= 2, default 0.5), extendable in place without
   disturbing existing knots.  Each knot interval [j h, (j + 1) h] has one
-  **fit**, the package's one Z^2 quadrature: Z^2 sampled at the 33
-  Clenshaw-Curtis nodes of each piece, its Chebyshev coefficients and those
-  of its integral, with pieces halved while their 17/33 difference exceeds
-  their share of quad_tol * h.  A new knot adds the sum of its interval's
-  piece integrals and drops the rows.  An off-knot query refits the
-  interval, adds the linear term that lands the integral on the next knot,
-  and keeps the rows in memory (about 0.5 KB a piece), so A is continuous,
-  exact at knots, within quadrature tolerance between them, and costs a
-  polynomial evaluation per call;
+  **fit**, the package's one Z^2 quadrature: ``numerics.chebyshev_pieces``
+  rows of Z^2 and its integral, pieces halved while their 17/33 difference
+  exceeds their share of quad_tol * h.  A new knot adds the sum of its
+  interval's piece integrals and drops the rows.  An off-knot query refits
+  the interval, lands it on its knots and keeps the rows in memory (about
+  0.5 KB a piece), so A is continuous, exact at knots, within quadrature
+  tolerance between them, and one polynomial evaluation gives A and Z^2;
 * the **forward map** phi1(t) = V^{-1}(A(t)), whose derivative is exactly
   ztilde_sq(t) = Z(t)^2 / V'(phi1(t)) -- inside the model too, since Z^2 is
   the derivative of the interpolated A; the **reverse step** solves
   A(u) = V(x) by bisection on the one knot interval that holds the root, so
   phi1(reverse_step(x)) = x up to the solver tolerances.
 
-One **ladder step**, ``step(t) -> (phi1(t), omega(t), ztilde_sq(t))``, makes
-one phi1 solve and reads Z^2 from the same interpolant, with no Z
-evaluation; ``ztilde_sq`` and every chain walk in :mod:`zetaladder.tower` go
-through it, so each ladder level costs one solve.
+One **ladder step**, ``step(t) -> (phi1(t), omega(t), ztilde_sq(t))``, is the
+one forward query: one lookup gives A(t) and Z(t)^2, one Newton solve phi1,
+and no Z is evaluated.  ``phi1``, ``omega``, ``ztilde_sq`` and every chain
+walk in :mod:`zetaladder.tower` read it: a ladder level costs one of each.
 
 At working heights phi1(t) < t and the gap t - phi1(t) tracks
 (1 - gamma) t / log t; both show up in the test suite as sampled properties,
@@ -61,8 +59,14 @@ from .errors import (
     NonConvergence,
     TableExhausted,
 )
-from ._quadrule import N_HI
-from .numerics import Bracket, chebyshev_pieces, invert_increasing
+from .numerics import (
+    Bracket,
+    chebyshev_pieces,
+    eval_pieces,
+    invert_increasing,
+    land_pieces,
+    piece_integrals,
+)
 
 __all__ = [
     "Constants",
@@ -73,9 +77,6 @@ __all__ = [
 ]
 
 _LOG_TWO_PI = math.log(2.0 * math.pi)
-#: integral coefficients per interpolant row; T_0..T_{_NB-1} evaluate them
-_NB = N_HI + 2
-_CHEB_K = np.arange(_NB, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -108,11 +109,6 @@ def normalizer_prime(y: float) -> float:
 def _min_wavelength(b: float) -> float:
     """Shortest Z oscillation scale on [0, b]: 2 pi / log(b / 2pi), floored."""
     return 2.0 * math.pi / max(0.5, math.log(max(b, 7.0) / (2.0 * math.pi)))
-
-
-def _piece_integrals(rows: np.ndarray) -> np.ndarray:
-    """Each piece's integral, from its integral coefficients: T_m(1) = 1."""
-    return rows[:, 2:2 + _NB].sum(axis=1)
 
 
 def _values_digest(values: array) -> str:
@@ -185,7 +181,7 @@ class LadderModel:
         vals = self.table.values
         while len(vals) - 1 < need:
             # the fit's rows are dropped: kept, they cost ~3 MB up to t = 2200
-            inc = _piece_integrals(self._raw_fit(len(vals) - 1)).sum()
+            inc = piece_integrals(self._raw_fit(len(vals) - 1)).sum()
             vals.append(vals[-1] + float(inc))
 
     def _interval(self, t: float) -> int:
@@ -231,107 +227,73 @@ class LadderModel:
         return np.vstack([chebyshev_pieces(zsq, a, b, cfg.quad_tol * (b - a), wavelength)
                           for a, b in spans])
 
-    def _fit_interval(self, j: int) -> np.ndarray:
-        """The raw fit of interval j, landed on its knots.
+    def _lookup(self, j: int, t: float) -> tuple[float, float]:
+        """(A(t), Z(t)^2) for t in knot interval j; A is the knot value at a knot.
 
-        A table built here has values[j + 1] = values[j] + the pieces'
-        integrals, to rounding; a loaded one is checked, not trusted, so the
-        linear term delta (x + 1) / 2, spread over the pieces by width, makes
-        the integral end exactly at values[j + 1].  Its slope delta / h joins
-        Z^2, so dA/dt = Z^2 holds on the interpolant.
+        The fit lands on the knots on first use (a loaded table's knots are not
+        trusted to equal it) and is kept; dA/dt = Z^2 holds on it.
         """
-        h = self.table.spacing
-        rows = self._raw_fit(j)
-        b = rows[:, 2:2 + _NB]
-        ints = _piece_integrals(rows)
         vals = self.table.values
-        delta = (vals[j + 1] - vals[j]) - float(ints.sum())
-        share = delta * (rows[:, 1] - rows[:, 0]) / h
-        # A at each piece's left end, relative to values[j], then the linear term
-        b[:, 0] += np.cumsum(ints + share) - (ints + share) + 0.5 * share
-        b[:, 1] += 0.5 * share
-        rows[:, 2 + _NB] += delta / h
-        return rows
-
-    def _locate(self, j: int, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """The piece of interval j that holds t, and T_0..T_33 at t's place on it."""
         rows = self._pieces.get(j)
         if rows is None:
-            rows = self._pieces[j] = self._fit_interval(j)
-        if len(rows) == 1:
-            row = rows[0]
-        else:
-            row = rows[min(int(np.searchsorted(rows[:, 1], t)), len(rows) - 1)]
-        lo, hi = float(row[0]), float(row[1])
-        # clamped: rounding can put t a few ulps outside its piece
-        x = min(1.0, max(-1.0, (2.0 * t - lo - hi) / (hi - lo)))
-        return row, np.cos(math.acos(x) * _CHEB_K)
+            rows = self._pieces[j] = land_pieces(
+                self._raw_fit(j), vals[j + 1] - vals[j], self.table.spacing)
+        integral, zsq = eval_pieces(rows, t)
+        if (j + 1) * self.table.spacing == t:
+            return vals[j + 1], zsq
+        return vals[j] + integral, zsq
 
     def cumulative_hl(self, t: float) -> float:
-        """A(t): the knot value at a knot, else its interval's interpolant."""
+        """A(t): the knot value at a knot (no fit), else its interval's interpolant."""
         if t < 0.0:
             raise DomainTooSmall(f"cumulative mass requested at t={t} < 0")
         if t == 0.0:
             return 0.0
         j = self._interval(t)
-        vals = self.table.values
         if (j + 1) * self.table.spacing == t:
-            return vals[j + 1]
-        row, basis = self._locate(j, t)
-        return vals[j] + float(basis @ row[2:2 + _NB])
-
-    def _zsq(self, t: float) -> float:
-        """Z(t)^2 from the interpolant of t's knot interval (t > 0): dA/dt exactly."""
-        row, basis = self._locate(self._interval(t), t)
-        return float(basis[:-1] @ row[2 + _NB:])
+            return self.table.values[j + 1]
+        return self._lookup(j, t)[0]
 
     # -- forward map and friends --------------------------------------------
 
-    def phi1(self, t: float) -> float:
-        """V^{-1}(A(t)) for t >= t_start by Newton from max(t, t_min).
+    def step(self, t: float) -> tuple[float, float, float]:
+        """(phi1(t), omega(t), ztilde_sq(t)): one lookup, then V^{-1}(A(t)) by Newton.
 
-        V is convex and increasing above t_min, so Newton from above converges
-        monotonically; t itself lies above the root at working heights.
-        Raises DomainTooSmall below t_start or when A(t) < V(t_min), and
-        NonConvergence when 64 steps do not settle to root_tol.
+        Newton starts from max(t, t_min): V is convex and increasing above
+        t_min, so from above it converges monotonically; t itself lies above
+        the root at working heights.  Raises DomainTooSmall below t_start (or
+        at t <= 0) or when A(t) < V(t_min), and NonConvergence when 64 steps
+        do not settle to root_tol.
         """
         cfg = self.config
-        if t < cfg.t_start:
-            raise DomainTooSmall(f"phi1 requested at t={t} < t_start={cfg.t_start}")
-        a = self.cumulative_hl(t)
+        if t < cfg.t_start or t <= 0.0:
+            raise DomainTooSmall(f"phi1 requested at t={t}: needs t >= "
+                                 f"t_start={cfg.t_start} and t > 0")
+        a, zsq = self._lookup(self._interval(t), t)
         v_min = normalizer(cfg.t_min)
         if a < v_min:
             raise DomainTooSmall(f"A({t})={a} below normalizer floor "
                                  f"V({cfg.t_min})={v_min}")
         y = max(t, cfg.t_min)
         for _ in range(64):
-            step = (normalizer(y) - a) / normalizer_prime(y)
-            y = max(y - step, cfg.t_min)
-            if abs(step) <= 0.25 * cfg.root_tol:
-                return y
+            dy = (normalizer(y) - a) / normalizer_prime(y)
+            y = max(y - dy, cfg.t_min)
+            if abs(dy) <= 0.25 * cfg.root_tol:
+                om = normalizer_prime(y)
+                return y, om, zsq / om
         raise NonConvergence(f"V^-1(A({t})={a}) did not converge in 64 Newton steps")
+
+    def phi1(self, t: float) -> float:
+        """V^{-1}(A(t)): the first part of :meth:`step`."""
+        return self.step(t)[0]
 
     def omega(self, t: float) -> float:
         """Slope of the normalizer at the mapped point: V'(phi1(t)) > 0."""
-        return normalizer_prime(self.phi1(t))
-
-    def step(self, t: float) -> tuple[float, float, float]:
-        """(phi1(t), omega(t), ztilde_sq(t)): one phi1 solve, Z^2 from the same interpolant."""
-        y = self.phi1(t)
-        om = normalizer_prime(y)
-        return y, om, self._zsq(t) / om
+        return self.step(t)[1]
 
     def ztilde_sq(self, t: float) -> float:
         """Z(t)^2 / omega(t) -- the exact derivative of phi1 at t."""
         return self.step(t)[2]
-
-    def phi_chain(self, t: float, depth: int) -> np.ndarray:
-        """[t, phi1(t), ..., phi1^depth(t)] with each step reusing the last."""
-        pts = np.empty(depth + 1)
-        pts[0] = t
-        for j in range(depth):
-            pts[j + 1] = self.phi1(pts[j])
-        return pts
 
     def reverse_step(self, x: float) -> float:
         """The unique u with A(u) = V(x); above working heights u > x.

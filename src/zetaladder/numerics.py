@@ -11,11 +11,11 @@ use for integrals and root solves, so their contracts are deliberately narrow:
   maps a panel's 33 nodes to values, so the batched Z^2 kernel runs the very
   same policy.
 * :func:`chebyshev_pieces` -- the interpolant behind those 33 values, and its
-  integral, on the very pieces :func:`adaptive_panels` accepts: both read one
-  splitting loop, :func:`_pieces`, which turns each piece's 33 values into its
-  17/33 error and its coefficient row.  A loop that cannot meet its tolerance
-  raises :class:`NonConvergence` rather than halving below the integrand's
-  noise.
+  integral, on the pieces :func:`adaptive_panels` accepts: both read one
+  splitting loop, :func:`_pieces`, which turns a piece's 33 values into its
+  17/33 error and its row, a layout only :func:`piece_integrals`,
+  :func:`land_pieces` and :func:`eval_pieces` read.  A loop that cannot meet
+  its tolerance raises :class:`NonConvergence`, not halving below noise.
 * :func:`invert_increasing` -- g(x) = target with g strictly increasing on
   the bracket.
 * :func:`find_level_crossing` -- leftmost solution of g(x) = level on an open
@@ -42,6 +42,9 @@ __all__ = [
     "QuadratureResult",
     "Bracket",
     "chebyshev_pieces",
+    "eval_pieces",
+    "land_pieces",
+    "piece_integrals",
     "integrate",
     "invert_increasing",
     "find_level_crossing",
@@ -54,8 +57,12 @@ _MAX_PANELS = 200_000
 #: a rejected piece whose 17/33 error is within this fraction of its weighted
 #: values (2^10 ulps) is at the noise floor of its integrand's evaluation
 _ROUNDING_FLOOR = 1024 * np.finfo(np.float64).eps
+#: pieces accepted at the resolution limit with their error above their
+#: share: a jump in f costs one, noise above the tolerance one per piece
+_MAX_FORCED = 8
 #: integral coefficients lead each piece's row, after lo and hi
 _NB = N_HI + 2
+_CHEB_K = np.arange(_NB, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -112,7 +119,9 @@ def _pieces(
     limit (width <= 1e-14 |lo|), which a jump in f reaches.  Raises
     :class:`NonConvergence` when a rejected piece's error is at the rounding
     floor of its own weighted values (noise shrinks with the width, as the
-    share does, so halving cannot help), past depth 48, or past _MAX_PANELS
+    share does, so halving cannot help), when more than _MAX_FORCED pieces
+    reach the resolution limit above their share (noise that stays above
+    it, where the floor test misses), past depth 48, or past _MAX_PANELS
     accepted pieces.
     """
     width = b - a
@@ -124,12 +133,18 @@ def _pieces(
              for i in range(n0 - 1, -1, -1)]
     err_total = 0.0
     panels = 0
+    forced = 0
     while stack:
         lo, hi, tshare, depth = stack.pop()
         half = 0.5 * (hi - lo)
         v = fvals(0.5 * (lo + hi) + half * NODES_HI)
         err = abs(float(WEIGHTS_HI @ v) - float(WEIGHTS_LO @ v[::2])) * half
         if err <= tshare or (hi - lo) <= 1e-14 * max(1.0, abs(lo)):
+            if err > tshare:
+                forced += 1
+                if forced > _MAX_FORCED:
+                    raise NonConvergence(f"{forced} pieces at the resolution limit on "
+                                         f"[{a}, {b}] (err {err:.3e})", achieved=err)
             err_total += err
             panels += 1
             if panels > _MAX_PANELS:
@@ -184,7 +199,7 @@ def adaptive_panels(
     total = 0.0
     err_total = 0.0
     for err, row in _pieces(counted, a, b, tol, min_wavelength):
-        total += float(row[2:2 + _NB].sum())
+        total += float(piece_integrals(row))
         err_total += err
     return sign * total, err_total, evals
 
@@ -203,6 +218,39 @@ def chebyshev_pieces(
     :func:`adaptive_panels` sums, so the rows' integrals add up to its value.
     """
     return np.array([row for _err, row in _pieces(fvals, a, b, tol, min_wavelength)])
+
+
+def piece_integrals(rows: np.ndarray) -> np.ndarray:
+    """Each piece's integral (a scalar for one row): T_m(1) = 1, so the sum of b."""
+    return rows[..., 2:2 + _NB].sum(axis=-1)
+
+
+def land_pieces(rows: np.ndarray, total: float, width: float) -> np.ndarray:
+    """Shift rows in place to integrate from the first lo and total ``total``.
+
+    The shortfall delta lands as a linear term over ``width`` (the rows' span);
+    its slope joins f, which stays the integral's derivative.
+    """
+    b = rows[:, 2:2 + _NB]
+    ints = piece_integrals(rows)
+    delta = total - float(ints.sum())
+    share = delta * (rows[:, 1] - rows[:, 0]) / width
+    # the integral at each piece's left end, then the linear term
+    b[:, 0] += np.cumsum(ints + share) - (ints + share) + 0.5 * share
+    b[:, 1] += 0.5 * share
+    rows[:, 2 + _NB] += delta / width
+    return rows
+
+
+def eval_pieces(rows: np.ndarray, t: float) -> tuple[float, float]:
+    """(integral from the piece's lo, or as landed; f) at t from one basis."""
+    n = len(rows)
+    row = rows[0 if n == 1 else min(int(np.searchsorted(rows[:, 1], t)), n - 1)]
+    lo, hi = float(row[0]), float(row[1])
+    # clamped: rounding can put t a few ulps outside its piece
+    x = min(1.0, max(-1.0, (2.0 * t - lo - hi) / (hi - lo)))
+    basis = np.cos(math.acos(x) * _CHEB_K)
+    return float(basis @ row[2:2 + _NB]), float(basis[:-1] @ row[2 + _NB:])
 
 
 def integrate(

@@ -268,6 +268,21 @@ def test_invalid_tolerance_exit_2(capsys, cache, flag, value):
     assert flag[2:].replace("-", "_") in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "echf1", "--L", "100", "--U", "0.5", "--k1", "0", "--k2", "0", "--tol"),
+    ("scan", "invariance", "--delta3", "1/3", "--delta4", "1/5", "--scan-tol"),
+    ("scan", "asymptotic", "--delta3", "1/3", "--delta4", "1/5", "--tol"),
+], ids=["verify", "scan-invariance", "scan-asymptotic"])
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_invalid_gate_tolerance_exit_2(capsys, argv, value):
+    # exit 1 means "out of tolerance"; a gate with no valid tolerance is a
+    # usage error, refused before any work
+    code, out, err = _run(capsys, *argv, value)
+    assert code == 2
+    assert out == ""
+    assert argv[-1] in err and "Traceback" not in err
+
+
 def test_ladder_build_nan_height_exit_2(capsys, cache):
     code, out, err = _run(capsys, "ladder-build", "--tmax", "nan", *cache)
     assert code == 2

@@ -8,7 +8,7 @@ import pytest
 
 from zetaladder.config import EULER_GAMMA
 from zetaladder.errors import DomainTooSmall, IndexOutOfTower, RangeTooLarge
-from zetaladder.gaps import GapReport, gap_csv_rows, gap_rho, li, prime_pi
+from zetaladder.gaps import GapReport, gap_csv_rows, gap_rho, prime_pi
 
 
 def _pi_by_trial_division(x: int) -> int:
@@ -50,22 +50,6 @@ def test_pi_rejects_out_of_range():
         prime_pi(1.5)
     with pytest.raises(RangeTooLarge):
         prime_pi(2e8)
-
-
-# ---------------------------------------------------------------------------
-# li
-# ---------------------------------------------------------------------------
-
-
-def test_li_bounds_pi_at_moderate_heights():
-    # li overshoots pi(x) throughout this range
-    for x in (100.0, 1000.0, 10_000.0):
-        assert prime_pi(x) < li(x) < prime_pi(x) + 40
-
-
-def test_li_rejects_at_or_below_one():
-    with pytest.raises(DomainTooSmall):
-        li(1.0)
 
 
 # ---------------------------------------------------------------------------

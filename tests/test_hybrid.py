@@ -347,6 +347,37 @@ def test_scan_worker_count_does_not_change_results(config, factory, pair):
     assert serial.to_dict() == parallel.to_dict()
 
 
+@pytest.mark.parametrize("workers, cores, started",
+                         [(5000, 4, 3), (2, 4, 2), (5000, 1, None)])
+def test_scan_starts_no_more_workers_than_samples_or_cores(factory, monkeypatch,
+                                                           workers, cores, started):
+    # a stand-in pool records its size and maps in this process: nothing forks
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(hybrid, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(hybrid.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(hybrid, "_WORKER_STATE", {})
+    kw = dict(n_samples=3, seed=5, u_range=(0.5, 1.0), l_range=(100, 120),
+              k_range=(1, 2), factory=factory)
+    scan = invariance_scan(PAIR_35, workers=workers, **kw)
+    assert sizes == ([] if started is None else [started])
+    assert scan.to_dict() == invariance_scan(PAIR_35, **kw).to_dict()
+
+
 def test_scan_samples_read_one_warm_table(small_config, monkeypatch):
     # the scan warms the table before the first sample; no sample grows it
     model = LadderModel(small_config)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from array import array
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetaladder import _kernels
+from zetaladder import _kernels, ladder
 from zetaladder.config import EULER_GAMMA, RunConfig
 from zetaladder.errors import (
     CacheCorrupt,
@@ -23,11 +24,10 @@ from zetaladder.errors import (
 from zetaladder.ladder import (
     CONSTANTS,
     LadderModel,
-    _piece_integrals,
     normalizer,
     normalizer_prime,
 )
-from zetaladder.numerics import integrate
+from zetaladder.numerics import integrate, piece_integrals
 from zetaladder.zeta import hardy_z, zeta_mod_sq
 
 from _oracles import A_100
@@ -41,6 +41,11 @@ JUMPS = [2.0 * math.pi * n * n for n in range(4, 8)]
 def _fresh(m, a, b, tol):
     """Integral of Z^2 over [a, b] by the scalar path, apart from the ladder's fits."""
     return integrate(lambda u: zeta_mod_sq(u, m.config), a, b, tol).value
+
+
+def _zsq(m, t):
+    """Z(t)^2 as a ladder step reads it: the interpolant of t's knot interval."""
+    return m._lookup(m._interval(t), t)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +153,7 @@ def test_interpolated_zsq_matches_hardy_z(model):
     for t in np.concatenate([rng.uniform(1.0, 100.0, 30), rng.uniform(250.0, 2190.0, 270),
                              rng.uniform(100.0, 250.0, 30), JUMPS]):
         t = float(t)
-        assert abs(model._zsq(t) - hardy_z(t, model.config).z ** 2) <= 1e-9
+        assert abs(_zsq(model, t) - hardy_z(t, model.config).z ** 2) <= 1e-9
 
 
 def test_a_built_interval_answers_without_z(model, monkeypatch):
@@ -182,7 +187,7 @@ def test_interval_that_fails_the_17_33_test_is_halved(small_config):
         t = float(t)
         fresh = vals[j] + _fresh(m, j * h, t, tol)
         assert abs(m.cumulative_hl(t) - fresh) <= tol
-        assert abs(m._zsq(t) - hardy_z(t, m.config).z ** 2) <= 1e-9
+        assert abs(_zsq(m, t) - hardy_z(t, m.config).z ** 2) <= 1e-9
     for edge in rows[:-1, 1]:
         left = m.cumulative_hl(float(edge))
         right = m.cumulative_hl(math.nextafter(float(edge), math.inf))
@@ -201,7 +206,7 @@ def test_mass_where_t_over_h_rounds_to_a_knot(small_config, t, j):
     a = m.cumulative_hl(t)
     assert len(m.table.values) == j + 1
     assert a == pytest.approx(m.table.values[j], abs=4 * math.ulp(m.table.values[j]))
-    assert m._zsq(t) == pytest.approx(hardy_z(t, m.config).z ** 2, abs=1e-9)
+    assert _zsq(m, t) == pytest.approx(hardy_z(t, m.config).z ** 2, abs=1e-9)
 
 
 def test_built_knots_land_on_their_fits(small_config):
@@ -211,7 +216,7 @@ def test_built_knots_land_on_their_fits(small_config):
     m.extend_to(400.0)
     vals = m.table.values
     for j in range(len(vals) - 1):
-        delta = (vals[j + 1] - vals[j]) - float(_piece_integrals(m._raw_fit(j)).sum())
+        delta = (vals[j + 1] - vals[j]) - float(piece_integrals(m._raw_fit(j)).sum())
         assert abs(delta) <= 2 * math.ulp(vals[j + 1])
 
 
@@ -226,6 +231,36 @@ def test_jump_intervals_are_cut_not_halved(model):
         cuts = [row[1] for row, nxt in zip(rows, rows[1:]) if row[1] != nxt[0]]
         assert len(cuts) == 1 and abs(cuts[0] - t) <= 4 * math.ulp(t)
         assert (rows[:, 1] - rows[:, 0]).min() > 1e-3
+
+
+def test_fit_where_zsq_noise_beats_the_tolerance_fails_fast(small_config, monkeypatch):
+    # on [68229, 68229.5] the 17/33 difference of Z^2 stays above its share
+    # down to the resolution limit; the fit stops after a few such pieces
+    # instead of accepting them by the hundred thousand
+    batches = []
+    many = _kernels.z_rs_many
+
+    def counted(ts, n):
+        batches.append(len(ts))
+        if len(batches) > 1000:
+            raise RuntimeError("still halving after 1000 batches")
+        return many(ts, n)
+
+    monkeypatch.setattr(_kernels, "z_rs_many", counted)
+    t0 = time.perf_counter()
+    with pytest.raises(NonConvergence, match="resolution limit"):
+        LadderModel(small_config)._raw_fit(136458)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_quadrature_across_a_jump_still_converges(model):
+    # [307.5, 308] holds the jump at t = 2 pi 7^2; the ladder's fit is cut
+    # there, the scalar quadrature is not
+    tol = model.config.quad_tol * model.table.spacing
+    res = integrate(lambda u: zeta_mod_sq(u, model.config), 307.5, 308.0, tol)
+    assert res.error_estimate <= tol
+    mass = model.cumulative_hl(308.0) - model.cumulative_hl(307.5)
+    assert res.value == pytest.approx(mass, abs=2 * tol)
 
 
 def test_cumulative_deterministic_across_instances(small_config):
@@ -280,16 +315,6 @@ def test_ztilde_sq_is_zsq_over_omega(model):
     )
 
 
-def test_phi_chain_prefix_property(model):
-    pts = model.phi_chain(1200.0, 3)
-    assert pts.shape == (4,)
-    assert pts[0] == 1200.0
-    for j in range(3):
-        assert pts[j + 1] == model.phi1(float(pts[j]))
-    # each application loses height
-    assert all(b < a for a, b in zip(pts, pts[1:]))
-
-
 def test_phi1_rejects_mass_below_normalizer_floor(small_config):
     # A(0.2) ~ 0.41 < V(t_min) = V(4) ~ 0.50: no y >= t_min solves V(y) = A
     m = LadderModel(small_config.with_overrides(t_start=0.0))
@@ -299,7 +324,7 @@ def test_phi1_rejects_mass_below_normalizer_floor(small_config):
 
 def test_phi1_raises_when_newton_does_not_converge(small_config, monkeypatch):
     m = LadderModel(small_config)
-    monkeypatch.setattr(m, "cumulative_hl", lambda t: math.nan)
+    monkeypatch.setattr(m, "_lookup", lambda j, t: (math.nan, math.nan))
     with pytest.raises(NonConvergence):
         m.phi1(300.0)
 
@@ -310,9 +335,19 @@ def test_step_is_phi1_omega_and_ztilde_sq_at_once(model):
     for t in (612.5, 1000.3):
         y, om, zt = model.step(t)
         assert (y, om) == (model.phi1(t), model.omega(t))
-        assert zt == model._zsq(t) / om
-        assert model._zsq(t) == pytest.approx(hardy_z(t, model.config).z ** 2, abs=1e-9)
+        assert zt == _zsq(model, t) / om
+        assert _zsq(model, t) == pytest.approx(hardy_z(t, model.config).z ** 2, abs=1e-9)
         assert model.ztilde_sq(t) == zt
+
+
+def test_a_ladder_step_reads_its_interval_once(model, monkeypatch):
+    # A(t) and Z(t)^2 come from one evaluation of one interval's pieces
+    reads = []
+    read = ladder.eval_pieces
+    monkeypatch.setattr(ladder, "eval_pieces",
+                        lambda rows, t: reads.append(t) or read(rows, t))
+    model.step(1000.3)
+    assert reads == [1000.3]
 
 
 # ---------------------------------------------------------------------------

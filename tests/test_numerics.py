@@ -16,9 +16,12 @@ from zetaladder.numerics import (
     Bracket,
     QuadratureResult,
     chebyshev_pieces,
+    eval_pieces,
     find_level_crossing,
     integrate,
     invert_increasing,
+    land_pieces,
+    piece_integrals,
 )
 
 # ---------------------------------------------------------------------------
@@ -168,6 +171,33 @@ def test_chebyshev_pieces_halve_until_the_17_33_difference_is_small():
         integral, value = _piece_at(rows, float(t))
         assert value == pytest.approx(math.sin(40.0 * t), abs=1e-9)
         assert integral == pytest.approx((1.0 - math.cos(40.0 * t)) / 40.0, abs=1e-10)
+
+
+def test_landed_pieces_evaluate_as_the_reference_plus_the_linear_term():
+    # land sin(40 t)'s halved pieces on a total delta above their own: the
+    # integral gains delta t / 2 and f gains delta / 2, both read from one basis
+    rows = chebyshev_pieces(lambda ts: np.sin(40.0 * ts), 0.0, 2.0, 1e-10)
+    ref = rows.copy()
+    delta = 1e-3
+    total = float(piece_integrals(rows).sum()) + delta
+    assert land_pieces(rows, total, 2.0) is rows
+    for t in np.linspace(0.0, 2.0, 41):
+        integral, value = eval_pieces(rows, float(t))
+        ref_integral, ref_value = _piece_at(ref, float(t))
+        assert integral == pytest.approx(ref_integral + 0.5 * delta * t, abs=1e-13)
+        assert value == pytest.approx(ref_value + 0.5 * delta, abs=1e-13)
+    for edge in rows[:-1, 1]:
+        left = eval_pieces(rows, float(edge))[0]
+        right = eval_pieces(rows, math.nextafter(float(edge), math.inf))[0]
+        assert right == pytest.approx(left, abs=1e-15)
+    assert eval_pieces(rows, 2.0)[0] == pytest.approx(total, abs=1e-15)
+
+
+def test_a_jump_costs_one_piece_at_the_resolution_limit():
+    # a step cannot meet any tolerance on the piece that holds it; that piece
+    # is accepted at the width limit, and the integral still converges
+    res = integrate(lambda x: 1.0 if x > 0.3 else 0.0, 0.0, 1.0, tol=1e-12)
+    assert res.value == pytest.approx(0.7, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -190,11 +190,13 @@ def test_alpha_points_live_in_their_segments(factory):
         assert tw.segment(r).contains(float(ch.alpha[r]))
 
 
-def test_alphas_descend_through_the_tower(factory):
+def test_alphas_descend_through_the_tower(model, factory):
     ch = factory.solve(300, 1.0, 3, gf_cos2())
     a = ch.alpha
     assert all(a[r + 1] > a[r] for r in range(3))  # higher segments upward
     assert a[0] == pytest.approx(math.pi * 300, abs=2.0)
+    # the walk is phi1 applied level by level, each from the last
+    assert all(a[r] == model.phi1(float(a[r + 1])) for r in range(3))
 
 
 def test_chain_weight_integral_recovers_mass(model, factory):
@@ -209,15 +211,15 @@ def test_chain_weight_integral_recovers_mass(model, factory):
 
 @pytest.fixture()
 def solve_count(monkeypatch):
-    """Counts phi1 Newton solves (every phi1, omega and step makes one)."""
+    """Counts phi1 Newton solves: each is one ladder step (phi1 and omega read one)."""
     calls = []
-    phi1 = LadderModel.phi1
+    step = LadderModel.step
 
     def counted(self, t):
         calls.append(t)
-        return phi1(self, t)
+        return step(self, t)
 
-    monkeypatch.setattr(LadderModel, "phi1", counted)
+    monkeypatch.setattr(LadderModel, "step", counted)
     return calls
 
 

@@ -121,13 +121,15 @@ def test_zeta_mod_sq_below_switch_matches_z_squared():
 
 def test_import_and_table_build_leave_scipy_special_unloaded():
     # scipy.special costs ~19 MB and ~0.25 s to import; only theta below
-    # t = 10 and li need it, and a table build reaches neither
+    # t = 10 needs it, and neither a table build nor a gap report reaches it
     import zetaladder
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(zetaladder.__file__)))
     code = ("import sys, zetaladder\n"
             "from zetaladder.zeta import zeta_mod_sq\n"
-            "zetaladder.LadderModel().extend_to(120.0)\n"
+            "m = zetaladder.LadderModel(zetaladder.RunConfig(l_floor=30))\n"
+            "m.extend_to(120.0)\n"
+            "zetaladder.gap_rho(zetaladder.ChainFactory(m).tower(30, 0.5, 1), 0)\n"
             "zeta_mod_sq(5.0)\n"
             "assert 'scipy.special' not in sys.modules, 'scipy.special imported'\n")
     env = {**os.environ, "PYTHONPATH": src}
