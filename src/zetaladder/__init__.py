@@ -58,7 +58,7 @@ from .hybrid import (
     theorem1_constant,
     theorem2_constant,
 )
-from .ladder import Constants, CumulativeTable, LadderModel, normalizer, normalizer_prime
+from .ladder import CumulativeTable, LadderModel, normalizer, normalizer_prime
 from .numerics import Bracket, QuadratureResult, find_level_crossing, integrate, invert_increasing
 from .tower import (
     ChainFactory,
@@ -74,7 +74,7 @@ from .tower import (
     lemma_residual,
     make_chain_weight,
 )
-from .zeta import ZSample, err_bound, hardy_z, rs_theta, z_many, zeta_mod_sq
+from .zeta import ZSample, err_bound, hardy_z, rs_theta, zeta_mod_sq
 
 __version__ = "0.1.0"
 
@@ -92,9 +92,9 @@ __all__ = [
     "Bracket", "QuadratureResult", "integrate", "invert_increasing",
     "find_level_crossing",
     # zeta
-    "ZSample", "hardy_z", "rs_theta", "zeta_mod_sq", "z_many", "err_bound",
+    "ZSample", "hardy_z", "rs_theta", "zeta_mod_sq", "err_bound",
     # ladder
-    "Constants", "CumulativeTable", "LadderModel", "normalizer",
+    "CumulativeTable", "LadderModel", "normalizer",
     "normalizer_prime",
     # tower
     "Segment", "IterationTower", "GeneratingFunction", "ChainPoints",

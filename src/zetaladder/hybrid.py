@@ -130,9 +130,6 @@ class DeltaPair:
             self.d4, (Fraction, int)
         )
 
-    def swapped(self) -> "DeltaPair":
-        return DeltaPair(self.d4, self.d3)
-
     def label(self) -> tuple[str, str]:
         return (_delta_str(self.d3), _delta_str(self.d4))
 

@@ -19,7 +19,8 @@ The model has three ingredients:
 * the **forward map** phi1(t) = V^{-1}(A(t)), whose derivative is exactly
   ztilde_sq(t) = Z(t)^2 / V'(phi1(t)) -- inside the model too, since Z^2 is
   the derivative of the interpolated A; the **reverse step** solves
-  A(u) = V(x) by bisection on the one knot interval that holds the root, so
+  A(u) = V(x) on the one knot interval that holds the root, where A is one
+  interpolant, so the root loop (ITP) takes a handful of steps, and
   phi1(reverse_step(x)) = x up to the solver tolerances.
 
 One **ladder step**, ``step(t) -> (phi1(t), omega(t), ztilde_sq(t))``, is the
@@ -69,7 +70,6 @@ from .numerics import (
 )
 
 __all__ = [
-    "Constants",
     "CumulativeTable",
     "LadderModel",
     "normalizer",
@@ -77,19 +77,6 @@ __all__ = [
 ]
 
 _LOG_TWO_PI = math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Fixed constants of the normalizer family."""
-
-    euler_gamma: float = EULER_GAMMA
-    log_two_pi: float = _LOG_TWO_PI
-    #: y below which V' <= 0 and the model is meaningless
-    monotone_floor: float = 2.0 * math.pi * math.exp(-1.0 - EULER_GAMMA)
-
-
-CONSTANTS = Constants()
 
 
 def normalizer(y: float) -> float:
@@ -301,9 +288,10 @@ class LadderModel:
         A is increasing, so the knot table brackets the root: knots are added
         one at a time until the last one reaches V(x), and the first knot j
         with A(j h) >= V(x) closes the knot interval [(j-1) h, j h].  Both
-        ends are knots; bisecting the interval from width h to root_tol takes
-        ceil(log2(h / root_tol)) off-knot A(t) evaluations (36 at the
-        defaults), all on that one interval's interpolant.
+        ends are knots, and ``invert_increasing`` narrows the interval to
+        root_tol with off-knot A(t) evaluations, all on that one interval's
+        interpolant: about 9 on average (x from 400 to 2000), and never more
+        than bisection's ceil(log2(h / root_tol)), 36 at the defaults.
         """
         cfg = self.config
         if x < cfg.t_min:

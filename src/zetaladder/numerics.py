@@ -22,7 +22,11 @@ use for integrals and root solves, so their contracts are deliberately narrow:
   interval, located by a uniform interior scan (refined by doubling when no
   sign change is found).
 
-Both root solves finish in the same bisection loop, :func:`_bisect`.
+Both root solves finish in the same root loop, :func:`_itp` (interpolate,
+truncate, project): superlinear on a smooth g, and never more steps than
+bisection would take on the same bracket.  It compares signs rather than
+multiplying values, and a non-finite value of g raises
+:class:`NonConvergence` rather than moving the bracket.
 
 Everything is deterministic: fixed node counts, fixed refinement policy, no
 randomness.
@@ -79,13 +83,13 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class Bracket:
-    """Closed interval [lo, hi] known to contain the sought point."""
+    """Closed interval [lo, hi] known to contain the sought point; its width is finite."""
 
     lo: float
     hi: float
 
     def __post_init__(self) -> None:
-        if not (self.lo <= self.hi) or not math.isfinite(self.lo) or not math.isfinite(self.hi):
+        if not (self.lo <= self.hi) or not math.isfinite(self.hi - self.lo):
             raise BracketInvalid(f"bad bracket [{self.lo}, {self.hi}]")
 
     @property
@@ -274,30 +278,97 @@ def integrate(
     ))
 
 
-def _bisect(
+def _finite(fx: float, x: float) -> float:
+    """fx = g(x), or :class:`NonConvergence` when it is NaN or infinite.
+
+    A root loop cannot place a non-finite value on either side of a sign
+    change: compared with 0 a NaN reads as "not negative", which would
+    silently move the bracket.
+    """
+    if not math.isfinite(fx):
+        raise NonConvergence(f"g({x!r}) = {fx!r} is not finite; no root can be bracketed")
+    return fx
+
+
+def _itp(
     g: Callable[[float], float],
     lo: float,
     hi: float,
     f_lo: float,
+    f_hi: float,
     tol: float,
 ) -> float:
-    """Bisect [lo, hi], on which g changes sign and f_lo = g(lo) != 0.
+    """The package's one root loop: ITP on [lo, hi], where g changes sign.
 
-    Halves the interval until its width is <= tol or its midpoint no longer
-    lies strictly inside (the double-precision floor), and returns the final
-    midpoint; an exact zero g(mid) == 0 returns mid at once.
+    f_lo = g(lo) and f_hi = g(hi) are nonzero with opposite signs.  Each step
+    interpolates (the regula falsi point), truncates (moves it kappa1 w^2
+    towards the midpoint; kappa2 = 2, kappa1 = 0.2 / w0 for the starting
+    width w0), then projects it to within r of the midpoint (Oliveira &
+    Takahashi, ACM TOMS 47(1), 2021; n0 = 0).  The slack s is what still lets
+    the width reach tol within n_max steps, bisection's own count, so no g
+    costs more steps than bisection (which can stop sooner only when a
+    midpoint hits an exact zero), and a smooth g converges
+    superlinearly.  r is 3/4 of s: with n0 = 0, a step that spent all of s
+    and landed on the root's near side would leave none, and every later
+    step would be a bisection (a reverse step next to a zero of Z then
+    took all 36 steps; with the reserve it takes at most 13).  Three guards
+    against rounding:
+
+    * the slack is sized for a final width of tol less one ulp of the
+      bracket, the most the projected point's rounding can add, and r is
+      clamped at 0 (a bisection step);
+    * n_max allows for bisection's rounding as well: inside that ulp band
+      every step is bisection's own midpoint;
+    * the truncation is at least tol / 10: one below the spacing of doubles
+      near the root rounds back onto the regula falsi point, and the last
+      steps could then never land across the root.
+
+    Stops when the width is <= tol or the midpoint no longer lies strictly
+    inside (the double-precision floor) and returns the final midpoint; an
+    exact zero g(x) == 0 returns x at once.  Signs are compared, never
+    multiplied, so values near the underflow threshold keep them; a
+    non-finite value raises :class:`NonConvergence`.
     """
+    _finite(f_lo, lo)
+    _finite(f_hi, hi)
+    w0 = hi - lo
+    if not w0 > tol:
+        return 0.5 * (lo + hi)
+    # bisection's count: rounding its midpoints moves its widths by up to one
+    # ulp, so it can finish once w0 <= (tol + ulp) 2^n
+    ulp = math.ulp(max(abs(lo), abs(hi)))
+    n_max = math.ceil(math.log2(w0) - math.log2(tol + ulp))
+    while math.ldexp(tol + ulp, n_max) < w0:
+        n_max += 1
+    while n_max > 0 and math.ldexp(tol + ulp, n_max - 1) >= w0:
+        n_max -= 1
+    eps = 0.5 * tol - ulp
+    kappa1 = 0.2 / w0
+    lo_negative = f_lo < 0.0
+    j = 0
     while hi - lo > tol:
+        w = hi - lo
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        f_mid = g(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
+        r = 0.75 * max(math.ldexp(eps, n_max - j) - 0.5 * w, 0.0)
+        # regula falsi; f_lo / (f_lo - f_hi) lies in [0, 1] with no underflow
+        x_f = lo + w * (f_lo / (f_lo - f_hi))
+        d = mid - x_f
+        delta = max(kappa1 * w * w, 0.1 * tol)
+        x = x_f + math.copysign(delta, d) if delta <= abs(d) else mid
+        if abs(x - mid) > r:
+            x = mid - math.copysign(r, d)
+        if not lo < x < hi:
+            x = mid
+        fx = _finite(g(x), x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == lo_negative:
+            lo, f_lo = x, fx
         else:
-            lo, f_lo = mid, f_mid
+            hi, f_hi = x, fx
+        j += 1
     return 0.5 * (lo + hi)
 
 
@@ -309,9 +380,11 @@ def invert_increasing(
 ) -> float:
     """Solve g(x) = target for strictly increasing g on the bracket.
 
-    Bisection from the bracket to a width <= tol: log2(width / tol) steps
-    regardless of g's shape, returning the final midpoint.  The endpoint
-    values must enclose the target or :class:`BracketInvalid` is raised.
+    :func:`_itp` from the bracket to a width <= tol, returning the final
+    midpoint: a handful of steps on a smooth g, and never more than
+    bisection's ceil(log2(width / tol)) whatever g's shape.  The endpoint
+    values must enclose the target or :class:`BracketInvalid` is raised; a
+    non-finite value of g raises :class:`NonConvergence`.
     """
     lo, hi = bracket.lo, bracket.hi
     glo = g(lo) - target
@@ -324,7 +397,7 @@ def invert_increasing(
         return lo
     if ghi == 0.0:
         return hi
-    return _bisect(lambda x: g(x) - target, lo, hi, glo, tol)
+    return _itp(lambda x: g(x) - target, lo, hi, glo, ghi, tol)
 
 
 def find_level_crossing(
@@ -341,10 +414,13 @@ def find_level_crossing(
     A uniform scan over ``scan_points`` interior samples looks for the first
     sign change of g - level; if none is found the scan density is doubled up
     to ``refine_max`` times before :class:`NoCrossing` is raised.  The first
-    sign-changing sub-interval is polished by bisection to width <= tol and
-    the midpoint returned.  An exact hit g(x) == level returns that x at once
-    (a constant-offset g therefore returns the leftmost scan point, the
-    documented tie-break).
+    sign-changing sub-interval is polished by :func:`_itp` to width <= tol
+    and the midpoint returned: between zeros of Z the chain weights are
+    smooth, so the polish takes a handful of steps, and never more than
+    bisection's ceil(log2(width / tol)).  An exact hit g(x) == level returns
+    that x at once (a constant-offset g therefore returns the leftmost scan
+    point, the documented tie-break).  A non-finite sample raises
+    :class:`NonConvergence`.
     """
     if not (hi > lo):
         raise BracketInvalid(f"empty interval ({lo}, {hi})")
@@ -355,16 +431,16 @@ def find_level_crossing(
     for _ in range(refine_max + 1):
         h = (hi - lo) / (n + 1)
         x_prev = lo + h
-        f_prev = f(x_prev)
+        f_prev = _finite(f(x_prev), x_prev)
         if f_prev == 0.0:
             return x_prev
         for i in range(2, n + 1):
             x = lo + i * h
-            fx = f(x)
+            fx = _finite(f(x), x)
             if fx == 0.0:
                 return x
-            if f_prev * fx < 0.0:
-                return _bisect(f, x_prev, x, f_prev, tol)
+            if (f_prev < 0.0) != (fx < 0.0):
+                return _itp(f, x_prev, x, f_prev, fx, tol)
             x_prev, f_prev = x, fx
         n *= 2
     raise NoCrossing(

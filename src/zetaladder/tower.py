@@ -82,9 +82,6 @@ class Segment:
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, t: float, slack: float = 1e-9) -> bool:
-        return self.lo - slack <= t <= self.hi + slack
-
 
 @dataclass(frozen=True)
 class IterationTower:

@@ -29,7 +29,7 @@ from . import _kernels
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DomainTooSmall
 
-__all__ = ["ZSample", "rs_theta", "hardy_z", "zeta_mod_sq", "eta_mod_sq", "z_many", "err_bound"]
+__all__ = ["ZSample", "rs_theta", "hardy_z", "zeta_mod_sq", "eta_mod_sq", "err_bound"]
 
 TWO_PI = 2.0 * math.pi
 #: below this height the asymptotic theta expansion is replaced by log-gamma
@@ -111,19 +111,3 @@ def zeta_mod_sq(t: float, config: RunConfig = DEFAULT_CONFIG) -> float:
         return eta_mod_sq(t)
     z = hardy_z(t, config).z
     return z * z
-
-
-def z_many(ts: np.ndarray, config: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Vectorized Z over mixed heights; routes each point like hardy_z."""
-    ts = np.asarray(ts, dtype=np.float64)
-    if ts.size and float(ts.min()) < 0.0:
-        raise DomainTooSmall("z_many requested below t=0")
-    out = np.empty_like(ts)
-    hi = ts >= config.rs_switch
-    if hi.any():
-        out[hi] = _kernels.z_rs_many(ts[hi], config.rs_terms)
-    if not hi.all():
-        for idx in np.nonzero(~hi)[0]:
-            t = float(ts[idx])
-            out[idx] = _eta_z(t, rs_theta(t, config))
-    return out

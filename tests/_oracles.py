@@ -1,10 +1,14 @@
-"""Frozen high-precision reference values for the test suite.
+"""Frozen high-precision reference values and reference code for the tests.
 
-Everything in this module was computed independently of the package under
+Every value in this module was computed independently of the package under
 test, with mpmath at mp.dps = 30 (see the generator script noted below), and
 is frozen here as string literals truncated to 22 significant digits.  Tests
 compare package output against these constants; they must never be
 regenerated from package code.
+
+The last section holds reference code: the plain bisection loop the package's
+root loop is measured against, and small helpers that only the tests use
+(a mixed-route Z batch, segment membership, a swapped delta pair).
 
 Generator: mpmath 1.3.0 --
   zeros       mp.zetazero(n).imag
@@ -18,6 +22,8 @@ Generator: mpmath 1.3.0 --
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 # --- theta / Z point values -------------------------------------------------
 
@@ -144,7 +150,65 @@ C_TABLES = {
 # int_0^100 Z(u)^2 du, mpmath quad subdivided at the zero ordinates (dps=25)
 A_100 = 295.6350990547191303702
 
+# --- normalizer ---------------------------------------------------------------
+# V'(y) = log y + 1 + gamma - log 2 pi vanishes at 2 pi e^(-1 - gamma)
+MONOTONE_FLOOR = 1.297788161915471521576
+
 # --- closed-form constant used by the tower tests ---------------------------
 # mean of sin^2 over [0, pi/4]: (1/2)(1 - 2/pi) -- exact, not an oracle,
 # but kept here so the tests quote one authoritative float for it.
 SIN2_MEAN_QUARTER_PI = 0.18169011381620932846  # 0.5 * (1 - 2/pi)
+
+
+# --- reference code -------------------------------------------------------------
+
+
+def bisect(g, lo: float, hi: float, f_lo: float, tol: float) -> float:
+    """Plain bisection of [lo, hi], on which g changes sign and f_lo = g(lo) != 0.
+
+    Halves until the width is <= tol or the midpoint no longer lies strictly
+    inside, and returns the final midpoint; an exact zero returns at once.
+    The package's root loop must never need more evaluations than this.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        f_mid = g(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_lo < 0.0) != (f_mid < 0.0):
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
+def z_many(ts: np.ndarray) -> np.ndarray:
+    """Z over mixed heights, each routed like ``zeta.hardy_z``: the batched
+    Riemann-Siegel kernel at or above the switch, the eta series below."""
+    from zetaladder import _kernels, zeta
+    from zetaladder.config import DEFAULT_CONFIG as config
+    from zetaladder.errors import DomainTooSmall
+
+    ts = np.asarray(ts, dtype=np.float64)
+    if ts.size and float(ts.min()) < 0.0:
+        raise DomainTooSmall("z_many requested below t=0")
+    out = np.empty_like(ts)
+    hi = ts >= config.rs_switch
+    if hi.any():
+        out[hi] = _kernels.z_rs_many(ts[hi], config.rs_terms)
+    for idx in np.nonzero(~hi)[0]:
+        t = float(ts[idx])
+        out[idx] = zeta._eta_z(t, zeta.rs_theta(t, config))
+    return out
+
+
+def segment_contains(seg, t: float, slack: float = 1e-9) -> bool:
+    """Whether t lies in the closed segment [seg.lo, seg.hi], widened by slack."""
+    return seg.lo - slack <= t <= seg.hi + slack
+
+
+def swapped(pair):
+    """The delta pair with d3 and d4 exchanged."""
+    return type(pair)(pair.d4, pair.d3)

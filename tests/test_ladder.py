@@ -22,7 +22,6 @@ from zetaladder.errors import (
     TableExhausted,
 )
 from zetaladder.ladder import (
-    CONSTANTS,
     LadderModel,
     normalizer,
     normalizer_prime,
@@ -30,7 +29,7 @@ from zetaladder.ladder import (
 from zetaladder.numerics import integrate, piece_integrals
 from zetaladder.zeta import hardy_z, zeta_mod_sq
 
-from _oracles import A_100
+from _oracles import A_100, MONOTONE_FLOOR
 
 _LOG_2PI = math.log(2.0 * math.pi)
 #: where the Riemann-Siegel main sum gains its N-th term, t = 2 pi N^2:
@@ -67,8 +66,8 @@ def test_normalizer_prime_hits_two_at_known_point():
 
 
 def test_monotone_floor_is_vprime_root():
-    assert normalizer_prime(CONSTANTS.monotone_floor) == pytest.approx(0.0, abs=1e-14)
-    assert CONSTANTS.monotone_floor == pytest.approx(
+    assert normalizer_prime(MONOTONE_FLOOR) == pytest.approx(0.0, abs=1e-14)
+    assert MONOTONE_FLOOR == pytest.approx(
         2.0 * math.pi * math.exp(-1.0 - EULER_GAMMA), abs=1e-15
     )
 
@@ -376,8 +375,9 @@ def test_reverse_step_rejects_below_t_min(model):
 
 
 def test_reverse_step_bisects_one_knot_interval(model, monkeypatch):
-    # both bracket ends are knots; only the bisection steps cost quadrature:
-    # from width 0.5 to root_tol = 1e-11 that is ceil(log2(5e10)) = 36
+    # both bracket ends are knots; only the root loop's steps cost a lookup,
+    # and it never takes more than bisection's ceil(log2(5e10)) = 36 steps
+    # from width 0.5 to root_tol = 1e-11
     x = 1500.0
     model.reverse_step(x)  # the table already covers the root
     h = model.table.spacing
@@ -394,6 +394,28 @@ def test_reverse_step_bisects_one_knot_interval(model, monkeypatch):
     assert len(offknot) <= 36
     j = math.ceil(u / h)
     assert all((j - 1) * h < t < j * h for t in offknot)
+
+
+def test_reverse_steps_take_a_handful_of_offknot_evaluations(model, monkeypatch):
+    # each g is one knot interval's interpolant of A(t): the root loop
+    # converges superlinearly where bisection takes 36 steps every time
+    h = model.table.spacing
+    offknot = []
+    original = LadderModel.cumulative_hl
+
+    def counting(self, t):
+        if t != self.table.knot_below(t) * h:
+            offknot.append(t)
+        return original(self, t)
+
+    monkeypatch.setattr(LadderModel, "cumulative_hl", counting)
+    counts = []
+    for x in np.linspace(400.0, 1996.0, 400):
+        before = len(offknot)
+        model.reverse_step(float(x))
+        counts.append(len(offknot) - before)
+    assert max(counts) <= 36
+    assert sum(counts) / len(counts) <= 12.0
 
 
 def test_reverse_step_grows_a_cold_table_to_the_root_knot(small_config):

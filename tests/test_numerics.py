@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaladder._quadrule import N_HI, N_LO, NODES_HI, WEIGHTS_HI, WEIGHTS_LO
-from zetaladder.errors import BracketInvalid, NoCrossing, NonConvergence
+from zetaladder.errors import BracketInvalid, NoCrossing, NonConvergence, NumericalError
 from zetaladder.numerics import (
     Bracket,
     QuadratureResult,
@@ -23,6 +23,8 @@ from zetaladder.numerics import (
     land_pieces,
     piece_integrals,
 )
+
+from _oracles import bisect
 
 # ---------------------------------------------------------------------------
 # quadrature rule: polynomial exactness on [-1, 1]
@@ -228,6 +230,8 @@ def test_bracket_rejects_inverted_or_nonfinite():
         Bracket(2.0, 1.0)
     with pytest.raises(BracketInvalid):
         Bracket(0.0, math.inf)
+    with pytest.raises(BracketInvalid):  # the root loop sizes its steps by the width
+        Bracket(-1e308, 1e308)
 
 
 @settings(max_examples=40, deadline=None)
@@ -276,3 +280,119 @@ def test_level_crossing_raises_when_level_unreachable():
 def test_level_crossing_rejects_empty_interval():
     with pytest.raises(BracketInvalid):
         find_level_crossing(math.sin, 1.0, 1.0, 0.5)
+
+
+def test_level_crossing_keeps_the_sign_of_underflowing_values():
+    # f_prev * fx underflows to -0.0 at these magnitudes: signs are compared
+    x = find_level_crossing(lambda x: 1e-170 * (x - 0.3), 0.0, 1.0, 0.0, tol=1e-12)
+    assert x == pytest.approx(0.3, abs=1e-12)
+
+
+def test_level_crossing_raises_on_a_nan_sample():
+    # NaN compares false with everything; the scan must not step over it
+    g = lambda x: math.nan if x < 0.5 else x  # noqa: E731
+    with pytest.raises(NonConvergence):
+        find_level_crossing(g, 0.0, 1.0, 0.75)
+
+
+def test_level_crossing_raises_when_the_polish_meets_a_nan():
+    # no scan point falls in (0.2999, 0.3001), but the polish converges into it
+    g = lambda x: math.nan if 0.2999 < x < 0.3001 else x  # noqa: E731
+    with pytest.raises(NonConvergence) as err:
+        find_level_crossing(g, 0.0, 1.0, 0.3, tol=1e-12)
+    assert isinstance(err.value, NumericalError)  # the CLI's exit code 3
+
+
+# ---------------------------------------------------------------------------
+# the root loop: ITP against plain bisection
+# ---------------------------------------------------------------------------
+
+
+def test_invert_increasing_keeps_the_sign_of_underflowing_values():
+    # f_lo * f_mid underflows to -0.0 at these magnitudes: signs are compared
+    x = invert_increasing(lambda x: 1e-170 * (x - 0.3), Bracket(0.0, 1.0), 0.0, 1e-12)
+    assert x == pytest.approx(0.3, abs=1e-12)
+
+
+def test_invert_increasing_raises_on_a_nan_value():
+    # NaN above 1: g(hi) passes the enclosure test (NaN < 0 is false), and a
+    # NaN midpoint read as "not negative" would walk the bracket up to 4
+    g = lambda x: x if x <= 1.0 else math.nan  # noqa: E731
+    with pytest.raises(NonConvergence):
+        invert_increasing(g, Bracket(0.0, 4.0), 2.0, 1e-12)
+    h = lambda x: math.nan if 1.5 < x < 2.5 else x  # noqa: E731
+    with pytest.raises(NonConvergence):
+        invert_increasing(h, Bracket(0.0, 4.0), 3.0, 1e-12)
+
+
+def _loop_evals(g, lo: float, hi: float, tol: float) -> int:
+    """Evaluations of g by invert_increasing's root loop (both ends excluded)."""
+    calls = []
+
+    def counted(x: float) -> float:
+        calls.append(x)
+        return g(x)
+
+    invert_increasing(counted, Bracket(lo, hi), 0.0, tol)
+    return len(calls) - 2
+
+
+def _bisect_evals(g, lo: float, hi: float, tol: float) -> int:
+    calls = []
+
+    def counted(x: float) -> float:
+        calls.append(x)
+        return g(x)
+
+    bisect(counted, lo, hi, g(lo), tol)
+    return len(calls)
+
+
+def _shape(name: str, root: float):
+    if name == "step":
+        return lambda x: -1.0 if x < root else 1.0
+    if name == "tiny":
+        return lambda x: -1e-300 if x < root else 1e-300
+    return lambda x: (x - root) ** 21
+
+
+@pytest.mark.parametrize("shape", ["step", "tiny", "pow21"])
+@pytest.mark.parametrize("lo, hi, root, tol", [
+    (0.0, 1.0, 1.0 / 3.0, 1e-12),
+    (0.0, 1.0, 0.7, 1e-9),
+    (-3.0, 5.0, 0.3, 1e-13),
+    (1000.0, 1000.5, 1000.123456789, 1e-11),
+])
+def test_root_loop_needs_no_more_evaluations_than_bisection(shape, lo, hi, root, tol):
+    # a sign-only g gives the interpolation nothing to use: the projection
+    # must keep the loop within bisection's count on the same bracket
+    g = _shape(shape, root)
+    assert _loop_evals(g, lo, hi, tol) <= _bisect_evals(g, lo, hi, tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=-1e4, max_value=1e4),
+    st.floats(min_value=1e-6, max_value=10.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([1e-13, 1e-11, 1e-9, 1e-6]),
+    st.sampled_from(["step", "tiny"]),
+)
+def test_root_loop_never_outruns_bisection_on_sign_only_values(lo, width, frac, tol, shape):
+    hi = lo + width
+    root = lo + frac * (hi - lo)
+    g = _shape(shape, root)
+    if g(lo) > 0.0 or g(hi) < 0.0 or hi - lo <= tol:
+        return
+    assert _loop_evals(g, lo, hi, tol) <= _bisect_evals(g, lo, hi, tol)
+
+
+@pytest.mark.parametrize("g, lo, hi", [
+    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),  # Wallis's cubic
+    (lambda x: x**3 - 2.0, 1.0, 2.0),
+])
+def test_root_loop_converges_superlinearly_on_a_smooth_cubic(g, lo, hi):
+    # bisection would take ceil(log2(1 / 1e-12)) = 40 evaluations
+    assert _loop_evals(g, lo, hi, 1e-12) <= 10
+    x = invert_increasing(g, Bracket(lo, hi), 0.0, 1e-12)
+    assert abs(g(x)) <= 1e-11

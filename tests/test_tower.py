@@ -7,8 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zetaladder.errors import (
+    ConditionTooHigh,
     DomainTooSmall,
     IndexOutOfTower,
     RangeTooLarge,
@@ -16,6 +19,7 @@ from zetaladder.errors import (
 from zetaladder.ladder import LadderModel
 from zetaladder.numerics import integrate
 from zetaladder.tower import (
+    KAPPA_MAX,
     ChainFactory,
     ChainPoints,
     Segment,
@@ -27,8 +31,9 @@ from zetaladder.tower import (
     lemma_residual,
     make_chain_weight,
 )
+from zetaladder.zeta import hardy_z
 
-from _oracles import SIN2_MEAN_QUARTER_PI
+from _oracles import SIN2_MEAN_QUARTER_PI, bisect, segment_contains
 
 # ---------------------------------------------------------------------------
 # segments and tower structure
@@ -39,9 +44,9 @@ def test_segment_geometry():
     s = Segment(3.0, 7.0)
     assert s.length == 4.0
     assert s.mid == 5.0
-    assert s.contains(5.0)
-    assert s.contains(3.0) and s.contains(7.0)  # closed with slack
-    assert not s.contains(8.0)
+    assert segment_contains(s, 5.0)
+    assert segment_contains(s, 3.0) and segment_contains(s, 7.0)  # closed with slack
+    assert not segment_contains(s, 8.0)
 
 
 def test_tower_has_k_plus_one_segments(factory):
@@ -187,7 +192,7 @@ def test_alpha_points_live_in_their_segments(factory):
     ch = factory.solve(150, 1.0, 3, gf_sin2())
     tw = factory.tower(150, 1.0, 3)
     for r in range(4):
-        assert tw.segment(r).contains(float(ch.alpha[r]))
+        assert segment_contains(tw.segment(r), float(ch.alpha[r]))
 
 
 def test_alphas_descend_through_the_tower(model, factory):
@@ -309,3 +314,52 @@ def test_trig_levels_are_complementary(factory):
     c = factory.solve(150, 1.0, 2, gf_cos2())
     b = factory.beta(150, 1.0, 2)
     assert s.level + c.level == pytest.approx(b.level, rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# chains next to zeros of Z
+# ---------------------------------------------------------------------------
+
+
+def _zero_of_z_above(t0: float) -> float:
+    """The first zero of Z above t0: a 0.05 scan, then plain bisection."""
+    z = lambda t: hardy_z(t).z  # noqa: E731
+    a = t0
+    while (z(a) < 0.0) == (z(a + 0.05) < 0.0):
+        a += 0.05
+    return bisect(z, a, a + 0.05, z(a), 1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.floats(min_value=800.0, max_value=1500.0),
+    st.sampled_from([1, 2]),
+    st.sampled_from([0, 1]),
+    st.sampled_from([0.0, 1e-11, -1e-11, 1e-8, -1e-8, 1e-5, -1e-5, 1e-3, -1e-3]),
+    st.sampled_from([gf_one, gf_sin2, gf_cos2]),
+)
+def test_chains_next_to_zeros_of_z_are_refused_or_positive(model, t0, r, extra, offset, gf):
+    # seg_r's upper end sits at a zero of Z (plus offset), so the chain weight
+    # vanishes at the end of the segment the chain walks through; Z~^2 comes
+    # from an interpolant there, which can dip a rounding amount below zero.
+    # A solve may refuse (ConditionTooHigh) but never returns a chain with a
+    # non-positive factor.
+    end = _zero_of_z_above(t0) + offset
+    top = end
+    for _ in range(r):
+        top = model.phi1(top)
+    l = int(top // math.pi)
+    u = top - math.pi * l
+    assume(0.01 < u < 0.5 * math.pi - 0.01)
+    factory = ChainFactory(model)
+    k = r + extra
+    # A(t) - A(z) ~ (t - z)^3 at a zero z, so the reverse steps land only
+    # within about the cube root of their tolerance of it: Z is small there
+    assert abs(hardy_z(factory.tower(l, u, k).segment(r).hi).z) <= 0.05
+    try:
+        ch = factory.solve(l, u, k, gf())
+    except ConditionTooHigh:
+        return
+    assert ch.f0 > 0.0 and all(v > 0.0 for v in ch.zt2)
+    assert math.isfinite(ch.condition) and ch.condition <= KAPPA_MAX
+    assert chain_identity_residual(model, ch) <= 1e-6

@@ -12,7 +12,7 @@ import pytest
 
 from zetaladder.config import DEFAULT_CONFIG, RunConfig
 from zetaladder.errors import DomainTooSmall
-from zetaladder.zeta import ZSample, err_bound, hardy_z, rs_theta, z_many, zeta_mod_sq
+from zetaladder.zeta import ZSample, err_bound, hardy_z, rs_theta, zeta_mod_sq
 
 from _oracles import (
     C_TABLES,
@@ -27,6 +27,7 @@ from _oracles import (
     ZEROS_RUN_MID,
     ZETA_SQ_1000,
     ZETA_SQ_SAMPLES,
+    z_many,
 )
 
 # ---------------------------------------------------------------------------
