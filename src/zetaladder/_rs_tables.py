@@ -61,13 +61,13 @@ def build_tables(degree: int = DEGREE) -> np.ndarray:
 
     ang = TWO_PI * (np.arange(_SAMPLES) + 0.5) / _SAMPLES
     ring = _RADIUS * np.exp(1j * ang)
-    vals = _psi(p[:, None] + ring[None, :])
-    hat = np.fft.fft(vals, axis=1) / _SAMPLES
+    # one node's ring at a time: only its first 10 transform terms are kept
+    hat = np.array([np.fft.fft(_psi(x + ring))[:10] for x in p]) / _SAMPLES
 
     korders = np.arange(10)
     fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, 10.0))))
     phase = np.exp(-1j * np.pi * korders / _SAMPLES)
-    derivs = (hat[:, :10] * phase * fact / _RADIUS**korders).real  # (nodes, 10)
+    derivs = (hat * phase * fact / _RADIUS**korders).real  # (nodes, 10)
 
     pi2 = np.pi * np.pi
     c0 = derivs[:, 0]

@@ -62,7 +62,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
@@ -672,6 +671,9 @@ def invariance_scan(
         pass
     workers = min(workers, n_samples, os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool's module costs ~1 MB in a process that never forks
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_scan_init,
             initargs=(factory.model, pair),

@@ -36,9 +36,10 @@ Persistence: ``save_table``/``load_table`` write a versioned CSV ``t,a`` with
 the configuration checksum and a sha256 of the knot values in header
 comments; interpolants are never saved.  Loading under a different
 configuration raises :class:`CacheHashMismatch` rather than silently mixing
-incompatible values; an unparsable, non-finite or decreasing row, a row j
-whose t does not read ``repr(j * spacing)``, or values that do not match
-their sha256, raises :class:`CacheCorrupt`.
+incompatible values; a spacing header that is not the configured knot
+spacing, an unparsable, non-finite or decreasing row, a row j whose t does
+not read ``repr(j * spacing)``, or values that do not match their sha256,
+raises :class:`CacheCorrupt`.
 """
 from __future__ import annotations
 
@@ -187,12 +188,12 @@ class LadderModel:
         """Z^2 on knot interval j as chebyshev_pieces rows: the one Z^2 quadrature.
 
         The one place that picks the route: one Riemann-Siegel batch per
-        piece, or the eta series for an interval that starts below the
-        switch -- a piece never mixes the two, whose values differ by the RS
-        error.  Nor does a piece straddle a jump of the RS formula: the
-        interval is cut there first (``_kernels.rs_spans``), each span
-        sharing the tolerance by its width.  Initial pieces are capped at
-        half the shortest Z wavelength.
+        piece, or one batched eta series over the piece's nodes for an
+        interval that starts below the switch -- a piece never mixes the two,
+        whose values differ by the RS error.  Nor does a piece straddle a
+        jump of the RS formula: the interval is cut there first
+        (``_kernels.rs_spans``), each span sharing the tolerance by its
+        width.  Initial pieces are capped at half the shortest Z wavelength.
         """
         cfg = self.config
         h = self.table.spacing
@@ -200,9 +201,7 @@ class LadderModel:
 
         if lo < cfg.rs_switch:
             spans = [(lo, hi)]
-
-            def zsq(ts: np.ndarray) -> np.ndarray:
-                return np.array([zeta.eta_mod_sq(u) for u in ts.tolist()])
+            zsq = zeta.eta_mod_sq
         else:
             spans = _kernels.rs_spans(lo, hi)
 
@@ -359,6 +358,9 @@ class LadderModel:
         if not values:
             raise CacheCorrupt(f"table {path} has no rows")
         spacing = _parse_float(path, header.get("spacing", repr(config.knot_spacing)))
+        if spacing != config.knot_spacing:
+            raise CacheCorrupt(f"table {path}: spacing {spacing!r} is not the "
+                               f"configured knot spacing {config.knot_spacing!r}")
         for j, t in enumerate(ts):
             if t != repr(j * spacing):
                 raise CacheCorrupt(f"table {path}: row {j} has t={t!r}, "

@@ -7,8 +7,9 @@ compare package output against these constants; they must never be
 regenerated from package code.
 
 The last section holds reference code: the plain bisection loop the package's
-root loop is measured against, and small helpers that only the tests use
-(a mixed-route Z batch, segment membership, a swapped delta pair).
+root loop is measured against, the one-point eta series the package's batched
+one must equal bit for bit, and small helpers that only the tests use (a
+mixed-route Z batch, segment membership, a swapped delta pair).
 
 Generator: mpmath 1.3.0 --
   zeros       mp.zetazero(n).imag
@@ -182,6 +183,21 @@ def bisect(g, lo: float, hi: float, f_lo: float, tol: float) -> float:
         else:
             lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
+
+
+def eta_zeta(t: float) -> complex:
+    """zeta(1/2 + it) from the Borwein-accelerated alternating eta series, one
+    height at a time: the scalar recipe the package's batched series keeps."""
+    n = int((1.5708 * t + 45.0) / 1.7627) + 8
+    i = np.arange(1, n + 1, dtype=np.float64)
+    ratios = 4.0 * (n + i - 1.0) * (n - i + 1.0) / ((2.0 * i) * (2.0 * i - 1.0))
+    terms = np.concatenate(([1.0], np.cumprod(ratios)))
+    d = np.cumsum(terms)
+    s = complex(0.5, t)
+    k = np.arange(n, dtype=np.float64)
+    coeff = (d[:n] - d[n]) * np.where(k % 2 == 0, 1.0, -1.0)
+    eta = -(coeff * np.exp(-s * np.log(k + 1.0))).sum() / d[n]
+    return complex(eta / (1.0 - 2.0 ** (1.0 - s)))
 
 
 def z_many(ts: np.ndarray) -> np.ndarray:

@@ -247,6 +247,24 @@ def test_ladder_build_monotone_edit_exit_2(capsys, cache, tmp_path):
     assert "checksum" in err and "Traceback" not in err
 
 
+def test_ladder_build_respaced_cache_exit_2(capsys, cache, tmp_path):
+    # a table whose spacing header and t column were rewritten to 1.0 still
+    # passes its checksum; its spacing is not the configured 0.5
+    f = tmp_path / "table.csv"
+    assert _run(capsys, "ladder-build", "--tmax", "5", "--cache-file", str(f), *cache)[0] == 0
+    lines = f.read_text().splitlines()
+    head = lines.index("t,a") + 1
+    lines = [("# spacing=1.0" if line.startswith("# spacing=") else line)
+             for line in lines[:head]] + [
+        f"{float(j)!r},{line.partition(',')[2]}" for j, line in enumerate(lines[head:])]
+    f.write_text("\n".join(lines) + "\n")
+    code, out, err = _run(capsys, "ladder-build", "--tmax", "6",
+                          "--cache-file", str(f), *cache)
+    assert code == 2
+    assert out == ""
+    assert "spacing" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("terms", ["0", "5"])
 def test_rs_terms_outside_correction_table_exit_2(capsys, cache, terms):
     code, out, err = _run(capsys, "ladder-build", "--tmax", "101",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import inspect
 import math
 from fractions import Fraction
@@ -370,7 +371,7 @@ def test_scan_starts_no_more_workers_than_samples_or_cores(factory, monkeypatch,
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(hybrid, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(hybrid.os, "cpu_count", lambda: cores)
     monkeypatch.setattr(hybrid, "_WORKER_STATE", {})
     kw = dict(n_samples=3, seed=5, u_range=(0.5, 1.0), l_range=(100, 120),

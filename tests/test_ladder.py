@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetaladder import _kernels, ladder
-from zetaladder.config import EULER_GAMMA, RunConfig
+from zetaladder.config import EULER_GAMMA, TABLE_FORMAT, RunConfig
 from zetaladder.errors import (
     CacheCorrupt,
     CacheHashMismatch,
@@ -621,6 +621,41 @@ def test_load_rejects_rows_off_the_spacing_grid(small_config, tmp_path, case):
         fh.write("\n".join(lines) + "\n")
     with pytest.raises(CacheCorrupt, match="row 19"):
         LadderModel.load_table(path, small_config)
+
+
+def _respace(path, spacing):
+    """Rewrite a saved table's spacing header and t column to another spacing,
+    leaving its values and their checksum as they are."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    head = lines.index("t,a") + 1
+    lines = [f"# spacing={spacing!r}" if line.startswith("# spacing=") else line
+             for line in lines[:head]] + [
+        f"{j * spacing!r},{line.partition(',')[2]}" for j, line in enumerate(lines[head:])]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_load_rejects_a_spacing_other_than_the_configured_one(small_config, tmp_path):
+    # the t column and the checksum agree with spacing=1.0, so only the
+    # configured spacing shows that A(4) would read the knot of A(2)
+    path = str(tmp_path / "t.csv")
+    m = LadderModel(small_config)
+    m.extend_to(5.0)
+    m.save_table(path)
+    _respace(path, 1.0)
+    with pytest.raises(CacheCorrupt, match="spacing"):
+        LadderModel.load_table(path, small_config)
+
+
+def test_table_to_150_is_pinned(small_config):
+    # knots move only with a deliberate TABLE_FORMAT bump; this covers the
+    # eta route (below t = 100) and the first Riemann-Siegel intervals
+    m = LadderModel(small_config)
+    m.extend_to(150.0)
+    assert TABLE_FORMAT == "zl-table-v5"
+    assert ladder._values_digest(m.table.values) == (
+        "c767849902a713bf3bcc1ed2246c3de0e906d299afe62b48ac761419fe2b30c3")
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])

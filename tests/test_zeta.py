@@ -10,8 +10,10 @@ import sys
 import numpy as np
 import pytest
 
+from zetaladder import zeta
 from zetaladder.config import DEFAULT_CONFIG, RunConfig
 from zetaladder.errors import DomainTooSmall
+from zetaladder.ladder import LadderModel
 from zetaladder.zeta import ZSample, err_bound, hardy_z, rs_theta, zeta_mod_sq
 
 from _oracles import (
@@ -27,6 +29,7 @@ from _oracles import (
     ZEROS_RUN_MID,
     ZETA_SQ_1000,
     ZETA_SQ_SAMPLES,
+    eta_zeta,
     z_many,
 )
 
@@ -120,9 +123,48 @@ def test_zeta_mod_sq_below_switch_matches_z_squared():
                                                       rel=0.0, abs=1e-13)
 
 
+def _bits(zs) -> bytes:
+    return np.asarray(zs, dtype=np.complex128).tobytes()
+
+
+def test_batched_eta_is_the_scalar_series_at_every_build_node(monkeypatch):
+    # the nodes of every knot interval below the switch, one batch a piece
+    pieces = []
+    batch = zeta.eta_mod_sq
+
+    def recorded(ts):
+        pieces.append(np.array(ts))
+        return batch(ts)
+
+    monkeypatch.setattr(zeta, "eta_mod_sq", recorded)
+    LadderModel().extend_to(100.0)
+    assert len(pieces) >= 200 and all(len(ts) == 33 for ts in pieces)
+    for ts in pieces:
+        ref = [eta_zeta(t) for t in ts.tolist()]
+        assert _bits(zeta._eta_zeta(ts)) == _bits(ref)
+        assert batch(ts).tolist() == [abs(z) ** 2 for z in ref]
+
+
+def test_batched_eta_is_the_scalar_series_at_random_heights():
+    # one batch over many series lengths, unsorted, scatters back in place
+    ts = np.random.default_rng(12).uniform(0.0, 100.0, 400)
+    ref = [eta_zeta(t) for t in ts.tolist()]
+    assert _bits(zeta._eta_zeta(ts)) == _bits(ref)
+    assert zeta.eta_mod_sq(ts).tolist() == [abs(z) ** 2 for z in ref]
+    assert [zeta_mod_sq(t) for t in ts[:40].tolist()] == [abs(z) ** 2 for z in ref[:40]]
+
+
+def test_hardy_z_below_the_switch_is_the_scalar_series():
+    for t in np.linspace(0.0, 100.0, 57)[:-1].tolist():
+        th = rs_theta(t)
+        ref = (complex(math.cos(th), math.sin(th)) * eta_zeta(t)).real
+        assert hardy_z(t).z == ref
+
+
 def test_import_and_table_build_leave_scipy_special_unloaded():
     # scipy.special costs ~19 MB and ~0.25 s to import; only theta below
-    # t = 10 needs it, and neither a table build nor a gap report reaches it
+    # t = 10 needs it, and neither a table build nor a gap report reaches it.
+    # The process pool's module (~1 MB) loads only where a scan forks.
     import zetaladder
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(zetaladder.__file__)))
@@ -132,7 +174,8 @@ def test_import_and_table_build_leave_scipy_special_unloaded():
             "m.extend_to(120.0)\n"
             "zetaladder.gap_rho(zetaladder.ChainFactory(m).tower(30, 0.5, 1), 0)\n"
             "zeta_mod_sq(5.0)\n"
-            "assert 'scipy.special' not in sys.modules, 'scipy.special imported'\n")
+            "assert 'scipy.special' not in sys.modules, 'scipy.special imported'\n"
+            "assert 'concurrent.futures.process' not in sys.modules, 'pool imported'\n")
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
