@@ -7,8 +7,11 @@ One source for every formula, in plain Python and numpy:
   them ``hardy_z``.  The ladder and the chain weights no longer call them:
   they read Z^2 from a knot interval's interpolant;
 * one numpy batched evaluator, :func:`_z_rs_many_np`, serves arrays (the 33
-  nodes of an interval's fit, :func:`z_rs_many`).  It vectorizes the main
-  sum and shares theta and the correction terms with the scalar core.
+  nodes of an interval's fit, or the first pieces of a table extension's
+  new intervals at once, :func:`z_rs_many`).  It vectorizes the main sum,
+  one product per branch N, and shares theta and the correction terms with
+  the scalar core; a height's value does not depend on the rest of its
+  batch.
 
 The correction rows C_0..C_3 are fit to Chebyshev degree 64 (``_rs_tables``)
 and evaluated to index 28, past which each row is below its noise floor.
@@ -68,7 +71,8 @@ def _rs_remainder(rt, big_n, nterms):
     coefficient block gives C_0..C_3 at every height.
     """
     u = 2.0 * (rt - big_n) - 1.0
-    rows = np.cos(np.outer(np.arccos(u), _CHEB_K)) @ _CT  # (n, 4)
+    basis = np.outer(np.arccos(u), _CHEB_K)
+    rows = np.cos(basis, out=basis) @ _CT  # (n, 4); in place: one (n, 29) block
     irt = 1.0 / rt
     corr = 0.0 * rt
     for k in range(nterms - 1, -1, -1):
@@ -93,18 +97,37 @@ def _z_rs(t: float, nterms: int) -> float:
 # batched evaluator + public kernel API
 # --------------------------------------------------------------------------
 
+def _main_sum(ts: np.ndarray, th: np.ndarray, big_n: int) -> np.ndarray:
+    """sum_{n <= N} cos(theta - t log n) / sqrt(n) at heights that share one N."""
+    n = np.arange(1, big_n + 1, dtype=np.float64)
+    terms = np.cos(th[:, None] - ts[:, None] * np.log(n)[None, :]) / np.sqrt(n)[None, :]
+    return terms.sum(axis=1)
+
+
 def _z_rs_many_np(ts: np.ndarray, nterms: int) -> np.ndarray:
-    """Hardy Z on an array of heights: the scalar core with a vectorized main sum."""
+    """Hardy Z on an array of heights: the scalar core with a vectorized main sum.
+
+    Heights that share a branch N = floor(sqrt(t / 2 pi)) share one
+    (heights x N) main sum, so a height's value never depends on the rest of
+    its batch: padding shorter rows with zero terms would change the order
+    in which numpy's pairwise sum adds them.
+    """
     ts = np.asarray(ts, dtype=np.float64)
     th = _theta_asym(ts)
     tau = ts / TWO_PI
     rt = np.sqrt(tau)
     big_n = rt.astype(np.int64)
-    nmax = int(big_n.max()) if ts.size else 0
-    n = np.arange(1, nmax + 1, dtype=np.float64)
-    terms = np.cos(th[:, None] - ts[:, None] * np.log(n)[None, :]) / np.sqrt(n)[None, :]
-    terms[n[None, :] > big_n[:, None]] = 0.0
-    return 2.0 * terms.sum(axis=1) + _rs_remainder(rt, big_n, nterms)
+    if not ts.size:
+        main = 0.0 * ts
+    elif (n_lo := int(big_n.min())) == (n_hi := int(big_n.max())):
+        main = _main_sum(ts, th, n_lo)
+    else:
+        main = np.empty_like(ts)
+        for nb in range(n_lo, n_hi + 1):
+            sel = big_n == nb
+            if sel.any():
+                main[sel] = _main_sum(ts[sel], th[sel], nb)
+    return 2.0 * main + _rs_remainder(rt, big_n, nterms)
 
 
 def rs_spans(lo: float, hi: float) -> list[tuple[float, float]]:

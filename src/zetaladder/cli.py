@@ -64,13 +64,15 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _tolerance(text: str) -> float:
+def _positive(text: str) -> float:
+    """A tolerance or a height: a finite float > 0."""
     try:
         val = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not (math.isfinite(val) and val > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0: {text!r}")
+        kind = "non-finite" if not math.isfinite(val) else "non-positive"
+        raise argparse.ArgumentTypeError(f"{kind} {text!r}: must be finite and > 0")
     return val
 
 
@@ -292,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pb = sub.add_parser("ladder-build", help="build/extend the knot-table cache")
-    pb.add_argument("--tmax", type=float, required=True,
+    pb.add_argument("--tmax", type=_positive, required=True,
                     help="height to cover with knots")
     pb.add_argument("--cache-file", default=None,
                     help="explicit cache path (default: hash-named file in cache dir)")
@@ -310,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="first power exponent, exact fraction like 1/3")
     pv.add_argument("--delta4", type=_fraction, default=None,
                     help="second power exponent, exact fraction like 1/5")
-    pv.add_argument("--tol", type=_tolerance, default=_VERIFY_TOL_DEFAULT)
+    pv.add_argument("--tol", type=_positive, default=_VERIFY_TOL_DEFAULT)
     pv.add_argument("--output", default=None, help="also write the JSON report here")
     _add_config_flags(pv, _SOLVE_FLAGS)
     pv.set_defaults(fn=_cmd_verify)
@@ -331,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--l-max", dest="l_max", type=int, default=260)
     pi.add_argument("--k-min", dest="k_min", type=int, default=1)
     pi.add_argument("--k-max-scan", dest="k_max_scan", type=int, default=3)
-    pi.add_argument("--scan-tol", dest="scan_tol", type=_tolerance,
+    pi.add_argument("--scan-tol", dest="scan_tol", type=_positive,
                     default=_SCAN_TOL_DEFAULT)
     pi.add_argument("--output", default=None)
     _add_config_flags(pi, _SOLVE_FLAGS)
@@ -354,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--U", type=float, default=1.0)
     pa.add_argument("--k1", type=int, default=1)
     pa.add_argument("--k2", type=int, default=2)
-    pa.add_argument("--tol", type=_tolerance, default=_VERIFY_TOL_DEFAULT)
+    pa.add_argument("--tol", type=_positive, default=_VERIFY_TOL_DEFAULT)
     pa.add_argument("--output", default=None)
     _add_config_flags(pa, _SOLVE_FLAGS)
     pa.set_defaults(fn=_cmd_scan_asymptotic)

@@ -12,7 +12,8 @@ The model has three ingredients:
   **fit**, the package's one Z^2 quadrature: ``numerics.chebyshev_pieces``
   rows of Z^2 and its integral, pieces halved while their 17/33 difference
   exceeds their share of quad_tol * h.  A new knot adds the sum of its
-  interval's piece integrals and drops the rows.  An off-knot query refits
+  interval's piece integrals and drops the rows; a call that adds many
+  knots evaluates the first pieces of up to 16 intervals in one Z batch.  An off-knot query refits
   the interval, lands it on its knots and keeps the rows in memory (about
   0.5 KB a piece), so A is continuous, exact at knots, within quadrature
   tolerance between them, and one polynomial evaluation gives A and Z^2;
@@ -37,18 +38,20 @@ the configuration checksum and a sha256 of the knot values in header
 comments; interpolants are never saved.  Loading under a different
 configuration raises :class:`CacheHashMismatch` rather than silently mixing
 incompatible values; a spacing header that is not the configured knot
-spacing, an unparsable, non-finite or decreasing row, a row j whose t does
-not read ``repr(j * spacing)``, or values that do not match their sha256,
-raises :class:`CacheCorrupt`.
+spacing, an unparsable, non-finite or decreasing row, a first row that is not
+A(0) = 0, a row j whose t does not read ``repr(j * spacing)``, or values that
+do not match their sha256, raises :class:`CacheCorrupt`.
 """
 from __future__ import annotations
 
 import bisect
 import hashlib
+import itertools
 import math
 import os
 from array import array
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -65,9 +68,11 @@ from .numerics import (
     Bracket,
     chebyshev_pieces,
     eval_pieces,
+    initial_pieces,
     invert_increasing,
     land_pieces,
     piece_integrals,
+    piece_nodes,
 )
 
 __all__ = [
@@ -78,6 +83,10 @@ __all__ = [
 ]
 
 _LOG_TWO_PI = math.log(2.0 * math.pi)
+#: most knot intervals one Z batch per route serves when a call adds many
+#: knots: a 33-node piece costs the RS kernel about 135 us alone and 50 us
+#: in a chunk's batch (traced scan, 2-core machine)
+_CHUNK = 16
 
 
 def normalizer(y: float) -> float:
@@ -156,7 +165,13 @@ class LadderModel:
     def extend_to(self, t: float) -> None:
         """Grow the knot table to cover t; existing knots never change.
 
-        Each new knot adds the integral of its interval's raw fit.
+        Each new knot adds the integral of its interval's raw fit.  The new
+        intervals are fitted in chunks of at most ``_CHUNK``, each chunk's
+        first pieces in one Z batch per route (:meth:`_raw_fits`), so a
+        build costs far fewer kernel calls than it fits pieces; a call that
+        adds one knot fits it alone.  Every knot is bit-identical to one
+        built alone, and a fit that raises leaves the table with exactly the
+        knots below its interval.
         """
         if not math.isfinite(t):
             raise DomainTooSmall(f"table coverage requested at non-finite t={t}")
@@ -164,13 +179,21 @@ class LadderModel:
             raise TableExhausted(
                 f"requested coverage {t}, hard ceiling {self.config.t_table_max}"
             )
-        h = self.table.spacing
-        need = int(math.ceil(t / h))
+        need = int(math.ceil(t / self.table.spacing))
         vals = self.table.values
         while len(vals) - 1 < need:
-            # the fit's rows are dropped: kept, they cost ~3 MB up to t = 2200
-            inc = piece_integrals(self._raw_fit(len(vals) - 1)).sum()
-            vals.append(vals[-1] + float(inc))
+            j = len(vals) - 1
+            top = min(need, j + _CHUNK)
+            try:
+                fits = self._raw_fits(j, top)
+            except Exception:
+                # a Z batch that raises (a kernel failing at some height):
+                # one interval at a time, the one that holds it raises again
+                # with the knots below it built, as a knot-by-knot build ends
+                fits = (self._raw_fit(i) for i in range(j, top))
+            # the fits' rows are dropped: kept, they cost ~3 MB up to t = 2200
+            for rows in fits:
+                vals.append(vals[-1] + float(piece_integrals(rows).sum()))
 
     def _interval(self, t: float) -> int:
         """The knot interval j with jh < t <= (j + 1)h, for t > 0, in the table.
@@ -185,33 +208,64 @@ class LadderModel:
         return j
 
     def _raw_fit(self, j: int) -> np.ndarray:
-        """Z^2 on knot interval j as chebyshev_pieces rows: the one Z^2 quadrature.
+        """Z^2 on knot interval j as chebyshev_pieces rows: :meth:`_raw_fits` of one."""
+        return next(self._raw_fits(j, j + 1))
 
-        The one place that picks the route: one Riemann-Siegel batch per
-        piece, or one batched eta series over the piece's nodes for an
-        interval that starts below the switch -- a piece never mixes the two,
-        whose values differ by the RS error.  Nor does a piece straddle a
-        jump of the RS formula: the interval is cut there first
+    def _raw_fits(self, j0: int, j1: int) -> Iterator[np.ndarray]:
+        """Z^2 on knot intervals j0..j1 - 1 as chebyshev_pieces rows, in order.
+
+        The one Z^2 quadrature, and the one place that picks the route:
+        Riemann-Siegel batches, or the batched eta series for an interval
+        that starts below the switch -- a piece never mixes the two, whose
+        values differ by the RS error.  Nor does a piece straddle a jump of
+        the RS formula: the interval is cut there first
         (``_kernels.rs_spans``), each span sharing the tolerance by its
         width.  Initial pieces are capped at half the shortest Z wavelength.
+
+        For more than one interval, the first pieces of every span are
+        evaluated here, before the first fit is yielded: one call per route,
+        whose values are then taken by position.  Each span's splitting loop
+        then runs alone, halves evaluated as they arise.  A height's Z^2 does
+        not depend on its batch, so each fit is bit-identical to the interval
+        fitted alone, which evaluates its pieces one batch each.
         """
         cfg = self.config
         h = self.table.spacing
-        lo, hi = j * h, (j + 1) * h
 
-        if lo < cfg.rs_switch:
-            spans = [(lo, hi)]
-            zsq = zeta.eta_mod_sq
+        def rs_zsq(ts: np.ndarray) -> np.ndarray:
+            z = _kernels.z_rs_many(ts, cfg.rs_terms)
+            return z * z
+
+        spans = []  # (j, a, b, wavelength, zsq), in order
+        for j in range(j0, j1):
+            lo, hi = j * h, (j + 1) * h
+            if lo < cfg.rs_switch:
+                cuts, zsq = [(lo, hi)], zeta.eta_mod_sq
+            else:
+                cuts, zsq = _kernels.rs_spans(lo, hi), rs_zsq
+            wavelength = _min_wavelength(hi)
+            spans += [(j, a, b, wavelength, zsq) for a, b in cuts]
+        if j1 - j0 == 1:
+            firsts = [None] * len(spans)
         else:
-            spans = _kernels.rs_spans(lo, hi)
+            firsts = []
+            for zsq, group in itertools.groupby(spans, key=lambda span: span[4]):
+                edges = [initial_pieces(a, b, wl) for _, a, b, wl, _ in group]
+                nodes = piece_nodes(np.array([e for es in edges for e in es[:-1]]),
+                                    np.array([e for es in edges for e in es[1:]]))
+                vals = zsq(nodes.ravel()).reshape(nodes.shape)
+                k = 0
+                for es in edges:
+                    firsts.append(vals[k:k + len(es) - 1])
+                    k += len(es) - 1
 
-            def zsq(ts: np.ndarray) -> np.ndarray:
-                z = _kernels.z_rs_many(ts, cfg.rs_terms)
-                return z * z
+        def fits() -> Iterator[np.ndarray]:
+            for _j, group in itertools.groupby(zip(spans, firsts), key=lambda p: p[0][0]):
+                rows = [chebyshev_pieces(zsq, a, b, cfg.quad_tol * (b - a), wavelength, first)
+                        for (_, a, b, wavelength, zsq), first in group]
+                yield rows[0] if len(rows) == 1 else np.vstack(rows)
 
-        wavelength = _min_wavelength(hi)
-        return np.vstack([chebyshev_pieces(zsq, a, b, cfg.quad_tol * (b - a), wavelength)
-                          for a, b in spans])
+        return fits()
 
     def _lookup(self, j: int, t: float) -> tuple[float, float]:
         """(A(t), Z(t)^2) for t in knot interval j; A is the knot value at a knot.
@@ -284,13 +338,21 @@ class LadderModel:
     def reverse_step(self, x: float) -> float:
         """The unique u with A(u) = V(x); above working heights u > x.
 
-        A is increasing, so the knot table brackets the root: knots are added
-        one at a time until the last one reaches V(x), and the first knot j
-        with A(j h) >= V(x) closes the knot interval [(j-1) h, j h].  Both
-        ends are knots, and ``invert_increasing`` narrows the interval to
-        root_tol with off-knot A(t) evaluations, all on that one interval's
-        interpolant: about 9 on average (x from 400 to 2000), and never more
-        than bisection's ceil(log2(h / root_tol)), 36 at the defaults.
+        A is increasing, so the knot table brackets the root.  The table
+        grows toward it a chunk at a time rather than a knot per call: each
+        :meth:`extend_to` asks for (V(x) - A(top)) / (h V'(max(top, x)))
+        more knots, at least one, at most ``_CHUNK`` (one Z batch per route)
+        and never past ``t_table_max``, until the top knot reaches V(x).  A's
+        mean slope is V' - (1 - gamma), so the prediction falls short on
+        average; where Z^2 runs high it overshoots, but the table never ends
+        ``_CHUNK`` or more knots above the first that reaches V(x).
+
+        The first knot j with A(j h) >= V(x) closes the knot interval
+        [(j-1) h, j h].  Both ends are knots, and ``invert_increasing``
+        narrows the interval to root_tol with off-knot A(t) evaluations, all
+        on that one interval's interpolant: about 9 on average (x from 400
+        to 2000), and never more than bisection's ceil(log2(h / root_tol)),
+        36 at the defaults.
         """
         cfg = self.config
         if x < cfg.t_min:
@@ -298,8 +360,15 @@ class LadderModel:
         target = normalizer(x)
         h = self.table.spacing
         vals = self.table.values
+        # the top knot the ceiling allows; one past it makes extend_to raise
+        k_max = int(cfg.t_table_max / h)
+        if k_max * h > cfg.t_table_max:
+            k_max -= 1
         while vals[-1] < target:
-            self.extend_to(len(vals) * h)
+            top = len(vals) - 1
+            slope = h * normalizer_prime(max(top * h, x))
+            more = math.ceil((target - vals[-1]) / slope) if slope > 0.0 else 1
+            self.extend_to(max(min(top + min(more, _CHUNK), k_max), top + 1) * h)
         j = bisect.bisect_left(vals, target, 1)
         return invert_increasing(
             self.cumulative_hl, Bracket((j - 1) * h, j * h), target, cfg.root_tol
@@ -357,6 +426,8 @@ class LadderModel:
             )
         if not values:
             raise CacheCorrupt(f"table {path} has no rows")
+        if values[0] != 0.0:
+            raise CacheCorrupt(f"table {path}: A(0) reads {values[0]!r}, not 0.0")
         spacing = _parse_float(path, header.get("spacing", repr(config.knot_spacing)))
         if spacing != config.knot_spacing:
             raise CacheCorrupt(f"table {path}: spacing {spacing!r} is not the "

@@ -16,6 +16,9 @@ use for integrals and root solves, so their contracts are deliberately narrow:
   17/33 error and its row, a layout only :func:`piece_integrals`,
   :func:`land_pieces` and :func:`eval_pieces` read.  A loop that cannot meet
   its tolerance raises :class:`NonConvergence`, not halving below noise.
+  The loop starts from :func:`initial_pieces`; a caller fitting many spans
+  can evaluate all their initial pieces at their :func:`piece_nodes` in one
+  batch and hand each loop its values.
 * :func:`invert_increasing` -- g(x) = target with g strictly increasing on
   the bracket.
 * :func:`find_level_crossing` -- leftmost solution of g(x) = level on an open
@@ -47,6 +50,8 @@ __all__ = [
     "Bracket",
     "chebyshev_pieces",
     "eval_pieces",
+    "initial_pieces",
+    "piece_nodes",
     "land_pieces",
     "piece_integrals",
     "integrate",
@@ -101,12 +106,37 @@ class Bracket:
         return 0.5 * (self.lo + self.hi)
 
 
+def initial_pieces(a: float, b: float, min_wavelength: float | None) -> list[float]:
+    """The edges a = e_0 < ... < e_n = b of [a < b]'s initial pieces.
+
+    Equal pieces no wider than half of ``min_wavelength`` (one piece when it
+    is None); :func:`_pieces` starts from them, and :func:`piece_nodes` gives
+    their nodes.
+    """
+    width = b - a
+    n0 = 1
+    if min_wavelength is not None and min_wavelength > 0.0:
+        n0 = max(1, math.ceil(width / (0.5 * min_wavelength)))
+    return [a + width * i / n0 for i in range(n0 + 1)]
+
+
+def piece_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The 33 Clenshaw-Curtis nodes of each piece [lo, hi], one row a piece.
+
+    Bit for bit the nodes :func:`_pieces` evaluates a piece at, so values
+    computed here for many pieces at once can start its loop.
+    """
+    lo, hi = lo[:, None], hi[:, None]
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * NODES_HI
+
+
 def _pieces(
     fvals: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     tol: float,
     min_wavelength: float | None,
+    first: np.ndarray | None = None,
 ) -> Iterator[tuple[float, np.ndarray]]:
     """The package's one quadrature policy: (error, row) per accepted piece of [a < b].
 
@@ -116,9 +146,11 @@ def _pieces(
     coefficients of f and b those of its integral from lo, in t units (the
     piece's integral is sum(b), since T_m(1) = 1).
 
-    [a, b] starts as equal pieces no wider than half of ``min_wavelength``,
-    sharing ``tol`` equally; a piece whose error exceeds its share is halved,
-    and each half gets half the share.  Pieces are processed depth-first, so
+    [a, b] starts as its :func:`initial_pieces`, sharing ``tol`` equally;
+    ``first``, when given, holds their values, one row a piece at its
+    :func:`piece_nodes`, and every other piece gets its own batch.  A piece
+    whose error exceeds its share is halved, and each half gets half the
+    share.  Pieces are processed depth-first, so
     rows come left to right.  A piece is also accepted at the resolution
     limit (width <= 1e-14 |lo|), which a jump in f reaches.  Raises
     :class:`NonConvergence` when a rejected piece's error is at the rounding
@@ -128,20 +160,19 @@ def _pieces(
     it, where the floor test misses), past depth 48, or past _MAX_PANELS
     accepted pieces.
     """
-    width = b - a
-    n0 = 1
-    if min_wavelength is not None and min_wavelength > 0.0:
-        n0 = max(1, math.ceil(width / (0.5 * min_wavelength)))
-    # stack of (lo, hi, tol_share, depth); deterministic LIFO processing
-    stack = [(a + width * i / n0, a + width * (i + 1) / n0, tol / n0, 0)
+    edges = initial_pieces(a, b, min_wavelength)
+    n0 = len(edges) - 1
+    # stack of (lo, hi, tol_share, depth, values or None); deterministic LIFO processing
+    stack = [(edges[i], edges[i + 1], tol / n0, 0, None if first is None else first[i])
              for i in range(n0 - 1, -1, -1)]
     err_total = 0.0
     panels = 0
     forced = 0
     while stack:
-        lo, hi, tshare, depth = stack.pop()
+        lo, hi, tshare, depth, v = stack.pop()
         half = 0.5 * (hi - lo)
-        v = fvals(0.5 * (lo + hi) + half * NODES_HI)
+        if v is None:
+            v = fvals(0.5 * (lo + hi) + half * NODES_HI)
         err = abs(float(WEIGHTS_HI @ v) - float(WEIGHTS_LO @ v[::2])) * half
         if err <= tshare or (hi - lo) <= 1e-14 * max(1.0, abs(lo)):
             if err > tshare:
@@ -170,8 +201,8 @@ def _pieces(
                 achieved=err,
             )
         mid = 0.5 * (lo + hi)
-        stack.append((mid, hi, 0.5 * tshare, depth + 1))
-        stack.append((lo, mid, 0.5 * tshare, depth + 1))
+        stack.append((mid, hi, 0.5 * tshare, depth + 1, None))
+        stack.append((lo, mid, 0.5 * tshare, depth + 1, None))
 
 
 def adaptive_panels(
@@ -214,14 +245,18 @@ def chebyshev_pieces(
     b: float,
     tol: float,
     min_wavelength: float | None = None,
+    first: np.ndarray | None = None,
 ) -> np.ndarray:
     """Piecewise Chebyshev interpolant of f on [a < b] and of its integral.
 
     One row per piece accepted by :func:`_pieces`, left to right:
     ``[lo, hi, b_0..b_33, c_0..c_32]``.  The pieces are exactly those
     :func:`adaptive_panels` sums, so the rows' integrals add up to its value.
+    ``first``, when given, holds f at the :func:`piece_nodes` of the
+    :func:`initial_pieces`, one row a piece, so that a caller can evaluate
+    many spans' first pieces in one batch.
     """
-    return np.array([row for _err, row in _pieces(fvals, a, b, tol, min_wavelength)])
+    return np.array([row for _err, row in _pieces(fvals, a, b, tol, min_wavelength, first)])
 
 
 def piece_integrals(rows: np.ndarray) -> np.ndarray:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
 
 import pytest
 
 from zetaladder.cli import main
+from zetaladder.ladder import _values_digest
 
 # A tiny window keeps every invocation here under a second after the first
 # table build.  Only ladder-build reads or writes a table file, so only its
@@ -306,6 +308,37 @@ def test_ladder_build_nan_height_exit_2(capsys, cache):
     assert code == 2
     assert out == ""
     assert "non-finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "-0.0", "inf", "-inf"])
+def test_ladder_build_height_not_above_zero_exit_2(capsys, cache, tmp_path, value):
+    # a one-knot table is no table: the height is refused before any file
+    f = tmp_path / "table.csv"
+    code, out, err = _run(capsys, "ladder-build", "--tmax", value,
+                          "--cache-file", str(f), *cache)
+    assert code == 2
+    assert out == ""
+    assert "--tmax" in err and "Traceback" not in err
+    assert not f.exists()
+
+
+def test_ladder_build_offset_cache_exit_2(capsys, cache, tmp_path):
+    # every value raised by 3.0 and the checksum rewritten to match: A still
+    # increases, but its first row is no longer A(0) = 0
+    f = tmp_path / "table.csv"
+    assert _run(capsys, "ladder-build", "--tmax", "5", "--cache-file", str(f), *cache)[0] == 0
+    lines = f.read_text().splitlines()
+    head = lines.index("t,a") + 1
+    rows = [line.partition(",") for line in lines[head:]]
+    values = array("d", [float(a) + 3.0 for _, _, a in rows])
+    lines = [f"# values_sha256={_values_digest(values)}"
+             if line.startswith("# values_sha256=") else line for line in lines[:head]]
+    f.write_text("\n".join(lines + [f"{t},{v!r}" for (t, _, _), v in zip(rows, values)]) + "\n")
+    code, out, err = _run(capsys, "ladder-build", "--tmax", "6",
+                          "--cache-file", str(f), *cache)
+    assert code == 2
+    assert out == ""
+    assert "A(0)" in err and "Traceback" not in err
 
 
 def test_ladder_build_unwritable_output_exit_2(capsys, cache, tmp_path):

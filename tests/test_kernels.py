@@ -19,12 +19,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zetaladder import _kernels
 from zetaladder._rs_tables import CTAB
 from zetaladder.config import DEFAULT_CONFIG
 from zetaladder.errors import NonConvergence
-from zetaladder.numerics import integrate
+from zetaladder.numerics import integrate, piece_nodes
 from zetaladder.zeta import err_bound, zeta_mod_sq
 
 from _oracles import C_TABLES
@@ -44,6 +46,23 @@ def test_scalar_and_vector_kernels_agree():
         many = _kernels.z_rs_many(np.array(_TS), nterms)
         for t, ref in zip(_TS, many):
             assert _kernels.z_rs_one(t, nterms) == pytest.approx(float(ref), abs=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spans=st.lists(st.tuples(st.floats(100.0, 5999.5), st.floats(1e-9, 0.5)),
+                      min_size=2, max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+@example(spans=[(1500.0, 0.5), (2200.0, 0.5)], seed=0)
+def test_a_heights_z_does_not_depend_on_its_batch(spans, seed):
+    # a table extension evaluates many pieces' nodes in one batch; each
+    # must read, bit for bit, what the piece's own 33-node batch reads
+    lo = np.array([a for a, _ in spans])
+    nodes = piece_nodes(lo, lo + np.array([w for _, w in spans]))
+    order = np.random.default_rng(seed).permutation(nodes.size)
+    mixed = np.empty(nodes.size)
+    mixed[order] = _kernels.z_rs_many(nodes.ravel()[order], 4)
+    alone = np.concatenate([_kernels.z_rs_many(row, 4) for row in nodes])
+    assert mixed.tobytes() == alone.tobytes()
 
 
 def test_theta_agrees_between_paths():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import time
@@ -27,6 +28,7 @@ from zetaladder.ladder import (
     normalizer_prime,
 )
 from zetaladder.numerics import integrate, piece_integrals
+from zetaladder.tower import ChainFactory
 from zetaladder.zeta import hardy_z, zeta_mod_sq
 
 from _oracles import A_100, MONOTONE_FLOOR
@@ -419,12 +421,95 @@ def test_reverse_steps_take_a_handful_of_offknot_evaluations(model, monkeypatch)
 
 
 def test_reverse_step_grows_a_cold_table_to_the_root_knot(small_config):
+    # a chunk at a time: the table ends fewer than _CHUNK knots above the
+    # first knot that reaches V(x), and the root lies below that knot
     m = LadderModel(small_config)
     target = normalizer(300.0)
     u = m.reverse_step(300.0)
     vals = m.table.values
-    assert vals[-2] < target <= vals[-1]
-    assert m.table.t_covered - m.table.spacing <= u <= m.table.t_covered
+    j = bisect.bisect_left(vals, target, 1)
+    assert vals[j - 1] < target <= vals[j]
+    assert len(vals) - 1 - j < ladder._CHUNK
+    assert (j - 1) * m.table.spacing <= u <= j * m.table.spacing
+
+
+def _knot_by_knot(config, t):
+    """A table grown one knot per extend_to call, as a knot-by-knot build does."""
+    m = LadderModel(config)
+    h = m.table.spacing
+    for j in range(1, int(math.ceil(t / h)) + 1):
+        m.extend_to(j * h)
+    return m
+
+
+@pytest.fixture(scope="module")
+def knots_to_450():
+    return _knot_by_knot(RunConfig(), 450.0).table.values.tobytes()
+
+
+def test_one_call_build_is_the_knot_by_knot_table(small_config, knots_to_450):
+    # [0, 450] crosses the switch, the jumps at 2 pi N^2 for N = 4..8 and
+    # 56 chunk boundaries
+    m = LadderModel(small_config)
+    m.extend_to(450.0)
+    assert m.table.values.tobytes() == knots_to_450
+
+
+@pytest.mark.parametrize("t0", [123.5, 331.0])
+def test_a_loaded_table_extends_to_the_knot_by_knot_table(small_config, tmp_path,
+                                                          knots_to_450, t0):
+    # tops of 247 and 662 knots: neither a multiple of the chunk size
+    path = str(tmp_path / "t.csv")
+    m = LadderModel(small_config)
+    m.extend_to(t0)
+    m.save_table(path)
+    loaded = LadderModel.load_table(path, small_config)
+    loaded.extend_to(450.0)
+    assert loaded.table.values.tobytes() == knots_to_450
+
+
+@pytest.mark.parametrize("fault", ["raises", "noise"])
+def test_a_failing_fit_in_a_chunk_leaves_the_knots_below_it(small_config, monkeypatch,
+                                                           fault):
+    # the kernel fails inside interval 700 = [350, 350.5], in the middle of
+    # a chunk: the one-call build raises what the knot-by-knot one raises
+    # and keeps the same knots, those up to t = 350
+    many = _kernels.z_rs_many
+
+    def broken(ts, n):
+        bad = (ts > 350.0) & (ts < 350.5)
+        if bad.any() and fault == "raises":
+            raise RuntimeError("kernel failure near t = 350")
+        # noise that no halving resolves, the same at a height whatever its batch
+        return np.where(bad, 1e3 * np.sin(1e9 * ts), many(ts, n))
+
+    monkeypatch.setattr(_kernels, "z_rs_many", broken)
+    outcomes = []
+    for one_call in (True, False):
+        m = LadderModel(small_config)
+        with pytest.raises((RuntimeError, NonConvergence)) as info:
+            if one_call:
+                m.extend_to(360.0)
+            else:
+                for j in range(1, 721):
+                    m.extend_to(j * 0.5)
+        outcomes.append((type(info.value), str(info.value), m.table.values.tobytes()))
+    assert outcomes[0] == outcomes[1]
+    assert len(outcomes[0][2]) == 701 * 8
+
+
+def test_reverse_steps_and_tower_tops_do_not_depend_on_how_the_table_grew(model):
+    # a cold table grows toward each root a chunk at a time; the session
+    # model already covers every root.  Same knots, so same roots, and the
+    # cold table ends fewer than _CHUNK knots above the last root's knot
+    for l, u, k in [(150, 0.5, 2), (260, 1.4, 3), (420, 1.0, 1)]:
+        cold = LadderModel(model.config)
+        tower = ChainFactory(cold).tower(l, u, k)
+        assert tower.segments == ChainFactory(model).tower(l, u, k).segments
+        vals = cold.table.values
+        j = bisect.bisect_left(vals, normalizer(tower.segments[-2].hi), 1)
+        assert 0 <= len(vals) - 1 - j < ladder._CHUNK
+        assert vals.tobytes() == model.table.values[:len(vals)].tobytes()
 
 
 def test_change_of_variables_identity(model):
@@ -645,6 +730,32 @@ def test_load_rejects_a_spacing_other_than_the_configured_one(small_config, tmp_
     m.save_table(path)
     _respace(path, 1.0)
     with pytest.raises(CacheCorrupt, match="spacing"):
+        LadderModel.load_table(path, small_config)
+
+
+def _shift_values(path, offset):
+    """Add offset to every saved knot value and rewrite their checksum to match."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    head = lines.index("t,a") + 1
+    rows = [line.partition(",") for line in lines[head:]]
+    values = array("d", [float(a) + offset for _, _, a in rows])
+    lines = [f"# values_sha256={ladder._values_digest(values)}"
+             if line.startswith("# values_sha256=") else line for line in lines[:head]]
+    lines += [f"{t},{v!r}" for (t, _, _), v in zip(rows, values)]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_load_rejects_a_first_row_other_than_zero(small_config, tmp_path):
+    # shifted by 3, A still increases and matches its rewritten checksum,
+    # but A(4) would read 5.23 while cumulative_hl(0) returns 0
+    path = str(tmp_path / "t.csv")
+    m = LadderModel(small_config)
+    m.extend_to(5.0)
+    m.save_table(path)
+    _shift_values(path, 3.0)
+    with pytest.raises(CacheCorrupt, match=r"A\(0\)"):
         LadderModel.load_table(path, small_config)
 
 
