@@ -199,9 +199,11 @@ class LadderModel:
         """The knot interval j with jh < t <= (j + 1)h, for t > 0, in the table.
 
         t / h can round up to the knot above t, or to the top knot; the
-        interval below holds t then.
+        interval below holds t then.  A t the table covers skips
+        :meth:`extend_to`; NaN and +-inf still reach its typed error.
         """
-        self.extend_to(t)
+        if not 0.0 < t <= (len(self.table.values) - 1) * self.table.spacing:
+            self.extend_to(t)
         j = self.table.knot_below(t)
         if t <= j * self.table.spacing or j == len(self.table.values) - 1:
             j -= 1

@@ -174,6 +174,8 @@ def _pieces(
         if v is None:
             v = fvals(0.5 * (lo + hi) + half * NODES_HI)
         err = abs(float(WEIGHTS_HI @ v) - float(WEIGHTS_LO @ v[::2])) * half
+        if not math.isfinite(err):
+            raise NonConvergence(f"non-finite error {err} at [{lo}, {hi}]", achieved=err)
         if err <= tshare or (hi - lo) <= 1e-14 * max(1.0, abs(lo)):
             if err > tshare:
                 forced += 1

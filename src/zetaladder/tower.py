@@ -24,10 +24,14 @@ residual and a log-space condition number.
 
 Both the integrand and the assembly of a solved chain walk down from
 xi = alpha_k through one private walk built on ``LadderModel.step``, which
-gives (phi1, omega, ztilde_sq) at a level from one phi1 solve: an integrand
-evaluation and an assembly each cost k solves.  Chains are cached per
-(L, U, k, weight) so that repeated requests -- in particular the plain
-``beta`` chain reused across several formulas -- are bit-identical.
+gives (phi1, omega, ztilde_sq) at a level from one phi1 solve: an assembly
+costs k solves, and so does an integrand evaluation at a new xi.  Only the
+last factor of the integrand depends on the weight, so the chains of one
+tower share their walks: the crossing scan samples every chain at the same
+grid on seg_k, and a point another chain of the window has walked costs one
+evaluation of f.  Chains are cached per (L, U, k, weight) so that repeated
+requests -- in particular the plain ``beta`` chain reused across several
+formulas -- are bit-identical.
 """
 from __future__ import annotations
 
@@ -231,30 +235,57 @@ def _walk(model: LadderModel, xi: float,
     return alpha, zt2, omega
 
 
+#: xi -> (prod_r ztilde_sq(alpha_r), alpha_0): the part of a chain weight
+#: that depends on the tower alone, not on the weight f
+Walks = dict[float, tuple[float, float]]
+
+
 def make_chain_weight(
-    model: LadderModel, tower: IterationTower, gf: GeneratingFunction
+    model: LadderModel, tower: IterationTower, gf: GeneratingFunction,
+    walks: Walks | None = None,
 ) -> Callable[[float], float]:
-    """The integrand on seg_k whose mean over seg_k is mass(f)/|seg_k|."""
+    """The integrand on seg_k whose mean over seg_k is mass(f)/|seg_k|.
+
+    g(xi) = prod_r ztilde_sq(alpha_r) * f(alpha_0 - pi L).  The walk down
+    from xi (k ladder steps) gives the product and alpha_0, which do not
+    depend on f; they are kept per xi in ``walks`` (a private dict when
+    None), so weights that share ``walks`` on one tower walk each xi once
+    and a repeated xi costs one evaluation of f.
+    """
     k = tower.k
     base_lo = tower.base.lo
+    if walks is None:
+        walks = {}
 
     def g(xi: float) -> float:
-        alpha, zt2, _ = _walk(model, xi, k)
-        acc = 1.0
-        for v in zt2:
-            acc *= v
-        return acc * gf.fn(alpha[-1] - base_lo)
+        hit = walks.get(xi)
+        if hit is None:
+            alpha, zt2, _ = _walk(model, xi, k)
+            acc = 1.0
+            for v in zt2:
+                acc *= v
+            hit = walks[xi] = (acc, alpha[-1])
+        acc, alpha0 = hit
+        return acc * gf.fn(alpha0 - base_lo)
 
     return g
 
 
 class ChainFactory:
-    """Builds towers and solves chains, caching both for bit-identical reuse."""
+    """Builds towers and solves chains, caching both for bit-identical reuse.
+
+    Chains of one window share their walks: the weights of a fresh solve
+    read and fill one :data:`Walks` dict per depth k, kept for the window
+    of the latest fresh solve only (a solve at another (L, U) drops them),
+    so the memo never outgrows one window however long the factory lives.
+    """
 
     def __init__(self, model: LadderModel):
         self.model = model
         self._segments: dict[tuple[int, float], list[Segment]] = {}
         self._chains: dict[tuple[int, float, int, str], ChainPoints] = {}
+        self._walk_window: tuple[int, float] | None = None
+        self._walks: dict[int, Walks] = {}
 
     # towers -----------------------------------------------------------------
 
@@ -301,7 +332,9 @@ class ChainFactory:
             # the identity is the empty product; anchor at the window midpoint
             xi = tower.base.mid
         else:
-            g = make_chain_weight(model, tower, gf)
+            if self._walk_window != (l, u):
+                self._walk_window, self._walks = (l, u), {}
+            g = make_chain_weight(model, tower, gf, walks=self._walks.setdefault(k, {}))
             xi = find_level_crossing(g, seg_k.lo, seg_k.hi, level,
                                      tol=model.config.root_tol)
         return self._assemble(tower, gf, xi, level)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from numpy.polynomial.chebyshev import chebval
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetaladder import _kernels
 from zetaladder._quadrule import N_HI, N_LO, NODES_HI, WEIGHTS_HI, WEIGHTS_LO
 from zetaladder.errors import BracketInvalid, NoCrossing, NonConvergence, NumericalError
 from zetaladder.numerics import (
@@ -135,6 +137,20 @@ def test_integrate_raises_below_the_integrands_noise():
     assert integrate(noisy, 0.0, 1.0, tol=1e-10).value == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(NonConvergence, match="rounding floor"):
         integrate(noisy, 0.0, 1.0, tol=1e-16)
+
+
+def test_pieces_raise_at_once_on_a_nan_value():
+    # a NaN error compares false with every share: it must not be halved down
+    # to the resolution limit and accepted there (93 s to "panel budget
+    # exceeded" with the Riemann-Siegel kernel before it raised at once)
+    def zsq(ts: np.ndarray) -> np.ndarray:
+        z = _kernels.z_rs_many(ts, 4)
+        return np.where((ts > 350.1) & (ts < 350.2), math.nan, z * z)
+
+    t0 = time.perf_counter()
+    with pytest.raises(NonConvergence, match="non-finite"):
+        chebyshev_pieces(zsq, 350.0, 350.5, 2.5e-11, 0.25)
+    assert time.perf_counter() - t0 < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from zetaladder import hybrid, tower
 from zetaladder.errors import (
     ConditionTooHigh,
     DomainTooSmall,
     IndexOutOfTower,
     RangeTooLarge,
 )
+from zetaladder.hybrid import DeltaPair
 from zetaladder.ladder import LadderModel
 from zetaladder.numerics import integrate
 from zetaladder.tower import (
@@ -270,6 +272,100 @@ def test_fresh_factory_reproduces_chains_exactly(model, factory):
     b = other.solve(150, 1.0, 2, gf_sin2())
     assert float(a.alpha[-1]) == float(b.alpha[-1])
     assert a.product == b.product
+
+
+PAIR = DeltaPair(Fraction(1, 3), Fraction(1, 5))
+
+#: the eight formula functions on one window, as (function, arguments)
+FORMULA_CALLS = [
+    (hybrid.echf1, (200, 1.0, 1, 3)),
+    (hybrid.echf2, (PAIR, 200, 1.0, 1, 3)),
+    (hybrid.beta_product_elim, (PAIR, 200, 1.0, 2)),
+    (hybrid.secondary_v1, (PAIR, 200, 1.0, 1, 3)),
+    (hybrid.mixed_product, (200, 1.0, 3)),
+    (hybrid.secondary_v2, (PAIR, 200, 1.0, 1, 2)),
+    (hybrid.ternary, (PAIR, 200, 1.0, 3, 2, 1, 2)),
+    (hybrid.asymptotic_secondary, (PAIR, 200, 1.0, 2, 1)),
+]
+
+
+def _assert_same_chain(a: ChainPoints, b: ChainPoints) -> None:
+    assert np.array_equal(a.alpha, b.alpha)
+    assert np.array_equal(a.zt2, b.zt2)
+    assert np.array_equal(a.omega, b.omega)
+    assert (a.f0, a.level, a.rel_residual, a.condition) == (
+        b.f0, b.level, b.rel_residual, b.condition)
+
+
+def test_chains_sharing_walks_equal_chains_solved_alone(model):
+    # the walk memo changes what a solve costs, never what it returns
+    shared = ChainFactory(model)
+    for fn, args in FORMULA_CALLS:
+        fn(shared, *args)
+    assert len(shared._chains) > len(FORMULA_CALLS)
+    for (l, u, k, _key), chain in shared._chains.items():
+        _assert_same_chain(chain, ChainFactory(model).solve(l, u, k, chain.gf))
+
+
+def test_chains_of_one_tower_share_their_walks(model, solve_count):
+    # secondary_v1's six chains, solved alone, each walk the crossing scan's
+    # grid on seg_k again; on one factory a point walked once is reused
+    shared = ChainFactory(model)
+    hybrid.secondary_v1(shared, PAIR, 200, 1.0, 1, 3)
+    chains = list(shared._chains.values())
+    assert len(chains) == 6
+    solve_count.clear()
+    hybrid.secondary_v1(ChainFactory(model), PAIR, 200, 1.0, 1, 3)
+    together = len(solve_count)
+    solve_count.clear()
+    for ch in chains:
+        ChainFactory(model).solve(ch.l, ch.u, ch.k, ch.gf)
+    assert together < len(solve_count)
+
+
+def test_factory_keeps_the_walks_of_one_window(model):
+    fac = ChainFactory(model)
+    fac.solve(150, 1.0, 2, gf_sin2())
+    fac.solve(150, 1.0, 1, gf_cos2())
+    assert fac._walk_window == (150, 1.0)
+    assert sorted(fac._walks) == [1, 2]
+    fac.solve(250, 0.6, 2, gf_sin2())
+    assert fac._walk_window == (250, 0.6)
+    assert sorted(fac._walks) == [2]
+    seg = fac.tower(250, 0.6, 2).segment(2)
+    assert all(seg.lo <= xi <= seg.hi for xi in fac._walks[2])
+    # a cached chain of the old window is a hit: no solve, the memo stays
+    fac.solve(150, 1.0, 2, gf_sin2())
+    assert fac._walk_window == (250, 0.6)
+
+
+def test_one_chain_weight_per_fresh_chain(model, monkeypatch):
+    # a tracer that wraps tower.make_chain_weight (as perfbench's does) sees
+    # every fresh chain and every weight evaluation, none for a cached chain
+    built, evals = [], []
+    make = tower.make_chain_weight
+
+    def counting(*args, **kwargs):
+        g = make(*args, **kwargs)
+        built.append(args[2].key)
+
+        def counted(xi):
+            evals.append(xi)
+            return g(xi)
+
+        return counted
+
+    monkeypatch.setattr(tower, "make_chain_weight", counting)
+    fac = ChainFactory(model)
+    gfs = [gf_sin2(), gf_cos2(), gf_power(Fraction(1, 3))]
+    for gf in gfs:
+        fac.solve(150, 1.0, 2, gf)
+    assert built == [gf.key for gf in gfs]
+    assert evals
+    n = len(evals)
+    for gf in gfs:
+        fac.solve(150, 1.0, 2, gf)
+    assert len(built) == len(gfs) and len(evals) == n
 
 
 # ---------------------------------------------------------------------------
