@@ -59,9 +59,12 @@ independent of the worker count.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 import os
 import time
+from array import array
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
@@ -70,7 +73,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DeltaDegenerate, DomainTooSmall, NonConvergence, ZetaLadderError
-from .ladder import LadderModel
+from .ladder import LadderModel, mean_square_climb
 from .tower import (
     ChainFactory,
     ChainPoints,
@@ -605,10 +608,23 @@ def _scan_init(model: LadderModel, pair: DeltaPair) -> None:
 
 
 _Outcome = tuple[float | None, str | None]
+#: a scan sample (U, L, k1, k2)
+_Sample = tuple[float, int, int, int]
 
 
-def _scan_sample(factory: ChainFactory, pair: DeltaPair,
-                 sample: tuple[float, int, int, int]) -> _Outcome:
+def _scan_fit(chunks: list[tuple[int, int]]) -> list[list[float]]:
+    """Each chunk's knot increments, up to the first chunk whose fit raises."""
+    model = _WORKER_STATE["factory"].model
+    done = []
+    for j0, j1 in chunks:
+        try:
+            done.append(list(model.knot_increments(j0, j1)))
+        except Exception:  # the parent refits this chunk and raises there itself
+            break
+    return done
+
+
+def _scan_sample(factory: ChainFactory, pair: DeltaPair, sample: _Sample) -> _Outcome:
     """The sample's secondary_v1 lhs, or the error that stopped it."""
     u, l, k1, k2 = sample
     try:
@@ -617,8 +633,32 @@ def _scan_sample(factory: ChainFactory, pair: DeltaPair,
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _scan_eval(sample: tuple[float, int, int, int]) -> _Outcome:
+def _scan_eval(item: tuple[_Sample, int, bytes]) -> _Outcome:
+    """A pool worker's sample, after the knots ``start..`` of the parent's table.
+
+    The knots come as bytes; the worker appends those its table lacks.
+    """
+    sample, start, knots = item
+    vals = _WORKER_STATE["factory"].model.table.values
+    vals.extend(array("d", knots)[len(vals) - start:])
     return _scan_sample(_WORKER_STATE["factory"], _WORKER_STATE["pair"], sample)
+
+
+def _prefill(pool: Any, model: LadderModel, t: float, workers: int) -> None:
+    """Fit the table's missing knot intervals up to t on the pool's workers.
+
+    The chunks are dealt round-robin into one task per worker, so chunks of
+    either Z route spread evenly, and appended in order up to the first
+    chunk a worker could not fit.
+    """
+    chunks = model.missing_chunks(t)
+    if not chunks:
+        return
+    done = pool.map(_scan_fit, [chunks[w::workers] for w in range(workers)])
+    for increments in itertools.chain.from_iterable(itertools.zip_longest(*done)):
+        if increments is None:
+            break
+        model.append_knots(increments)
 
 
 def invariance_scan(
@@ -636,14 +676,22 @@ def invariance_scan(
 
     All samples are drawn up front from one seeded generator, so the set of
     evaluated parameter tuples -- and therefore the statistics -- do not
-    depend on ``workers``; no more processes start than there are samples
-    or cores.  The table of ``factory`` (fresh under ``config``
-    if none is given) is warmed once, here, to the top of the tallest tower;
-    the serial loop and every pool worker read that one table.  Per-sample
+    depend on ``workers``, an integer >= 1; no more processes start than
+    there are samples or cores.  The table of ``factory`` (fresh under
+    ``config`` if none is given) is warmed once, here, to the top of the
+    tallest tower, and every sample reads that one table.  On a pool the
+    workers fit the warm-up first: the knot intervals up to the top that
+    the mean-square law predicts (:func:`~zetaladder.ladder.mean_square_climb`)
+    are dealt to them and their increments appended here; the tower itself
+    is then built here, fitting whatever the prediction fell short of, and
+    each sample carries the knots added since the workers forked.  Knots
+    and results are bit-identical to the serial warm-up.  Per-sample
     failures are collected, not raised, unless every sample fails.
     """
     if n_samples < 2:
         raise DomainTooSmall(f"need at least 2 samples, got {n_samples}")
+    if not (isinstance(workers, numbers.Integral) and workers >= 1):
+        raise DomainTooSmall(f"workers={workers!r} must be an integer >= 1")
     if factory is None:
         factory = ChainFactory(LadderModel(config))
     (u_lo, u_hi), (l_lo, l_hi), (k_lo, k_hi) = u_range, l_range, k_range
@@ -654,7 +702,7 @@ def invariance_scan(
         _check_window(*corner, factory.model.config)
     rng = np.random.default_rng(seed)
     ks = np.arange(k_lo, k_hi + 1)
-    samples: list[tuple[float, int, int, int]] = []
+    samples: list[_Sample] = []
     for _ in range(n_samples):
         u = float(rng.uniform(u_lo, u_hi))
         l = int(rng.integers(l_lo, l_hi + 1))
@@ -665,21 +713,30 @@ def invariance_scan(
     # highest base end covers every point any sample's chain solve reaches
     u_top, l_top, _, _ = max(samples, key=lambda s: math.pi * s[1] + s[0])
     depth = max(max(k1, k2) for _, _, k1, k2 in samples)
-    try:
-        factory.tower(l_top, u_top, depth)
-    except ZetaLadderError:  # the samples that need it fail one by one
-        pass
+
+    def warm_up() -> None:
+        try:
+            factory.tower(l_top, u_top, depth)
+        except ZetaLadderError:  # the samples that need it fail one by one
+            pass
+
     workers = min(workers, n_samples, os.cpu_count() or 1)
     if workers > 1:
         # imported here: the pool's module costs ~1 MB in a process that never forks
         from concurrent.futures import ProcessPoolExecutor
 
+        model = factory.model
+        start = len(model.table.values)
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_scan_init,
-            initargs=(factory.model, pair),
+            max_workers=workers, initializer=_scan_init, initargs=(model, pair),
         ) as pool:
-            outcomes = list(pool.map(_scan_eval, samples))
+            top = mean_square_climb(math.pi * l_top + u_top, depth)
+            _prefill(pool, model, min(top, model.config.t_table_max), workers)
+            warm_up()
+            knots = model.table.values[start:].tobytes()
+            outcomes = list(pool.map(_scan_eval, [(s, start, knots) for s in samples]))
     else:
+        warm_up()
         outcomes = [_scan_sample(factory, pair, s) for s in samples]
 
     const = theorem1_constant(pair)

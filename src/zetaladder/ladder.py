@@ -13,7 +13,9 @@ The model has three ingredients:
   rows of Z^2 and its integral, pieces halved while their 17/33 difference
   exceeds their share of quad_tol * h.  A new knot adds the sum of its
   interval's piece integrals and drops the rows; a call that adds many
-  knots evaluates the first pieces of up to 16 intervals in one Z batch.  An off-knot query refits
+  knots evaluates the first pieces of up to 16 intervals in one Z batch,
+  and a scan's pool fits such chunks in its workers, appended here in
+  order (:meth:`LadderModel.knot_increments`).  An off-knot query refits
   the interval, lands it on its knots and keeps the rows in memory (about
   0.5 KB a piece), so A is continuous, exact at knots, within quadrature
   tolerance between them, and one polynomial evaluation gives A and Z^2;
@@ -51,7 +53,7 @@ import math
 import os
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -78,6 +80,7 @@ from .numerics import (
 __all__ = [
     "CumulativeTable",
     "LadderModel",
+    "mean_square_climb",
     "normalizer",
     "normalizer_prime",
 ]
@@ -101,6 +104,28 @@ def normalizer_prime(y: float) -> float:
     if y <= 0.0:
         raise DomainTooSmall(f"normalizer_prime requested at y={y} <= 0")
     return math.log(y) + 1.0 + EULER_GAMMA - _LOG_TWO_PI
+
+
+def mean_square_climb(x: float, depth: int) -> float:
+    """x after ``depth`` reverse steps predicted by the mean-square law.
+
+    The ladder rests on integral_0^T Z^2 = T log(T/2pi) + (2 gamma - 1) T
+    + O(T^1/2) (Hardy-Littlewood, Ingham), so one reverse step, the u with
+    A(u) = V(x), is predicted by the root of that leading part Abar(u) =
+    V(x).  Abar is convex and increasing above 2pi e^{-2 gamma}, and Newton
+    from max(x, 2pi) settles in a few steps.  A prediction, not a bound: a
+    tower top lands within about 1 % of it at working heights.
+    """
+    u = x
+    for _ in range(depth):
+        target, u = normalizer(u), max(u, 2.0 * math.pi)
+        for _ in range(64):
+            log_u = math.log(u) - _LOG_TWO_PI + 2.0 * EULER_GAMMA
+            du = (u * (log_u - 1.0) - target) / log_u
+            u -= du
+            if abs(du) <= 1e-12 * u:
+                break
+    return u
 
 
 def _min_wavelength(b: float) -> float:
@@ -173,6 +198,17 @@ class LadderModel:
         built alone, and a fit that raises leaves the table with exactly the
         knots below its interval.
         """
+        for j0, j1 in self.missing_chunks(t):
+            self.append_knots(self.knot_increments(j0, j1))
+
+    def missing_chunks(self, t: float) -> list[tuple[int, int]]:
+        """The knot intervals :meth:`extend_to` (t) fits, as (j0, j1) chunks.
+
+        Chunks of at most ``_CHUNK`` intervals, from the top knot up, in
+        order; empty when the table covers t.  Knots do not depend on where
+        the chunks split, so the chunks may be fitted anywhere, in any
+        order, as long as their increments are appended in this order.
+        """
         if not math.isfinite(t):
             raise DomainTooSmall(f"table coverage requested at non-finite t={t}")
         if t > self.config.t_table_max:
@@ -180,20 +216,33 @@ class LadderModel:
                 f"requested coverage {t}, hard ceiling {self.config.t_table_max}"
             )
         need = int(math.ceil(t / self.table.spacing))
+        return [(j, min(j + _CHUNK, need))
+                for j in range(len(self.table.values) - 1, need, _CHUNK)]
+
+    def knot_increments(self, j0: int, j1: int) -> Iterator[float]:
+        """A((j + 1) h) - A(j h) for knot intervals j0..j1 - 1, in order.
+
+        Each is the sum of the interval's :meth:`_raw_fits` piece integrals;
+        the rows are dropped (kept, they cost ~3 MB up to t = 2200).  The
+        table is not touched, so a forked process can fit a chunk for
+        another's table.  A fit that raises stops the increments at its
+        interval.
+        """
+        try:
+            fits = self._raw_fits(j0, j1)
+        except Exception:
+            # a Z batch that raises (a kernel failing at some height): one
+            # interval at a time, the one that holds it raises again with
+            # the increments below it given, as a knot-by-knot build ends
+            fits = (self._raw_fit(j) for j in range(j0, j1))
+        for rows in fits:
+            yield float(piece_integrals(rows).sum())
+
+    def append_knots(self, increments: Iterable[float]) -> None:
+        """Append one knot per increment: the top knot's value plus it."""
         vals = self.table.values
-        while len(vals) - 1 < need:
-            j = len(vals) - 1
-            top = min(need, j + _CHUNK)
-            try:
-                fits = self._raw_fits(j, top)
-            except Exception:
-                # a Z batch that raises (a kernel failing at some height):
-                # one interval at a time, the one that holds it raises again
-                # with the knots below it built, as a knot-by-knot build ends
-                fits = (self._raw_fit(i) for i in range(j, top))
-            # the fits' rows are dropped: kept, they cost ~3 MB up to t = 2200
-            for rows in fits:
-                vals.append(vals[-1] + float(piece_integrals(rows).sum()))
+        for inc in increments:
+            vals.append(vals[-1] + inc)
 
     def _interval(self, t: float) -> int:
         """The knot interval j with jh < t <= (j + 1)h, for t > 0, in the table.

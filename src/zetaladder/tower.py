@@ -29,7 +29,8 @@ costs k solves, and so does an integrand evaluation at a new xi.  Only the
 last factor of the integrand depends on the weight, so the chains of one
 tower share their walks: the crossing scan samples every chain at the same
 grid on seg_k, and a point another chain of the window has walked costs one
-evaluation of f.  Chains are cached per (L, U, k, weight) so that repeated
+evaluation of f.  A factory keeps one window: its chains are cached per
+(k, weight) until a tower or solve names another window, so that repeated
 requests -- in particular the plain ``beta`` chain reused across several
 formulas -- are bit-identical.
 """
@@ -109,9 +110,10 @@ class IterationTower:
         return self.segments[0]
 
 
-def _check_window(l: int, u: float, k: int, config: RunConfig) -> int:
-    if int(l) != l:
-        raise DomainTooSmall(f"tower base index L={l!r} must be an integer")
+def _check_window(l: int, u: float, k: int, config: RunConfig) -> tuple[int, int]:
+    """(L, k) as ints, or the typed error of the first bound they break."""
+    if not (math.isfinite(l) and int(l) == l):
+        raise DomainTooSmall(f"tower base index L={l!r} must be a finite integer")
     l = int(l)
     if l < config.l_floor:
         raise DomainTooSmall(f"tower base index L={l} below floor {config.l_floor}")
@@ -119,9 +121,10 @@ def _check_window(l: int, u: float, k: int, config: RunConfig) -> int:
         raise DomainTooSmall(f"window width U={u} must be positive")
     if u >= 0.5 * math.pi:
         raise RangeTooLarge(f"window width U={u} must stay below pi/2")
-    if not 0 <= k <= config.k_max:
-        raise IndexOutOfTower(f"tower depth k={k} outside [0, {config.k_max}]")
-    return l
+    if not (0 <= k <= config.k_max and int(k) == k):
+        raise IndexOutOfTower(
+            f"tower depth k={k!r} is not an integer in [0, {config.k_max}]")
+    return l, int(k)
 
 
 # -- generating weights ------------------------------------------------------
@@ -274,27 +277,34 @@ def make_chain_weight(
 class ChainFactory:
     """Builds towers and solves chains, caching both for bit-identical reuse.
 
-    Chains of one window share their walks: the weights of a fresh solve
-    read and fill one :data:`Walks` dict per depth k, kept for the window
-    of the latest fresh solve only (a solve at another (L, U) drops them),
-    so the memo never outgrows one window however long the factory lives.
+    The factory keeps one window (L, U), the one its latest tower or solve
+    named, and for it the segment list, the solved chains and, per depth k,
+    one :data:`Walks` dict that the weights of its fresh solves share.  A
+    tower or solve at another window drops all three, so what the factory
+    holds never outgrows one window however long it lives; a chain of an
+    earlier window is solved again, bit-identical, when asked for.
     """
 
     def __init__(self, model: LadderModel):
         self.model = model
-        self._segments: dict[tuple[int, float], list[Segment]] = {}
-        self._chains: dict[tuple[int, float, int, str], ChainPoints] = {}
-        self._walk_window: tuple[int, float] | None = None
+        self._window: tuple[int, float] | None = None
+        self._segments: list[Segment] = []
+        self._chains: dict[tuple[int, str], ChainPoints] = {}
         self._walks: dict[int, Walks] = {}
+
+    def _enter(self, l: int, u: float) -> None:
+        """Make (l, u) the factory's window, dropping what it kept for another."""
+        if self._window != (l, u):
+            lo = math.pi * l
+            self._window, self._segments = (l, u), [Segment(lo, lo + u)]
+            self._chains, self._walks = {}, {}
 
     # towers -----------------------------------------------------------------
 
     def tower(self, l: int, u: float, k: int) -> IterationTower:
-        l = _check_window(l, u, k, self.model.config)
-        segs = self._segments.get((l, u))
-        if segs is None:
-            lo = math.pi * l
-            segs = self._segments[(l, u)] = [Segment(lo, lo + u)]
+        l, k = _check_window(l, u, k, self.model.config)
+        self._enter(l, u)
+        segs = self._segments
         # one growing segment list per window: deeper towers extend it
         while len(segs) <= k:
             prev = segs[-1]
@@ -307,9 +317,9 @@ class ChainFactory:
     # chains -----------------------------------------------------------------
 
     def solve(self, l: int, u: float, k: int, gf: GeneratingFunction) -> ChainPoints:
-        cfg = self.model.config
-        l = _check_window(l, u, k, cfg)
-        key = (l, u, k, gf.key)
+        l, k = _check_window(l, u, k, self.model.config)
+        self._enter(l, u)
+        key = (k, gf.key)
         hit = self._chains.get(key)
         if hit is not None:
             return hit
@@ -332,8 +342,6 @@ class ChainFactory:
             # the identity is the empty product; anchor at the window midpoint
             xi = tower.base.mid
         else:
-            if self._walk_window != (l, u):
-                self._walk_window, self._walks = (l, u), {}
             g = make_chain_weight(model, tower, gf, walks=self._walks.setdefault(k, {}))
             xi = find_level_crossing(g, seg_k.lo, seg_k.hi, level,
                                      tol=model.config.root_tol)

@@ -438,8 +438,11 @@ def test_scan_invariance_small_sample(capsys):
     ("--u-min", "1.0", "--u-max", "0.5"),
     ("--l-min", "50"),
     ("--u-max", "1.6"),
+    ("--workers", "0"),
+    ("--workers", "-4"),
 ], ids=["one-depth", "reversed-depths", "depth-above-k-max", "reversed-l",
-        "reversed-u", "l-below-floor", "u-too-wide"])
+        "reversed-u", "l-below-floor", "u-too-wide", "no-workers",
+        "negative-workers"])
 def test_scan_invariance_bad_ranges_exit_2(capsys, ranges):
     # checked before any sample is drawn or solved
     code, out, err = _run(

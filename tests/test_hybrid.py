@@ -7,12 +7,13 @@ import inspect
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaladder import hybrid
-from zetaladder.errors import DeltaDegenerate, DomainTooSmall
+from zetaladder import _kernels, hybrid
+from zetaladder.errors import DeltaDegenerate, DomainTooSmall, NonConvergence
 from zetaladder.hybrid import (
     DeltaPair,
     HybridReport,
@@ -29,7 +30,7 @@ from zetaladder.hybrid import (
     theorem1_constant,
     theorem2_constant,
 )
-from zetaladder.ladder import LadderModel
+from zetaladder.ladder import _CHUNK, LadderModel, mean_square_climb
 from zetaladder.tower import ChainFactory, gf_cos2, gf_power, gf_sin2
 
 from _oracles import swapped
@@ -412,8 +413,124 @@ def test_scan_collects_samples_past_the_table_ceiling(small_config):
 
 
 def test_scan_rejects_degenerate_requests(factory):
-    # one sample, one depth, or an empty range: refused before any sample
+    # one sample, one depth, an empty range, or no worker: refused before
+    # any sample
     for kw in (dict(n_samples=1), dict(k_range=(2, 2)), dict(k_range=(3, 1)),
-               dict(l_range=(300, 200)), dict(u_range=(1.0, 0.5))):
+               dict(l_range=(300, 200)), dict(u_range=(1.0, 0.5)),
+               dict(workers=0), dict(workers=-3), dict(workers=2.0)):
         with pytest.raises(DomainTooSmall):
             invariance_scan(PAIR_35, factory=factory, **kw)
+
+
+# ---------------------------------------------------------------------------
+# the pool's warm-up: the workers fit the table, the parent appends it
+# ---------------------------------------------------------------------------
+
+#: a scan whose tallest tower (L = 140, k = 3) tops out near t = 556
+COLD_SCAN = dict(n_samples=4, seed=5, u_range=(0.5, 1.0), l_range=(100, 140),
+                 k_range=(1, 3))
+
+
+def test_pool_warm_up_is_the_serial_warm_up(small_config, monkeypatch):
+    # from empty tables: the workers fit nearly every knot, the parent only
+    # tops up what the prediction fell short of, and the table and the scan
+    # are bit-identical to the serial ones
+    built = []
+    increments = LadderModel.knot_increments
+
+    def counted(model, j0, j1):  # a forked worker counts in its own copy
+        built.append(j1 - j0)
+        return increments(model, j0, j1)
+
+    monkeypatch.setattr(LadderModel, "knot_increments", counted)
+    pooled, serial = LadderModel(small_config), LadderModel(small_config)
+    scan = invariance_scan(PAIR_35, workers=2, factory=ChainFactory(pooled),
+                           **COLD_SCAN)
+    in_parent = sum(built)
+    assert scan.to_dict() == invariance_scan(
+        PAIR_35, factory=ChainFactory(serial), **COLD_SCAN).to_dict()
+    assert not scan.failures
+    assert len(pooled.table.values) > 1000
+    assert in_parent <= _CHUNK
+    fresh = LadderModel(small_config)
+    fresh.extend_to(pooled.table.t_covered)
+    assert pooled.table.values.tobytes() == fresh.table.values.tobytes()
+
+
+def test_a_prefill_fit_that_raises_leaves_the_knots_below_it(small_config,
+                                                             monkeypatch):
+    # a kernel patched before the fork refuses heights in (400.25, 401]: the
+    # worker with that chunk stops there while the other fits chunks above
+    # it, the parent keeps exactly the knots below the interval that holds
+    # 400.25, and samples fail one by one as on one process
+    refused = 400.25
+    rs_many = _kernels.z_rs_many
+
+    def refusing(ts, terms):
+        if np.any((ts > refused) & (ts <= refused + 0.75)):
+            raise NonConvergence("RS kernel refused in (400.25, 401]")
+        return rs_many(ts, terms)
+
+    monkeypatch.setattr(_kernels, "z_rs_many", refusing)
+    kw = dict(n_samples=6, seed=2, u_range=(0.5, 1.0), l_range=(100, 130),
+              k_range=(1, 2))
+    pooled = LadderModel(small_config)
+    scan = invariance_scan(PAIR_35, workers=2, factory=ChainFactory(pooled), **kw)
+    serial = LadderModel(small_config)
+    assert scan.to_dict() == invariance_scan(
+        PAIR_35, factory=ChainFactory(serial), **kw).to_dict()
+    assert len(scan.samples) == 3 and len(scan.failures) == 3
+    assert all(e.startswith("NonConvergence") for _, e in scan.failures)
+    top = pooled.table.t_covered
+    assert top <= refused < top + pooled.table.spacing
+    assert pooled.table.values.tobytes() == serial.table.values.tobytes()
+
+
+@pytest.mark.parametrize("l, u, k", [(100, 0.3, 1), (260, 1.45, 3)])
+def test_predicted_top_is_within_a_percent_of_the_warm_up(small_config, l, u, k):
+    # the corners of the CLI's default ranges: the prediction the pool fits
+    # up to, against the top knot a serial warm-up builds from empty
+    model = LadderModel(small_config)
+    ChainFactory(model).tower(l, u, k)
+    predicted = mean_square_climb(math.pi * l + u, k)
+    assert abs(predicted / model.table.t_covered - 1.0) < 0.01
+
+
+def test_scan_pool_sees_only_maps_and_samples_go_through_scan_eval(small_config,
+                                                                   monkeypatch):
+    # perfbench times each sample by wrapping hybrid._scan_eval, and its
+    # stand-ins implement map alone: every pool call is map(fn, iterable),
+    # and the samples reach the pool through the module's _scan_eval
+    calls = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, **kwargs):
+            calls.append((fn, len(iterables), kwargs))
+            return map(fn, *iterables)
+
+    evals = []
+    scan_eval = hybrid._scan_eval
+
+    def counted(item):
+        evals.append(item)
+        return scan_eval(item)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(hybrid.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(hybrid, "_WORKER_STATE", {})
+    monkeypatch.setattr(hybrid, "_scan_eval", counted)
+    scan = invariance_scan(PAIR_35, workers=2,
+                           factory=ChainFactory(LadderModel(small_config)),
+                           **COLD_SCAN)
+    assert [(n, kw) for _, n, kw in calls] == [(1, {}), (1, {})]
+    assert calls[0][0] is hybrid._scan_fit and calls[1][0] is counted
+    assert len(evals) == COLD_SCAN["n_samples"] == len(scan.samples)

@@ -113,6 +113,29 @@ def test_window_rejects_depth_beyond_cap(factory):
         factory.tower(150, 1.0, factory.model.config.k_max + 1)
 
 
+@pytest.mark.parametrize("l, k, error", [
+    (math.nan, 1, DomainTooSmall),
+    (math.inf, 1, DomainTooSmall),
+    (-math.inf, 1, DomainTooSmall),
+    (150, 1.5, IndexOutOfTower),
+    (150, math.nan, IndexOutOfTower),
+    (150, math.inf, IndexOutOfTower),
+], ids=["l-nan", "l-inf", "l-minus-inf", "k-fraction", "k-nan", "k-inf"])
+def test_window_refuses_non_finite_or_fractional_indices(factory, l, k, error):
+    # typed errors, not the ValueError, OverflowError or TypeError that
+    # int() or a slice would raise deeper down
+    with pytest.raises(error):
+        factory.tower(l, 1.0, k)
+    with pytest.raises(error):
+        factory.solve(l, 1.0, k, gf_sin2())
+
+
+def test_window_takes_integral_floats_as_ints(factory):
+    tw = factory.tower(150.0, 1.0, 2.0)
+    assert (tw.l, tw.k) == (150, 2)
+    assert type(tw.l) is int
+
+
 # ---------------------------------------------------------------------------
 # generating functions
 # ---------------------------------------------------------------------------
@@ -303,8 +326,9 @@ def test_chains_sharing_walks_equal_chains_solved_alone(model):
     for fn, args in FORMULA_CALLS:
         fn(shared, *args)
     assert len(shared._chains) > len(FORMULA_CALLS)
-    for (l, u, k, _key), chain in shared._chains.items():
-        _assert_same_chain(chain, ChainFactory(model).solve(l, u, k, chain.gf))
+    for chain in shared._chains.values():
+        _assert_same_chain(chain, ChainFactory(model).solve(chain.l, chain.u,
+                                                            chain.k, chain.gf))
 
 
 def test_chains_of_one_tower_share_their_walks(model, solve_count):
@@ -327,16 +351,36 @@ def test_factory_keeps_the_walks_of_one_window(model):
     fac = ChainFactory(model)
     fac.solve(150, 1.0, 2, gf_sin2())
     fac.solve(150, 1.0, 1, gf_cos2())
-    assert fac._walk_window == (150, 1.0)
+    assert fac._window == (150, 1.0)
     assert sorted(fac._walks) == [1, 2]
     fac.solve(250, 0.6, 2, gf_sin2())
-    assert fac._walk_window == (250, 0.6)
+    assert fac._window == (250, 0.6)
     assert sorted(fac._walks) == [2]
     seg = fac.tower(250, 0.6, 2).segment(2)
     assert all(seg.lo <= xi <= seg.hi for xi in fac._walks[2])
-    # a cached chain of the old window is a hit: no solve, the memo stays
+    # the old window's chain was dropped with it: asked again, it is solved
+    # afresh, and the memo moves back to its window
     fac.solve(150, 1.0, 2, gf_sin2())
-    assert fac._walk_window == (250, 0.6)
+    assert fac._window == (150, 1.0)
+    assert sorted(fac._walks) == [2]
+
+
+def test_factory_keeps_the_chains_and_segments_of_one_window(model):
+    fac = ChainFactory(model)
+    first = fac.solve(150, 1.0, 2, gf_sin2())
+    second = fac.solve(250, 0.6, 2, gf_sin2())
+    assert list(fac._chains) == [(2, "sin2")] and fac._chains[2, "sin2"] is second
+    assert fac._window == (250, 0.6)
+    assert [seg.lo for seg in fac._segments][0] == math.pi * 250
+    assert len(fac._segments) == 3
+    # the first window's chain is solved again, equal to the one dropped
+    again = fac.solve(150, 1.0, 2, gf_sin2())
+    assert again is not first
+    assert np.array_equal(again.alpha, first.alpha)
+    assert np.array_equal(again.zt2, first.zt2)
+    assert np.array_equal(again.omega, first.omega)
+    assert (again.rel_residual, again.condition) == (first.rel_residual,
+                                                     first.condition)
 
 
 def test_one_chain_weight_per_fresh_chain(model, monkeypatch):
