@@ -674,22 +674,23 @@ def invariance_scan(
 ) -> InvarianceScan:
     """Sample (U, L, {k1, k2}) at any real delta pair and summarize the spread.
 
-    All samples are drawn up front from one seeded generator, so the set of
-    evaluated parameter tuples -- and therefore the statistics -- do not
-    depend on ``workers``, an integer >= 1; no more processes start than
-    there are samples or cores.  The table of ``factory`` (fresh under
-    ``config`` if none is given) is warmed once, here, to the top of the
-    tallest tower, and every sample reads that one table.  On a pool the
-    workers fit the warm-up first: the knot intervals up to the top that
-    the mean-square law predicts (:func:`~zetaladder.ladder.mean_square_climb`)
-    are dealt to them and their increments appended here; the tower itself
-    is then built here, fitting whatever the prediction fell short of, and
-    each sample carries the knots added since the workers forked.  Knots
-    and results are bit-identical to the serial warm-up.  Per-sample
-    failures are collected, not raised, unless every sample fails.
+    ``n_samples``, an integer >= 2, are drawn up front from one seeded
+    generator, so the set of evaluated parameter tuples -- and therefore the
+    statistics -- do not depend on ``workers``, an integer >= 1; no more
+    processes start than there are samples or cores.  The table of
+    ``factory`` (fresh under ``config`` if none is given) is warmed once,
+    here, to the top of the tallest tower, and every sample reads that one
+    table.  On a pool the workers fit the warm-up first: the knot intervals
+    up to the top that the mean-square law predicts
+    (:func:`~zetaladder.ladder.mean_square_climb`) are dealt to them and
+    their increments appended here; the tower itself is then built here,
+    fitting whatever the prediction fell short of, and each sample carries
+    the knots added since the workers forked.  Knots and results are
+    bit-identical to the serial warm-up.  Per-sample failures are
+    collected, not raised, unless every sample fails.
     """
-    if n_samples < 2:
-        raise DomainTooSmall(f"need at least 2 samples, got {n_samples}")
+    if not (isinstance(n_samples, numbers.Integral) and n_samples >= 2):
+        raise DomainTooSmall(f"n_samples={n_samples!r} must be an integer >= 2")
     if not (isinstance(workers, numbers.Integral) and workers >= 1):
         raise DomainTooSmall(f"workers={workers!r} must be an integer >= 1")
     if factory is None:

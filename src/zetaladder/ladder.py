@@ -16,9 +16,10 @@ The model has three ingredients:
   knots evaluates the first pieces of up to 16 intervals in one Z batch,
   and a scan's pool fits such chunks in its workers, appended here in
   order (:meth:`LadderModel.knot_increments`).  An off-knot query refits
-  the interval, lands it on its knots and keeps the rows in memory (about
-  0.5 KB a piece), so A is continuous, exact at knots, within quadrature
-  tolerance between them, and one polynomial evaluation gives A and Z^2;
+  the interval, lands it on its knots and keeps it in memory in the form a
+  lookup reads (about 0.9 KB a piece), so A is continuous, exact at knots,
+  within quadrature tolerance between them, and one polynomial evaluation
+  gives A and Z^2;
 * the **forward map** phi1(t) = V^{-1}(A(t)), whose derivative is exactly
   ztilde_sq(t) = Z(t)^2 / V'(phi1(t)) -- inside the model too, since Z^2 is
   the derivative of the interpolated A; the **reverse step** solves
@@ -68,6 +69,7 @@ from .errors import (
 )
 from .numerics import (
     Bracket,
+    Landed,
     chebyshev_pieces,
     eval_pieces,
     initial_pieces,
@@ -86,6 +88,8 @@ __all__ = [
 ]
 
 _LOG_TWO_PI = math.log(2.0 * math.pi)
+#: V(y) = y log y + _V_LINEAR y
+_V_LINEAR = EULER_GAMMA - _LOG_TWO_PI
 #: most knot intervals one Z batch per route serves when a call adds many
 #: knots: a 33-node piece costs the RS kernel about 135 us alone and 50 us
 #: in a chunk's batch (traced scan, 2-core machine)
@@ -96,7 +100,7 @@ def normalizer(y: float) -> float:
     """V(y) = y log y + (gamma - log 2pi) y, for y > 0."""
     if y <= 0.0:
         raise DomainTooSmall(f"normalizer requested at y={y} <= 0")
-    return y * math.log(y) + (EULER_GAMMA - _LOG_TWO_PI) * y
+    return y * math.log(y) + _V_LINEAR * y
 
 
 def normalizer_prime(y: float) -> float:
@@ -160,10 +164,6 @@ class CumulativeTable:
     def t_covered(self) -> float:
         return (len(self.values) - 1) * self.spacing
 
-    def knot_below(self, t: float) -> int:
-        j = int(t / self.spacing)
-        return min(j, len(self.values) - 1)
-
 
 class LadderModel:
     """Cumulative mass, forward map, and reverse step under one configuration.
@@ -182,8 +182,10 @@ class LadderModel:
         self.table = table or CumulativeTable(
             spacing=config.knot_spacing, config_hash=config.config_hash()
         )
-        #: knot interval j -> its interpolant rows; memory only, never saved
-        self._pieces: dict[int, np.ndarray] = {}
+        #: knot interval j -> its landed interpolant; memory only, never saved
+        self._pieces: dict[int, Landed] = {}
+        #: V(t_min), the floor of A that step can invert; set by the first step
+        self._v_min: float | None = None
 
     # -- cumulative mass ---------------------------------------------------
 
@@ -251,10 +253,13 @@ class LadderModel:
         interval below holds t then.  A t the table covers skips
         :meth:`extend_to`; NaN and +-inf still reach its typed error.
         """
-        if not 0.0 < t <= (len(self.table.values) - 1) * self.table.spacing:
+        vals, h = self.table.values, self.table.spacing
+        top = len(vals) - 1
+        if not 0.0 < t <= top * h:
             self.extend_to(t)
-        j = self.table.knot_below(t)
-        if t <= j * self.table.spacing or j == len(self.table.values) - 1:
+            top = len(vals) - 1
+        j = min(int(t / h), top)
+        if t <= j * h or j == top:
             j -= 1
         return j
 
@@ -322,14 +327,15 @@ class LadderModel:
         """(A(t), Z(t)^2) for t in knot interval j; A is the knot value at a knot.
 
         The fit lands on the knots on first use (a loaded table's knots are not
-        trusted to equal it) and is kept; dA/dt = Z^2 holds on it.
+        trusted to equal it) and is kept in the form :func:`eval_pieces`
+        reads; dA/dt = Z^2 holds on it.
         """
         vals = self.table.values
-        rows = self._pieces.get(j)
-        if rows is None:
-            rows = self._pieces[j] = land_pieces(
+        landed = self._pieces.get(j)
+        if landed is None:
+            landed = self._pieces[j] = land_pieces(
                 self._raw_fit(j), vals[j + 1] - vals[j], self.table.spacing)
-        integral, zsq = eval_pieces(rows, t)
+        integral, zsq = eval_pieces(landed, t)
         if (j + 1) * self.table.spacing == t:
             return vals[j + 1], zsq
         return vals[j] + integral, zsq
@@ -352,25 +358,34 @@ class LadderModel:
 
         Newton starts from max(t, t_min): V is convex and increasing above
         t_min, so from above it converges monotonically; t itself lies above
-        the root at working heights.  Raises DomainTooSmall below t_start (or
-        at t <= 0) or when A(t) < V(t_min), and NonConvergence when 64 steps
-        do not settle to root_tol.
+        the root at working heights.  Each Newton step takes V(y) and V'(y)
+        from one log; V(t_min) is computed on the first step and kept.  Raises
+        DomainTooSmall below t_start (or at t <= 0), when A(t) < V(t_min) or
+        t_min <= 0, and NonConvergence when 64 steps do not settle to
+        root_tol.
         """
         cfg = self.config
         if t < cfg.t_start or t <= 0.0:
             raise DomainTooSmall(f"phi1 requested at t={t}: needs t >= "
                                  f"t_start={cfg.t_start} and t > 0")
         a, zsq = self._lookup(self._interval(t), t)
-        v_min = normalizer(cfg.t_min)
+        v_min = self._v_min
+        if v_min is None:
+            v_min = self._v_min = normalizer(cfg.t_min)
         if a < v_min:
             raise DomainTooSmall(f"A({t})={a} below normalizer floor "
                                  f"V({cfg.t_min})={v_min}")
-        y = max(t, cfg.t_min)
+        t_min, tol, log = cfg.t_min, 0.25 * cfg.root_tol, math.log
+        y = max(t, t_min)
         for _ in range(64):
-            dy = (normalizer(y) - a) / normalizer_prime(y)
-            y = max(y - dy, cfg.t_min)
-            if abs(dy) <= 0.25 * cfg.root_tol:
-                om = normalizer_prime(y)
+            # (normalizer(y) - a) / normalizer_prime(y), one log for both
+            log_y = log(y)
+            dy = (y * log_y + _V_LINEAR * y - a) / (log_y + 1.0 + EULER_GAMMA - _LOG_TWO_PI)
+            y -= dy
+            if y < t_min:  # max(y, t_min); a NaN stays NaN
+                y = t_min
+            if abs(dy) <= tol:
+                om = log(y) + 1.0 + EULER_GAMMA - _LOG_TWO_PI
                 return y, om, zsq / om
         raise NonConvergence(f"V^-1(A({t})={a}) did not converge in 64 Newton steps")
 
@@ -406,6 +421,8 @@ class LadderModel:
         36 at the defaults.
         """
         cfg = self.config
+        if not math.isfinite(x):
+            raise DomainTooSmall(f"reverse_step requested at non-finite x={x}")
         if x < cfg.t_min:
             raise DomainTooSmall(f"reverse_step requested at x={x} < t_min={cfg.t_min}")
         target = normalizer(x)

@@ -13,8 +13,9 @@ use for integrals and root solves, so their contracts are deliberately narrow:
 * :func:`chebyshev_pieces` -- the interpolant behind those 33 values, and its
   integral, on the pieces :func:`adaptive_panels` accepts: both read one
   splitting loop, :func:`_pieces`, which turns a piece's 33 values into its
-  17/33 error and its row, a layout only :func:`piece_integrals`,
-  :func:`land_pieces` and :func:`eval_pieces` read.  A loop that cannot meet
+  17/33 error and its row, a layout only :func:`piece_integrals` and
+  :func:`land_pieces` read; the latter turns an interval's rows into the
+  form :func:`eval_pieces` reads, once.  A loop that cannot meet
   its tolerance raises :class:`NonConvergence`, not halving below noise.
   The loop starts from :func:`initial_pieces`; a caller fitting many spans
   can evaluate all their initial pieces at their :func:`piece_nodes` in one
@@ -36,6 +37,7 @@ randomness.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -72,6 +74,11 @@ _MAX_FORCED = 8
 #: integral coefficients lead each piece's row, after lo and hi
 _NB = N_HI + 2
 _CHEB_K = np.arange(_NB, dtype=np.float64)
+#: a landed piece: (lo, hi, integral coefficients, f coefficients)
+Piece = tuple[float, float, np.ndarray, np.ndarray]
+#: a landed interval: its one piece, or the right edges of all its pieces
+#: but the last and the pieces
+Landed = Piece | tuple[list[float], tuple[Piece, ...]]
 
 
 @dataclass(frozen=True)
@@ -266,11 +273,16 @@ def piece_integrals(rows: np.ndarray) -> np.ndarray:
     return rows[..., 2:2 + _NB].sum(axis=-1)
 
 
-def land_pieces(rows: np.ndarray, total: float, width: float) -> np.ndarray:
-    """Shift rows in place to integrate from the first lo and total ``total``.
+def land_pieces(rows: np.ndarray, total: float, width: float) -> Landed:
+    """Rows landed to integrate from the first lo and total ``total``, in the form
+    :func:`eval_pieces` reads.
 
     The shortfall delta lands as a linear term over ``width`` (the rows' span);
-    its slope joins f, which stays the integral's derivative.
+    its slope joins f, which stays the integral's derivative.  The rows are
+    shifted in place on the way and then dropped: each piece keeps its
+    bounds as floats and its integral and f coefficients as vectors of their
+    own.  One piece is the landed interval; more come with the right edges
+    of all but the last, to bisect.
     """
     b = rows[:, 2:2 + _NB]
     ints = piece_integrals(rows)
@@ -280,18 +292,26 @@ def land_pieces(rows: np.ndarray, total: float, width: float) -> np.ndarray:
     b[:, 0] += np.cumsum(ints + share) - (ints + share) + 0.5 * share
     b[:, 1] += 0.5 * share
     rows[:, 2 + _NB] += delta / width
-    return rows
+    los, his = rows[:, 0].tolist(), rows[:, 1].tolist()
+    pieces = tuple((lo, hi, row[2:2 + _NB].copy(), row[2 + _NB:].copy())
+                   for lo, hi, row in zip(los, his, rows))
+    return pieces[0] if len(pieces) == 1 else (his[:-1], pieces)
 
 
-def eval_pieces(rows: np.ndarray, t: float) -> tuple[float, float]:
-    """(integral from the piece's lo, or as landed; f) at t from one basis."""
-    n = len(rows)
-    row = rows[0 if n == 1 else min(int(np.searchsorted(rows[:, 1], t)), n - 1)]
-    lo, hi = float(row[0]), float(row[1])
-    # clamped: rounding can put t a few ulps outside its piece
-    x = min(1.0, max(-1.0, (2.0 * t - lo - hi) / (hi - lo)))
+def eval_pieces(landed: Landed, t: float) -> tuple[float, float]:
+    """(integral as landed, f) at t from one basis, read from :func:`land_pieces`."""
+    if len(landed) == 2:
+        edges, pieces = landed
+        # the last edge is left out, so t past it reads the last piece
+        landed = pieces[bisect.bisect_left(edges, t)]
+    lo, hi, b, c = landed
+    # clamped as min(1.0, max(-1.0, x)) clamps: rounding can put t a few
+    # ulps outside its piece
+    x = (2.0 * t - lo - hi) / (hi - lo)
+    x = x if x > -1.0 else -1.0
+    x = x if x < 1.0 else 1.0
     basis = np.cos(math.acos(x) * _CHEB_K)
-    return float(basis @ row[2:2 + _NB]), float(basis[:-1] @ row[2 + _NB:])
+    return float(basis @ b), float(basis[:-1] @ c)
 
 
 def integrate(

@@ -8,8 +8,10 @@ regenerated from package code.
 
 The last section holds reference code: the plain bisection loop the package's
 root loop is measured against, the one-point eta series the package's batched
-one must equal bit for bit, and small helpers that only the tests use (a
-mixed-route Z batch, segment membership, a swapped delta pair).
+one must equal bit for bit, the ladder's read path as it read interpolant rows
+(which its landed form must equal bit for bit), and small helpers that only
+the tests use (a mixed-route Z batch, segment membership, a swapped delta
+pair).
 
 Generator: mpmath 1.3.0 --
   zeros       mp.zetazero(n).imag
@@ -23,6 +25,8 @@ Generator: mpmath 1.3.0 --
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -198,6 +202,94 @@ def eta_zeta(t: float) -> complex:
     coeff = (d[:n] - d[n]) * np.where(k % 2 == 0, 1.0, -1.0)
     eta = -(coeff * np.exp(-s * np.log(k + 1.0))).sum() / d[n]
     return complex(eta / (1.0 - 2.0 ** (1.0 - s)))
+
+
+#: a row is [lo, hi, b_0..b_33, c_0..c_32]: integral, then f coefficients
+_NB = 34
+_CHEB_K = np.arange(_NB, dtype=np.float64)
+
+
+def land_rows(rows: np.ndarray, total: float, width: float) -> np.ndarray:
+    """Rows shifted in place to integrate from the first lo and total ``total``.
+
+    The shortfall delta lands as a linear term over ``width``; its slope
+    joins f.
+    """
+    b = rows[:, 2:2 + _NB]
+    ints = b.sum(axis=-1)
+    delta = total - float(ints.sum())
+    share = delta * (rows[:, 1] - rows[:, 0]) / width
+    b[:, 0] += np.cumsum(ints + share) - (ints + share) + 0.5 * share
+    b[:, 1] += 0.5 * share
+    rows[:, 2 + _NB] += delta / width
+    return rows
+
+
+def eval_rows(rows: np.ndarray, t: float) -> tuple[float, float]:
+    """(integral as landed, f) at t from one basis and two dot products."""
+    n = len(rows)
+    row = rows[0 if n == 1 else min(int(np.searchsorted(rows[:, 1], t)), n - 1)]
+    lo, hi = float(row[0]), float(row[1])
+    x = min(1.0, max(-1.0, (2.0 * t - lo - hi) / (hi - lo)))
+    basis = np.cos(math.acos(x) * _CHEB_K)
+    return float(basis @ row[2:2 + _NB]), float(basis[:-1] @ row[2 + _NB:])
+
+
+class RowReadPath:
+    """A(t), Z(t)^2 and the ladder step of a model, read from landed rows.
+
+    The model's knot table and raw fits, read the way the ladder read them
+    before it landed each interval into its own form: a searchsorted over
+    the rows, and Newton through ``normalizer``/``normalizer_prime`` with
+    V(t_min) recomputed on every step.
+    """
+
+    def __init__(self, model):
+        self.model = model
+        self.rows: dict[int, np.ndarray] = {}
+
+    def interval(self, t: float) -> int:
+        vals, h = self.model.table.values, self.model.table.spacing
+        if not 0.0 < t <= (len(vals) - 1) * h:
+            self.model.extend_to(t)
+        j = min(int(t / h), len(vals) - 1)
+        if t <= j * h or j == len(vals) - 1:
+            j -= 1
+        return j
+
+    def lookup(self, t: float) -> tuple[float, float]:
+        j = self.interval(t)
+        vals, h = self.model.table.values, self.model.table.spacing
+        if j not in self.rows:
+            self.rows[j] = land_rows(self.model._raw_fit(j), vals[j + 1] - vals[j], h)
+        integral, zsq = eval_rows(self.rows[j], t)
+        if (j + 1) * h == t:
+            return vals[j + 1], zsq
+        return vals[j] + integral, zsq
+
+    def cumulative_hl(self, t: float) -> float:
+        if t == 0.0:
+            return 0.0
+        j = self.interval(t)
+        if (j + 1) * self.model.table.spacing == t:
+            return self.model.table.values[j + 1]
+        return self.lookup(t)[0]
+
+    def step(self, t: float) -> tuple[float, float, float]:
+        from zetaladder.ladder import normalizer, normalizer_prime
+
+        cfg = self.model.config
+        a, zsq = self.lookup(t)
+        if a < normalizer(cfg.t_min):
+            raise ValueError(f"A({t}) below the normalizer floor")
+        y = max(t, cfg.t_min)
+        for _ in range(64):
+            dy = (normalizer(y) - a) / normalizer_prime(y)
+            y = max(y - dy, cfg.t_min)
+            if abs(dy) <= 0.25 * cfg.root_tol:
+                om = normalizer_prime(y)
+                return y, om, zsq / om
+        raise ValueError(f"no convergence at {t}")
 
 
 def z_many(ts: np.ndarray) -> np.ndarray:

@@ -413,9 +413,10 @@ def test_scan_collects_samples_past_the_table_ceiling(small_config):
 
 
 def test_scan_rejects_degenerate_requests(factory):
-    # one sample, one depth, an empty range, or no worker: refused before
-    # any sample
-    for kw in (dict(n_samples=1), dict(k_range=(2, 2)), dict(k_range=(3, 1)),
+    # one sample, a fractional count, one depth, an empty range, or no
+    # worker: refused before any sample
+    for kw in (dict(n_samples=1), dict(n_samples=2.5),
+               dict(k_range=(2, 2)), dict(k_range=(3, 1)),
                dict(l_range=(300, 200)), dict(u_range=(1.0, 0.5)),
                dict(workers=0), dict(workers=-3), dict(workers=2.0)):
         with pytest.raises(DomainTooSmall):

@@ -31,7 +31,7 @@ from zetaladder.numerics import integrate, piece_integrals
 from zetaladder.tower import ChainFactory
 from zetaladder.zeta import hardy_z, zeta_mod_sq
 
-from _oracles import A_100, MONOTONE_FLOOR
+from _oracles import A_100, MONOTONE_FLOOR, RowReadPath
 
 _LOG_2PI = math.log(2.0 * math.pi)
 #: where the Riemann-Siegel main sum gains its N-th term, t = 2 pi N^2:
@@ -47,6 +47,14 @@ def _fresh(m, a, b, tol):
 def _zsq(m, t):
     """Z(t)^2 as a ladder step reads it: the interpolant of t's knot interval."""
     return m._lookup(m._interval(t), t)[1]
+
+
+def _bounds(m, j):
+    """(lo, hi) of each piece m keeps for a knot interval j of many pieces."""
+    edges, pieces = m._pieces[j]
+    bounds = np.array([(lo, hi) for lo, hi, _b, _c in pieces])
+    assert edges == bounds[:-1, 1].tolist()  # the right edges to bisect
+    return bounds
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +188,7 @@ def test_interval_that_fails_the_17_33_test_is_halved(small_config):
     tol = m.config.quad_tol * h
     vals = m.table.values
     m.cumulative_hl(300.0)
-    rows = m._pieces[j]
+    rows = _bounds(m, j)
     assert len(rows) > 1
     assert rows[0, 0] == j * h and rows[-1, 1] == (j + 1) * h
     assert np.array_equal(rows[1:, 0], rows[:-1, 1])
@@ -227,7 +235,7 @@ def test_jump_intervals_are_cut_not_halved(model):
     for t in JUMPS:
         j = int(t / h)
         model.cumulative_hl(j * h + 0.25)
-        rows = model._pieces[j]
+        rows = _bounds(model, j)
         assert rows[0, 0] == j * h and rows[-1, 1] == (j + 1) * h
         cuts = [row[1] for row, nxt in zip(rows, rows[1:]) if row[1] != nxt[0]]
         assert len(cuts) == 1 and abs(cuts[0] - t) <= 4 * math.ulp(t)
@@ -351,6 +359,83 @@ def test_a_ladder_step_reads_its_interval_once(model, monkeypatch):
     assert reads == [1000.3]
 
 
+def test_the_normalizer_floor_is_computed_on_the_first_step(small_config):
+    # V(t_min) is kept per model, but a t_min <= 0 still builds the table and
+    # raises on the first step, not when the model is made
+    m = LadderModel(small_config.with_overrides(t_min=0.0))
+    with pytest.raises(DomainTooSmall, match="normalizer"):
+        m.step(250.0)
+    assert m.table.t_covered >= 250.0
+
+
+# ---------------------------------------------------------------------------
+# the read path against the row reference: bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _assert_reads_as_rows(m, ts, steps=True):
+    """A(t), Z(t)^2 and (with ``steps``) the ladder step of m, each == the rows' read."""
+    ref = RowReadPath(m)
+    for t in ts:
+        t = float(t)
+        assert m.cumulative_hl(t) == ref.cumulative_hl(t), t
+        assert _zsq(m, t) == ref.lookup(t)[1], t
+        if steps:
+            want = ref.step(t)
+            assert m.step(t) == want, t
+            assert (m.phi1(t), m.omega(t), m.ztilde_sq(t)) == want, t
+
+
+def _knot_points(h, js):
+    """Knots j h and the doubles one ulp below them."""
+    return [x for j in js for x in (j * h, math.nextafter(j * h, 0.0))]
+
+
+def test_read_path_equals_the_rows_off_and_on_knots(model):
+    # a fresh model on the fixture's knots lands every interval it reads
+    fresh = LadderModel(model.config, model.table)
+    h = model.table.spacing
+    rng = np.random.default_rng(16)
+    ts = list(rng.uniform(200.0, 2200.0, 200))
+    ts += _knot_points(h, rng.integers(400, 4400, 20).tolist() + [4400])
+    _assert_reads_as_rows(fresh, ts)
+
+
+def test_read_path_equals_the_rows_across_a_jump_cut(model):
+    # the intervals holding t = 2 pi N^2 are cut there: two pieces to bisect
+    fresh = LadderModel(model.config, model.table)
+    h = model.table.spacing
+    for t in JUMPS:
+        j = int(t / h)
+        ts = list(np.linspace(j * h, (j + 1) * h, 23)[1:]) + [
+            t, math.nextafter(t, 0.0), math.nextafter(t, math.inf), t - 1e-9, t + 1e-9]
+        _assert_reads_as_rows(fresh, ts, steps=t >= model.config.t_start)
+
+
+def test_read_path_equals_the_rows_on_a_halved_interval(small_config):
+    m = LadderModel(small_config.with_overrides(knot_spacing=16.0))
+    m.extend_to(304.0)
+    edges = m._raw_fit(18)[:-1, 1].tolist()
+    assert len(edges) > 1
+    ts = list(np.linspace(288.0, 304.0, 41)[1:]) + edges + [
+        math.nextafter(e, d) for e in edges for d in (0.0, math.inf)]
+    _assert_reads_as_rows(m, ts)
+
+
+@pytest.mark.parametrize("t", [5.699999999999999, 0.9])
+def test_read_path_equals_the_rows_where_t_over_h_rounds_to_a_knot(small_config, t):
+    # the two cases of test_mass_where_t_over_h_rounds_to_a_knot
+    m = LadderModel(small_config.with_overrides(knot_spacing=0.3, t_start=0.0))
+    _assert_reads_as_rows(m, [t])
+
+
+def test_read_path_equals_the_rows_on_a_reloaded_table(model, tmp_path):
+    loaded = LadderModel.load_table(model.save_table(str(tmp_path / "t.csv")), model.config)
+    rng = np.random.default_rng(61)
+    _assert_reads_as_rows(loaded, list(rng.uniform(200.0, 2200.0, 60))
+                          + _knot_points(loaded.table.spacing, [1000, 3001]))
+
+
 # ---------------------------------------------------------------------------
 # reverse step (the ladder's upward rung)
 # ---------------------------------------------------------------------------
@@ -376,6 +461,13 @@ def test_reverse_step_rejects_below_t_min(model):
         model.reverse_step(model.config.t_min - 1.0)
 
 
+@pytest.mark.parametrize("x", [math.inf, math.nan])
+def test_reverse_step_rejects_a_non_finite_x(model, x):
+    # V(inf) is NaN: refused as a domain error before any root loop
+    with pytest.raises(DomainTooSmall, match="non-finite"):
+        model.reverse_step(x)
+
+
 def test_reverse_step_bisects_one_knot_interval(model, monkeypatch):
     # both bracket ends are knots; only the root loop's steps cost a lookup,
     # and it never takes more than bisection's ceil(log2(5e10)) = 36 steps
@@ -387,7 +479,7 @@ def test_reverse_step_bisects_one_knot_interval(model, monkeypatch):
     original = LadderModel.cumulative_hl
 
     def counting(self, t):
-        if t != self.table.knot_below(t) * h:
+        if t != int(t / h) * h:
             offknot.append(t)
         return original(self, t)
 
@@ -406,7 +498,7 @@ def test_reverse_steps_take_a_handful_of_offknot_evaluations(model, monkeypatch)
     original = LadderModel.cumulative_hl
 
     def counting(self, t):
-        if t != self.table.knot_below(t) * h:
+        if t != int(t / h) * h:
             offknot.append(t)
         return original(self, t)
 

@@ -198,17 +198,20 @@ def test_landed_pieces_evaluate_as_the_reference_plus_the_linear_term():
     ref = rows.copy()
     delta = 1e-3
     total = float(piece_integrals(rows).sum()) + delta
-    assert land_pieces(rows, total, 2.0) is rows
+    landed = land_pieces(rows, total, 2.0)
+    # the landed form replaces the rows: it keeps no view of them
+    _edges, pieces = landed  # many pieces: the right edges and the pieces
+    assert not any(np.shares_memory(rows, v) for piece in pieces for v in piece[2:])
     for t in np.linspace(0.0, 2.0, 41):
-        integral, value = eval_pieces(rows, float(t))
+        integral, value = eval_pieces(landed, float(t))
         ref_integral, ref_value = _piece_at(ref, float(t))
         assert integral == pytest.approx(ref_integral + 0.5 * delta * t, abs=1e-13)
         assert value == pytest.approx(ref_value + 0.5 * delta, abs=1e-13)
-    for edge in rows[:-1, 1]:
-        left = eval_pieces(rows, float(edge))[0]
-        right = eval_pieces(rows, math.nextafter(float(edge), math.inf))[0]
+    for edge in ref[:-1, 1]:
+        left = eval_pieces(landed, float(edge))[0]
+        right = eval_pieces(landed, math.nextafter(float(edge), math.inf))[0]
         assert right == pytest.approx(left, abs=1e-15)
-    assert eval_pieces(rows, 2.0)[0] == pytest.approx(total, abs=1e-15)
+    assert eval_pieces(landed, 2.0)[0] == pytest.approx(total, abs=1e-15)
 
 
 def test_a_jump_costs_one_piece_at_the_resolution_limit():
