@@ -52,9 +52,14 @@ class RunConfig:
         # one row of the correction table (and of its error bound) per term
         if not 1 <= self.rs_terms <= 4:
             raise UsageError(f"rs_terms={self.rs_terms} must be in 1..4")
-        for name, tol in (("quad_tol", self.quad_tol), ("root_tol", self.root_tol)):
-            if not (math.isfinite(tol) and tol > 0.0):
-                raise UsageError(f"{name}={tol} must be finite and > 0")
+        for name in ("quad_tol", "root_tol", "knot_spacing", "t_table_max"):
+            val = getattr(self, name)
+            if not (math.isfinite(val) and val > 0.0):
+                raise UsageError(f"{name}={val} must be finite and > 0")
+        for name in ("rs_switch", "t_min", "t_start"):
+            val = getattr(self, name)
+            if not math.isfinite(val):
+                raise UsageError(f"{name}={val} must be finite")
 
     def config_hash(self) -> str:
         """Short checksum over every field that affects cached table values."""

@@ -22,32 +22,20 @@ __all__ = ["GapReport", "prime_pi", "gap_rho", "gap_csv_rows"]
 
 _SIEVE_CAP = 100_000_000
 
-# growable shared sieve: _composite[i] says whether i is composite (i >= 2)
-_sieve_mask = np.zeros(2, dtype=bool)
-
-
-def _ensure_sieve(n: int) -> None:
-    global _sieve_mask
-    if n < len(_sieve_mask):
-        return
-    size = max(n + 1, 2 * len(_sieve_mask), 1024)
-    mask = np.ones(size, dtype=bool)
-    mask[:2] = False
-    for p in range(2, int(math.isqrt(size - 1)) + 1):
-        if mask[p]:
-            mask[p * p:: p] = False
-    _sieve_mask = mask
-
 
 def prime_pi(x: float) -> int:
-    """Exact count of primes <= x, by sieve; domain [2, 1e8]."""
+    """Exact count of primes <= x, by a sieve to floor(x) per call; domain [2, 1e8]."""
     if x < 2:
         raise DomainTooSmall(f"prime_pi domain starts at 2, got {x}")
     if x > _SIEVE_CAP:
         raise RangeTooLarge(f"prime_pi sieve bound is {_SIEVE_CAP}, got {x}")
     n = int(math.floor(x))
-    _ensure_sieve(n)
-    return int(np.count_nonzero(_sieve_mask[: n + 1]))
+    prime = np.ones(n + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if prime[p]:
+            prime[p * p:: p] = False
+    return int(np.count_nonzero(prime))
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import DeltaDegenerate, DomainTooSmall, NonConvergence, ZetaLadderError
+from .errors import DeltaDegenerate, DomainTooSmall, NonConvergence, RangeTooLarge, ZetaLadderError
 from .ladder import LadderModel, mean_square_climb
 from .tower import (
     ChainFactory,
@@ -107,7 +107,7 @@ Rational = Fraction | int | float
 
 @dataclass(frozen=True)
 class DeltaPair:
-    """Exponent pair (d3, d4), both positive, d3 != d4.
+    """Exponent pair (d3, d4), both positive and finite, d3 != d4.
 
     Rational inputs (Fraction or int) keep exact arithmetic in all derived
     exponents; the degenerate d3 == d4 case collapses every identity here to
@@ -119,8 +119,14 @@ class DeltaPair:
 
     def __post_init__(self):
         for name, d in (("d3", self.d3), ("d4", self.d4)):
-            if not float(d) > 0.0:
+            try:
+                val = float(d)
+            except OverflowError:  # an exact value past the largest float
+                val = math.inf if d > 0 else -math.inf
+            if not val > 0.0:
                 raise DomainTooSmall(f"{name}={d} must be positive")
+            if val == math.inf:
+                raise RangeTooLarge(f"{name}={d} must be finite")
         if float(self.d3) == float(self.d4):
             raise DeltaDegenerate(
                 f"d3 = d4 = {self.d3} makes every combined identity trivial"
@@ -674,25 +680,27 @@ def invariance_scan(
 ) -> InvarianceScan:
     """Sample (U, L, {k1, k2}) at any real delta pair and summarize the spread.
 
-    ``n_samples``, an integer >= 2, are drawn up front from one seeded
-    generator, so the set of evaluated parameter tuples -- and therefore the
-    statistics -- do not depend on ``workers``, an integer >= 1; no more
-    processes start than there are samples or cores.  The table of
-    ``factory`` (fresh under ``config`` if none is given) is warmed once,
-    here, to the top of the tallest tower, and every sample reads that one
-    table.  On a pool the workers fit the warm-up first: the knot intervals
-    up to the top that the mean-square law predicts
-    (:func:`~zetaladder.ladder.mean_square_climb`) are dealt to them and
-    their increments appended here; the tower itself is then built here,
-    fitting whatever the prediction fell short of, and each sample carries
-    the knots added since the workers forked.  Knots and results are
-    bit-identical to the serial warm-up.  Per-sample failures are
+    ``n_samples``, an integer >= 2, are drawn up front from one generator
+    seeded by ``seed``, an integer >= 0, so the set of evaluated parameter
+    tuples -- and therefore the statistics -- do not depend on ``workers``,
+    an integer >= 1; no more processes start than there are samples or
+    cores.  The table of ``factory`` (fresh under ``config`` if none is
+    given) is warmed once, here, to the top of the tallest tower, and every
+    sample reads that one table.  On a pool the workers fit the warm-up
+    first: the knot intervals up to the top that the mean-square law
+    predicts (:func:`~zetaladder.ladder.mean_square_climb`) are dealt to
+    them and their increments appended here; the tower itself is then built
+    here, topping up by whole chunks where the prediction fell short, and
+    each sample carries the knots added since the workers forked.  Knots and
+    results are bit-identical to the serial warm-up.  Per-sample failures are
     collected, not raised, unless every sample fails.
     """
     if not (isinstance(n_samples, numbers.Integral) and n_samples >= 2):
         raise DomainTooSmall(f"n_samples={n_samples!r} must be an integer >= 2")
     if not (isinstance(workers, numbers.Integral) and workers >= 1):
         raise DomainTooSmall(f"workers={workers!r} must be an integer >= 1")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise DomainTooSmall(f"seed={seed!r} must be an integer >= 0")
     if factory is None:
         factory = ChainFactory(LadderModel(config))
     (u_lo, u_hi), (l_lo, l_hi), (k_lo, k_hi) = u_range, l_range, k_range

@@ -118,7 +118,9 @@ def mean_square_climb(x: float, depth: int) -> float:
     A(u) = V(x), is predicted by the root of that leading part Abar(u) =
     V(x).  Abar is convex and increasing above 2pi e^{-2 gamma}, and Newton
     from max(x, 2pi) settles in a few steps.  A prediction, not a bound: a
-    tower top lands within about 1 % of it at working heights.
+    tower top lands within about 1 % of it at working heights.  It is the
+    package's one growth predictor: a scan's pool fits the table up to it,
+    while a reverse step grows the table by whole chunks.
     """
     u = x
     for _ in range(depth):
@@ -405,13 +407,11 @@ class LadderModel:
         """The unique u with A(u) = V(x); above working heights u > x.
 
         A is increasing, so the knot table brackets the root.  The table
-        grows toward it a chunk at a time rather than a knot per call: each
-        :meth:`extend_to` asks for (V(x) - A(top)) / (h V'(max(top, x)))
-        more knots, at least one, at most ``_CHUNK`` (one Z batch per route)
-        and never past ``t_table_max``, until the top knot reaches V(x).  A's
-        mean slope is V' - (1 - gamma), so the prediction falls short on
-        average; where Z^2 runs high it overshoots, but the table never ends
-        ``_CHUNK`` or more knots above the first that reaches V(x).
+        grows toward it by whole chunks: each :meth:`extend_to` adds
+        ``_CHUNK`` knots above the top one (one Z batch per route), never
+        past ``t_table_max``, until the top knot reaches V(x).  So the table
+        ends fewer than ``_CHUNK`` knots above the first knot that reaches
+        V(x).
 
         The first knot j with A(j h) >= V(x) closes the knot interval
         [(j-1) h, j h].  Both ends are knots, and ``invert_increasing``
@@ -434,9 +434,7 @@ class LadderModel:
             k_max -= 1
         while vals[-1] < target:
             top = len(vals) - 1
-            slope = h * normalizer_prime(max(top * h, x))
-            more = math.ceil((target - vals[-1]) / slope) if slope > 0.0 else 1
-            self.extend_to(max(min(top + min(more, _CHUNK), k_max), top + 1) * h)
+            self.extend_to(max(min(top + _CHUNK, k_max), top + 1) * h)
         j = bisect.bisect_left(vals, target, 1)
         return invert_increasing(
             self.cumulative_hl, Bracket((j - 1) * h, j * h), target, cfg.root_tol

@@ -89,9 +89,6 @@ class QuadratureResult:
     error_estimate: float
     evaluations: int
 
-    def __float__(self) -> float:  # convenience for arithmetic in callers
-        return self.value
-
 
 @dataclass(frozen=True)
 class Bracket:
@@ -103,14 +100,6 @@ class Bracket:
     def __post_init__(self) -> None:
         if not (self.lo <= self.hi) or not math.isfinite(self.hi - self.lo):
             raise BracketInvalid(f"bad bracket [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
 
 
 def initial_pieces(a: float, b: float, min_wavelength: float | None) -> list[float]:

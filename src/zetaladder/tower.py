@@ -112,7 +112,11 @@ class IterationTower:
 
 def _check_window(l: int, u: float, k: int, config: RunConfig) -> tuple[int, int]:
     """(L, k) as ints, or the typed error of the first bound they break."""
-    if not (math.isfinite(l) and int(l) == l):
+    try:
+        whole = math.isfinite(l) and int(l) == l
+    except OverflowError:  # an int past the largest float
+        raise RangeTooLarge("tower base index L lies beyond the float range") from None
+    if not whole:
         raise DomainTooSmall(f"tower base index L={l!r} must be a finite integer")
     l = int(l)
     if l < config.l_floor:

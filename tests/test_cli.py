@@ -303,6 +303,22 @@ def test_invalid_gate_tolerance_exit_2(capsys, argv, value):
     assert argv[-1] in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("scan", "invariance", "--delta3", "1/3", "--delta4", "1/5", "--seed", "-1"), "seed"),
+    (("verify", "echf1", "--L", "1" + "0" * 399, "--U", "1.0", "--k1", "1", "--k2", "2"),
+     "L"),
+    (("verify", "echf2", "--delta3", "1e400", "--delta4", "1/5", "--L", "150",
+      "--U", "1.0", "--k3", "1", "--k4", "2"), "d3"),
+], ids=["negative-seed", "L-past-float-range", "delta-past-float-range"])
+def test_inputs_outside_the_typed_domain_exit_2(capsys, argv, named):
+    # exit 1 means "out of tolerance"; each of these is refused by the
+    # library with a typed error before any chain is solved
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert named in err and "Traceback" not in err
+
+
 def test_ladder_build_nan_height_exit_2(capsys, cache):
     code, out, err = _run(capsys, "ladder-build", "--tmax", "nan", *cache)
     assert code == 2

@@ -487,14 +487,16 @@ def test_a_prefill_fit_that_raises_leaves_the_knots_below_it(small_config,
     assert pooled.table.values.tobytes() == serial.table.values.tobytes()
 
 
-@pytest.mark.parametrize("l, u, k", [(100, 0.3, 1), (260, 1.45, 3)])
+@pytest.mark.parametrize("l, u, k", [(100, 0.3, 1), (260, 1.45, 3), (100, 1.45, 3),
+                                     (260, 0.3, 1), (150, 1.0, 2)])
 def test_predicted_top_is_within_a_percent_of_the_warm_up(small_config, l, u, k):
-    # the corners of the CLI's default ranges: the prediction the pool fits
-    # up to, against the top knot a serial warm-up builds from empty
+    # the corners of the CLI's default ranges and a middle point: the
+    # prediction the pool fits up to, against the top segment end a serial
+    # warm-up solves from empty (its table ends up to a chunk above that)
     model = LadderModel(small_config)
-    ChainFactory(model).tower(l, u, k)
+    tower = ChainFactory(model).tower(l, u, k)
     predicted = mean_square_climb(math.pi * l + u, k)
-    assert abs(predicted / model.table.t_covered - 1.0) < 0.01
+    assert abs(predicted / tower.segments[-1].hi - 1.0) < 0.01
 
 
 def test_scan_pool_sees_only_maps_and_samples_go_through_scan_eval(small_config,

@@ -21,6 +21,7 @@ from zetaladder.errors import (
     DomainTooSmall,
     NonConvergence,
     TableExhausted,
+    UsageError,
 )
 from zetaladder.ladder import (
     LadderModel,
@@ -880,3 +881,51 @@ def test_reverse_step_stops_at_the_table_ceiling(small_config):
     with pytest.raises(TableExhausted):
         m.reverse_step(30.0)
     assert m.table.t_covered <= 20.0
+
+
+def _growth_passes(m, monkeypatch):
+    """The knots each extend_to call of model m adds, in order."""
+    added, extend = [], m.extend_to
+
+    def recorded(t):
+        before = len(m.table.values)
+        try:
+            extend(t)
+        finally:
+            added.append(len(m.table.values) - before)
+
+    monkeypatch.setattr(m, "extend_to", recorded)
+    return added
+
+
+def test_a_cold_reverse_step_grows_by_whole_chunks(small_config, monkeypatch):
+    m = LadderModel(small_config)
+    added = _growth_passes(m, monkeypatch)
+    m.reverse_step(300.0)
+    assert len(added) > 1
+    assert added == [ladder._CHUNK] * len(added)
+
+
+def test_reverse_step_stops_at_a_ceiling_between_knots(small_config, monkeypatch):
+    # the top knot below 20.3 is 20.0: two whole chunks and the 8 knots up
+    # to it, then the pass past it raises
+    m = LadderModel(small_config.with_overrides(t_table_max=20.3))
+    added = _growth_passes(m, monkeypatch)
+    with pytest.raises(TableExhausted):
+        m.reverse_step(30.0)
+    assert m.table.t_covered <= 20.3
+    assert added == [ladder._CHUNK, ladder._CHUNK, 8, 0]
+
+
+@pytest.mark.parametrize("name, value", [
+    ("knot_spacing", 0.0), ("knot_spacing", -0.5), ("knot_spacing", math.nan),
+    ("knot_spacing", math.inf), ("t_table_max", 0.0), ("t_table_max", -1.0),
+    ("t_table_max", math.nan), ("t_table_max", math.inf), ("rs_switch", math.nan),
+    ("rs_switch", -math.inf), ("t_min", math.nan), ("t_min", math.inf),
+    ("t_start", math.nan), ("t_start", -math.inf),
+])
+def test_config_refuses_a_value_no_run_can_use(name, value):
+    # each used to pass here and fail untyped at first use, or (a NaN
+    # ceiling) to lift the table ceiling silently
+    with pytest.raises(UsageError, match=name):
+        RunConfig(**{name: value})
