@@ -9,9 +9,12 @@ One source for every formula, in plain Python and numpy:
 * one numpy batched evaluator, :func:`_z_rs_many_np`, serves arrays (the 33
   nodes of an interval's fit, or the first pieces of a table extension's
   new intervals at once, :func:`z_rs_many`).  It vectorizes the main sum,
-  one product per branch N, and shares theta and the correction terms with
-  the scalar core; a height's value does not depend on the rest of its
-  batch.
+  one product per branch N over log n and sqrt n sliced from tables grown
+  on demand (:func:`_n_table`), and shares theta and the correction terms
+  with the scalar core; a height's value does not depend on the rest of
+  its batch.  A 33-node call is mostly numpy dispatch, so the batch keeps
+  its array operations few, without reordering any: each rounds as the
+  formula reads.
 
 The correction rows C_0..C_3 are fit to Chebyshev degree 64 (``_rs_tables``)
 and evaluated to index 28, past which each row is below its noise floor.
@@ -45,6 +48,10 @@ TWO_PI = 2.0 * math.pi
 #: exceeds 1.3e-15, and row 0's dropped tail sums to 1.2e-14
 _CT = np.ascontiguousarray(CTAB[:, :29].T)
 _CHEB_K = np.arange(_CT.shape[0], dtype=np.float64)
+#: log n and sqrt n for n = 1, 2, ..., covering N <= 64 (t < 2 pi 65^2);
+#: :func:`_n_table` grows them
+_LOG_N = np.log(np.arange(1.0, 65.0))
+_SQRT_N = np.sqrt(np.arange(1.0, 65.0))
 #: Gabcke-style truncation constants: |remainder| <= _RS_BOUND[m-1] * t^{-(2m+1)/4}
 #: for m correction terms, plus the argument-reduction noise floor added in
 #: :func:`err_bound_rs`.
@@ -61,24 +68,25 @@ def _theta_asym(t):
     inv = 1.0 / t
     inv2 = inv * inv
     corr = inv * (1.0 / 48.0 + inv2 * (7.0 / 5760.0 + inv2 * (31.0 / 80640.0 + inv2 * (127.0 / 430080.0))))
-    return 0.5 * t * lg - 0.5 * t - math.pi / 8.0 + corr
+    half_t = 0.5 * t
+    return half_t * lg - half_t - math.pi / 8.0 + corr
 
 
 def _rs_remainder(rt, big_n, nterms):
     """Signed correction sum (-1)^(N-1) sum_k C_k(p) rt^-k / sqrt(rt), p = rt - N.
 
-    On 1-D arrays: T_j(cos a) = cos(j a), so one basis matrix times the
-    coefficient block gives C_0..C_3 at every height.
+    On 1-D arrays (N as floats or ints): T_j(cos a) = cos(j a), so one basis
+    matrix times the coefficient block gives C_0..C_3 at every height.
     """
     u = 2.0 * (rt - big_n) - 1.0
-    basis = np.outer(np.arccos(u), _CHEB_K)
+    basis = np.arccos(u)[:, None] * _CHEB_K
     rows = np.cos(basis, out=basis) @ _CT  # (n, 4); in place: one (n, 29) block
     irt = 1.0 / rt
-    corr = 0.0 * rt
-    for k in range(nterms - 1, -1, -1):
+    corr = rows[:, nterms - 1] + 0.0  # as 0.0 / rt + C reads: -0.0 becomes +0.0
+    for k in range(nterms - 2, -1, -1):
         corr = corr * irt + rows[:, k]
-    sgn = 1.0 - 2.0 * ((big_n - 1) % 2)
-    return sgn * corr / np.sqrt(rt)
+    # (-1)^(N-1) as an exact sign flip
+    return (2.0 * (big_n % 2.0) - 1.0) * corr / np.sqrt(rt)
 
 
 def _z_rs(t: float, nterms: int) -> float:
@@ -90,18 +98,34 @@ def _z_rs(t: float, nterms: int) -> float:
     s = 0.0
     for n in range(1, big_n + 1):
         s += math.cos(th - t * math.log(n)) / math.sqrt(n)
-    return 2.0 * s + _rs_remainder(np.array([rt]), np.array([big_n]), nterms)[0]
+    return 2.0 * s + _rs_remainder(np.array([rt]), np.array([float(big_n)]), nterms)[0]
 
 
 # --------------------------------------------------------------------------
 # batched evaluator + public kernel API
 # --------------------------------------------------------------------------
 
+def _n_table(big_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log n, sqrt n) for n = 1..N, sliced from tables grown on demand.
+
+    A ufunc's value at n does not depend on the array it comes in, so each
+    slice is bit for bit ``np.log`` / ``np.sqrt`` of ``arange(1, N + 1)``.
+    """
+    global _LOG_N, _SQRT_N
+    if big_n > _LOG_N.size:
+        n = np.arange(1.0, max(2 * _LOG_N.size, big_n) + 1.0)
+        _LOG_N, _SQRT_N = np.log(n), np.sqrt(n)
+    return _LOG_N[:big_n], _SQRT_N[:big_n]
+
+
 def _main_sum(ts: np.ndarray, th: np.ndarray, big_n: int) -> np.ndarray:
     """sum_{n <= N} cos(theta - t log n) / sqrt(n) at heights that share one N."""
-    n = np.arange(1, big_n + 1, dtype=np.float64)
-    terms = np.cos(th[:, None] - ts[:, None] * np.log(n)[None, :]) / np.sqrt(n)[None, :]
-    return terms.sum(axis=1)
+    log_n, sqrt_n = _n_table(big_n)
+    terms = ts[:, None] * log_n
+    np.subtract(th[:, None], terms, out=terms)
+    np.cos(terms, out=terms)
+    terms /= sqrt_n
+    return np.add.reduce(terms, axis=1)
 
 
 def _z_rs_many_np(ts: np.ndarray, nterms: int) -> np.ndarray:
@@ -114,12 +138,11 @@ def _z_rs_many_np(ts: np.ndarray, nterms: int) -> np.ndarray:
     """
     ts = np.asarray(ts, dtype=np.float64)
     th = _theta_asym(ts)
-    tau = ts / TWO_PI
-    rt = np.sqrt(tau)
-    big_n = rt.astype(np.int64)
+    rt = np.sqrt(ts / TWO_PI)
+    big_n = np.floor(rt)  # as an int cast truncates rt > 0, kept as floats
     if not ts.size:
-        main = 0.0 * ts
-    elif (n_lo := int(big_n.min())) == (n_hi := int(big_n.max())):
+        return 0.0 * ts
+    if (n_lo := int(big_n.min())) == (n_hi := int(big_n.max())):
         main = _main_sum(ts, th, n_lo)
     else:
         main = np.empty_like(ts)

@@ -709,6 +709,8 @@ def invariance_scan(
                              f"and two depths in k {k_range}")
     for corner in ((l_lo, u_lo, k_lo), (l_hi, u_hi, k_hi)):
         _check_window(*corner, factory.model.config)
+    if l_hi >= 2**63:  # the generator draws L as an int64, high end exclusive
+        raise RangeTooLarge(f"tower base index range {l_range} reaches past 2^63 - 1")
     rng = np.random.default_rng(seed)
     ks = np.arange(k_lo, k_hi + 1)
     samples: list[_Sample] = []

@@ -219,7 +219,14 @@ class LadderModel:
             raise TableExhausted(
                 f"requested coverage {t}, hard ceiling {self.config.t_table_max}"
             )
-        need = int(math.ceil(t / self.table.spacing))
+        # the ceiling of t / h, less the knots j past the first with j * h >= t
+        # that its rounding adds (7 * 0.3 / 0.3 reads 7.000000000000001); a t
+        # a few ulps above the knot t / h rounds to (0.9 / 0.3 reads 3) stays
+        # on the interval below it, as _interval reads it
+        h = self.table.spacing
+        need = math.ceil(t / h)
+        while need > 0 and (need - 1) * h >= t:
+            need -= 1
         return [(j, min(j + _CHUNK, need))
                 for j in range(len(self.table.values) - 1, need, _CHUNK)]
 
@@ -240,7 +247,8 @@ class LadderModel:
             # the increments below it given, as a knot-by-knot build ends
             fits = (self._raw_fit(j) for j in range(j0, j1))
         for rows in fits:
-            yield float(piece_integrals(rows).sum())
+            yield float(piece_integrals(rows[0]) if len(rows) == 1
+                        else piece_integrals(rows).sum())
 
     def append_knots(self, increments: Iterable[float]) -> None:
         """Append one knot per increment: the top knot's value plus it."""
@@ -292,7 +300,7 @@ class LadderModel:
 
         def rs_zsq(ts: np.ndarray) -> np.ndarray:
             z = _kernels.z_rs_many(ts, cfg.rs_terms)
-            return z * z
+            return np.multiply(z, z, out=z)
 
         spans = []  # (j, a, b, wavelength, zsq), in order
         for j in range(j0, j1):
@@ -303,6 +311,13 @@ class LadderModel:
                 cuts, zsq = _kernels.rs_spans(lo, hi), rs_zsq
             wavelength = _min_wavelength(hi)
             spans += [(j, a, b, wavelength, zsq) for a, b in cuts]
+
+        def fit(span: tuple, first: np.ndarray | None) -> np.ndarray:
+            _j, a, b, wavelength, zsq = span
+            return chebyshev_pieces(zsq, a, b, cfg.quad_tol * (b - a), wavelength, first)
+
+        if len(spans) == 1:  # one uncut interval: nothing to batch or group
+            return (fit(span, None) for span in spans)
         if j1 - j0 == 1:
             firsts = [None] * len(spans)
         else:
@@ -319,8 +334,7 @@ class LadderModel:
 
         def fits() -> Iterator[np.ndarray]:
             for _j, group in itertools.groupby(zip(spans, firsts), key=lambda p: p[0][0]):
-                rows = [chebyshev_pieces(zsq, a, b, cfg.quad_tol * (b - a), wavelength, first)
-                        for (_, a, b, wavelength, zsq), first in group]
+                rows = [fit(span, first) for span, first in group]
                 yield rows[0] if len(rows) == 1 else np.vstack(rows)
 
         return fits()

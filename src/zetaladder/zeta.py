@@ -12,7 +12,9 @@ Two evaluation routes, switched at ``config.rs_switch`` (default t = 100):
   at rounding level; only used below the switch, where the main-sum route has
   too few terms to meet the error budget.  One batched series serves every
   caller: a fit's 33 nodes as one (nodes x terms) product per series length,
-  a one-point Z or |zeta|^2 as a batch of one.
+  a one-point Z or |zeta|^2 as a batch of one.  Each length's Borwein
+  weights are built once and kept for the 64 lengths used last
+  (:func:`_borwein`).
 
 theta itself is exact (log-gamma) below t = 10 and a seven-term asymptotic
 expansion above, with error < 5e-13 at the seam.
@@ -23,6 +25,7 @@ rs route and |zeta|^2 from the eta series, without theta, below the switch;
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,29 +66,44 @@ def rs_theta(t: float, config: RunConfig = DEFAULT_CONFIG) -> float:
     return _kernels.theta_asym(t)
 
 
+@functools.lru_cache(maxsize=64)
+def _borwein(n: int) -> tuple[np.ndarray, np.float64, np.ndarray]:
+    """The length-n series' signed Borwein coefficients, d_n and log(k + 1).
+
+    Kept for the 64 lengths used last: a knot interval's nodes span at most
+    two lengths and a chunk of 16 intervals about seven, so a table build
+    computes each length's weights once.  The arrays are read-only.
+    """
+    # Borwein weights d_k via the stable increasing recurrence
+    i = np.arange(1, n + 1, dtype=np.float64)
+    ratios = 4.0 * (n + i - 1.0) * (n - i + 1.0) / ((2.0 * i) * (2.0 * i - 1.0))
+    terms = np.concatenate(([1.0], np.cumprod(ratios)))
+    d = np.cumsum(terms)
+    k = np.arange(n, dtype=np.float64)
+    coeff = (d[:n] - d[n]) * np.where(k % 2 == 0, 1.0, -1.0)
+    log_k1 = np.log(k + 1.0)
+    coeff.flags.writeable = log_k1.flags.writeable = False
+    return coeff, d[n], log_k1
+
+
 def _eta_zeta(ts: np.ndarray) -> np.ndarray:
     """zeta(1/2 + it) at each height from the accelerated alternating series.
 
-    Heights that share a series length n share one set of Borwein weights and
-    one (heights x n) product; a knot interval's nodes span at most two n.
-    Every node keeps the scalar recipe's arithmetic: the denominator
-    1 - 2^{1-s} is a Python complex power (numpy's differs by an ulp).
+    Heights that share a series length n share one set of Borwein weights
+    (:func:`_borwein`) and one (heights x n) product; a knot interval's nodes
+    span at most two n.  Every node keeps the scalar recipe's arithmetic: the
+    denominator 1 - 2^{1-s} is a Python complex power (numpy's differs by an
+    ulp).
     """
     ts = np.asarray(ts, dtype=np.float64)
     out = np.empty(ts.shape, dtype=np.complex128)
     ns = ((1.5708 * ts + 45.0) / 1.7627).astype(np.int64) + 8
     for n in sorted(set(ns.tolist())):  # np.unique's first call costs ~1 MB
         sel = ns == n
-        # Borwein weights d_k via the stable increasing recurrence
-        i = np.arange(1, n + 1, dtype=np.float64)
-        ratios = 4.0 * (n + i - 1.0) * (n - i + 1.0) / ((2.0 * i) * (2.0 * i - 1.0))
-        terms = np.concatenate(([1.0], np.cumprod(ratios)))
-        d = np.cumsum(terms)
-        k = np.arange(n, dtype=np.float64)
-        coeff = (d[:n] - d[n]) * np.where(k % 2 == 0, 1.0, -1.0)
+        coeff, d_n, log_k1 = _borwein(n)
         s = [complex(0.5, t) for t in ts[sel].tolist()]
-        powers = np.exp(-np.array(s)[:, None] * np.log(k + 1.0))
-        eta = -(coeff * powers).sum(axis=1) / d[n]
+        powers = np.exp(-np.array(s)[:, None] * log_k1)
+        eta = -(coeff * powers).sum(axis=1) / d_n
         out[sel] = eta / np.array([1.0 - 2.0 ** (1.0 - x) for x in s])
     return out
 

@@ -456,9 +456,10 @@ def test_scan_invariance_small_sample(capsys):
     ("--u-max", "1.6"),
     ("--workers", "0"),
     ("--workers", "-4"),
+    ("--l-min", "10000000000000000000", "--l-max", "10000000000000000001"),
 ], ids=["one-depth", "reversed-depths", "depth-above-k-max", "reversed-l",
         "reversed-u", "l-below-floor", "u-too-wide", "no-workers",
-        "negative-workers"])
+        "negative-workers", "l-past-int64"])
 def test_scan_invariance_bad_ranges_exit_2(capsys, ranges):
     # checked before any sample is drawn or solved
     code, out, err = _run(

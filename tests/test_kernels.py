@@ -65,6 +65,26 @@ def test_a_heights_z_does_not_depend_on_its_batch(spans, seed):
     assert mixed.tobytes() == alone.tobytes()
 
 
+def test_z_past_the_initial_log_table_does_not_depend_on_its_growth(monkeypatch):
+    # N = 398 at t = 1e6 and 797 at 4e6, both past the 64 entries the
+    # log n / sqrt n tables start with
+    monkeypatch.setattr(_kernels, "_LOG_N", _kernels._LOG_N[:64])
+    monkeypatch.setattr(_kernels, "_SQRT_N", _kernels._SQRT_N[:64])
+    t = np.array([1e6 + 0.123])
+    others = np.array([150.0, 2200.0, 999_999.0, 1e6 + 0.5])
+    alone = _kernels.z_rs_many(t, 4)
+    assert _kernels._LOG_N.size >= 398
+    batch = _kernels.z_rs_many(np.concatenate([others[:2], t, others[2:]]), 4)[2:3]
+    _kernels.z_rs_many(np.array([4e6]), 4)
+    assert _kernels._LOG_N.size >= 797
+    again = _kernels.z_rs_many(t, 4)
+    assert alone.tobytes() == batch.tobytes() == again.tobytes()
+    n = np.arange(1, 798, dtype=np.float64)
+    log_n, sqrt_n = _kernels._n_table(797)
+    assert log_n.tobytes() == np.log(n).tobytes()
+    assert sqrt_n.tobytes() == np.sqrt(n).tobytes()
+
+
 def test_theta_agrees_between_paths():
     batch = _kernels._theta_asym(np.array(_TS))
     for t, ref in zip(_TS, batch):

@@ -862,6 +862,23 @@ def test_table_to_150_is_pinned(small_config):
         "c767849902a713bf3bcc1ed2246c3de0e906d299afe62b48ac761419fe2b30c3")
 
 
+def test_table_to_2200_is_pinned(model):
+    # the session table: every Riemann-Siegel branch up to N = 18
+    assert ladder._values_digest(model.table.values[:4401]) == (
+        "dbc31954ee0b42637fd415be37cb191d1cb9e4a46ebccbf769eba00e03054209")
+
+
+def test_extend_to_a_knot_ends_at_that_knot_off_a_dyadic_spacing(small_config):
+    # (j * 0.3) / 0.3 rounds above j for j = 7, 14, 28, ...; the table
+    # still stops at knot j, the first whose t = j * h reaches the request
+    m = LadderModel(small_config.with_overrides(knot_spacing=0.3))
+    h = m.table.spacing
+    assert math.ceil(7 * h / h) == 8
+    for j in range(1, 121):
+        m.extend_to(j * h)
+        assert len(m.table.values) == j + 1
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 def test_extend_to_rejects_non_finite_height(small_config, t):
     with pytest.raises(DomainTooSmall):
@@ -902,6 +919,16 @@ def test_a_cold_reverse_step_grows_by_whole_chunks(small_config, monkeypatch):
     m = LadderModel(small_config)
     added = _growth_passes(m, monkeypatch)
     m.reverse_step(300.0)
+    assert len(added) > 1
+    assert added == [ladder._CHUNK] * len(added)
+
+
+def test_a_cold_reverse_step_grows_by_whole_chunks_off_a_dyadic_spacing(small_config,
+                                                                       monkeypatch):
+    # at spacing 0.3 most growth tops (top + 16) * h divide back above top + 16
+    m = LadderModel(small_config.with_overrides(knot_spacing=0.3))
+    added = _growth_passes(m, monkeypatch)
+    m.reverse_step(250.0)
     assert len(added) > 1
     assert added == [ladder._CHUNK] * len(added)
 

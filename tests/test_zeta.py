@@ -155,6 +155,19 @@ def test_batched_eta_is_the_scalar_series_at_random_heights():
     assert [zeta_mod_sq(t) for t in ts[:40].tolist()] == [abs(z) ** 2 for z in ref[:40]]
 
 
+def test_batched_eta_is_the_scalar_series_past_its_weight_cache():
+    # t in [0, 100) spans about 90 series lengths, more than the 64 whose
+    # weights are kept; the first lengths are evicted and built again
+    zeta._borwein.cache_clear()
+    ts = np.linspace(0.0, 99.9, 300)
+    ref = [abs(eta_zeta(t)) ** 2 for t in ts.tolist()]
+    assert zeta.eta_mod_sq(ts).tolist() == ref
+    info = zeta._borwein.cache_info()
+    assert info.misses > info.maxsize == 64 and info.currsize <= 64
+    assert zeta.eta_mod_sq(ts[:20]).tolist() == ref[:20]
+    assert zeta._borwein.cache_info().currsize <= 64
+
+
 def test_hardy_z_below_the_switch_is_the_scalar_series():
     for t in np.linspace(0.0, 100.0, 57)[:-1].tolist():
         th = rs_theta(t)
