@@ -25,7 +25,7 @@ _SIEVE_CAP = 100_000_000
 
 def prime_pi(x: float) -> int:
     """Exact count of primes <= x, by a sieve to floor(x) per call; domain [2, 1e8]."""
-    if x < 2:
+    if not x >= 2:  # NaN included
         raise DomainTooSmall(f"prime_pi domain starts at 2, got {x}")
     if x > _SIEVE_CAP:
         raise RangeTooLarge(f"prime_pi sieve bound is {_SIEVE_CAP}, got {x}")

@@ -72,7 +72,8 @@ from typing import Any, Callable
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import DeltaDegenerate, DomainTooSmall, NonConvergence, RangeTooLarge, ZetaLadderError
+from .errors import (ConditionTooHigh, DeltaDegenerate, DomainTooSmall, NonConvergence,
+                     RangeTooLarge, ZetaLadderError)
 from .ladder import LadderModel, mean_square_climb
 from .tower import (
     ChainFactory,
@@ -265,7 +266,8 @@ def _run(factory: ChainFactory, pair: DeltaPair | None, l: int, u: float,
 
     ``needs`` lists (role, depth, weight); a chain declared twice keeps its
     largest |weight|, which scales its condition and residual in the report.
-    ``combine`` maps {(role, depth): chain} to (lhs, rhs, extras).
+    ``combine`` maps {(role, depth): chain} to (lhs, rhs, extras); a side
+    past the float range raises ConditionTooHigh with the weighted condition.
     """
     weights: dict[tuple[str, int], float] = {}
     for role, k, w in needs:
@@ -274,7 +276,12 @@ def _run(factory: ChainFactory, pair: DeltaPair | None, l: int, u: float,
     chains = {(role, k): factory.solve(l, u, k, _gf(role, pair))
               for role, k in weights}
     t1 = time.perf_counter()
-    lhs, rhs, extras = combine(chains)
+    condition = sum(weights[key] * ch.condition for key, ch in chains.items())
+    try:
+        lhs, rhs, extras = combine(chains)
+    except OverflowError:
+        raise ConditionTooHigh(f"{formula_id} overflows at condition {condition:.3g}",
+                               condition) from None
     names = {key: f"{key[0]}@k{key[1]}" for key in chains}
     points = {
         names[key]: _points(factory, ch, chains.get(("one", key[1])))
@@ -291,7 +298,7 @@ def _run(factory: ChainFactory, pair: DeltaPair | None, l: int, u: float,
     return HybridReport(
         formula_id=formula_id, params=_params(l, u, pair=pair, **depths),
         lhs=lhs, rhs=rhs, rel_residual=_rel(lhs, rhs),
-        condition=sum(weights[key] * ch.condition for key, ch in chains.items()),
+        condition=condition,
         points=points, extras=extras, error_budget=budget,
         timings={"chains_s": t1 - t0, "assemble_s": time.perf_counter() - t1},
     )
@@ -619,13 +626,14 @@ _Sample = tuple[float, int, int, int]
 
 
 def _scan_fit(chunks: list[tuple[int, int]]) -> list[list[float]]:
-    """Each chunk's knot increments, up to the first chunk whose fit raises."""
+    """Each chunk's knot increments; a fit that raises ends them at its interval."""
     model = _WORKER_STATE["factory"].model
-    done = []
+    done: list[list[float]] = []
     for j0, j1 in chunks:
+        done.append([])
         try:
-            done.append(list(model.knot_increments(j0, j1)))
-        except Exception:  # the parent refits this chunk and raises there itself
+            done[-1].extend(model.knot_increments(j0, j1))
+        except Exception:  # a sample that needs this interval refits it and fails
             break
     return done
 
@@ -655,16 +663,15 @@ def _prefill(pool: Any, model: LadderModel, t: float, workers: int) -> None:
 
     The chunks are dealt round-robin into one task per worker, so chunks of
     either Z route spread evenly, and appended in order up to the first
-    chunk a worker could not fit.
+    interval a worker could not fit, where a serial ``extend_to(t)`` stops.
     """
     chunks = model.missing_chunks(t)
-    if not chunks:
-        return
     done = pool.map(_scan_fit, [chunks[w::workers] for w in range(workers)])
-    for increments in itertools.chain.from_iterable(itertools.zip_longest(*done)):
-        if increments is None:
-            break
+    fitted = itertools.chain.from_iterable(itertools.zip_longest(*done, fillvalue=[]))
+    for (j0, j1), increments in zip(chunks, fitted):
         model.append_knots(increments)
+        if len(increments) < j1 - j0:  # a fit raised in this chunk
+            break
 
 
 def invariance_scan(
@@ -684,16 +691,16 @@ def invariance_scan(
     seeded by ``seed``, an integer >= 0, so the set of evaluated parameter
     tuples -- and therefore the statistics -- do not depend on ``workers``,
     an integer >= 1; no more processes start than there are samples or
-    cores.  The table of ``factory`` (fresh under ``config`` if none is
-    given) is warmed once, here, to the top of the tallest tower, and every
-    sample reads that one table.  On a pool the workers fit the warm-up
-    first: the knot intervals up to the top that the mean-square law
-    predicts (:func:`~zetaladder.ladder.mean_square_climb`) are dealt to
-    them and their increments appended here; the tower itself is then built
-    here, topping up by whole chunks where the prediction fell short, and
-    each sample carries the knots added since the workers forked.  Knots and
-    results are bit-identical to the serial warm-up.  Per-sample failures are
-    collected, not raised, unless every sample fails.
+    cores.  The samples share the model of ``factory`` (fresh under
+    ``config`` if none is given), whose table grows by whole chunks wherever
+    their reverse steps ask.  On a pool the workers first fit the knots up
+    to the tallest tower's top that the mean-square law predicts
+    (:func:`~zetaladder.ladder.mean_square_climb`), appended here up to the
+    first interval a fit refused; each sample carries them to its worker,
+    which fits any knot above them itself.  A knot does not depend on where
+    it is fitted, so results, and the knots both tables hold, are
+    bit-identical to the serial scan's.  Per-sample failures are collected,
+    not raised, unless every sample fails.
     """
     if not (isinstance(n_samples, numbers.Integral) and n_samples >= 2):
         raise DomainTooSmall(f"n_samples={n_samples!r} must be an integer >= 2")
@@ -720,34 +727,24 @@ def invariance_scan(
         k1, k2 = (int(x) for x in rng.choice(ks, size=2, replace=False))
         samples.append((u, l, k1, k2))
 
-    # reverse_step increases and climbs, so the deepest tower over the
-    # highest base end covers every point any sample's chain solve reaches
-    u_top, l_top, _, _ = max(samples, key=lambda s: math.pi * s[1] + s[0])
-    depth = max(max(k1, k2) for _, _, k1, k2 in samples)
-
-    def warm_up() -> None:
-        try:
-            factory.tower(l_top, u_top, depth)
-        except ZetaLadderError:  # the samples that need it fail one by one
-            pass
-
     workers = min(workers, n_samples, os.cpu_count() or 1)
     if workers > 1:
         # imported here: the pool's module costs ~1 MB in a process that never forks
         from concurrent.futures import ProcessPoolExecutor
 
+        # reverse_step increases and climbs, so the deepest tower over the
+        # highest base end reaches every point any sample's chain solve does
+        top = mean_square_climb(max(math.pi * l + u for u, l, _, _ in samples),
+                                max(max(k1, k2) for _, _, k1, k2 in samples))
         model = factory.model
         start = len(model.table.values)
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_scan_init, initargs=(model, pair),
         ) as pool:
-            top = mean_square_climb(math.pi * l_top + u_top, depth)
             _prefill(pool, model, min(top, model.config.t_table_max), workers)
-            warm_up()
             knots = model.table.values[start:].tobytes()
             outcomes = list(pool.map(_scan_eval, [(s, start, knots) for s in samples]))
     else:
-        warm_up()
         outcomes = [_scan_sample(factory, pair, s) for s in samples]
 
     const = theorem1_constant(pair)

@@ -7,7 +7,7 @@ The model has three ingredients:
   positive for y > 2 pi e^{-1-gamma} ~= 1.3, so V is invertible on the working
   domain;
 * the **cumulative mass** A(T) = integral of Z(u)^2 over [0, T], maintained as
-  a knot table (spacing <= 2, default 0.5), extendable in place without
+  a knot table (any finite spacing > 0, default 0.5), extendable in place without
   disturbing existing knots.  Each knot interval [j h, (j + 1) h] has one
   **fit**, the package's one Z^2 quadrature: ``numerics.chebyshev_pieces``
   rows of Z^2 and its integral, pieces halved while their 17/33 difference
@@ -97,16 +97,16 @@ _CHUNK = 16
 
 
 def normalizer(y: float) -> float:
-    """V(y) = y log y + (gamma - log 2pi) y, for y > 0."""
-    if y <= 0.0:
-        raise DomainTooSmall(f"normalizer requested at y={y} <= 0")
+    """V(y) = y log y + (gamma - log 2pi) y, for finite y > 0."""
+    if not 0.0 < y < math.inf:
+        raise DomainTooSmall(f"normalizer requested at y={y}, non-finite or <= 0")
     return y * math.log(y) + _V_LINEAR * y
 
 
 def normalizer_prime(y: float) -> float:
-    """V'(y) = log y + 1 + gamma - log 2pi, for y > 0."""
-    if y <= 0.0:
-        raise DomainTooSmall(f"normalizer_prime requested at y={y} <= 0")
+    """V'(y) = log y + 1 + gamma - log 2pi, for finite y > 0."""
+    if not 0.0 < y < math.inf:
+        raise DomainTooSmall(f"normalizer_prime requested at y={y}, non-finite or <= 0")
     return math.log(y) + 1.0 + EULER_GAMMA - _LOG_TWO_PI
 
 
@@ -213,22 +213,27 @@ class LadderModel:
         the chunks split, so the chunks may be fitted anywhere, in any
         order, as long as their increments are appended in this order.
         """
-        if not math.isfinite(t):
-            raise DomainTooSmall(f"table coverage requested at non-finite t={t}")
+        need = self._first_knot(t)
         if t > self.config.t_table_max:
             raise TableExhausted(
                 f"requested coverage {t}, hard ceiling {self.config.t_table_max}"
             )
-        # the ceiling of t / h, less the knots j past the first with j * h >= t
-        # that its rounding adds (7 * 0.3 / 0.3 reads 7.000000000000001); a t
-        # a few ulps above the knot t / h rounds to (0.9 / 0.3 reads 3) stays
-        # on the interval below it, as _interval reads it
-        h = self.table.spacing
-        need = math.ceil(t / h)
-        while need > 0 and (need - 1) * h >= t:
-            need -= 1
         return [(j, min(j + _CHUNK, need))
                 for j in range(len(self.table.values) - 1, need, _CHUNK)]
+
+    def _first_knot(self, t: float) -> int:
+        """The first knot j with j h >= t as t / h rounds (0.9 / 0.3 reads 3), t finite.
+
+        The ceiling of t / h, less the knots its rounding adds past that j
+        (7 * 0.3 / 0.3 reads 7.000000000000001).
+        """
+        if not math.isfinite(t):
+            raise DomainTooSmall(f"table coverage requested at non-finite t={t}")
+        h = self.table.spacing
+        j = math.ceil(t / h)
+        while j > 0 and (j - 1) * h >= t:
+            j -= 1
+        return j
 
     def knot_increments(self, j0: int, j1: int) -> Iterator[float]:
         """A((j + 1) h) - A(j h) for knot intervals j0..j1 - 1, in order.
@@ -257,21 +262,15 @@ class LadderModel:
             vals.append(vals[-1] + inc)
 
     def _interval(self, t: float) -> int:
-        """The knot interval j with jh < t <= (j + 1)h, for t > 0, in the table.
+        """The knot interval below :meth:`_first_knot` (t), for t > 0; the table grows to it.
 
-        t / h can round up to the knot above t, or to the top knot; the
-        interval below holds t then.  A t the table covers skips
-        :meth:`extend_to`; NaN and +-inf still reach its typed error.
+        That is the j with jh < t <= (j + 1)h, but for a t a few ulps above the
+        knot t / h rounds to: on any table, it reads the interval below that knot.
         """
-        vals, h = self.table.values, self.table.spacing
-        top = len(vals) - 1
-        if not 0.0 < t <= top * h:
+        j = self._first_knot(t)
+        if j >= len(self.table.values):
             self.extend_to(t)
-            top = len(vals) - 1
-        j = min(int(t / h), top)
-        if t <= j * h or j == top:
-            j -= 1
-        return j
+        return j - 1
 
     def _raw_fit(self, j: int) -> np.ndarray:
         """Z^2 on knot interval j as chebyshev_pieces rows: :meth:`_raw_fits` of one."""
@@ -425,7 +424,8 @@ class LadderModel:
         ``_CHUNK`` knots above the top one (one Z batch per route), never
         past ``t_table_max``, until the top knot reaches V(x).  So the table
         ends fewer than ``_CHUNK`` knots above the first knot that reaches
-        V(x).
+        V(x).  A fit that raises fails the step only if the knots below its
+        interval fall short of V(x), whatever chunk it came in.
 
         The first knot j with A(j h) >= V(x) closes the knot interval
         [(j-1) h, j h].  Both ends are knots, and ``invert_increasing``
@@ -435,11 +435,9 @@ class LadderModel:
         36 at the defaults.
         """
         cfg = self.config
-        if not math.isfinite(x):
-            raise DomainTooSmall(f"reverse_step requested at non-finite x={x}")
         if x < cfg.t_min:
             raise DomainTooSmall(f"reverse_step requested at x={x} < t_min={cfg.t_min}")
-        target = normalizer(x)
+        target = normalizer(x)  # raises at a non-finite x
         h = self.table.spacing
         vals = self.table.values
         # the top knot the ceiling allows; one past it makes extend_to raise
@@ -448,7 +446,11 @@ class LadderModel:
             k_max -= 1
         while vals[-1] < target:
             top = len(vals) - 1
-            self.extend_to(max(min(top + _CHUNK, k_max), top + 1) * h)
+            try:
+                self.extend_to(max(min(top + _CHUNK, k_max), top + 1) * h)
+            except Exception:  # extend_to kept the knots below the failing fit
+                if vals[-1] < target:
+                    raise
         j = bisect.bisect_left(vals, target, 1)
         return invert_increasing(
             self.cumulative_hl, Bracket((j - 1) * h, j * h), target, cfg.root_tol

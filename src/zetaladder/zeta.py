@@ -56,9 +56,9 @@ class ZSample:
 
 
 def rs_theta(t: float, config: RunConfig = DEFAULT_CONFIG) -> float:
-    """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi, for t >= 0."""
-    if t < 0.0:
-        raise DomainTooSmall(f"theta requested at t={t} < 0")
+    """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi, for finite t >= 0."""
+    if not 0.0 <= t < math.inf:
+        raise DomainTooSmall(f"theta requested at t={t}: needs a finite t >= 0")
     if t < _THETA_EXACT_BELOW:
         from scipy.special import loggamma  # here: importing it costs ~19 MB and ~0.25 s
 
@@ -121,18 +121,18 @@ def _eta_z(t: float, theta: float) -> float:
 
 
 def err_bound(t: float, config: RunConfig = DEFAULT_CONFIG) -> float:
-    """Absolute error budget of :func:`hardy_z` at height t."""
-    if t < 0.0:
-        raise DomainTooSmall(f"err_bound requested at t={t} < 0")
+    """Absolute error budget of :func:`hardy_z` at a finite height t >= 0."""
+    if not 0.0 <= t < math.inf:
+        raise DomainTooSmall(f"err_bound requested at t={t}: needs a finite t >= 0")
     if t < config.rs_switch:
         return _ETA_ERR
     return _kernels.err_bound_rs(t, config.rs_terms)
 
 
 def hardy_z(t: float, config: RunConfig = DEFAULT_CONFIG) -> ZSample:
-    """Evaluate Z(t) with an explicit error bound and route tag."""
-    if t < 0.0:
-        raise DomainTooSmall(f"hardy_z requested at t={t} < 0 (Z is even; negate the argument)")
+    """Evaluate Z(t), t finite and >= 0, with an explicit error bound and route tag."""
+    if not 0.0 <= t < math.inf:
+        raise DomainTooSmall(f"hardy_z requested at t={t}: needs a finite t >= 0 (Z is even)")
     th = rs_theta(t, config)
     if t < config.rs_switch:
         return ZSample(t, _eta_z(t, th), th, _ETA_ERR, "eta")

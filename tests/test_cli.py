@@ -8,7 +8,8 @@ from array import array
 
 import pytest
 
-from zetaladder.cli import main
+from zetaladder.cli import _report_passes, main
+from zetaladder.hybrid import HybridReport
 from zetaladder.ladder import _values_digest
 
 # A tiny window keeps every invocation here under a second after the first
@@ -141,6 +142,22 @@ def test_verify_output_file_matches_stdout(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out) == json.loads(out_path.read_text())
+
+
+@pytest.mark.parametrize("anchor, dev, pred, ok", [
+    (2e-6, 1e-3, 1e-3, False),
+    (0.0, 5e-13, -5e-13, True),
+    (0.0, 1e-3, 0.0, False),
+    (0.0, 1e-3, 2e-3, True),
+], ids=["anchor-over-tol", "both-below-1e-12", "zero-prediction", "within-factor-3"])
+def test_asymptotic_pass_rule(anchor, dev, pred, ok):
+    # ASYMPTOTIC_17 gates on its anchor, then on the drift against its
+    # prediction: both negligible passes, a zero prediction of a drift fails
+    report = HybridReport(
+        formula_id="ASYMPTOTIC_17", params={}, lhs=1.0, rhs=1.0,
+        rel_residual=abs(dev), condition=1.0, points={},
+        extras={"anchor_residual": anchor, "deviation": dev, "predicted_deviation": pred})
+    assert _report_passes(report, 1e-6) is ok
 
 
 def test_verify_is_deterministic_up_to_timings(capsys):
@@ -317,6 +334,17 @@ def test_inputs_outside_the_typed_domain_exit_2(capsys, argv, named):
     assert code == 2
     assert out == ""
     assert named in err and "Traceback" not in err
+
+
+def test_a_combiner_overflow_exits_3(capsys):
+    # a and b grow like 1/(d3 - d4): the as-printed side passes the float
+    # range, a numerical failure rather than a breach of --tol
+    code, out, err = _run(capsys, "verify", "ternary", "--L", "150", "--U", "1.0",
+                          "--k1", "1", "--k2", "2", "--k3", "1", "--k4", "2",
+                          "--delta3", "3/10", "--delta4", "300000001/1000000000")
+    assert code == 3
+    assert out == ""
+    assert "overflows" in err and "Traceback" not in err
 
 
 def test_ladder_build_nan_height_exit_2(capsys, cache):

@@ -30,7 +30,7 @@ from zetaladder.hybrid import (
     theorem1_constant,
     theorem2_constant,
 )
-from zetaladder.ladder import _CHUNK, LadderModel, mean_square_climb
+from zetaladder.ladder import LadderModel, mean_square_climb
 from zetaladder.tower import ChainFactory, gf_cos2, gf_power, gf_sin2
 
 from _oracles import swapped
@@ -382,27 +382,9 @@ def test_scan_starts_no_more_workers_than_samples_or_cores(factory, monkeypatch,
     assert scan.to_dict() == invariance_scan(PAIR_35, **kw).to_dict()
 
 
-def test_scan_samples_read_one_warm_table(small_config, monkeypatch):
-    # the scan warms the table before the first sample; no sample grows it
-    model = LadderModel(small_config)
-    seen = []
-    sample = hybrid._scan_sample
-
-    def counted(factory, pair, s):
-        seen.append(len(factory.model.table.values))
-        return sample(factory, pair, s)
-
-    monkeypatch.setattr(hybrid, "_scan_sample", counted)
-    scan = invariance_scan(PAIR_35, n_samples=3, seed=5, u_range=(0.5, 1.0),
-                           l_range=(100, 120), k_range=(1, 2),
-                           factory=ChainFactory(model))
-    assert not scan.failures
-    assert seen == [len(model.table.values)] * 3
-
-
 def test_scan_collects_samples_past_the_table_ceiling(small_config):
-    # the warm-up tower (the highest base) cannot be built under this
-    # ceiling; the samples that need it fail alone, the lower ones pass
+    # the towers over the highest bases cannot be built under this ceiling;
+    # the samples that need them fail alone, the lower ones pass
     cfg = small_config.with_overrides(t_table_max=450.0)
     scan = invariance_scan(PAIR_35, n_samples=4, seed=3, config=cfg,
                            u_range=(0.5, 1.0), l_range=(100, 140), k_range=(1, 2))
@@ -410,6 +392,14 @@ def test_scan_collects_samples_past_the_table_ceiling(small_config):
     assert [p["L"] for p, _ in scan.failures] == [132, 125]
     assert all(e.startswith("TableExhausted") for _, e in scan.failures)
     assert scan.max_rel_dev <= 1e-6
+
+
+def test_a_scan_whose_every_sample_fails_raises(small_config):
+    # every depth-2 tower over L >= 100 climbs past t = 350
+    cfg = small_config.with_overrides(t_table_max=350.0)
+    with pytest.raises(NonConvergence, match="all 3 scan samples failed: TableExhausted"):
+        invariance_scan(PAIR_35, n_samples=3, seed=3, config=cfg,
+                        u_range=(0.5, 1.0), l_range=(100, 140), k_range=(1, 2))
 
 
 def test_scan_rejects_degenerate_requests(factory):
@@ -424,7 +414,7 @@ def test_scan_rejects_degenerate_requests(factory):
 
 
 # ---------------------------------------------------------------------------
-# the pool's warm-up: the workers fit the table, the parent appends it
+# the pool's prefill: the workers fit the table, the parent appends it
 # ---------------------------------------------------------------------------
 
 #: a scan whose tallest tower (L = 140, k = 3) tops out near t = 556
@@ -433,9 +423,8 @@ COLD_SCAN = dict(n_samples=4, seed=5, u_range=(0.5, 1.0), l_range=(100, 140),
 
 
 def test_pool_warm_up_is_the_serial_warm_up(small_config, monkeypatch):
-    # from empty tables: the workers fit nearly every knot, the parent only
-    # tops up what the prediction fell short of, and the table and the scan
-    # are bit-identical to the serial ones
+    # from empty tables: the workers fit every knot, the parent only appends
+    # them, and the table and the scan are bit-identical to the serial ones
     built = []
     increments = LadderModel.knot_increments
 
@@ -452,7 +441,7 @@ def test_pool_warm_up_is_the_serial_warm_up(small_config, monkeypatch):
         PAIR_35, factory=ChainFactory(serial), **COLD_SCAN).to_dict()
     assert not scan.failures
     assert len(pooled.table.values) > 1000
-    assert in_parent <= _CHUNK
+    assert in_parent == 0
     fresh = LadderModel(small_config)
     fresh.extend_to(pooled.table.t_covered)
     assert pooled.table.values.tobytes() == fresh.table.values.tobytes()
@@ -460,39 +449,42 @@ def test_pool_warm_up_is_the_serial_warm_up(small_config, monkeypatch):
 
 def test_a_prefill_fit_that_raises_leaves_the_knots_below_it(small_config,
                                                              monkeypatch):
-    # a kernel patched before the fork refuses heights in (400.25, 401]: the
-    # worker with that chunk stops there while the other fits chunks above
-    # it, the parent keeps exactly the knots below the interval that holds
-    # 400.25, and samples fail one by one as on one process
-    refused = 400.25
+    # a kernel patched before the fork refuses heights in (refused, refused +
+    # 0.75]: the worker with that chunk stops there while the other fits
+    # chunks above it, the parent keeps exactly the knots below the interval
+    # that holds refused, and samples fail one by one as on one process.
+    # Interval 800 (t = 400) opens a chunk; interval 808 (t = 404) lies in
+    # the middle of one, whose increments below it the worker hands back.
+    # Interval 760 (t = 380) lies in the chunk a serial scan's first sample
+    # grows its table by, yet that tower tops out at t = 377.7 and passes
     rs_many = _kernels.z_rs_many
-
-    def refusing(ts, terms):
-        if np.any((ts > refused) & (ts <= refused + 0.75)):
-            raise NonConvergence("RS kernel refused in (400.25, 401]")
-        return rs_many(ts, terms)
-
-    monkeypatch.setattr(_kernels, "z_rs_many", refusing)
     kw = dict(n_samples=6, seed=2, u_range=(0.5, 1.0), l_range=(100, 130),
               k_range=(1, 2))
-    pooled = LadderModel(small_config)
-    scan = invariance_scan(PAIR_35, workers=2, factory=ChainFactory(pooled), **kw)
-    serial = LadderModel(small_config)
-    assert scan.to_dict() == invariance_scan(
-        PAIR_35, factory=ChainFactory(serial), **kw).to_dict()
-    assert len(scan.samples) == 3 and len(scan.failures) == 3
-    assert all(e.startswith("NonConvergence") for _, e in scan.failures)
-    top = pooled.table.t_covered
-    assert top <= refused < top + pooled.table.spacing
-    assert pooled.table.values.tobytes() == serial.table.values.tobytes()
+    for refused, failed in ((400.25, 3), (404.25, 3), (380.25, 4)):
+        def refusing(ts, terms, refused=refused):
+            if np.any((ts > refused) & (ts <= refused + 0.75)):
+                raise NonConvergence(f"RS kernel refused in ({refused}, {refused + 0.75}]")
+            return rs_many(ts, terms)
+
+        monkeypatch.setattr(_kernels, "z_rs_many", refusing)
+        pooled = LadderModel(small_config)
+        scan = invariance_scan(PAIR_35, workers=2, factory=ChainFactory(pooled), **kw)
+        serial = LadderModel(small_config)
+        assert scan.to_dict() == invariance_scan(
+            PAIR_35, factory=ChainFactory(serial), **kw).to_dict()
+        assert len(scan.failures) == failed and len(scan.samples) == 6 - failed
+        assert all(e.startswith("NonConvergence") for _, e in scan.failures)
+        top = pooled.table.t_covered
+        assert top <= refused < top + pooled.table.spacing
+        assert pooled.table.values.tobytes() == serial.table.values.tobytes()
 
 
 @pytest.mark.parametrize("l, u, k", [(100, 0.3, 1), (260, 1.45, 3), (100, 1.45, 3),
                                      (260, 0.3, 1), (150, 1.0, 2)])
 def test_predicted_top_is_within_a_percent_of_the_warm_up(small_config, l, u, k):
     # the corners of the CLI's default ranges and a middle point: the
-    # prediction the pool fits up to, against the top segment end a serial
-    # warm-up solves from empty (its table ends up to a chunk above that)
+    # prediction the pool fits up to, against the top segment end a tower
+    # solves from empty (its table ends up to a chunk above that)
     model = LadderModel(small_config)
     tower = ChainFactory(model).tower(l, u, k)
     predicted = mean_square_climb(math.pi * l + u, k)

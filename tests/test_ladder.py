@@ -219,6 +219,25 @@ def test_mass_where_t_over_h_rounds_to_a_knot(small_config, t, j):
     assert _zsq(m, t) == pytest.approx(hardy_z(t, m.config).z ** 2, abs=1e-9)
 
 
+def test_a_height_just_above_a_knot_reads_one_interval_on_any_table(small_config):
+    # t = 115.2 lies above 384 * 0.3 = 115.19999999999999, yet t / 0.3 reads
+    # 384: A(t) and Z(t)^2 read the same whether knot 384 tops the table or
+    # five more knots lie above it
+    cfg = small_config.with_overrides(knot_spacing=0.3)
+    short, tall = LadderModel(cfg), LadderModel(cfg)
+    h = cfg.knot_spacing
+    heights = [(j, round(j * h, 1)) for j in range(300, 701)]
+    heights = [(j, t) for j, t in heights if j * h < t and t / h == j]
+    assert len(heights) == 9 and heights[0] == (384, 115.2)
+    tall.extend_to((heights[-1][0] + 5) * h)
+    for j, t in heights:
+        short.extend_to(j * h)
+        assert len(short.table.values) == j + 1
+        assert short.cumulative_hl(t) == tall.cumulative_hl(t)
+        assert _zsq(short, t) == _zsq(tall, t)
+        assert len(short.table.values) == j + 1
+
+
 def test_built_knots_land_on_their_fits(small_config):
     # each built knot is the one below plus its interval's piece integrals,
     # so the landing term only absorbs the rounding of that addition
@@ -659,6 +678,36 @@ def test_load_rejects_config_mismatch(small_config, tmp_path):
         LadderModel.load_table(path, other)
 
 
+def test_a_model_refuses_another_configs_table(small_config):
+    table = LadderModel(small_config).table
+    with pytest.raises(CacheHashMismatch):
+        LadderModel(small_config.with_overrides(quad_tol=1e-9), table)
+
+
+def test_load_rejects_a_table_with_headers_and_no_rows(small_config, tmp_path):
+    path = tmp_path / "t.csv"
+    LadderModel(small_config).save_table(str(path))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:lines.index("t,a") + 1]) + "\n")
+    with pytest.raises(CacheCorrupt, match="no rows"):
+        LadderModel.load_table(str(path), small_config)
+
+
+def test_cache_dir_comes_from_the_config_the_environment_or_the_working_dir(
+        monkeypatch, tmp_path):
+    cfg = RunConfig()
+    monkeypatch.setenv("ZETALADDER_CACHE_DIR", str(tmp_path / "env"))
+    assert cfg.resolve_cache_dir() == str(tmp_path / "env")
+    assert RunConfig(cache_dir="mine").resolve_cache_dir() == "mine"
+    monkeypatch.chdir(tmp_path)
+    for unset in (lambda: monkeypatch.setenv("ZETALADDER_CACHE_DIR", ""),
+                  lambda: monkeypatch.delenv("ZETALADDER_CACHE_DIR")):
+        unset()
+        assert cfg.resolve_cache_dir() == os.path.join(os.getcwd(), ".zl-cache")
+    assert LadderModel(cfg).default_cache_path() == os.path.join(
+        os.getcwd(), ".zl-cache", f"table_{cfg.config_hash()}.csv")
+
+
 def test_load_rejects_garbage_file(small_config, tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("not a table\n1,2\n")
@@ -890,6 +939,29 @@ def test_table_exhausted_beyond_cap(small_config):
     m = LadderModel(cfg)
     with pytest.raises(TableExhausted):
         m.extend_to(600.0)
+
+
+def test_a_fit_that_raises_above_the_root_does_not_fail_the_step(small_config,
+                                                                monkeypatch):
+    # the root lies in interval 755 and the chunk [752, 768) the step grows
+    # the table by holds a refused interval, 760: the knots below it reach
+    # V(x), so the step returns the root that an unrefused model finds
+    x = 352.0
+    u = LadderModel(small_config).reverse_step(x)
+    assert 377.5 < u < 378.0
+    rs_many = _kernels.z_rs_many
+
+    def refusing(ts, terms):
+        if np.any((ts > 380.25) & (ts <= 381.0)):
+            raise NonConvergence("RS kernel refused in (380.25, 381]")
+        return rs_many(ts, terms)
+
+    monkeypatch.setattr(_kernels, "z_rs_many", refusing)
+    m = LadderModel(small_config)
+    assert m.reverse_step(x) == u
+    assert m.table.t_covered == 380.0
+    with pytest.raises(NonConvergence, match="refused"):
+        m.reverse_step(m.phi1(381.0))
 
 
 def test_reverse_step_stops_at_the_table_ceiling(small_config):

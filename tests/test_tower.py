@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from zetaladder.tower import (
     KAPPA_MAX,
     ChainFactory,
     ChainPoints,
+    GeneratingFunction,
     Segment,
     chain_identity_residual,
     gf_cos2,
@@ -503,3 +505,28 @@ def test_chains_next_to_zeros_of_z_are_refused_or_positive(model, t0, r, extra, 
     assert ch.f0 > 0.0 and all(v > 0.0 for v in ch.zt2)
     assert math.isfinite(ch.condition) and ch.condition <= KAPPA_MAX
     assert chain_identity_residual(model, ch) <= 1e-6
+
+
+#: a weight that vanishes everywhere, so f(alpha_0) has no logarithm
+_ZERO_WEIGHT = GeneratingFunction("zero", lambda v: 0.0, lambda v: v)
+
+
+def test_a_chain_on_a_zero_factor_is_refused(factory):
+    # assembling at a point where the weight vanishes: refused with an
+    # infinite condition, not returned as a chain
+    tower = factory.tower(150, 1.0, 1)
+    with pytest.raises(ConditionTooHigh, match="near-zero factor") as info:
+        factory._assemble(tower, _ZERO_WEIGHT, tower.segment(1).mid, 1.0)
+    assert info.value.condition == math.inf
+
+
+def test_a_fresh_re_evaluation_refuses_nonpositive_factors(model, factory, monkeypatch):
+    # a stored chain re-evaluated under a weight that vanishes at alpha_0,
+    # then with every ztilde_sq read as 0 (a chain point on a zero of Z)
+    chain = factory.solve(150, 1.0, 2, gf_sin2())
+    with pytest.raises(ConditionTooHigh, match="f0=0.0"):
+        chain_identity_residual(model, dataclasses.replace(chain, gf=_ZERO_WEIGHT))
+    monkeypatch.setattr(LadderModel, "ztilde_sq", lambda self, t: 0.0)
+    with pytest.raises(ConditionTooHigh, match="zero of Z") as info:
+        chain_identity_residual(model, chain)
+    assert info.value.condition == math.inf

@@ -10,9 +10,10 @@ import sys
 import numpy as np
 import pytest
 
+import zetaladder
 from zetaladder import zeta
 from zetaladder.config import DEFAULT_CONFIG, RunConfig
-from zetaladder.errors import DomainTooSmall
+from zetaladder.errors import DomainTooSmall, RangeTooLarge
 from zetaladder.ladder import LadderModel
 from zetaladder.zeta import ZSample, err_bound, hardy_z, rs_theta, zeta_mod_sq
 
@@ -64,6 +65,22 @@ def test_theta_branches_agree_at_seam():
 def test_theta_rejects_negative_t():
     with pytest.raises(DomainTooSmall):
         rs_theta(-1.0)
+
+
+@pytest.mark.parametrize("name", ["hardy_z", "zeta_mod_sq", "prime_pi", "rs_theta",
+                                  "err_bound", "normalizer", "normalizer_prime"])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_exported_height_functions_refuse_non_finite_heights(name, t):
+    # NaN passes a t < 0 guard; each raises a typed domain error instead of a
+    # ValueError, an OverflowError or a NaN result (prime_pi(inf) passes its
+    # sieve bound, a resource limit)
+    fn = getattr(zetaladder, name)
+    if name == "prime_pi" and t == math.inf:
+        with pytest.raises(RangeTooLarge):
+            fn(t)
+        return
+    with pytest.raises(DomainTooSmall):
+        fn(t)
 
 
 # ---------------------------------------------------------------------------
