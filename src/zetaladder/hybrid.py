@@ -741,7 +741,7 @@ def invariance_scan(
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_scan_init, initargs=(model, pair),
         ) as pool:
-            _prefill(pool, model, min(top, model.config.t_table_max), workers)
+            _prefill(pool, model, min(top, model.top_knot * model.table.spacing), workers)
             knots = model.table.values[start:].tobytes()
             outcomes = list(pool.map(_scan_eval, [(s, start, knots) for s in samples]))
     else:

@@ -8,7 +8,8 @@ The model has three ingredients:
   domain;
 * the **cumulative mass** A(T) = integral of Z(u)^2 over [0, T], maintained as
   a knot table (any finite spacing > 0, default 0.5), extendable in place without
-  disturbing existing knots.  Each knot interval [j h, (j + 1) h] has one
+  disturbing existing knots, up to the last knot at or below t_table_max
+  (:attr:`LadderModel.top_knot`).  Each knot interval [j h, (j + 1) h] has one
   **fit**, the package's one Z^2 quadrature: ``numerics.chebyshev_pieces``
   rows of Z^2 and its integral, pieces halved while their 17/33 difference
   exceeds their share of quad_tol * h.  A new knot adds the sum of its
@@ -27,10 +28,16 @@ The model has three ingredients:
   interpolant, so the root loop (ITP) takes a handful of steps, and
   phi1(reverse_step(x)) = x up to the solver tolerances.
 
-One **ladder step**, ``step(t) -> (phi1(t), omega(t), ztilde_sq(t))``, is the
-one forward query: one lookup gives A(t) and Z(t)^2, one Newton solve phi1,
-and no Z is evaluated.  ``phi1``, ``omega``, ``ztilde_sq`` and every chain
-walk in :mod:`zetaladder.tower` read it: a ladder level costs one of each.
+The read path is short: a height maps to its knot interval by one rule,
+``_first_knot``; ``_landed`` gives that interval's landed form, fitting it on
+first use; and ``numerics.eval_pieces`` reads it.  One **ladder step**,
+``step(t) -> (phi1(t), omega(t), ztilde_sq(t))``, is the one forward query:
+one lookup (``_lookup``) gives A(t) and Z(t)^2, one Newton solve phi1, and no
+Z is evaluated.  ``phi1``, ``omega``, ``ztilde_sq`` and every chain walk in
+:mod:`zetaladder.tower` read it: a ladder level costs one of each.  A reverse
+step lands its root's interval once, before its root loop, and reads each
+off-knot A(u) there with one ``eval_pieces``, bit for bit what
+``cumulative_hl`` (u) reads.
 
 At working heights phi1(t) < t and the gap t - phi1(t) tracks
 (1 - gamma) t / log t; both show up in the test suite as sampled properties,
@@ -188,6 +195,9 @@ class LadderModel:
         self._pieces: dict[int, Landed] = {}
         #: V(t_min), the floor of A that step can invert; set by the first step
         self._v_min: float | None = None
+        #: the last knot at or below t_table_max: no table grows past it
+        j = self._first_knot(config.t_table_max)
+        self.top_knot = j if j * self.table.spacing <= config.t_table_max else j - 1
 
     # -- cumulative mass ---------------------------------------------------
 
@@ -212,11 +222,14 @@ class LadderModel:
         order; empty when the table covers t.  Knots do not depend on where
         the chunks split, so the chunks may be fitted anywhere, in any
         order, as long as their increments are appended in this order.
+        Raises TableExhausted when covering t needs a knot past
+        :attr:`top_knot`.
         """
         need = self._first_knot(t)
-        if t > self.config.t_table_max:
+        if need > self.top_knot:
             raise TableExhausted(
-                f"requested coverage {t}, hard ceiling {self.config.t_table_max}"
+                f"requested coverage {t}, hard ceiling {self.config.t_table_max} "
+                f"(last knot {self.top_knot * self.table.spacing!r})"
             )
         return [(j, min(j + _CHUNK, need))
                 for j in range(len(self.table.values) - 1, need, _CHUNK)]
@@ -225,12 +238,15 @@ class LadderModel:
         """The first knot j with j h >= t as t / h rounds (0.9 / 0.3 reads 3), t finite.
 
         The ceiling of t / h, less the knots its rounding adds past that j
-        (7 * 0.3 / 0.3 reads 7.000000000000001).
+        (7 * 0.3 / 0.3 reads 7.000000000000001).  A t / h that is NaN or
+        infinite has no ceiling and raises DomainTooSmall.
         """
-        if not math.isfinite(t):
-            raise DomainTooSmall(f"table coverage requested at non-finite t={t}")
         h = self.table.spacing
-        j = math.ceil(t / h)
+        try:
+            j = math.ceil(t / h)
+        except (ValueError, OverflowError):
+            raise DomainTooSmall(f"table coverage requested at t={t}, "
+                                 f"where t / h is non-finite") from None
         while j > 0 and (j - 1) * h >= t:
             j -= 1
         return j
@@ -338,19 +354,24 @@ class LadderModel:
 
         return fits()
 
-    def _lookup(self, j: int, t: float) -> tuple[float, float]:
-        """(A(t), Z(t)^2) for t in knot interval j; A is the knot value at a knot.
+    def _landed(self, j: int) -> Landed:
+        """Knot interval j in the form :func:`eval_pieces` reads, landed on first use.
 
-        The fit lands on the knots on first use (a loaded table's knots are not
-        trusted to equal it) and is kept in the form :func:`eval_pieces`
-        reads; dA/dt = Z^2 holds on it.
+        The fit lands on the knots (a loaded table's knots are not trusted to
+        equal it) and is kept; dA/dt = Z^2 holds on it.
         """
-        vals = self.table.values
         landed = self._pieces.get(j)
         if landed is None:
+            vals = self.table.values
             landed = self._pieces[j] = land_pieces(
                 self._raw_fit(j), vals[j + 1] - vals[j], self.table.spacing)
-        integral, zsq = eval_pieces(landed, t)
+        return landed
+
+    def _lookup(self, j: int, t: float) -> tuple[float, float]:
+        """(A(t), Z(t)^2) for t in knot interval j; A is the knot value at a knot."""
+        # a landed interval is a non-empty tuple; None is one not landed yet
+        integral, zsq = eval_pieces(self._pieces.get(j) or self._landed(j), t)
+        vals = self.table.values
         if (j + 1) * self.table.spacing == t:
             return vals[j + 1], zsq
         return vals[j] + integral, zsq
@@ -371,19 +392,24 @@ class LadderModel:
     def step(self, t: float) -> tuple[float, float, float]:
         """(phi1(t), omega(t), ztilde_sq(t)): one lookup, then V^{-1}(A(t)) by Newton.
 
-        Newton starts from max(t, t_min): V is convex and increasing above
-        t_min, so from above it converges monotonically; t itself lies above
-        the root at working heights.  Each Newton step takes V(y) and V'(y)
-        from one log; V(t_min) is computed on the first step and kept.  Raises
-        DomainTooSmall below t_start (or at t <= 0), when A(t) < V(t_min) or
-        t_min <= 0, and NonConvergence when 64 steps do not settle to
-        root_tol.
+        The lookup is :meth:`_lookup` on the interval below
+        :meth:`_first_knot` (t), the one :meth:`cumulative_hl` reads, with no
+        call between them.  Newton starts from max(t, t_min): V is convex and
+        increasing above t_min, so from above it converges monotonically; t
+        itself lies above the root at working heights.  Each Newton step
+        takes V(y) and V'(y) from one log; V(t_min) is computed on the first
+        step and kept.  Raises DomainTooSmall below t_start (or at t <= 0),
+        at a NaN or infinite t, when A(t) < V(t_min) or t_min <= 0, and
+        NonConvergence when 64 steps do not settle to root_tol.
         """
         cfg = self.config
         if t < cfg.t_start or t <= 0.0:
             raise DomainTooSmall(f"phi1 requested at t={t}: needs t >= "
                                  f"t_start={cfg.t_start} and t > 0")
-        a, zsq = self._lookup(self._interval(t), t)
+        j = self._first_knot(t)  # raises at a NaN or infinite t
+        if j >= len(self.table.values):
+            self.extend_to(t)
+        a, zsq = self._lookup(j - 1, t)
         v_min = self._v_min
         if v_min is None:
             v_min = self._v_min = normalizer(cfg.t_min)
@@ -428,11 +454,14 @@ class LadderModel:
         interval fall short of V(x), whatever chunk it came in.
 
         The first knot j with A(j h) >= V(x) closes the knot interval
-        [(j-1) h, j h].  Both ends are knots, and ``invert_increasing``
-        narrows the interval to root_tol with off-knot A(t) evaluations, all
-        on that one interval's interpolant: about 9 on average (x from 400
-        to 2000), and never more than bisection's ceil(log2(h / root_tol)),
-        36 at the defaults.
+        [(j-1) h, j h].  ``invert_increasing`` narrows it to root_tol; A is
+        read as :meth:`cumulative_hl` reads it, bit for bit, but with the
+        interval landed before the loop: a knot reads its value, any other u
+        one :func:`eval_pieces` on the interval below :meth:`_first_knot`
+        (u) -- the landed one, but for a u a few ulps above knot j - 1 that
+        t / h rounds onto.  The loop makes about 9 such reads on average (x
+        from 400 to 2000), and never more than bisection's
+        ceil(log2(h / root_tol)), 36 at the defaults.
         """
         cfg = self.config
         if x < cfg.t_min:
@@ -440,21 +469,23 @@ class LadderModel:
         target = normalizer(x)  # raises at a non-finite x
         h = self.table.spacing
         vals = self.table.values
-        # the top knot the ceiling allows; one past it makes extend_to raise
-        k_max = int(cfg.t_table_max / h)
-        if k_max * h > cfg.t_table_max:
-            k_max -= 1
         while vals[-1] < target:
             top = len(vals) - 1
-            try:
-                self.extend_to(max(min(top + _CHUNK, k_max), top + 1) * h)
+            try:  # one past top_knot makes extend_to raise
+                self.extend_to(max(min(top + _CHUNK, self.top_knot), top + 1) * h)
             except Exception:  # extend_to kept the knots below the failing fit
                 if vals[-1] < target:
                     raise
         j = bisect.bisect_left(vals, target, 1)
-        return invert_increasing(
-            self.cumulative_hl, Bracket((j - 1) * h, j * h), target, cfg.root_tol
-        )
+        root, landed, first_knot = j - 1, self._landed(j - 1), self._first_knot
+
+        def mass(u: float) -> float:
+            i = first_knot(u) - 1
+            if (i + 1) * h == u:
+                return vals[i + 1]
+            return vals[i] + eval_pieces(landed if i == root else self._landed(i), u)[0]
+
+        return invert_increasing(mass, Bracket((j - 1) * h, j * h), target, cfg.root_tol)
 
     # -- persistence ---------------------------------------------------------
 

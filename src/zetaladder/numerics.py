@@ -294,7 +294,12 @@ def land_pieces(rows: np.ndarray, total: float, width: float) -> Landed:
 
 
 def eval_pieces(landed: Landed, t: float) -> tuple[float, float]:
-    """(integral as landed, f) at t from one basis, read from :func:`land_pieces`."""
+    """(integral as landed, f) at t from one basis, read from :func:`land_pieces`.
+
+    The package's one reader of a landed interval.  Its two dot products go
+    through ``ndarray.dot``: for two vectors the same BLAS ddot that ``@``
+    calls, with less dispatch, so the bits are those of ``@``.
+    """
     if len(landed) == 2:
         edges, pieces = landed
         # the last edge is left out, so t past it reads the last piece
@@ -306,7 +311,7 @@ def eval_pieces(landed: Landed, t: float) -> tuple[float, float]:
     x = x if x > -1.0 else -1.0
     x = x if x < 1.0 else 1.0
     basis = np.cos(math.acos(x) * _CHEB_K)
-    return float(basis @ b), float(basis[:-1] @ c)
+    return float(basis.dot(b)), float(basis[:-1].dot(c))
 
 
 def integrate(

@@ -88,6 +88,18 @@ class Segment:
         return 0.5 * (self.lo + self.hi)
 
 
+def _segment(lo: float, hi: float) -> Segment:
+    """[lo, hi] as a tower segment, or DomainTooSmall when it has no width.
+
+    A chain's level is mass(f) / |seg_k|: a base pi L + U that rounds back
+    to pi L, or two reverse steps that land on one point (a root_tol wider
+    than a knot interval), leaves no level to solve for.
+    """
+    if not hi - lo > 0.0:
+        raise DomainTooSmall(f"tower segment [{lo!r}, {hi!r}] has no width")
+    return Segment(lo, hi)
+
+
 @dataclass(frozen=True)
 class IterationTower:
     """Segments seg_0..seg_k of one tower; phi1 maps seg_{r+1} onto seg_r."""
@@ -257,21 +269,23 @@ def make_chain_weight(
     from xi (k ladder steps) gives the product and alpha_0, which do not
     depend on f; they are kept per xi in ``walks`` (a private dict when
     None), so weights that share ``walks`` on one tower walk each xi once
-    and a repeated xi costs one evaluation of f.
+    and a repeated xi costs one evaluation of f.  The walk multiplies as it
+    steps, in :func:`_walk`'s order, and keeps no list.
     """
     k = tower.k
     base_lo = tower.base.lo
+    step = model.step
     if walks is None:
         walks = {}
 
     def g(xi: float) -> float:
         hit = walks.get(xi)
         if hit is None:
-            alpha, zt2, _ = _walk(model, xi, k)
-            acc = 1.0
-            for v in zt2:
-                acc *= v
-            hit = walks[xi] = (acc, alpha[-1])
+            t, acc = xi, 1.0
+            for _ in range(k):
+                t, _om, zt = step(t)
+                acc *= zt
+            hit = walks[xi] = (acc, t)
         acc, alpha0 = hit
         return acc * gf.fn(alpha0 - base_lo)
 
@@ -300,12 +314,13 @@ class ChainFactory:
         """Make (l, u) the factory's window, dropping what it kept for another."""
         if self._window != (l, u):
             lo = math.pi * l
-            self._window, self._segments = (l, u), [Segment(lo, lo + u)]
+            self._window, self._segments = (l, u), [_segment(lo, lo + u)]
             self._chains, self._walks = {}, {}
 
     # towers -----------------------------------------------------------------
 
     def tower(self, l: int, u: float, k: int) -> IterationTower:
+        """seg_0..seg_k over [pi L, pi L + U]; DomainTooSmall if one has no width."""
         l, k = _check_window(l, u, k, self.model.config)
         self._enter(l, u)
         segs = self._segments
@@ -313,8 +328,8 @@ class ChainFactory:
         while len(segs) <= k:
             prev = segs[-1]
             segs.append(
-                Segment(self.model.reverse_step(prev.lo),
-                        self.model.reverse_step(prev.hi))
+                _segment(self.model.reverse_step(prev.lo),
+                         self.model.reverse_step(prev.hi))
             )
         return IterationTower(l=l, u=u, segments=tuple(segs[: k + 1]))
 

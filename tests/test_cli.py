@@ -326,7 +326,14 @@ def test_invalid_gate_tolerance_exit_2(capsys, argv, value):
      "L"),
     (("verify", "echf2", "--delta3", "1e400", "--delta4", "1/5", "--L", "150",
       "--U", "1.0", "--k3", "1", "--k4", "2"), "d3"),
-], ids=["negative-seed", "L-past-float-range", "delta-past-float-range"])
+    # pi L + U rounds back to pi L: seg_0 has no width
+    (("verify", "echf1", "--L", "150", "--U", "1e-300", "--k1", "0", "--k2", "0"),
+     "no width"),
+    # a root_tol past a knot interval: both ends of seg_1 step to one midpoint
+    (("verify", "echf1", "--L", "150", "--U", "1.0", "--k1", "1", "--k2", "2",
+      "--root-tol", "10"), "no width"),
+], ids=["negative-seed", "L-past-float-range", "delta-past-float-range",
+        "zero-width-base", "zero-width-tower-segment"])
 def test_inputs_outside_the_typed_domain_exit_2(capsys, argv, named):
     # exit 1 means "out of tolerance"; each of these is refused by the
     # library with a typed error before any chain is solved

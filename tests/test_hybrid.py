@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
 import inspect
+import json
 import math
 from fractions import Fraction
 
@@ -293,6 +295,38 @@ def test_asymptotic_deviation_shrinks_with_height(factory):
     assert hi.extras["deviation"] < lo.extras["deviation"]
 
 
+def _pinned_grid(l: int, u: float) -> list[tuple]:
+    """(formula, args) at one window: every formula, with k1 = k2 and k3 = k4 among
+    the depth tuples and ternary(3, 2, 1, 2)."""
+    p = PAIR_35
+    return [
+        (echf1, (l, u, 1, 2)), (echf1, (l, u, 2, 2)),
+        (echf2, (p, l, u, 1, 3)), (echf2, (p, l, u, 2, 2)),
+        (beta_product_elim, (p, l, u, 1)), (beta_product_elim, (p, l, u, 3)),
+        (secondary_v1, (p, l, u, 1, 3)), (secondary_v1, (p, l, u, 2, 2)),
+        (mixed_product, (l, u, 2)),
+        (secondary_v2, (p, l, u, 2, 1)), (secondary_v2, (p, l, u, 1, 1)),
+        (ternary, (p, l, u, 1, 2, 1, 2)), (ternary, (p, l, u, 3, 2, 1, 2)),
+        (asymptotic_secondary, (p, l, u, 1, 2)), (asymptotic_secondary, (p, l, u, 3, 3)),
+    ]
+
+
+def test_seeded_reports_are_pinned(model):
+    # 30 reports without timings, bit for bit, each with a fresh factory: a
+    # change to the read path, the walks or the root loops that moves one bit
+    # of any value shows here.  Taken when a reverse step still read A through
+    # cumulative_hl and a chain weight multiplied a walk's list afterwards
+    reports = []
+    for l, u in ((150, 1.0), (250, 0.6)):
+        for fn, args in _pinned_grid(l, u):
+            d = fn(ChainFactory(model), *args).to_dict()
+            del d["timings"]
+            reports.append(d)
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == (
+        "6a3cdb73f553e0aeeaeafef55a35407b3dc82ed8607266387ef3fd37cb4acad7")
+
+
 @pytest.mark.parametrize("fn, names", [
     (echf1, "factory l u k1 k2"),
     (echf2, "factory pair l u k3 k4"),
@@ -392,6 +426,17 @@ def test_scan_collects_samples_past_the_table_ceiling(small_config):
     assert [p["L"] for p, _ in scan.failures] == [132, 125]
     assert all(e.startswith("TableExhausted") for _, e in scan.failures)
     assert scan.max_rel_dev <= 1e-6
+
+
+def test_a_pooled_scan_stops_at_a_ceiling_between_knots(small_config):
+    # the pool's prefill stops at the last knot below the ceiling, 450.0, as
+    # a serial sample's reverse steps do, so both fail the same samples
+    cfg = small_config.with_overrides(t_table_max=450.3)
+    kw = dict(n_samples=4, seed=3, config=cfg, u_range=(0.5, 1.0),
+              l_range=(100, 140), k_range=(1, 2))
+    pooled = invariance_scan(PAIR_35, workers=2, **kw)
+    assert [p["L"] for p, _ in pooled.failures] == [132, 125]
+    assert pooled.to_dict() == invariance_scan(PAIR_35, **kw).to_dict()
 
 
 def test_a_scan_whose_every_sample_fails_raises(small_config):

@@ -28,7 +28,7 @@ from zetaladder.ladder import (
     normalizer,
     normalizer_prime,
 )
-from zetaladder.numerics import integrate, piece_integrals
+from zetaladder.numerics import Bracket, integrate, invert_increasing, piece_integrals
 from zetaladder.tower import ChainFactory
 from zetaladder.zeta import hardy_z, zeta_mod_sq
 
@@ -56,6 +56,14 @@ def _bounds(m, j):
     bounds = np.array([(lo, hi) for lo, hi, _b, _c in pieces])
     assert edges == bounds[:-1, 1].tolist()  # the right edges to bisect
     return bounds
+
+
+def _interval_reads(monkeypatch):
+    """The heights at which the ladder reads a landed interval, in order."""
+    reads, read = [], ladder.eval_pieces
+    monkeypatch.setattr(ladder, "eval_pieces",
+                        lambda landed, t: reads.append(t) or read(landed, t))
+    return reads
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +331,15 @@ def test_phi1_rejects_below_start(model):
         model.phi1(model.config.t_start - 1.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("read", ["step", "phi1", "omega", "ztilde_sq", "cumulative_hl"])
+def test_read_api_refuses_non_finite_heights(model, read, t):
+    # a NaN passes every comparison with t_start; the knot mapping refuses it
+    # typed, where math.ceil would raise ValueError (NaN) or OverflowError (inf)
+    with pytest.raises(DomainTooSmall):
+        getattr(model, read)(t)
+
+
 def test_omega_tracks_log_t(model):
     assert model.omega(1000.0) / math.log(1000.0) == pytest.approx(1.0, abs=0.25)
 
@@ -371,10 +388,7 @@ def test_step_is_phi1_omega_and_ztilde_sq_at_once(model):
 
 def test_a_ladder_step_reads_its_interval_once(model, monkeypatch):
     # A(t) and Z(t)^2 come from one evaluation of one interval's pieces
-    reads = []
-    read = ladder.eval_pieces
-    monkeypatch.setattr(ladder, "eval_pieces",
-                        lambda rows, t: reads.append(t) or read(rows, t))
+    reads = _interval_reads(monkeypatch)
     model.step(1000.3)
     assert reads == [1000.3]
 
@@ -489,22 +503,15 @@ def test_reverse_step_rejects_a_non_finite_x(model, x):
 
 
 def test_reverse_step_bisects_one_knot_interval(model, monkeypatch):
-    # both bracket ends are knots; only the root loop's steps cost a lookup,
-    # and it never takes more than bisection's ceil(log2(5e10)) = 36 steps
-    # from width 0.5 to root_tol = 1e-11
+    # both bracket ends are knots; only the root loop's steps read the
+    # interval, and it never takes more than bisection's ceil(log2(5e10)) = 36
+    # steps from width 0.5 to root_tol = 1e-11
     x = 1500.0
     model.reverse_step(x)  # the table already covers the root
     h = model.table.spacing
-    offknot = []
-    original = LadderModel.cumulative_hl
-
-    def counting(self, t):
-        if t != int(t / h) * h:
-            offknot.append(t)
-        return original(self, t)
-
-    monkeypatch.setattr(LadderModel, "cumulative_hl", counting)
+    offknot = _interval_reads(monkeypatch)
     u = model.reverse_step(x)
+    assert offknot
     assert len(offknot) <= 36
     j = math.ceil(u / h)
     assert all((j - 1) * h < t < j * h for t in offknot)
@@ -513,23 +520,50 @@ def test_reverse_step_bisects_one_knot_interval(model, monkeypatch):
 def test_reverse_steps_take_a_handful_of_offknot_evaluations(model, monkeypatch):
     # each g is one knot interval's interpolant of A(t): the root loop
     # converges superlinearly where bisection takes 36 steps every time
-    h = model.table.spacing
-    offknot = []
-    original = LadderModel.cumulative_hl
-
-    def counting(self, t):
-        if t != int(t / h) * h:
-            offknot.append(t)
-        return original(self, t)
-
-    monkeypatch.setattr(LadderModel, "cumulative_hl", counting)
+    offknot = _interval_reads(monkeypatch)
     counts = []
     for x in np.linspace(400.0, 1996.0, 400):
         before = len(offknot)
         model.reverse_step(float(x))
         counts.append(len(offknot) - before)
     assert max(counts) <= 36
-    assert sum(counts) / len(counts) <= 12.0
+    assert 1 <= sum(counts) / len(counts) <= 12.0
+
+
+def _reverse_step_oracle(m, x):
+    """The reverse step as it read A before it landed its interval ahead of the
+    root loop: invert_increasing on cumulative_hl over the root's knot interval."""
+    h, target = m.table.spacing, normalizer(x)
+    j = bisect.bisect_left(m.table.values, target, 1)
+    return invert_increasing(m.cumulative_hl, Bracket((j - 1) * h, j * h), target,
+                             m.config.root_tol)
+
+
+@pytest.mark.parametrize("spacing", [0.5, 0.3])
+def test_reverse_step_reads_a_as_cumulative_hl_does(small_config, spacing):
+    m = LadderModel(small_config.with_overrides(knot_spacing=spacing))
+    for x in np.random.default_rng(20).uniform(20.0, 400.0, 60).tolist():
+        assert m.reverse_step(x) == _reverse_step_oracle(m, x), x
+
+
+@pytest.mark.parametrize("x", [12.997064623729251, 27.423279362143802,
+                               53.48388598197645, 108.34519828799425])
+def test_reverse_step_keeps_the_first_knot_rule_a_few_ulps_above_a_knot(
+        small_config, monkeypatch, x):
+    # V(x) lies just above A at a knot k whose next doubles divide onto k by
+    # 0.3, and a root_tol far below an ulp takes the loop there: like
+    # cumulative_hl, the step reads those heights on interval k - 1, below
+    # the root's own interval k
+    m = LadderModel(small_config.with_overrides(knot_spacing=0.3, root_tol=1e-300))
+    m.extend_to(150.0)
+    landed, land = [], m._landed
+    monkeypatch.setattr(m, "_landed", lambda j: landed.append(j) or land(j))
+    u = m.reverse_step(x)
+    reads = list(landed)
+    assert u == _reverse_step_oracle(m, x)
+    k = round(u / 0.3)
+    assert 0.0 < u - k * 0.3 <= 4 * math.ulp(u)
+    assert reads[0] == k and set(reads) == {k, k - 1}
 
 
 def test_reverse_step_grows_a_cold_table_to_the_root_knot(small_config):
@@ -1014,6 +1048,22 @@ def test_reverse_step_stops_at_a_ceiling_between_knots(small_config, monkeypatch
         m.reverse_step(30.0)
     assert m.table.t_covered <= 20.3
     assert added == [ladder._CHUNK, ladder._CHUNK, 8, 0]
+
+
+def test_no_knot_lies_past_a_ceiling_between_knots(small_config):
+    # extend_to and reverse_step stop at one knot, the last at or below the
+    # ceiling; covering 20.3 would need knot 20.5, past it
+    m = LadderModel(small_config.with_overrides(t_table_max=20.3))
+    assert m.top_knot == 40
+    m.extend_to(20.0)
+    with pytest.raises(TableExhausted, match="last knot 20.0"):
+        m.extend_to(20.3)
+    assert m.table.t_covered == 20.0
+    with pytest.raises(TableExhausted):
+        m.reverse_step(30.0)
+    assert m.table.t_covered == 20.0
+    thirds = LadderModel(small_config.with_overrides(t_table_max=20.0, knot_spacing=0.3))
+    assert thirds.top_knot == 66 and 66 * 0.3 <= 20.0 < 67 * 0.3
 
 
 @pytest.mark.parametrize("name, value", [
