@@ -30,14 +30,13 @@ The model has three ingredients:
 
 The read path is short: a height maps to its knot interval by one rule,
 ``_first_knot``; ``_landed`` gives that interval's landed form, fitting it on
-first use; and ``numerics.eval_pieces`` reads it.  One **ladder step**,
-``step(t) -> (phi1(t), omega(t), ztilde_sq(t))``, is the one forward query:
-one lookup (``_lookup``) gives A(t) and Z(t)^2, one Newton solve phi1, and no
-Z is evaluated.  ``phi1``, ``omega``, ``ztilde_sq`` and every chain walk in
-:mod:`zetaladder.tower` read it: a ladder level costs one of each.  A reverse
-step lands its root's interval once, before its root loop, and reads each
-off-knot A(u) there with one ``eval_pieces``, bit for bit what
-``cumulative_hl`` (u) reads.
+first use; and ``numerics.eval_pieces`` reads it.  ``cumulative_hl`` is the
+one reader of A: a knot reads its value, any other t one ``eval_pieces``.
+One **ladder step**, ``step(t) -> (phi1(t), omega(t), ztilde_sq(t))``, is
+the one forward query: one ``eval_pieces`` gives A(t) and Z(t)^2, one Newton
+solve phi1, and no Z is evaluated.  ``phi1``, ``omega``, ``ztilde_sq`` and
+every chain walk in :mod:`zetaladder.tower` read it: a ladder level costs
+one of each.  A reverse step's root loop reads A through ``cumulative_hl``.
 
 At working heights phi1(t) < t and the gap t - phi1(t) tracks
 (1 - gamma) t / log t; both show up in the test suite as sampled properties,
@@ -277,17 +276,6 @@ class LadderModel:
         for inc in increments:
             vals.append(vals[-1] + inc)
 
-    def _interval(self, t: float) -> int:
-        """The knot interval below :meth:`_first_knot` (t), for t > 0; the table grows to it.
-
-        That is the j with jh < t <= (j + 1)h, but for a t a few ulps above the
-        knot t / h rounds to: on any table, it reads the interval below that knot.
-        """
-        j = self._first_knot(t)
-        if j >= len(self.table.values):
-            self.extend_to(t)
-        return j - 1
-
     def _raw_fit(self, j: int) -> np.ndarray:
         """Z^2 on knot interval j as chebyshev_pieces rows: :meth:`_raw_fits` of one."""
         return next(self._raw_fits(j, j + 1))
@@ -303,12 +291,12 @@ class LadderModel:
         (``_kernels.rs_spans``), each span sharing the tolerance by its
         width.  Initial pieces are capped at half the shortest Z wavelength.
 
-        For more than one interval, the first pieces of every span are
-        evaluated here, before the first fit is yielded: one call per route,
-        whose values are then taken by position.  Each span's splitting loop
-        then runs alone, halves evaluated as they arise.  A height's Z^2 does
-        not depend on its batch, so each fit is bit-identical to the interval
-        fitted alone, which evaluates its pieces one batch each.
+        For more than one span (an interval cut at a jump is two), the first
+        pieces of every span are evaluated here, before the first fit is
+        yielded: one call per route, whose values are then taken by position.
+        Each span's splitting loop then runs alone, halves evaluated as they
+        arise.  A height's Z^2 does not depend on its batch, so each fit is
+        bit-identical to its spans fitted one batch each.
         """
         cfg = self.config
         h = self.table.spacing
@@ -333,19 +321,16 @@ class LadderModel:
 
         if len(spans) == 1:  # one uncut interval: nothing to batch or group
             return (fit(span, None) for span in spans)
-        if j1 - j0 == 1:
-            firsts = [None] * len(spans)
-        else:
-            firsts = []
-            for zsq, group in itertools.groupby(spans, key=lambda span: span[4]):
-                edges = [initial_pieces(a, b, wl) for _, a, b, wl, _ in group]
-                nodes = piece_nodes(np.array([e for es in edges for e in es[:-1]]),
-                                    np.array([e for es in edges for e in es[1:]]))
-                vals = zsq(nodes.ravel()).reshape(nodes.shape)
-                k = 0
-                for es in edges:
-                    firsts.append(vals[k:k + len(es) - 1])
-                    k += len(es) - 1
+        firsts = []
+        for zsq, group in itertools.groupby(spans, key=lambda span: span[4]):
+            edges = [initial_pieces(a, b, wl) for _, a, b, wl, _ in group]
+            nodes = piece_nodes(np.array([e for es in edges for e in es[:-1]]),
+                                np.array([e for es in edges for e in es[1:]]))
+            vals = zsq(nodes.ravel()).reshape(nodes.shape)
+            k = 0
+            for es in edges:
+                firsts.append(vals[k:k + len(es) - 1])
+                k += len(es) - 1
 
         def fits() -> Iterator[np.ndarray]:
             for _j, group in itertools.groupby(zip(spans, firsts), key=lambda p: p[0][0]):
@@ -367,40 +352,34 @@ class LadderModel:
                 self._raw_fit(j), vals[j + 1] - vals[j], self.table.spacing)
         return landed
 
-    def _lookup(self, j: int, t: float) -> tuple[float, float]:
-        """(A(t), Z(t)^2) for t in knot interval j; A is the knot value at a knot."""
-        # a landed interval is a non-empty tuple; None is one not landed yet
-        integral, zsq = eval_pieces(self._pieces.get(j) or self._landed(j), t)
-        vals = self.table.values
-        if (j + 1) * self.table.spacing == t:
-            return vals[j + 1], zsq
-        return vals[j] + integral, zsq
-
     def cumulative_hl(self, t: float) -> float:
-        """A(t): the knot value at a knot (no fit), else its interval's interpolant."""
+        """A(t), the one reader of A: a knot's value (no fit), else one :func:`eval_pieces`."""
         if t < 0.0:
             raise DomainTooSmall(f"cumulative mass requested at t={t} < 0")
-        if t == 0.0:
-            return 0.0
-        j = self._interval(t)
-        if (j + 1) * self.table.spacing == t:
-            return self.table.values[j + 1]
-        return self._lookup(j, t)[0]
+        j = self._first_knot(t)
+        if j >= len(self.table.values):
+            self.extend_to(t)
+        vals = self.table.values
+        if j * self.table.spacing == t:
+            return vals[j]
+        # a landed interval is a non-empty tuple; None is one not landed yet
+        return vals[j - 1] + eval_pieces(self._pieces.get(j - 1) or self._landed(j - 1), t)[0]
 
     # -- forward map and friends --------------------------------------------
 
     def step(self, t: float) -> tuple[float, float, float]:
-        """(phi1(t), omega(t), ztilde_sq(t)): one lookup, then V^{-1}(A(t)) by Newton.
+        """(phi1(t), omega(t), ztilde_sq(t)): one read, then V^{-1}(A(t)) by Newton.
 
-        The lookup is :meth:`_lookup` on the interval below
-        :meth:`_first_knot` (t), the one :meth:`cumulative_hl` reads, with no
-        call between them.  Newton starts from max(t, t_min): V is convex and
+        One :func:`eval_pieces` gives Z(t)^2 and A(t) as :meth:`cumulative_hl`
+        (t) reads it.  Newton starts from max(t, t_min): V is convex and
         increasing above t_min, so from above it converges monotonically; t
         itself lies above the root at working heights.  Each Newton step
         takes V(y) and V'(y) from one log; V(t_min) is computed on the first
-        step and kept.  Raises DomainTooSmall below t_start (or at t <= 0),
-        at a NaN or infinite t, when A(t) < V(t_min) or t_min <= 0, and
-        NonConvergence when 64 steps do not settle to root_tol.
+        step and kept.  It stops at |dy| <= root_tol / 4, or when an iterate
+        equals the one two steps back: the two then cycle at the rounding
+        floor, and the smaller is phi1.  Raises DomainTooSmall below t_start
+        (or at t <= 0), at a NaN or infinite t, when A(t) < V(t_min) or
+        t_min <= 0, and NonConvergence when 64 steps do neither.
         """
         cfg = self.config
         if t < cfg.t_start or t <= 0.0:
@@ -409,7 +388,9 @@ class LadderModel:
         j = self._first_knot(t)  # raises at a NaN or infinite t
         if j >= len(self.table.values):
             self.extend_to(t)
-        a, zsq = self._lookup(j - 1, t)
+        vals = self.table.values
+        integral, zsq = eval_pieces(self._pieces.get(j - 1) or self._landed(j - 1), t)
+        a = vals[j] if j * self.table.spacing == t else vals[j - 1] + integral
         v_min = self._v_min
         if v_min is None:
             v_min = self._v_min = normalizer(cfg.t_min)
@@ -418,6 +399,7 @@ class LadderModel:
                                  f"V({cfg.t_min})={v_min}")
         t_min, tol, log = cfg.t_min, 0.25 * cfg.root_tol, math.log
         y = max(t, t_min)
+        back2, back = math.nan, y  # the iterates two steps and one step back
         for _ in range(64):
             # (normalizer(y) - a) / normalizer_prime(y), one log for both
             log_y = log(y)
@@ -426,9 +408,15 @@ class LadderModel:
             if y < t_min:  # max(y, t_min); a NaN stays NaN
                 y = t_min
             if abs(dy) <= tol:
-                om = log(y) + 1.0 + EULER_GAMMA - _LOG_TWO_PI
-                return y, om, zsq / om
-        raise NonConvergence(f"V^-1(A({t})={a}) did not converge in 64 Newton steps")
+                break
+            if y == back2:  # y and back cycle at the rounding floor
+                y = min(y, back)
+                break
+            back2, back = back, y
+        else:
+            raise NonConvergence(f"V^-1(A({t})={a}) did not converge in 64 Newton steps")
+        om = log(y) + 1.0 + EULER_GAMMA - _LOG_TWO_PI
+        return y, om, zsq / om
 
     def phi1(self, t: float) -> float:
         """V^{-1}(A(t)): the first part of :meth:`step`."""
@@ -454,14 +442,13 @@ class LadderModel:
         interval fall short of V(x), whatever chunk it came in.
 
         The first knot j with A(j h) >= V(x) closes the knot interval
-        [(j-1) h, j h].  ``invert_increasing`` narrows it to root_tol; A is
-        read as :meth:`cumulative_hl` reads it, bit for bit, but with the
-        interval landed before the loop: a knot reads its value, any other u
-        one :func:`eval_pieces` on the interval below :meth:`_first_knot`
-        (u) -- the landed one, but for a u a few ulps above knot j - 1 that
-        t / h rounds onto.  The loop makes about 9 such reads on average (x
-        from 400 to 2000), and never more than bisection's
-        ceil(log2(h / root_tol)), 36 at the defaults.
+        [(j-1) h, j h].  ``invert_increasing`` narrows it to root_tol,
+        reading A with :meth:`cumulative_hl`: the bracket's ends are knots,
+        and the root loop's u read the root's interval (but for a u a few
+        ulps above knot j - 1 that t / h rounds onto), landed on its first
+        read.  The loop makes about 9 such reads on average (x from 400 to
+        2000), and never more than bisection's ceil(log2(h / root_tol)), 36
+        at the defaults.
         """
         cfg = self.config
         if x < cfg.t_min:
@@ -477,15 +464,8 @@ class LadderModel:
                 if vals[-1] < target:
                     raise
         j = bisect.bisect_left(vals, target, 1)
-        root, landed, first_knot = j - 1, self._landed(j - 1), self._first_knot
-
-        def mass(u: float) -> float:
-            i = first_knot(u) - 1
-            if (i + 1) * h == u:
-                return vals[i + 1]
-            return vals[i] + eval_pieces(landed if i == root else self._landed(i), u)[0]
-
-        return invert_increasing(mass, Bracket((j - 1) * h, j * h), target, cfg.root_tol)
+        return invert_increasing(self.cumulative_hl, Bracket((j - 1) * h, j * h), target,
+                                 cfg.root_tol)
 
     # -- persistence ---------------------------------------------------------
 

@@ -23,16 +23,16 @@ of Z, so crossings are plentiful) and returns the full chain with its
 residual and a log-space condition number.
 
 Both the integrand and the assembly of a solved chain walk down from
-xi = alpha_k through one private walk built on ``LadderModel.step``, which
-gives (phi1, omega, ztilde_sq) at a level from one phi1 solve: an assembly
-costs k solves, and so does an integrand evaluation at a new xi.  Only the
-last factor of the integrand depends on the weight, so the chains of one
-tower share their walks: the crossing scan samples every chain at the same
-grid on seg_k, and a point another chain of the window has walked costs one
-evaluation of f.  A factory keeps one window: its chains are cached per
-(k, weight) until a tower or solve names another window, so that repeated
-requests -- in particular the plain ``beta`` chain reused across several
-formulas -- are bit-identical.
+xi = alpha_k by ``LadderModel.step``, which gives (phi1, omega, ztilde_sq)
+at a level from one phi1 solve: an assembly costs k solves, and so does an
+integrand evaluation at a new xi.  Only the last factor of the integrand
+depends on the weight, so the chains of one tower share their walks: the
+crossing scan samples every chain at the same grid on seg_k, and a point
+another chain of the window has walked costs one evaluation of f.  A
+factory keeps one window: its chains are cached per (k, weight) until a
+tower or solve names another window, so that repeated requests -- in
+particular the plain ``beta`` chain reused across several formulas -- are
+bit-identical.
 """
 from __future__ import annotations
 
@@ -191,11 +191,14 @@ def gf_power(delta: Fraction | float) -> GeneratingFunction:
         key = f"pow:{delta.numerator}/{delta.denominator}"
     else:
         key = f"pow:{delta!r}"
-    return GeneratingFunction(
-        key,
-        lambda v: v ** d,
-        lambda v: v ** (1.0 + d) / (1.0 + d),
-    )
+    whole = d.is_integer()
+
+    def fn(v: float) -> float:
+        if v < 0.0 and not whole:  # a walk that lands a few ulps below pi L
+            raise DomainTooSmall(f"power weight v^{delta} read at offset v={v!r} < 0")
+        return v ** d
+
+    return GeneratingFunction(key, fn, lambda v: v ** (1.0 + d) / (1.0 + d))
 
 
 # -- chains -------------------------------------------------------------------
@@ -238,22 +241,6 @@ class ChainPoints:
         return self.f0 * float(np.prod(self.zt2))
 
 
-def _walk(model: LadderModel, xi: float,
-          k: int) -> tuple[list[float], list[float], list[float]]:
-    """One ladder step per level from xi = alpha_k down to alpha_0.
-
-    Returns alpha_k..alpha_0, and ztilde_sq(alpha_r) and omega(alpha_r) for
-    r = k..1, each list in walk order.
-    """
-    alpha, zt2, omega = [xi], [], []
-    for _ in range(k):
-        t, om, zt = model.step(alpha[-1])
-        alpha.append(t)
-        omega.append(om)
-        zt2.append(zt)
-    return alpha, zt2, omega
-
-
 #: xi -> (prod_r ztilde_sq(alpha_r), alpha_0): the part of a chain weight
 #: that depends on the tower alone, not on the weight f
 Walks = dict[float, tuple[float, float]]
@@ -270,7 +257,7 @@ def make_chain_weight(
     depend on f; they are kept per xi in ``walks`` (a private dict when
     None), so weights that share ``walks`` on one tower walk each xi once
     and a repeated xi costs one evaluation of f.  The walk multiplies as it
-    steps, in :func:`_walk`'s order, and keeps no list.
+    steps, down from xi as a chain's assembly walks, and keeps no list.
     """
     k = tower.k
     base_lo = tower.base.lo
@@ -356,6 +343,9 @@ class ChainFactory:
         tower = self.tower(l, u, k)
         seg_k = tower.segment(k)
         level = gf.mass(u) / seg_k.length
+        if not 0.0 < level < math.inf:  # a mass that cancels or overflows
+            raise DomainTooSmall(f"chain level {level!r} for f={gf.key} on "
+                                 f"L={l}, U={u!r} is not finite and positive")
 
         if k == 0 and gf.key == "one":
             # the identity is the empty product; anchor at the window midpoint
@@ -369,10 +359,13 @@ class ChainFactory:
     def _assemble(self, tower: IterationTower, gf: GeneratingFunction,
                   xi: float, level: float) -> ChainPoints:
         k = tower.k
-        walk_alpha, walk_zt2, walk_omega = _walk(self.model, xi, k)
-        alpha = np.array(walk_alpha[::-1])
-        zt2 = np.array(walk_zt2[::-1])
-        omega = np.array(walk_omega[::-1])
+        alpha, steps = [xi], []  # one ladder step per level, alpha_k down to alpha_0
+        for _ in range(k):
+            steps.append(self.model.step(alpha[-1]))
+            alpha.append(steps[-1][0])
+        alpha = np.array(alpha[::-1])
+        zt2 = np.array([zt for _, _, zt in steps[::-1]])
+        omega = np.array([om for _, om, _ in steps[::-1]])
         f0 = gf.fn(alpha[0] - tower.base.lo)
 
         log_level = math.log(level)

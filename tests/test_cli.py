@@ -354,6 +354,20 @@ def test_a_combiner_overflow_exits_3(capsys):
     assert "overflows" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    # sin^2's mass 0.5 U - 0.25 sin 2U cancels to 0: a level with no log
+    (("verify", "mixed", "--L", "200", "--U", "1e-12", "--k", "1"), "chain level 0.0"),
+    # a walk lands alpha_0 a few ulps below pi L, where v^(1/3) is complex
+    (("verify", "echf2", "--L", "400", "--U", "1e-10", "--k3", "0", "--k4", "3",
+      "--delta3", "7", "--delta4", "1/3"), "offset"),
+], ids=["mixed-zero-level", "echf2-negative-offset"])
+def test_windows_too_narrow_for_their_weights_exit_2(capsys, argv, named):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert named in err and "Traceback" not in err
+
+
 def test_ladder_build_nan_height_exit_2(capsys, cache):
     code, out, err = _run(capsys, "ladder-build", "--tmax", "nan", *cache)
     assert code == 2

@@ -46,8 +46,10 @@ def _fresh(m, a, b, tol):
 
 
 def _zsq(m, t):
-    """Z(t)^2 as a ladder step reads it: the interpolant of t's knot interval."""
-    return m._lookup(m._interval(t), t)[1]
+    """Z(t)^2 as a ladder step reads it: the interpolant of the knot interval
+    below t's first knot, the table grown to t."""
+    m.extend_to(t)
+    return ladder.eval_pieces(m._landed(m._first_knot(t) - 1), t)[1]
 
 
 def _bounds(m, j):
@@ -369,10 +371,11 @@ def test_phi1_rejects_mass_below_normalizer_floor(small_config):
 
 
 def test_phi1_raises_when_newton_does_not_converge(small_config, monkeypatch):
+    # off a knot, A(t) is the knot value plus the interval's read: NaN here
     m = LadderModel(small_config)
-    monkeypatch.setattr(m, "_lookup", lambda j, t: (math.nan, math.nan))
+    monkeypatch.setattr(ladder, "eval_pieces", lambda landed, t: (math.nan, math.nan))
     with pytest.raises(NonConvergence):
-        m.phi1(300.0)
+        m.phi1(300.25)
 
 
 def test_step_is_phi1_omega_and_ztilde_sq_at_once(model):
@@ -391,6 +394,35 @@ def test_a_ladder_step_reads_its_interval_once(model, monkeypatch):
     reads = _interval_reads(monkeypatch)
     model.step(1000.3)
     assert reads == [1000.3]
+
+
+def _newton(a, y):
+    """One Newton step of V(y) = a in step's arithmetic: V and V' from one log."""
+    log_y = math.log(y)
+    return y - (y * log_y + ladder._V_LINEAR * y - a) / (
+        log_y + 1.0 + EULER_GAMMA - ladder._LOG_TWO_PI)
+
+
+@pytest.mark.parametrize("t", [419.8374750692238, 592.2948799204955])
+def test_step_returns_the_smaller_member_of_a_newton_cycle(small_config, t):
+    # root_tol / 4 = 7.5e-14 lies between one and two ulps of y in [256, 512],
+    # as the default's 2.5e-12 does in [8192, 16384]: the iterates can
+    # settle into a two-point cycle that the |dy| stop never ends
+    m = LadderModel(small_config.with_overrides(root_tol=3e-13))
+    a, y = m.cumulative_hl(t), t
+    for _ in range(64):
+        y = _newton(a, y)
+    assert _newton(a, y) != y and _newton(a, _newton(a, y)) == y
+    assert m.step(t)[0] == min(y, _newton(a, y))
+
+
+def test_step_converges_at_every_height_under_a_root_tol_near_an_ulp(small_config):
+    # without the two-back stop, 26 of these 300 heights cycle until 64
+    # steps raise NonConvergence
+    m = LadderModel(small_config.with_overrides(root_tol=3e-13))
+    for t in np.random.default_rng(1).uniform(200.0, 600.0, 300).tolist():
+        y = m.step(t)[0]
+        assert normalizer(y) == pytest.approx(m.cumulative_hl(t), rel=1e-15), t
 
 
 def test_the_normalizer_floor_is_computed_on_the_first_step(small_config):
@@ -531,8 +563,8 @@ def test_reverse_steps_take_a_handful_of_offknot_evaluations(model, monkeypatch)
 
 
 def _reverse_step_oracle(m, x):
-    """The reverse step as it read A before it landed its interval ahead of the
-    root loop: invert_increasing on cumulative_hl over the root's knot interval."""
+    """The reverse step restated: invert_increasing on cumulative_hl over the
+    root's knot interval, with the table already grown past V(x)."""
     h, target = m.table.spacing, normalizer(x)
     j = bisect.bisect_left(m.table.values, target, 1)
     return invert_increasing(m.cumulative_hl, Bracket((j - 1) * h, j * h), target,
@@ -564,6 +596,23 @@ def test_reverse_step_keeps_the_first_knot_rule_a_few_ulps_above_a_knot(
     k = round(u / 0.3)
     assert 0.0 < u - k * 0.3 <= 4 * math.ulp(u)
     assert reads[0] == k and set(reads) == {k, k - 1}
+
+
+def test_knot_reads_fit_nothing_and_a_reverse_step_lands_only_its_root(model,
+                                                                      monkeypatch):
+    # a fresh model on the fixture's warm table: A at a knot is the knot's
+    # value, and the root loop's reads land one interval, the root's
+    fresh = LadderModel(model.config, model.table)
+    h, vals = fresh.table.spacing, fresh.table.values
+    fits, raw_fits = [], fresh._raw_fits
+    monkeypatch.setattr(fresh, "_raw_fits",
+                        lambda j0, j1: fits.append((j0, j1)) or raw_fits(j0, j1))
+    for j in (0, 1, 600, len(vals) - 1):
+        assert fresh.cumulative_hl(j * h) == vals[j]
+    assert fits == [] and fresh._pieces == {}
+    u = fresh.reverse_step(1500.0)
+    root = math.ceil(u / h) - 1
+    assert fits == [(root, root + 1)] and list(fresh._pieces) == [root]
 
 
 def test_reverse_step_grows_a_cold_table_to_the_root_knot(small_config):
