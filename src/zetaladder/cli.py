@@ -127,12 +127,14 @@ def _emit(payload: dict[str, Any], path: str | None) -> None:
 def _report_passes(report: HybridReport, tol: float) -> bool:
     if report.formula_id == "ASYMPTOTIC_17":
         # the raw drift carries no hard tolerance; gate on the exact-form
-        # anchor and on the drift agreeing with its slope-mixture prediction
-        if report.extras["anchor_residual"] > tol:
+        # anchor and on the drift agreeing with its slope-mixture prediction,
+        # unless both are within the anchor's own residual: noise
+        anchor = report.extras["anchor_residual"]
+        if anchor > tol:
             return False
         dev = report.extras["deviation"]
         pred = report.extras["predicted_deviation"]
-        if abs(dev) < 1e-12 and abs(pred) < 1e-12:
+        if max(abs(dev), abs(pred)) <= max(1e-12, anchor):
             return True
         if pred == 0.0:
             return False

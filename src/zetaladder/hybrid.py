@@ -52,14 +52,14 @@ All products and powers are accumulated in log space.  Exponents stay exact
 e.g. the (1/3, 1/5) constant is sqrt(6561/6250) = 81 sqrt(10) / 250 with no
 floating-point exponentiation involved.
 
-``invariance_scan`` draws seeded random (U, L, {k1, k2}) samples, evaluates
-the ``secondary_v1`` left side on each, and summarizes the spread around the
-constant; samples are drawn up front from one generator so the result is
-independent of the worker count.
+``invariance_scan`` draws seeded random (U, L, {k1, k2}) samples up front
+from one generator, so the result does not depend on the worker count.  A
+pool fits the table with ``LadderModel.extend_on``, then evaluates the
+``secondary_v1`` left side of each sample; the spread around the constant
+is summarized.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import os
@@ -625,19 +625,6 @@ _Outcome = tuple[float | None, str | None]
 _Sample = tuple[float, int, int, int]
 
 
-def _scan_fit(chunks: list[tuple[int, int]]) -> list[list[float]]:
-    """Each chunk's knot increments; a fit that raises ends them at its interval."""
-    model = _WORKER_STATE["factory"].model
-    done: list[list[float]] = []
-    for j0, j1 in chunks:
-        done.append([])
-        try:
-            done[-1].extend(model.knot_increments(j0, j1))
-        except Exception:  # a sample that needs this interval refits it and fails
-            break
-    return done
-
-
 def _scan_sample(factory: ChainFactory, pair: DeltaPair, sample: _Sample) -> _Outcome:
     """The sample's secondary_v1 lhs, or the error that stopped it."""
     u, l, k1, k2 = sample
@@ -647,31 +634,15 @@ def _scan_sample(factory: ChainFactory, pair: DeltaPair, sample: _Sample) -> _Ou
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _scan_eval(item: tuple[_Sample, int, bytes]) -> _Outcome:
-    """A pool worker's sample, after the knots ``start..`` of the parent's table.
+def _scan_eval(item: tuple[_Sample, bytes]) -> _Outcome:
+    """A pool worker's sample, after the knots of the parent's table it lacks.
 
-    The knots come as bytes; the worker appends those its table lacks.
+    The parent's table comes as bytes, and either table is a prefix of the other.
     """
-    sample, start, knots = item
+    sample, knots = item
     vals = _WORKER_STATE["factory"].model.table.values
-    vals.extend(array("d", knots)[len(vals) - start:])
+    vals.extend(array("d", knots)[len(vals):])
     return _scan_sample(_WORKER_STATE["factory"], _WORKER_STATE["pair"], sample)
-
-
-def _prefill(pool: Any, model: LadderModel, t: float, workers: int) -> None:
-    """Fit the table's missing knot intervals up to t on the pool's workers.
-
-    The chunks are dealt round-robin into one task per worker, so chunks of
-    either Z route spread evenly, and appended in order up to the first
-    interval a worker could not fit, where a serial ``extend_to(t)`` stops.
-    """
-    chunks = model.missing_chunks(t)
-    done = pool.map(_scan_fit, [chunks[w::workers] for w in range(workers)])
-    fitted = itertools.chain.from_iterable(itertools.zip_longest(*done, fillvalue=[]))
-    for (j0, j1), increments in zip(chunks, fitted):
-        model.append_knots(increments)
-        if len(increments) < j1 - j0:  # a fit raised in this chunk
-            break
 
 
 def invariance_scan(
@@ -693,14 +664,14 @@ def invariance_scan(
     an integer >= 1; no more processes start than there are samples or
     cores.  The samples share the model of ``factory`` (fresh under
     ``config`` if none is given), whose table grows by whole chunks wherever
-    their reverse steps ask.  On a pool the workers first fit the knots up
+    their reverse steps ask.  On a pool,
+    :meth:`~zetaladder.ladder.LadderModel.extend_on` first fits the knots up
     to the tallest tower's top that the mean-square law predicts
-    (:func:`~zetaladder.ladder.mean_square_climb`), appended here up to the
-    first interval a fit refused; each sample carries them to its worker,
-    which fits any knot above them itself.  A knot does not depend on where
-    it is fitted, so results, and the knots both tables hold, are
-    bit-identical to the serial scan's.  Per-sample failures are collected,
-    not raised, unless every sample fails.
+    (:func:`~zetaladder.ladder.mean_square_climb`); each sample carries the
+    table to its worker, which fits any knot above it itself.  A knot does
+    not depend on where it is fitted, so results, and the knots both tables
+    hold, are bit-identical to the serial scan's.  Per-sample failures are
+    collected, not raised, unless every sample fails.
     """
     if not (isinstance(n_samples, numbers.Integral) and n_samples >= 2):
         raise DomainTooSmall(f"n_samples={n_samples!r} must be an integer >= 2")
@@ -737,13 +708,12 @@ def invariance_scan(
         top = mean_square_climb(max(math.pi * l + u for u, l, _, _ in samples),
                                 max(max(k1, k2) for _, _, k1, k2 in samples))
         model = factory.model
-        start = len(model.table.values)
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_scan_init, initargs=(model, pair),
         ) as pool:
-            _prefill(pool, model, min(top, model.top_knot * model.table.spacing), workers)
-            knots = model.table.values[start:].tobytes()
-            outcomes = list(pool.map(_scan_eval, [(s, start, knots) for s in samples]))
+            model.extend_on(pool, workers, top)
+            knots = model.table.values.tobytes()
+            outcomes = list(pool.map(_scan_eval, [(s, knots) for s in samples]))
     else:
         outcomes = [_scan_sample(factory, pair, s) for s in samples]
 

@@ -15,8 +15,8 @@ The model has three ingredients:
   exceeds their share of quad_tol * h.  A new knot adds the sum of its
   interval's piece integrals and drops the rows; a call that adds many
   knots evaluates the first pieces of up to 16 intervals in one Z batch,
-  and a scan's pool fits such chunks in its workers, appended here in
-  order (:meth:`LadderModel.knot_increments`).  An off-knot query refits
+  and :meth:`LadderModel.extend_on` deals such chunks to a process pool's
+  workers and appends their increments in order.  An off-knot query refits
   the interval, lands it on its knots and keeps it in memory in the form a
   lookup reads (about 0.9 KB a piece), so A is continuous, exact at knots,
   within quadrature tolerance between them, and one polynomial evaluation
@@ -60,7 +60,7 @@ import math
 import os
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -214,15 +214,29 @@ class LadderModel:
         for j0, j1 in self.missing_chunks(t):
             self.append_knots(self.knot_increments(j0, j1))
 
+    def extend_on(self, pool: Any, workers: int, t: float) -> None:
+        """:meth:`extend_to` (t) with the chunks fitted on ``pool``, stopping quietly.
+
+        The chunks up to :attr:`top_knot` are dealt round-robin into one
+        :func:`_fit_chunks` task per worker, and appended in order up to the
+        first interval a worker could not fit, where ``extend_to`` raises.
+        """
+        chunks = self.missing_chunks(min(t, self.top_knot * self.table.spacing))
+        done = pool.map(_fit_chunks, [(self.config, chunks[w::workers]) for w in range(workers)])
+        fitted = itertools.chain.from_iterable(itertools.zip_longest(*done, fillvalue=[]))
+        for (j0, j1), increments in zip(chunks, fitted):
+            self.append_knots(increments)
+            if len(increments) < j1 - j0:  # a fit raised in this chunk
+                break
+
     def missing_chunks(self, t: float) -> list[tuple[int, int]]:
         """The knot intervals :meth:`extend_to` (t) fits, as (j0, j1) chunks.
 
         Chunks of at most ``_CHUNK`` intervals, from the top knot up, in
         order; empty when the table covers t.  Knots do not depend on where
-        the chunks split, so the chunks may be fitted anywhere, in any
-        order, as long as their increments are appended in this order.
-        Raises TableExhausted when covering t needs a knot past
-        :attr:`top_knot`.
+        the chunks split, so :meth:`extend_on` fits them in other processes,
+        in any order, and appends their increments in this order.  Raises
+        TableExhausted when covering t needs a knot past :attr:`top_knot`.
         """
         need = self._first_knot(t)
         if need > self.top_knot:
@@ -255,9 +269,9 @@ class LadderModel:
 
         Each is the sum of the interval's :meth:`_raw_fits` piece integrals;
         the rows are dropped (kept, they cost ~3 MB up to t = 2200).  The
-        table is not touched, so a forked process can fit a chunk for
-        another's table.  A fit that raises stops the increments at its
-        interval.
+        table is not read, so :func:`_fit_chunks` fits on a bare model under
+        the same configuration.  A fit that raises stops the increments at
+        its interval.
         """
         try:
             fits = self._raw_fits(j0, j1)
@@ -375,11 +389,11 @@ class LadderModel:
         increasing above t_min, so from above it converges monotonically; t
         itself lies above the root at working heights.  Each Newton step
         takes V(y) and V'(y) from one log; V(t_min) is computed on the first
-        step and kept.  It stops at |dy| <= root_tol / 4, or when an iterate
-        equals the one two steps back: the two then cycle at the rounding
-        floor, and the smaller is phi1.  Raises DomainTooSmall below t_start
-        (or at t <= 0), at a NaN or infinite t, when A(t) < V(t_min) or
-        t_min <= 0, and NonConvergence when 64 steps do neither.
+        step and kept.  It stops at |dy| <= root_tol / 4, or, from step 8 on,
+        when an iterate repeats: the iterates then cycle at the rounding
+        floor, and the smallest of the cycle is phi1.  Raises DomainTooSmall
+        below t_start (or at t <= 0), at a NaN or infinite t, when A(t) <
+        V(t_min) or t_min <= 0, and NonConvergence when 64 steps do neither.
         """
         cfg = self.config
         if t < cfg.t_start or t <= 0.0:
@@ -399,8 +413,8 @@ class LadderModel:
                                  f"V({cfg.t_min})={v_min}")
         t_min, tol, log = cfg.t_min, 0.25 * cfg.root_tol, math.log
         y = max(t, t_min)
-        back2, back = math.nan, y  # the iterates two steps and one step back
-        for _ in range(64):
+        late: list[float] = []  # the iterates from step 8 on
+        for i in range(64):
             # (normalizer(y) - a) / normalizer_prime(y), one log for both
             log_y = log(y)
             dy = (y * log_y + _V_LINEAR * y - a) / (log_y + 1.0 + EULER_GAMMA - _LOG_TWO_PI)
@@ -409,10 +423,11 @@ class LadderModel:
                 y = t_min
             if abs(dy) <= tol:
                 break
-            if y == back2:  # y and back cycle at the rounding floor
-                y = min(y, back)
-                break
-            back2, back = back, y
+            if i >= 8:
+                if y in late:  # a cycle at the rounding floor
+                    y = min(late[late.index(y):])
+                    break
+                late.append(y)
         else:
             raise NonConvergence(f"V^-1(A({t})={a}) did not converge in 64 Newton steps")
         om = log(y) + 1.0 + EULER_GAMMA - _LOG_TWO_PI
@@ -533,3 +548,17 @@ class LadderModel:
             raise CacheCorrupt(f"table {path}: values do not match their checksum")
         table = CumulativeTable(spacing=spacing, config_hash=got, values=values)
         return cls(config=config, table=table)
+
+
+def _fit_chunks(task: tuple[RunConfig, list[tuple[int, int]]]) -> list[list[float]]:
+    """One :meth:`LadderModel.extend_on` task: each chunk's increments, on a bare model."""
+    config, chunks = task
+    model = LadderModel(config)
+    done: list[list[float]] = []
+    for j0, j1 in chunks:
+        done.append([])
+        try:
+            done[-1].extend(model.knot_increments(j0, j1))
+        except Exception:  # a fit that raises: extend_on stops at its interval
+            break
+    return done

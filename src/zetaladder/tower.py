@@ -29,10 +29,9 @@ integrand evaluation at a new xi.  Only the last factor of the integrand
 depends on the weight, so the chains of one tower share their walks: the
 crossing scan samples every chain at the same grid on seg_k, and a point
 another chain of the window has walked costs one evaluation of f.  A
-factory keeps one window: its chains are cached per (k, weight) until a
-tower or solve names another window, so that repeated requests -- in
-particular the plain ``beta`` chain reused across several formulas -- are
-bit-identical.
+factory keeps one window's segments and walks until a tower or solve names
+another window.  A chain asked for again -- in particular the plain
+``beta`` chain that several formulas read -- is solved again, bit-identical.
 """
 from __future__ import annotations
 
@@ -280,21 +279,20 @@ def make_chain_weight(
 
 
 class ChainFactory:
-    """Builds towers and solves chains, caching both for bit-identical reuse.
+    """Builds towers and solves chains over one window at a time.
 
     The factory keeps one window (L, U), the one its latest tower or solve
-    named, and for it the segment list, the solved chains and, per depth k,
-    one :data:`Walks` dict that the weights of its fresh solves share.  A
-    tower or solve at another window drops all three, so what the factory
-    holds never outgrows one window however long it lives; a chain of an
-    earlier window is solved again, bit-identical, when asked for.
+    named, and for it the segment list and, per depth k, one :data:`Walks`
+    dict that the weights of its solves share.  A tower or solve at another
+    window drops both, so what the factory holds never outgrows one window
+    however long it lives.  A chain is solved on each call; asked again, on
+    the same walks or fresh ones, it is bit-identical.
     """
 
     def __init__(self, model: LadderModel):
         self.model = model
         self._window: tuple[int, float] | None = None
         self._segments: list[Segment] = []
-        self._chains: dict[tuple[int, str], ChainPoints] = {}
         self._walks: dict[int, Walks] = {}
 
     def _enter(self, l: int, u: float) -> None:
@@ -302,7 +300,7 @@ class ChainFactory:
         if self._window != (l, u):
             lo = math.pi * l
             self._window, self._segments = (l, u), [_segment(lo, lo + u)]
-            self._chains, self._walks = {}, {}
+            self._walks = {}
 
     # towers -----------------------------------------------------------------
 
@@ -323,29 +321,14 @@ class ChainFactory:
     # chains -----------------------------------------------------------------
 
     def solve(self, l: int, u: float, k: int, gf: GeneratingFunction) -> ChainPoints:
-        l, k = _check_window(l, u, k, self.model.config)
-        self._enter(l, u)
-        key = (k, gf.key)
-        hit = self._chains.get(key)
-        if hit is not None:
-            return hit
-        chain = self._solve_fresh(l, u, k, gf)
-        self._chains[key] = chain
-        return chain
-
-    def beta(self, l: int, u: float, k: int) -> ChainPoints:
-        """The plain chain (f = 1): prod ztilde_sq(beta_r) = U / |seg_k|."""
-        return self.solve(l, u, k, gf_one())
-
-    def _solve_fresh(self, l: int, u: float, k: int,
-                     gf: GeneratingFunction) -> ChainPoints:
         model = self.model
-        tower = self.tower(l, u, k)
+        tower = self.tower(l, u, k)  # checks the window once and enters it
+        k = tower.k
         seg_k = tower.segment(k)
         level = gf.mass(u) / seg_k.length
         if not 0.0 < level < math.inf:  # a mass that cancels or overflows
             raise DomainTooSmall(f"chain level {level!r} for f={gf.key} on "
-                                 f"L={l}, U={u!r} is not finite and positive")
+                                 f"L={tower.l}, U={u!r} is not finite and positive")
 
         if k == 0 and gf.key == "one":
             # the identity is the empty product; anchor at the window midpoint
@@ -355,6 +338,10 @@ class ChainFactory:
             xi = find_level_crossing(g, seg_k.lo, seg_k.hi, level,
                                      tol=model.config.root_tol)
         return self._assemble(tower, gf, xi, level)
+
+    def beta(self, l: int, u: float, k: int) -> ChainPoints:
+        """The plain chain (f = 1): prod ztilde_sq(beta_r) = U / |seg_k|."""
+        return self.solve(l, u, k, gf_one())
 
     def _assemble(self, tower: IterationTower, gf: GeneratingFunction,
                   xi: float, level: float) -> ChainPoints:

@@ -8,8 +8,11 @@ custom RunConfig build their own model from `small_config`.
 
 from __future__ import annotations
 
+import concurrent.futures
+
 import pytest
 
+from zetaladder import hybrid
 from zetaladder.config import RunConfig
 from zetaladder.ladder import LadderModel
 from zetaladder.tower import ChainFactory
@@ -39,3 +42,37 @@ def factory(model) -> ChainFactory:
 def small_config(tmp_path) -> RunConfig:
     """Cheap per-test config with its own cache dir (for mutation tests)."""
     return RunConfig(cache_dir=str(tmp_path / "cache"))
+
+
+@pytest.fixture()
+def in_process_pool(monkeypatch):
+    """A stand-in for ProcessPoolExecutor, patched in: nothing forks.
+
+    Its initializer and every map run in this process (the scan's worker
+    state is reset around the test).  The fixture is the class: ``made``
+    lists its pools, each with its ``max_workers`` and its ``calls``, one
+    (fn, the iterables as lists, keyword arguments) per map.
+    """
+    class InProcessPool:
+        made: list["InProcessPool"] = []
+
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            self.max_workers, self.calls = max_workers, []
+            self.made.append(self)
+            if initializer is not None:
+                initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, **kwargs):
+            iterables = [list(items) for items in iterables]
+            self.calls.append((fn, iterables, kwargs))
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(hybrid, "_WORKER_STATE", {})
+    return InProcessPool

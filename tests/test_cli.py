@@ -149,15 +149,32 @@ def test_verify_output_file_matches_stdout(capsys, tmp_path):
     (0.0, 5e-13, -5e-13, True),
     (0.0, 1e-3, 0.0, False),
     (0.0, 1e-3, 2e-3, True),
-], ids=["anchor-over-tol", "both-below-1e-12", "zero-prediction", "within-factor-3"])
+    (6.44e-11, -2.82e-11, 3.62e-11, True),
+    (1e-11, -2.82e-11, 3.62e-11, False),
+], ids=["anchor-over-tol", "both-below-1e-12", "zero-prediction", "within-factor-3",
+        "both-within-the-anchor-residual", "opposite-signs-above-the-anchor-residual"])
 def test_asymptotic_pass_rule(anchor, dev, pred, ok):
     # ASYMPTOTIC_17 gates on its anchor, then on the drift against its
-    # prediction: both negligible passes, a zero prediction of a drift fails
+    # prediction: both within max(1e-12, anchor residual) are noise and
+    # pass, a zero prediction of a drift fails
     report = HybridReport(
         formula_id="ASYMPTOTIC_17", params={}, lhs=1.0, rhs=1.0,
         rel_residual=abs(dev), condition=1.0, points={},
         extras={"anchor_residual": anchor, "deviation": dev, "predicted_deviation": pred})
     assert _report_passes(report, 1e-6) is ok
+
+
+def test_verify_asymptotic_passes_with_drift_within_its_anchor_residual(capsys):
+    # deviation -2.82e-11 against a predicted 3.62e-11, opposite signs, both
+    # below the anchor residual 6.44e-11: noise, not a failed prediction
+    code, out, _ = _run(
+        capsys, "verify", "asymptotic", "--L", "264", "--U", "0.48498512844384545",
+        "--k1", "3", "--k2", "2", "--delta3", "1/3", "--delta4", "1/5",
+    )
+    extras = json.loads(out)["report"]["extras"]
+    assert extras["deviation"] * extras["predicted_deviation"] < 0.0
+    assert 1e-12 < abs(extras["deviation"]) < extras["anchor_residual"]
+    assert code == 0
 
 
 def test_verify_is_deterministic_up_to_timings(capsys):

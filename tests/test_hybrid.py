@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import inspect
 import json
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaladder import _kernels, hybrid
+from zetaladder import _kernels, hybrid, ladder
 from zetaladder.errors import DeltaDegenerate, DomainTooSmall, NonConvergence
 from zetaladder.hybrid import (
     DeltaPair,
@@ -388,31 +387,14 @@ def test_scan_worker_count_does_not_change_results(config, factory, pair):
 @pytest.mark.parametrize("workers, cores, started",
                          [(5000, 4, 3), (2, 4, 2), (5000, 1, None)])
 def test_scan_starts_no_more_workers_than_samples_or_cores(factory, monkeypatch,
+                                                           in_process_pool,
                                                            workers, cores, started):
-    # a stand-in pool records its size and maps in this process: nothing forks
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(hybrid.os, "cpu_count", lambda: cores)
-    monkeypatch.setattr(hybrid, "_WORKER_STATE", {})
     kw = dict(n_samples=3, seed=5, u_range=(0.5, 1.0), l_range=(100, 120),
               k_range=(1, 2), factory=factory)
     scan = invariance_scan(PAIR_35, workers=workers, **kw)
-    assert sizes == ([] if started is None else [started])
+    assert [p.max_workers for p in in_process_pool.made] == ([] if started is None
+                                                             else [started])
     assert scan.to_dict() == invariance_scan(PAIR_35, **kw).to_dict()
 
 
@@ -537,26 +519,12 @@ def test_predicted_top_is_within_a_percent_of_the_warm_up(small_config, l, u, k)
 
 
 def test_scan_pool_sees_only_maps_and_samples_go_through_scan_eval(small_config,
-                                                                   monkeypatch):
+                                                                   monkeypatch,
+                                                                   in_process_pool):
     # perfbench times each sample by wrapping hybrid._scan_eval, and its
     # stand-ins implement map alone: every pool call is map(fn, iterable),
-    # and the samples reach the pool through the module's _scan_eval
-    calls = []
-
-    class RecordingPool:
-        def __init__(self, max_workers, initializer, initargs):
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, **kwargs):
-            calls.append((fn, len(iterables), kwargs))
-            return map(fn, *iterables)
-
+    # the ladder's fit tasks first, then the samples through the module's
+    # _scan_eval
     evals = []
     scan_eval = hybrid._scan_eval
 
@@ -564,13 +532,12 @@ def test_scan_pool_sees_only_maps_and_samples_go_through_scan_eval(small_config,
         evals.append(item)
         return scan_eval(item)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(hybrid.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(hybrid, "_WORKER_STATE", {})
     monkeypatch.setattr(hybrid, "_scan_eval", counted)
     scan = invariance_scan(PAIR_35, workers=2,
                            factory=ChainFactory(LadderModel(small_config)),
                            **COLD_SCAN)
-    assert [(n, kw) for _, n, kw in calls] == [(1, {}), (1, {})]
-    assert calls[0][0] is hybrid._scan_fit and calls[1][0] is counted
+    [pool] = in_process_pool.made
+    assert [(len(its), kw) for _, its, kw in pool.calls] == [(1, {}), (1, {})]
+    assert pool.calls[0][0] is ladder._fit_chunks and pool.calls[1][0] is counted
     assert len(evals) == COLD_SCAN["n_samples"] == len(scan.samples)

@@ -403,23 +403,35 @@ def _newton(a, y):
         log_y + 1.0 + EULER_GAMMA - ladder._LOG_TWO_PI)
 
 
-@pytest.mark.parametrize("t", [419.8374750692238, 592.2948799204955])
-def test_step_returns_the_smaller_member_of_a_newton_cycle(small_config, t):
+@pytest.mark.parametrize("root_tol, t, period", [
+    pytest.param(3e-13, 419.8374750692238, 2, id="419.8374750692238"),
+    pytest.param(3e-13, 592.2948799204955, 2, id="592.2948799204955"),
+    pytest.param(1e-13, 410.2518092649016, 3, id="410.2518092649016"),
+])
+def test_step_returns_the_smaller_member_of_a_newton_cycle(small_config, root_tol, t,
+                                                           period):
     # root_tol / 4 = 7.5e-14 lies between one and two ulps of y in [256, 512],
     # as the default's 2.5e-12 does in [8192, 16384]: the iterates can
-    # settle into a two-point cycle that the |dy| stop never ends
-    m = LadderModel(small_config.with_overrides(root_tol=3e-13))
+    # settle into a cycle that the |dy| stop never ends, of two points, or
+    # of three under the tighter 2.5e-14
+    m = LadderModel(small_config.with_overrides(root_tol=root_tol))
     a, y = m.cumulative_hl(t), t
     for _ in range(64):
         y = _newton(a, y)
-    assert _newton(a, y) != y and _newton(a, _newton(a, y)) == y
-    assert m.step(t)[0] == min(y, _newton(a, y))
+    cycle = [y]
+    while len(cycle) <= period and _newton(a, cycle[-1]) != y:
+        cycle.append(_newton(a, cycle[-1]))
+    assert len(cycle) == period
+    assert m.step(t)[0] == min(cycle)
 
 
-def test_step_converges_at_every_height_under_a_root_tol_near_an_ulp(small_config):
-    # without the two-back stop, 26 of these 300 heights cycle until 64
-    # steps raise NonConvergence
-    m = LadderModel(small_config.with_overrides(root_tol=3e-13))
+@pytest.mark.parametrize("root_tol", [3e-13, 1e-13])
+def test_step_converges_at_every_height_under_a_root_tol_near_an_ulp(small_config,
+                                                                      root_tol):
+    # with only a two-back stop, 2 of these 300 heights cycle over three
+    # points under 1e-13 until 64 steps raise NonConvergence; with no cycle
+    # stop at all, 26 do under 3e-13
+    m = LadderModel(small_config.with_overrides(root_tol=root_tol))
     for t in np.random.default_rng(1).uniform(200.0, 600.0, 300).tolist():
         y = m.step(t)[0]
         assert normalizer(y) == pytest.approx(m.cumulative_hl(t), rel=1e-15), t
@@ -691,6 +703,60 @@ def test_a_failing_fit_in_a_chunk_leaves_the_knots_below_it(small_config, monkey
         outcomes.append((type(info.value), str(info.value), m.table.values.tobytes()))
     assert outcomes[0] == outcomes[1]
     assert len(outcomes[0][2]) == 701 * 8
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_extend_on_a_pool_is_extend_to(small_config, in_process_pool, knots_to_450,
+                                       workers):
+    # one map of one task per worker, the chunks dealt round-robin and the
+    # increments appended in order: from empty and from a top of 247 knots,
+    # off the chunk grid, the table is the knot-by-knot one
+    for t0 in (0.0, 123.5):
+        m = LadderModel(small_config)
+        m.extend_to(t0)
+        chunks = m.missing_chunks(450.0)
+        pool = in_process_pool(workers)
+        m.extend_on(pool, workers, 450.0)
+        assert m.table.values.tobytes() == knots_to_450
+        [(fn, [tasks], _)] = pool.calls
+        assert fn is ladder._fit_chunks
+        assert tasks == [(small_config, chunks[w::workers]) for w in range(workers)]
+
+
+def test_extend_on_stops_at_a_ceiling_between_knots(small_config, in_process_pool,
+                                                    knots_to_450):
+    # asked past t_table_max = 300.3, it ends at the last knot below, 300.0,
+    # where extend_to refuses, and raises nothing
+    cfg = small_config.with_overrides(t_table_max=300.3)
+    m = LadderModel(cfg)
+    m.extend_on(in_process_pool(2), 2, 450.0)
+    assert m.table.values.tobytes() == knots_to_450[:601 * 8]
+    with pytest.raises(TableExhausted):
+        LadderModel(cfg).extend_to(450.0)
+
+
+@pytest.mark.parametrize("refused", [350.0, 408.0])
+def test_extend_on_keeps_the_knots_below_a_fit_that_raises(small_config, monkeypatch,
+                                                           in_process_pool, refused):
+    # the kernel raises inside [refused, refused + 0.5], in the middle of a
+    # chunk (interval 700) or opening one (interval 816): the pooled
+    # extension stops quietly with the knots extend_to keeps when it raises,
+    # though the other worker fitted chunks above
+    many = _kernels.z_rs_many
+
+    def broken(ts, n):
+        if np.any((ts > refused) & (ts < refused + 0.5)):
+            raise RuntimeError(f"kernel failure near t = {refused}")
+        return many(ts, n)
+
+    monkeypatch.setattr(_kernels, "z_rs_many", broken)
+    serial = LadderModel(small_config)
+    with pytest.raises(RuntimeError):
+        serial.extend_to(450.0)
+    pooled = LadderModel(small_config)
+    pooled.extend_on(in_process_pool(2), 2, 450.0)
+    assert pooled.table.values.tobytes() == serial.table.values.tobytes()
+    assert pooled.table.t_covered == refused
 
 
 def test_reverse_steps_and_tower_tops_do_not_depend_on_how_the_table_grew(model):

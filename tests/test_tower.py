@@ -1,4 +1,4 @@
-"""Iteration towers and mean-value chains: structure, caching, identities."""
+"""Iteration towers and mean-value chains: structure, re-solves, identities."""
 
 from __future__ import annotations
 
@@ -275,20 +275,15 @@ def test_one_phi1_solve_per_ladder_level(model, factory, solve_count, k):
 
 
 # ---------------------------------------------------------------------------
-# caching
+# re-solves: bit-equal, over the walks of one window
 # ---------------------------------------------------------------------------
 
 
-def test_solve_returns_cached_object(factory):
-    a = factory.solve(150, 1.0, 2, gf_sin2())
-    b = factory.solve(150, 1.0, 2, gf_sin2())
-    assert a is b
-
-
-def test_beta_is_cached_constant_chain(factory):
+def test_beta_is_the_plain_chain_re_solved_bit_equal(factory):
+    # asked again, on the walks the factory keeps, it is solved again, equal
     a = factory.beta(150, 1.0, 2)
     assert a.f_key == "one"
-    assert factory.beta(150, 1.0, 2) is a
+    _assert_same_chain(factory.beta(150, 1.0, 2), a)
 
 
 def test_fresh_factory_reproduces_chains_exactly(model, factory):
@@ -322,24 +317,39 @@ def _assert_same_chain(a: ChainPoints, b: ChainPoints) -> None:
         b.f0, b.level, b.rel_residual, b.condition)
 
 
-def test_chains_sharing_walks_equal_chains_solved_alone(model):
+@pytest.fixture()
+def solved(monkeypatch):
+    """The chains ChainFactory.solve returns, in order."""
+    chains = []
+    solve = ChainFactory.solve
+
+    def recorded(self, *args):
+        chains.append(solve(self, *args))
+        return chains[-1]
+
+    monkeypatch.setattr(ChainFactory, "solve", recorded)
+    return chains
+
+
+def test_chains_sharing_walks_equal_chains_solved_alone(model, solved):
     # the walk memo changes what a solve costs, never what it returns
     shared = ChainFactory(model)
     for fn, args in FORMULA_CALLS:
         fn(shared, *args)
-    assert len(shared._chains) > len(FORMULA_CALLS)
-    for chain in shared._chains.values():
+    chains = solved[:]
+    assert len(chains) > len(FORMULA_CALLS)
+    for chain in chains:
         _assert_same_chain(chain, ChainFactory(model).solve(chain.l, chain.u,
                                                             chain.k, chain.gf))
 
 
-def test_chains_of_one_tower_share_their_walks(model, solve_count):
+def test_chains_of_one_tower_share_their_walks(model, solve_count, solved):
     # secondary_v1's six chains, solved alone, each walk the crossing scan's
     # grid on seg_k again; on one factory a point walked once is reused
     shared = ChainFactory(model)
     hybrid.secondary_v1(shared, PAIR, 200, 1.0, 1, 3)
-    chains = list(shared._chains.values())
-    assert len(chains) == 6
+    chains = solved[:]
+    assert len({(ch.k, ch.f_key) for ch in chains}) == len(chains) == 6
     solve_count.clear()
     hybrid.secondary_v1(ChainFactory(model), PAIR, 200, 1.0, 1, 3)
     together = len(solve_count)
@@ -367,27 +377,21 @@ def test_factory_keeps_the_walks_of_one_window(model):
     assert sorted(fac._walks) == [2]
 
 
-def test_factory_keeps_the_chains_and_segments_of_one_window(model):
+def test_factory_keeps_the_segments_of_one_window(model):
     fac = ChainFactory(model)
     first = fac.solve(150, 1.0, 2, gf_sin2())
-    second = fac.solve(250, 0.6, 2, gf_sin2())
-    assert list(fac._chains) == [(2, "sin2")] and fac._chains[2, "sin2"] is second
+    fac.solve(250, 0.6, 2, gf_sin2())
     assert fac._window == (250, 0.6)
     assert [seg.lo for seg in fac._segments][0] == math.pi * 250
     assert len(fac._segments) == 3
-    # the first window's chain is solved again, equal to the one dropped
-    again = fac.solve(150, 1.0, 2, gf_sin2())
-    assert again is not first
-    assert np.array_equal(again.alpha, first.alpha)
-    assert np.array_equal(again.zt2, first.zt2)
-    assert np.array_equal(again.omega, first.omega)
-    assert (again.rel_residual, again.condition) == (first.rel_residual,
-                                                     first.condition)
+    # the first window's chain is solved again, on fresh walks, equal
+    _assert_same_chain(fac.solve(150, 1.0, 2, gf_sin2()), first)
 
 
-def test_one_chain_weight_per_fresh_chain(model, monkeypatch):
+def test_one_chain_weight_per_fresh_chain(model, monkeypatch, solve_count):
     # a tracer that wraps tower.make_chain_weight (as perfbench's does) sees
-    # every fresh chain and every weight evaluation, none for a cached chain
+    # every solve and every weight evaluation; solved again on the window's
+    # walks, a chain evaluates the same points and steps only to assemble
     built, evals = [], []
     make = tower.make_chain_weight
 
@@ -409,9 +413,11 @@ def test_one_chain_weight_per_fresh_chain(model, monkeypatch):
     assert built == [gf.key for gf in gfs]
     assert evals
     n = len(evals)
+    solve_count.clear()
     for gf in gfs:
         fac.solve(150, 1.0, 2, gf)
-    assert len(built) == len(gfs) and len(evals) == n
+    assert built == [gf.key for gf in gfs] * 2 and evals[n:] == evals[:n]
+    assert len(solve_count) == 2 * len(gfs)
 
 
 # ---------------------------------------------------------------------------
