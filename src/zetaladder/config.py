@@ -5,7 +5,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, ClassVar
 
 from .errors import UsageError
 
@@ -23,7 +23,9 @@ class RunConfig:
     """Numerical knobs. Everything that changes computed values is hashed.
 
     The defaults are tuned so that chain residuals land near 1e-9, two orders
-    below the 1e-6 acceptance tolerances.
+    below the 1e-6 acceptance tolerances.  The fields are what a caller may
+    set; ``rs_switch``, ``knot_spacing``, ``t_min`` and ``t_start`` are fixed
+    properties of the model, class constants that every instance reads.
     """
 
     # quadrature: absolute tolerance per unit length of integration range
@@ -32,14 +34,6 @@ class RunConfig:
     root_tol: float = 1e-11
     # Riemann-Siegel correction depth: number of correction terms (1..4)
     rs_terms: int = 4
-    # below this height Z is evaluated through the alternating-series route
-    rs_switch: float = 100.0
-    # cumulative-table knot spacing in t
-    knot_spacing: float = 0.5
-    # domain floor for the normalizer inversion
-    t_min: float = 4.0
-    # forward-map domain floor (A(t) must clear V(t_min) with margin)
-    t_start: float = 200.0
     # hard ceiling for table extension (resource guard)
     t_table_max: float = 2.0e5
     # tower defaults
@@ -48,18 +42,24 @@ class RunConfig:
     # cache file override (None -> env var ZETALADDER_CACHE_DIR -> ./.zl-cache)
     cache_dir: str | None = None
 
+    # below this height Z is evaluated through the alternating-series route
+    rs_switch: ClassVar[float] = 100.0
+    # cumulative-table knot spacing in t: a power of two, so t / h and j * h
+    # are exact and a height's first knot is the ceiling of t / h
+    knot_spacing: ClassVar[float] = 0.5
+    # domain floor for the normalizer inversion
+    t_min: ClassVar[float] = 4.0
+    # forward-map domain floor (A(t) must clear V(t_min) with margin)
+    t_start: ClassVar[float] = 200.0
+
     def __post_init__(self):
         # one row of the correction table (and of its error bound) per term
         if not 1 <= self.rs_terms <= 4:
             raise UsageError(f"rs_terms={self.rs_terms} must be in 1..4")
-        for name in ("quad_tol", "root_tol", "knot_spacing", "t_table_max"):
+        for name in ("quad_tol", "root_tol", "t_table_max"):
             val = getattr(self, name)
             if not (math.isfinite(val) and val > 0.0):
                 raise UsageError(f"{name}={val} must be finite and > 0")
-        for name in ("rs_switch", "t_min", "t_start"):
-            val = getattr(self, name)
-            if not math.isfinite(val):
-                raise UsageError(f"{name}={val} must be finite")
 
     def config_hash(self) -> str:
         """Short checksum over every field that affects cached table values."""

@@ -7,7 +7,7 @@ The model has three ingredients:
   positive for y > 2 pi e^{-1-gamma} ~= 1.3, so V is invertible on the working
   domain;
 * the **cumulative mass** A(T) = integral of Z(u)^2 over [0, T], maintained as
-  a knot table (any finite spacing > 0, default 0.5), extendable in place without
+  a knot table at the fixed spacing h = 0.5, extendable in place without
   disturbing existing knots, up to the last knot at or below t_table_max
   (:attr:`LadderModel.top_knot`).  Each knot interval [j h, (j + 1) h] has one
   **fit**, the package's one Z^2 quadrature: ``numerics.chebyshev_pieces``
@@ -29,7 +29,8 @@ The model has three ingredients:
   phi1(reverse_step(x)) = x up to the solver tolerances.
 
 The read path is short: a height maps to its knot interval by one rule,
-``_first_knot``; ``_landed`` gives that interval's landed form, fitting it on
+``_first_knot``, the ceiling of t / h (exact, as h is a power of two);
+``_landed`` gives that interval's landed form, fitting it on
 first use; and ``numerics.eval_pieces`` reads it.  ``cumulative_hl`` is the
 one reader of A: a knot reads its value, any other t one ``eval_pieces``.
 One **ladder step**, ``step(t) -> (phi1(t), omega(t), ztilde_sq(t))``, is
@@ -46,10 +47,10 @@ Persistence: ``save_table``/``load_table`` write a versioned CSV ``t,a`` with
 the configuration checksum and a sha256 of the knot values in header
 comments; interpolants are never saved.  Loading under a different
 configuration raises :class:`CacheHashMismatch` rather than silently mixing
-incompatible values; a spacing header that is not the configured knot
-spacing, an unparsable, non-finite or decreasing row, a first row that is not
-A(0) = 0, a row j whose t does not read ``repr(j * spacing)``, or values that
-do not match their sha256, raises :class:`CacheCorrupt`.
+incompatible values; a spacing header that is not the knot spacing, an
+unparsable, non-finite or decreasing row, a first row that is not A(0) = 0,
+a row j whose t does not read ``repr(j * spacing)``, or values that do not
+match their sha256, raises :class:`CacheCorrupt`.
 """
 from __future__ import annotations
 
@@ -60,7 +61,7 @@ import math
 import os
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -107,6 +108,10 @@ def normalizer(y: float) -> float:
     if not 0.0 < y < math.inf:
         raise DomainTooSmall(f"normalizer requested at y={y}, non-finite or <= 0")
     return y * math.log(y) + _V_LINEAR * y
+
+
+#: V(t_min), the floor of A that a ladder step can invert
+_V_MIN = normalizer(RunConfig.t_min)
 
 
 def normalizer_prime(y: float) -> float:
@@ -164,7 +169,7 @@ def _parse_float(path: str, text: str) -> float:
 class CumulativeTable:
     """Knot table for A(T): values[j] = A(j * spacing), append-only, 8 B a knot."""
 
-    spacing: float
+    spacing: ClassVar[float] = RunConfig.knot_spacing
     config_hash: str
     values: array = field(default_factory=lambda: array("d", [0.0]))
 
@@ -187,16 +192,11 @@ class LadderModel:
             raise CacheHashMismatch(
                 f"table built under {table.config_hash}, config is {config.config_hash()}"
             )
-        self.table = table or CumulativeTable(
-            spacing=config.knot_spacing, config_hash=config.config_hash()
-        )
+        self.table = table or CumulativeTable(config_hash=config.config_hash())
         #: knot interval j -> its landed interpolant; memory only, never saved
         self._pieces: dict[int, Landed] = {}
-        #: V(t_min), the floor of A that step can invert; set by the first step
-        self._v_min: float | None = None
         #: the last knot at or below t_table_max: no table grows past it
-        j = self._first_knot(config.t_table_max)
-        self.top_knot = j if j * self.table.spacing <= config.t_table_max else j - 1
+        self.top_knot = math.floor(config.t_table_max / self.table.spacing)
 
     # -- cumulative mass ---------------------------------------------------
 
@@ -248,21 +248,16 @@ class LadderModel:
                 for j in range(len(self.table.values) - 1, need, _CHUNK)]
 
     def _first_knot(self, t: float) -> int:
-        """The first knot j with j h >= t as t / h rounds (0.9 / 0.3 reads 3), t finite.
+        """The first knot j with j h >= t: the ceiling of t / h, for a finite t.
 
-        The ceiling of t / h, less the knots its rounding adds past that j
-        (7 * 0.3 / 0.3 reads 7.000000000000001).  A t / h that is NaN or
-        infinite has no ceiling and raises DomainTooSmall.
+        h = 0.5 is a power of two, so t / h and j h are exact.  A t / h that
+        is NaN or infinite has no ceiling and raises DomainTooSmall.
         """
-        h = self.table.spacing
         try:
-            j = math.ceil(t / h)
+            return math.ceil(t / self.table.spacing)
         except (ValueError, OverflowError):
             raise DomainTooSmall(f"table coverage requested at t={t}, "
                                  f"where t / h is non-finite") from None
-        while j > 0 and (j - 1) * h >= t:
-            j -= 1
-        return j
 
     def knot_increments(self, j0: int, j1: int) -> Iterator[float]:
         """A((j + 1) h) - A(j h) for knot intervals j0..j1 - 1, in order.
@@ -388,29 +383,25 @@ class LadderModel:
         (t) reads it.  Newton starts from max(t, t_min): V is convex and
         increasing above t_min, so from above it converges monotonically; t
         itself lies above the root at working heights.  Each Newton step
-        takes V(y) and V'(y) from one log; V(t_min) is computed on the first
-        step and kept.  It stops at |dy| <= root_tol / 4, or, from step 8 on,
-        when an iterate repeats: the iterates then cycle at the rounding
-        floor, and the smallest of the cycle is phi1.  Raises DomainTooSmall
-        below t_start (or at t <= 0), at a NaN or infinite t, when A(t) <
-        V(t_min) or t_min <= 0, and NonConvergence when 64 steps do neither.
+        takes V(y) and V'(y) from one log.  It stops at |dy| <= root_tol / 4,
+        or, from step 8 on, when an iterate repeats: the iterates then cycle
+        at the rounding floor, and the smallest of the cycle is phi1.  Raises
+        DomainTooSmall below t_start, at a NaN or infinite t and when A(t) <
+        V(t_min), and NonConvergence when 64 steps do neither.
         """
         cfg = self.config
-        if t < cfg.t_start or t <= 0.0:
+        if t < cfg.t_start:
             raise DomainTooSmall(f"phi1 requested at t={t}: needs t >= "
-                                 f"t_start={cfg.t_start} and t > 0")
+                                 f"t_start={cfg.t_start}")
         j = self._first_knot(t)  # raises at a NaN or infinite t
         if j >= len(self.table.values):
             self.extend_to(t)
         vals = self.table.values
         integral, zsq = eval_pieces(self._pieces.get(j - 1) or self._landed(j - 1), t)
         a = vals[j] if j * self.table.spacing == t else vals[j - 1] + integral
-        v_min = self._v_min
-        if v_min is None:
-            v_min = self._v_min = normalizer(cfg.t_min)
-        if a < v_min:
+        if a < _V_MIN:
             raise DomainTooSmall(f"A({t})={a} below normalizer floor "
-                                 f"V({cfg.t_min})={v_min}")
+                                 f"V({cfg.t_min})={_V_MIN}")
         t_min, tol, log = cfg.t_min, 0.25 * cfg.root_tol, math.log
         y = max(t, t_min)
         late: list[float] = []  # the iterates from step 8 on
@@ -459,8 +450,7 @@ class LadderModel:
         The first knot j with A(j h) >= V(x) closes the knot interval
         [(j-1) h, j h].  ``invert_increasing`` narrows it to root_tol,
         reading A with :meth:`cumulative_hl`: the bracket's ends are knots,
-        and the root loop's u read the root's interval (but for a u a few
-        ulps above knot j - 1 that t / h rounds onto), landed on its first
+        and the root loop's u read the root's interval, landed on its first
         read.  The loop makes about 9 such reads on average (x from 400 to
         2000), and never more than bisection's ceil(log2(h / root_tol)), 36
         at the defaults.
@@ -539,14 +529,14 @@ class LadderModel:
         spacing = _parse_float(path, header.get("spacing", repr(config.knot_spacing)))
         if spacing != config.knot_spacing:
             raise CacheCorrupt(f"table {path}: spacing {spacing!r} is not the "
-                               f"configured knot spacing {config.knot_spacing!r}")
+                               f"knot spacing {config.knot_spacing!r}")
         for j, t in enumerate(ts):
             if t != repr(j * spacing):
                 raise CacheCorrupt(f"table {path}: row {j} has t={t!r}, "
                                    f"expected {j * spacing!r}")
         if header.get("values_sha256") != _values_digest(values):
             raise CacheCorrupt(f"table {path}: values do not match their checksum")
-        table = CumulativeTable(spacing=spacing, config_hash=got, values=values)
+        table = CumulativeTable(config_hash=got, values=values)
         return cls(config=config, table=table)
 
 

@@ -45,7 +45,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ._quadrule import CHEB_FIT, N_HI, NODES_HI, WEIGHTS_HI, WEIGHTS_LO
-from .errors import BracketInvalid, NoCrossing, NonConvergence
+from .errors import BracketInvalid, DomainTooSmall, NoCrossing, NonConvergence
 
 __all__ = [
     "QuadratureResult",
@@ -71,6 +71,10 @@ _ROUNDING_FLOOR = 1024 * np.finfo(np.float64).eps
 #: pieces accepted at the resolution limit with their error above their
 #: share: a jump in f costs one, noise above the tolerance one per piece
 _MAX_FORCED = 8
+#: interior samples of a level-crossing scan's first pass
+_SCAN_POINTS = 64
+#: times a level-crossing scan doubles its density before giving up
+_REFINE_MAX = 8
 #: integral coefficients lead each piece's row, after lo and hi
 _NB = N_HI + 2
 _CHEB_K = np.arange(_NB, dtype=np.float64)
@@ -326,10 +330,11 @@ def integrate(
     ``min_wavelength``, when given, caps the initial panel width at half the
     shortest oscillation the integrand contains; adaptivity then only ever
     shrinks panels further.  Raises :class:`NonConvergence` when the tolerance
-    cannot be met within the splitting-depth budget.
+    cannot be met within the splitting-depth budget, and
+    :class:`DomainTooSmall` at a tol that is not > 0 (NaN included).
     """
     if not (tol > 0.0):
-        raise ValueError("tol must be positive")
+        raise DomainTooSmall(f"integrate requested at tol={tol!r}: must be > 0")
     return QuadratureResult(*adaptive_panels(
         lambda xs: np.array([f(x) for x in xs.tolist()]), a, b, tol, min_wavelength
     ))
@@ -462,15 +467,13 @@ def find_level_crossing(
     lo: float,
     hi: float,
     level: float,
-    scan_points: int = 64,
     tol: float = 1e-11,
-    refine_max: int = 8,
 ) -> float:
     """Leftmost x in the open interval (lo, hi) with g(x) = level.
 
-    A uniform scan over ``scan_points`` interior samples looks for the first
+    A uniform scan over ``_SCAN_POINTS`` interior samples looks for the first
     sign change of g - level; if none is found the scan density is doubled up
-    to ``refine_max`` times before :class:`NoCrossing` is raised.  The first
+    to ``_REFINE_MAX`` times before :class:`NoCrossing` is raised.  The first
     sign-changing sub-interval is polished by :func:`_itp` to width <= tol
     and the midpoint returned: between zeros of Z the chain weights are
     smooth, so the polish takes a handful of steps, and never more than
@@ -484,8 +487,8 @@ def find_level_crossing(
     def f(x: float) -> float:
         return g(x) - level
 
-    n = max(2, scan_points)
-    for _ in range(refine_max + 1):
+    n = _SCAN_POINTS
+    for _ in range(_REFINE_MAX + 1):
         h = (hi - lo) / (n + 1)
         x_prev = lo + h
         f_prev = _finite(f(x_prev), x_prev)
@@ -501,5 +504,5 @@ def find_level_crossing(
             x_prev, f_prev = x, fx
         n *= 2
     raise NoCrossing(
-        f"no crossing of level {level!r} on ({lo!r}, {hi!r}) after {refine_max} refinements"
+        f"no crossing of level {level!r} on ({lo!r}, {hi!r}) after {_REFINE_MAX} refinements"
     )

@@ -48,6 +48,7 @@ from .errors import (
     DomainTooSmall,
     IndexOutOfTower,
     RangeTooLarge,
+    UsageError,
 )
 from .ladder import LadderModel
 from .numerics import find_level_crossing
@@ -423,9 +424,9 @@ def lemma_residual(model: LadderModel, alpha_chain: ChainPoints,
     if (alpha_chain.l, alpha_chain.u, alpha_chain.k) != (
         beta_chain.l, beta_chain.u, beta_chain.k
     ):
-        raise ValueError("lemma_residual needs chains over the same (L, U, k)")
+        raise UsageError("lemma_residual needs chains over the same (L, U, k)")
     if beta_chain.f_key != "one":
-        raise ValueError("second argument must be the plain (f = 1) chain")
+        raise UsageError("second argument must be the plain (f = 1) chain")
     log_f0, log_alpha = _fresh_logs(model, alpha_chain)
     _, log_beta = _fresh_logs(model, beta_chain)
     mean_f = alpha_chain.gf.mass(alpha_chain.u) / alpha_chain.u

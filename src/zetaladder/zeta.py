@@ -1,6 +1,6 @@
 """Hardy's Z on the critical line: Z(t) = e^{i theta(t)} zeta(1/2 + it).
 
-Two evaluation routes, switched at ``config.rs_switch`` (default t = 100):
+Two evaluation routes, switched at the constant ``RunConfig.rs_switch`` (t = 100):
 
 * **rs** -- Riemann-Siegel main sum plus ``config.rs_terms`` correction terms
   (Chebyshev-tabulated coefficient functions; see `_rs_tables`).  Absolute
@@ -55,7 +55,7 @@ class ZSample:
     route: str  # "rs" | "eta"
 
 
-def rs_theta(t: float, config: RunConfig = DEFAULT_CONFIG) -> float:
+def rs_theta(t: float) -> float:
     """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi, for finite t >= 0."""
     if not 0.0 <= t < math.inf:
         raise DomainTooSmall(f"theta requested at t={t}: needs a finite t >= 0")
@@ -133,7 +133,7 @@ def hardy_z(t: float, config: RunConfig = DEFAULT_CONFIG) -> ZSample:
     """Evaluate Z(t), t finite and >= 0, with an explicit error bound and route tag."""
     if not 0.0 <= t < math.inf:
         raise DomainTooSmall(f"hardy_z requested at t={t}: needs a finite t >= 0 (Z is even)")
-    th = rs_theta(t, config)
+    th = rs_theta(t)
     if t < config.rs_switch:
         return ZSample(t, _eta_z(t, th), th, _ETA_ERR, "eta")
     z = _kernels.z_rs_one(t, config.rs_terms)

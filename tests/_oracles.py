@@ -308,7 +308,7 @@ def z_many(ts: np.ndarray) -> np.ndarray:
         out[hi] = _kernels.z_rs_many(ts[hi], config.rs_terms)
     for idx in np.nonzero(~hi)[0]:
         t = float(ts[idx])
-        out[idx] = zeta._eta_z(t, zeta.rs_theta(t, config))
+        out[idx] = zeta._eta_z(t, zeta.rs_theta(t))
     return out
 
 

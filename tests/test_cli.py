@@ -327,7 +327,7 @@ def test_invalid_tolerance_exit_2(capsys, cache, flag, value):
     ("scan", "invariance", "--delta3", "1/3", "--delta4", "1/5", "--scan-tol"),
     ("scan", "asymptotic", "--delta3", "1/3", "--delta4", "1/5", "--tol"),
 ], ids=["verify", "scan-invariance", "scan-asymptotic"])
-@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "abc"])
 def test_invalid_gate_tolerance_exit_2(capsys, argv, value):
     # exit 1 means "out of tolerance"; a gate with no valid tolerance is a
     # usage error, refused before any work
@@ -498,6 +498,14 @@ def test_scan_gaps_emits_csv_and_passes(capsys):
     assert all(0.5 <= r <= 1.5 for r in ratios)
 
 
+def test_scan_gaps_csv_file_matches_stdout(capsys, tmp_path):
+    path = tmp_path / "gaps.csv"
+    code, out, _ = _run(capsys, "scan", "gaps", "--L", "150", "--U", "1.0", "--r", "0",
+                        "--csv", str(path))
+    assert code == 0
+    assert path.read_text() == out
+
+
 def test_scan_invariance_small_sample(capsys):
     code, out, err = _run(
         capsys, "scan", "invariance", "--delta3", "1/3", "--delta4", "1/5",
@@ -547,6 +555,12 @@ def test_empty_comma_list_exit_2(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == "" and "empty comma list" in err
+
+
+def test_non_integer_comma_list_exit_2(capsys):
+    code, out, err = _run(capsys, "scan", "gaps", "--L", "150,x")
+    assert code == 2
+    assert out == "" and "not a comma list of ints" in err and "Traceback" not in err
 
 
 def test_scan_asymptotic_reports_heights(capsys):

@@ -108,6 +108,11 @@ def test_zsq_integral_empty_and_reversed_intervals():
     assert back[0] == -fwd[0]
 
 
+def test_z_rs_many_of_no_heights_is_empty():
+    out = _kernels.z_rs_many(np.array([]), 4)
+    assert out.shape == (0,)
+
+
 def test_zsq_integral_at_the_rounding_floor_raises_at_once():
     # the 17/33 difference floors at ~6.5e-13 here, from the noise of Z^2;
     # halving shrinks it with the tolerance share, so it never converges

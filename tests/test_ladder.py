@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import math
 import os
+import subprocess
+import sys
 import time
 from array import array
 
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetaladder import _kernels, ladder
+from zetaladder import _kernels, cli, ladder
 from zetaladder.config import EULER_GAMMA, TABLE_FORMAT, RunConfig
 from zetaladder.errors import (
     CacheCorrupt,
@@ -24,6 +27,7 @@ from zetaladder.errors import (
     UsageError,
 )
 from zetaladder.ladder import (
+    CumulativeTable,
     LadderModel,
     normalizer,
     normalizer_prime,
@@ -193,16 +197,19 @@ def test_a_built_interval_answers_without_z(model, monkeypatch):
 
 
 def test_interval_that_fails_the_17_33_test_is_halved(small_config):
-    # 33 nodes do not resolve Z^2 over a 16-wide interval at t ~ 300
-    m = LadderModel(small_config.with_overrides(knot_spacing=16.0))
-    h, j = 16.0, 18
+    # knot interval 201 = [100.5, 101] is cut at the jump 2 pi 4^2 ~ 100.531,
+    # and 33 nodes do not resolve the span below it: 4 rows from 2 spans
+    m = LadderModel(small_config)
+    h, j = m.table.spacing, 201
     tol = m.config.quad_tol * h
     vals = m.table.values
-    m.cumulative_hl(300.0)
+    m.cumulative_hl(100.75)
     rows = _bounds(m, j)
-    assert len(rows) > 1
+    (_, cut), (resume, _) = _kernels.rs_spans(j * h, (j + 1) * h)
+    assert len(rows) == 4
     assert rows[0, 0] == j * h and rows[-1, 1] == (j + 1) * h
-    assert np.array_equal(rows[1:, 0], rows[:-1, 1])
+    # each span's pieces tile it; the cut leaves its one-ulp gap
+    assert rows[:, 0].tolist() == [j * h, *rows[:2, 1], resume] and rows[2, 1] == cut
     for t in np.linspace(j * h, (j + 1) * h, 41)[1:-1]:
         t = float(t)
         fresh = vals[j] + _fresh(m, j * h, t, tol)
@@ -216,36 +223,19 @@ def test_interval_that_fails_the_17_33_test_is_halved(small_config):
     assert end == pytest.approx(vals[j + 1], abs=4 * math.ulp(vals[j + 1]))
 
 
-@pytest.mark.parametrize("t, j", [
-    (5.699999999999999, 19),  # one ulp below 19 * 0.3 = 5.7, yet int(t / 0.3) = 19
-    (0.9, 3),  # above 3 * 0.3 = 0.8999999999999999, yet t / 0.3 = 3: the top knot
-])
-def test_mass_where_t_over_h_rounds_to_a_knot(small_config, t, j):
-    m = LadderModel(small_config.with_overrides(knot_spacing=0.3))
-    assert t / 0.3 == j and t != j * 0.3
-    a = m.cumulative_hl(t)
-    assert len(m.table.values) == j + 1
-    assert a == pytest.approx(m.table.values[j], abs=4 * math.ulp(m.table.values[j]))
-    assert _zsq(m, t) == pytest.approx(hardy_z(t, m.config).z ** 2, abs=1e-9)
-
-
 def test_a_height_just_above_a_knot_reads_one_interval_on_any_table(small_config):
-    # t = 115.2 lies above 384 * 0.3 = 115.19999999999999, yet t / 0.3 reads
-    # 384: A(t) and Z(t)^2 read the same whether knot 384 tops the table or
-    # five more knots lie above it
-    cfg = small_config.with_overrides(knot_spacing=0.3)
-    short, tall = LadderModel(cfg), LadderModel(cfg)
-    h = cfg.knot_spacing
-    heights = [(j, round(j * h, 1)) for j in range(300, 701)]
-    heights = [(j, t) for j, t in heights if j * h < t and t / h == j]
-    assert len(heights) == 9 and heights[0] == (384, 115.2)
-    tall.extend_to((heights[-1][0] + 5) * h)
+    # one ulp above knot j, t reads interval j: A(t) and Z(t)^2 read the same
+    # whether knot j + 1 tops the table or five more knots lie above it
+    short, tall = LadderModel(small_config), LadderModel(small_config)
+    h = short.table.spacing
+    heights = [(j, math.nextafter(j * h, math.inf)) for j in range(100, 701, 50)]
+    tall.extend_to((heights[-1][0] + 6) * h)
     for j, t in heights:
-        short.extend_to(j * h)
-        assert len(short.table.values) == j + 1
+        short.extend_to(t)
+        assert len(short.table.values) == j + 2
         assert short.cumulative_hl(t) == tall.cumulative_hl(t)
         assert _zsq(short, t) == _zsq(tall, t)
-        assert len(short.table.values) == j + 1
+        assert len(short.table.values) == j + 2
 
 
 def test_built_knots_land_on_their_fits(small_config):
@@ -364,10 +354,13 @@ def test_ztilde_sq_is_zsq_over_omega(model):
 
 
 def test_phi1_rejects_mass_below_normalizer_floor(small_config):
-    # A(0.2) ~ 0.41 < V(t_min) = V(4) ~ 0.50: no y >= t_min solves V(y) = A
-    m = LadderModel(small_config.with_overrides(t_start=0.0))
+    # a table whose A(200) = 0.4 lies below V(t_min) = V(4) ~ 0.50: no
+    # y >= t_min solves V(y) = A
+    values = array("d", np.linspace(0.0, 0.4, 401))
+    m = LadderModel(small_config, CumulativeTable(small_config.config_hash(), values))
+    assert m.table.t_covered == 200.0
     with pytest.raises(DomainTooSmall, match="normalizer floor"):
-        m.phi1(0.2)
+        m.phi1(200.0)
 
 
 def test_phi1_raises_when_newton_does_not_converge(small_config, monkeypatch):
@@ -437,15 +430,6 @@ def test_step_converges_at_every_height_under_a_root_tol_near_an_ulp(small_confi
         assert normalizer(y) == pytest.approx(m.cumulative_hl(t), rel=1e-15), t
 
 
-def test_the_normalizer_floor_is_computed_on_the_first_step(small_config):
-    # V(t_min) is kept per model, but a t_min <= 0 still builds the table and
-    # raises on the first step, not when the model is made
-    m = LadderModel(small_config.with_overrides(t_min=0.0))
-    with pytest.raises(DomainTooSmall, match="normalizer"):
-        m.step(250.0)
-    assert m.table.t_covered >= 250.0
-
-
 # ---------------------------------------------------------------------------
 # the read path against the row reference: bit for bit
 # ---------------------------------------------------------------------------
@@ -491,20 +475,15 @@ def test_read_path_equals_the_rows_across_a_jump_cut(model):
 
 
 def test_read_path_equals_the_rows_on_a_halved_interval(small_config):
-    m = LadderModel(small_config.with_overrides(knot_spacing=16.0))
-    m.extend_to(304.0)
-    edges = m._raw_fit(18)[:-1, 1].tolist()
-    assert len(edges) > 1
-    ts = list(np.linspace(288.0, 304.0, 41)[1:]) + edges + [
+    # interval 201 of test_interval_that_fails_the_17_33_test_is_halved,
+    # below t_start: read without steps
+    m = LadderModel(small_config)
+    m.extend_to(101.0)
+    edges = m._raw_fit(201)[:-1, 1].tolist()
+    assert len(edges) == 3
+    ts = list(np.linspace(100.5, 101.0, 41)[1:]) + edges + [
         math.nextafter(e, d) for e in edges for d in (0.0, math.inf)]
-    _assert_reads_as_rows(m, ts)
-
-
-@pytest.mark.parametrize("t", [5.699999999999999, 0.9])
-def test_read_path_equals_the_rows_where_t_over_h_rounds_to_a_knot(small_config, t):
-    # the two cases of test_mass_where_t_over_h_rounds_to_a_knot
-    m = LadderModel(small_config.with_overrides(knot_spacing=0.3, t_start=0.0))
-    _assert_reads_as_rows(m, [t])
+    _assert_reads_as_rows(m, ts, steps=False)
 
 
 def test_read_path_equals_the_rows_on_a_reloaded_table(model, tmp_path):
@@ -583,31 +562,10 @@ def _reverse_step_oracle(m, x):
                              m.config.root_tol)
 
 
-@pytest.mark.parametrize("spacing", [0.5, 0.3])
-def test_reverse_step_reads_a_as_cumulative_hl_does(small_config, spacing):
-    m = LadderModel(small_config.with_overrides(knot_spacing=spacing))
+def test_reverse_step_reads_a_as_cumulative_hl_does(small_config):
+    m = LadderModel(small_config)
     for x in np.random.default_rng(20).uniform(20.0, 400.0, 60).tolist():
         assert m.reverse_step(x) == _reverse_step_oracle(m, x), x
-
-
-@pytest.mark.parametrize("x", [12.997064623729251, 27.423279362143802,
-                               53.48388598197645, 108.34519828799425])
-def test_reverse_step_keeps_the_first_knot_rule_a_few_ulps_above_a_knot(
-        small_config, monkeypatch, x):
-    # V(x) lies just above A at a knot k whose next doubles divide onto k by
-    # 0.3, and a root_tol far below an ulp takes the loop there: like
-    # cumulative_hl, the step reads those heights on interval k - 1, below
-    # the root's own interval k
-    m = LadderModel(small_config.with_overrides(knot_spacing=0.3, root_tol=1e-300))
-    m.extend_to(150.0)
-    landed, land = [], m._landed
-    monkeypatch.setattr(m, "_landed", lambda j: landed.append(j) or land(j))
-    u = m.reverse_step(x)
-    reads = list(landed)
-    assert u == _reverse_step_oracle(m, x)
-    k = round(u / 0.3)
-    assert 0.0 < u - k * 0.3 <= 4 * math.ulp(u)
-    assert reads[0] == k and set(reads) == {k, k - 1}
 
 
 def test_knot_reads_fit_nothing_and_a_reverse_step_lands_only_its_root(model,
@@ -886,6 +844,15 @@ def test_default_config_hash_is_pinned():
     assert RunConfig().config_hash() == "a383e6b2eb3db463"
 
 
+def test_the_settable_config_fields_are_pinned():
+    # the knot spacing, the Z route seam and the two domain floors are model
+    # constants; a new knob needs an edit here, and the CLI sets only fields
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    assert names == ["quad_tol", "root_tol", "rs_terms", "t_table_max", "l_floor",
+                     "k_max", "cache_dir"]
+    assert set(cli._CONFIG_FLAGS) <= set(names)
+
+
 #: headers of tables saved before the correction rows were cut at index 28
 #: (v2), before the values checksum (v3) and before knots came from the
 #: interval fit (v4)
@@ -1066,17 +1033,6 @@ def test_table_to_2200_is_pinned(model):
         "dbc31954ee0b42637fd415be37cb191d1cb9e4a46ebccbf769eba00e03054209")
 
 
-def test_extend_to_a_knot_ends_at_that_knot_off_a_dyadic_spacing(small_config):
-    # (j * 0.3) / 0.3 rounds above j for j = 7, 14, 28, ...; the table
-    # still stops at knot j, the first whose t = j * h reaches the request
-    m = LadderModel(small_config.with_overrides(knot_spacing=0.3))
-    h = m.table.spacing
-    assert math.ceil(7 * h / h) == 8
-    for j in range(1, 121):
-        m.extend_to(j * h)
-        assert len(m.table.values) == j + 1
-
-
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 def test_extend_to_rejects_non_finite_height(small_config, t):
     with pytest.raises(DomainTooSmall):
@@ -1088,6 +1044,24 @@ def test_table_exhausted_beyond_cap(small_config):
     m = LadderModel(cfg)
     with pytest.raises(TableExhausted):
         m.extend_to(600.0)
+
+
+@pytest.mark.parametrize("code", [
+    "from zetaladder.cli import main\n"
+    "raise SystemExit(main(['ladder-build', '--tmax', '1e300', '--cache-dir', 'cache']))",
+    "from zetaladder import LadderModel, TableExhausted\n"
+    "try:\n    LadderModel().cumulative_hl(1e300)\n"
+    "except TableExhausted:\n    raise SystemExit(3)",
+], ids=["cli", "library"])
+def test_a_huge_finite_height_is_refused_at_once(tmp_path, code):
+    # its first knot is one ceiling, so the request past the table ceiling
+    # raises TableExhausted (exit 3) before any knot is fitted
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ladder.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_a_fit_that_raises_above_the_root_does_not_fail_the_step(small_config,
@@ -1144,16 +1118,6 @@ def test_a_cold_reverse_step_grows_by_whole_chunks(small_config, monkeypatch):
     assert added == [ladder._CHUNK] * len(added)
 
 
-def test_a_cold_reverse_step_grows_by_whole_chunks_off_a_dyadic_spacing(small_config,
-                                                                       monkeypatch):
-    # at spacing 0.3 most growth tops (top + 16) * h divide back above top + 16
-    m = LadderModel(small_config.with_overrides(knot_spacing=0.3))
-    added = _growth_passes(m, monkeypatch)
-    m.reverse_step(250.0)
-    assert len(added) > 1
-    assert added == [ladder._CHUNK] * len(added)
-
-
 def test_reverse_step_stops_at_a_ceiling_between_knots(small_config, monkeypatch):
     # the top knot below 20.3 is 20.0: two whole chunks and the 8 knots up
     # to it, then the pass past it raises
@@ -1177,8 +1141,6 @@ def test_no_knot_lies_past_a_ceiling_between_knots(small_config):
     with pytest.raises(TableExhausted):
         m.reverse_step(30.0)
     assert m.table.t_covered == 20.0
-    thirds = LadderModel(small_config.with_overrides(t_table_max=20.0, knot_spacing=0.3))
-    assert thirds.top_knot == 66 and 66 * 0.3 <= 20.0 < 67 * 0.3
 
 
 @pytest.mark.parametrize("name, value", [
@@ -1190,6 +1152,8 @@ def test_no_knot_lies_past_a_ceiling_between_knots(small_config):
 ])
 def test_config_refuses_a_value_no_run_can_use(name, value):
     # each used to pass here and fail untyped at first use, or (a NaN
-    # ceiling) to lift the table ceiling silently
-    with pytest.raises(UsageError, match=name):
+    # ceiling) to lift the table ceiling silently; the model's constants
+    # (h, the Z route seam and the two domain floors) are not fields at all
+    constant = name in ("knot_spacing", "rs_switch", "t_min", "t_start")
+    with pytest.raises(TypeError if constant else UsageError, match=name):
         RunConfig(**{name: value})

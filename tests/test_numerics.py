@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 from zetaladder import _kernels
 from zetaladder._quadrule import N_HI, N_LO, NODES_HI, WEIGHTS_HI, WEIGHTS_LO
-from zetaladder.errors import BracketInvalid, NoCrossing, NonConvergence, NumericalError
+from zetaladder.errors import (
+    BracketInvalid,
+    DomainTooSmall,
+    NoCrossing,
+    NonConvergence,
+    NumericalError,
+)
 from zetaladder.numerics import (
     Bracket,
     QuadratureResult,
@@ -98,8 +104,9 @@ def test_integrate_oscillatory_with_wavelength_hint():
 
 
 def test_integrate_rejects_nonpositive_tol():
-    with pytest.raises(ValueError):
-        integrate(math.sin, 0.0, 1.0, tol=0.0)
+    for tol in (0.0, -1e-10, math.nan):
+        with pytest.raises(DomainTooSmall, match="tol"):
+            integrate(math.sin, 0.0, 1.0, tol=tol)
 
 
 @settings(max_examples=40, deadline=None)
@@ -281,19 +288,17 @@ def test_level_crossing_picks_leftmost_of_several():
 
 
 def test_level_crossing_scan_refinement_finds_narrow_feature():
-    # the crossing of this bump through 0.5 lives in a width-~0.02 window;
-    # a 4-point scan misses it until the density doubles a few times.
-    f = lambda x: math.exp(-((x - 0.61) ** 2) / 2e-4)  # noqa: E731
-    x = find_level_crossing(f, 0.0, 1.0, 0.5, scan_points=4, tol=1e-12,
-                            refine_max=8)
-    expected = 0.61 - math.sqrt(-2e-4 * math.log(0.5))
+    # the crossing of this bump through 0.5 lives in a width-~0.002 window;
+    # the 64-point scan misses it until the density doubles a few times.
+    f = lambda x: math.exp(-((x - 0.6105) ** 2) / 2e-6)  # noqa: E731
+    x = find_level_crossing(f, 0.0, 1.0, 0.5, tol=1e-12)
+    expected = 0.6105 - math.sqrt(-2e-6 * math.log(0.5))
     assert x == pytest.approx(expected, abs=1e-9)
 
 
 def test_level_crossing_raises_when_level_unreachable():
     with pytest.raises(NoCrossing):
-        find_level_crossing(math.sin, 0.0, 1.0, 5.0, scan_points=8,
-                            tol=1e-10, refine_max=3)
+        find_level_crossing(math.sin, 0.0, 1.0, 5.0, tol=1e-10)
 
 
 def test_level_crossing_rejects_empty_interval():

@@ -17,6 +17,7 @@ from zetaladder.errors import (
     DomainTooSmall,
     IndexOutOfTower,
     RangeTooLarge,
+    UsageError,
 )
 from zetaladder.hybrid import DeltaPair
 from zetaladder.ladder import LadderModel
@@ -444,14 +445,14 @@ def test_lemma_power_families(model, factory, delta):
 def test_lemma_requires_matching_windows(model, factory):
     alpha = factory.solve(150, 1.0, 2, gf_sin2())
     beta_other = factory.beta(150, 1.2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match="same"):
         lemma_residual(model, alpha, beta_other)
 
 
 def test_lemma_requires_constant_second_chain(model, factory):
     alpha = factory.solve(150, 1.0, 2, gf_sin2())
     also_alpha = factory.solve(150, 1.0, 2, gf_cos2())
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match="plain"):
         lemma_residual(model, alpha, also_alpha)
 
 

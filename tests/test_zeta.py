@@ -12,7 +12,7 @@ import pytest
 
 import zetaladder
 from zetaladder import zeta
-from zetaladder.config import DEFAULT_CONFIG, RunConfig
+from zetaladder.config import RunConfig
 from zetaladder.errors import DomainTooSmall, RangeTooLarge
 from zetaladder.ladder import LadderModel
 from zetaladder.zeta import ZSample, err_bound, hardy_z, rs_theta, zeta_mod_sq
@@ -56,10 +56,9 @@ def test_theta_branches_agree_at_seam():
     # asymptotic and loggamma evaluations must agree where the branch flips
     from scipy.special import loggamma
 
-    cfg = DEFAULT_CONFIG
     for t in (28.0, 30.0, 35.0, 50.0):
         exact = float(loggamma(0.25 + 0.5j * t).imag) - 0.5 * t * math.log(math.pi)
-        assert rs_theta(t, cfg) == pytest.approx(exact, abs=1e-10)
+        assert rs_theta(t) == pytest.approx(exact, abs=1e-10)
 
 
 def test_theta_rejects_negative_t():
@@ -224,14 +223,17 @@ def test_z_many_rejects_negative_heights():
 
 
 def test_routes_agree_across_switch_height():
-    # widen the eta region so both routes are available at the same t,
-    # then compare them where the main-sum truncation is already decent
-    hi_cfg = RunConfig(rs_switch=400.0)
+    # the eta route evaluated above the switch, against the rs route there,
+    # where the main-sum truncation is already decent
     for t in (150.0, 250.0, 399.0):
-        a = hardy_z(t)  # rs route under the default switch at 100
-        b = hardy_z(t, hi_cfg)  # eta route
-        assert a.route == "rs" and b.route == "eta"
-        assert a.z == pytest.approx(b.z, abs=2.0 * err_bound(t) + 1e-11)
+        a = hardy_z(t)
+        assert a.route == "rs"
+        eta = zeta._eta_z(t, rs_theta(t))
+        assert a.z == pytest.approx(eta, abs=2.0 * err_bound(t) + 1e-11)
+
+
+def test_err_bound_below_the_switch_is_the_eta_budget():
+    assert err_bound(50.0) == 1e-12
 
 
 def test_err_bound_decreases_with_more_correction_terms():
