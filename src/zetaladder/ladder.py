@@ -14,8 +14,10 @@ The model has three ingredients:
   rows of Z^2 and its integral, pieces halved while their 17/33 difference
   exceeds their share of quad_tol * h.  A new knot adds the sum of its
   interval's piece integrals and drops the rows; a call that adds many
-  knots evaluates the first pieces of up to 16 intervals in one Z batch,
-  and :meth:`LadderModel.extend_on` deals such chunks to a process pool's
+  knots fits up to 16 intervals in one pass (``numerics.chebyshev_spans``):
+  their first pieces in one Z batch per route, accepted together, the
+  splitting loop run only for a span whose first pieces miss their share.
+  :meth:`LadderModel.extend_on` deals such chunks to a process pool's
   workers and appends their increments in order.  An off-knot query refits
   the interval, lands it on its knots and keeps it in memory in the form a
   lookup reads (about 0.9 KB a piece), so A is continuous, exact at knots,
@@ -77,13 +79,12 @@ from .errors import (
 from .numerics import (
     Bracket,
     Landed,
-    chebyshev_pieces,
+    Span,
+    chebyshev_spans,
     eval_pieces,
-    initial_pieces,
     invert_increasing,
     land_pieces,
     piece_integrals,
-    piece_nodes,
 )
 
 __all__ = [
@@ -97,10 +98,13 @@ __all__ = [
 _LOG_TWO_PI = math.log(2.0 * math.pi)
 #: V(y) = y log y + _V_LINEAR y
 _V_LINEAR = EULER_GAMMA - _LOG_TWO_PI
-#: most knot intervals one Z batch per route serves when a call adds many
-#: knots: a 33-node piece costs the RS kernel about 135 us alone and 50 us
-#: in a chunk's batch (traced scan, 2-core machine)
+#: most knot intervals one pass serves when a call adds many knots: a
+#: 33-node piece costs the RS kernel about 58 us alone and 22 us in a
+#: 16-piece batch, and an interval's whole fit about 80 us alone and 29 us
+#: in a chunk (t = 1000, best of 9, 2-core machine)
 _CHUNK = 16
+#: the first knot interval on the Riemann-Siegel route: j h < rs_switch below it
+_RS_SEAM = math.ceil(RunConfig.rs_switch / RunConfig.knot_spacing)
 
 
 def normalizer(y: float) -> float:
@@ -204,12 +208,11 @@ class LadderModel:
         """Grow the knot table to cover t; existing knots never change.
 
         Each new knot adds the integral of its interval's raw fit.  The new
-        intervals are fitted in chunks of at most ``_CHUNK``, each chunk's
-        first pieces in one Z batch per route (:meth:`_raw_fits`), so a
-        build costs far fewer kernel calls than it fits pieces; a call that
-        adds one knot fits it alone.  Every knot is bit-identical to one
-        built alone, and a fit that raises leaves the table with exactly the
-        knots below its interval.
+        intervals are fitted in chunks of at most ``_CHUNK``, each in one
+        pass (:meth:`_raw_fits`), so a build costs far fewer kernel calls
+        than it fits pieces; a call that adds one knot fits it alone.  Every
+        knot is bit-identical to one built alone, and a fit that raises
+        leaves the table with exactly the knots below its interval.
         """
         for j0, j1 in self.missing_chunks(t):
             self.append_knots(self.knot_increments(j0, j1))
@@ -262,11 +265,13 @@ class LadderModel:
     def knot_increments(self, j0: int, j1: int) -> Iterator[float]:
         """A((j + 1) h) - A(j h) for knot intervals j0..j1 - 1, in order.
 
-        Each is the sum of the interval's :meth:`_raw_fits` piece integrals;
-        the rows are dropped (kept, they cost ~3 MB up to t = 2200).  The
-        table is not read, so :func:`_fit_chunks` fits on a bare model under
-        the same configuration.  A fit that raises stops the increments at
-        its interval.
+        Each is the sum of the interval's :meth:`_raw_fits` piece integrals,
+        taken from its rows whether its chunk's pass accepted them or the
+        splitting loop made them; the rows are dropped (kept, they cost
+        ~3 MB up to t = 2200).  The table is not read, so
+        :func:`_fit_chunks` fits on a bare model under the same
+        configuration.  A fit that raises stops the increments at its
+        interval.
         """
         try:
             fits = self._raw_fits(j0, j1)
@@ -296,57 +301,48 @@ class LadderModel:
         Riemann-Siegel batches, or the batched eta series for an interval
         that starts below the switch -- a piece never mixes the two, whose
         values differ by the RS error.  Nor does a piece straddle a jump of
-        the RS formula: the interval is cut there first
-        (``_kernels.rs_spans``), each span sharing the tolerance by its
-        width.  Initial pieces are capped at half the shortest Z wavelength.
+        the RS formula: the interval is cut there first, each span sharing
+        the tolerance by its width.  The route seam and the jumps
+        (``_kernels.rs_spans`` of the chunk's RS part) are found once a
+        chunk.  Initial pieces are capped at half the shortest Z wavelength.
 
-        For more than one span (an interval cut at a jump is two), the first
-        pieces of every span are evaluated here, before the first fit is
-        yielded: one call per route, whose values are then taken by position.
-        Each span's splitting loop then runs alone, halves evaluated as they
-        arise.  A height's Z^2 does not depend on its batch, so each fit is
-        bit-identical to its spans fitted one batch each.
+        The spans go to ``numerics.chebyshev_spans`` in one pass: every
+        first piece is evaluated here, before the first fit is yielded, in
+        one Z batch per route; the first pieces that meet their share become
+        rows at once, and only a span with one that does not runs the
+        splitting loop, from its values.  A lone first piece (a one-interval
+        fit below t ~ 3360) goes to the loop directly.  A height's Z^2 does
+        not depend on its batch, so each fit is bit-identical to its spans
+        fitted one by one (``numerics.chebyshev_pieces``).
         """
         cfg = self.config
         h = self.table.spacing
+        cuts = _kernels.rs_spans(max(j0, _RS_SEAM) * h, j1 * h) if j1 > _RS_SEAM else []
+        # each jump as (the last height below it, the first above it)
+        jumps = ([(below[1], above[0]) for below, above in zip(cuts, cuts[1:])]
+                 if len(cuts) > 1 else ())
 
         def rs_zsq(ts: np.ndarray) -> np.ndarray:
             z = _kernels.z_rs_many(ts, cfg.rs_terms)
             return np.multiply(z, z, out=z)
 
-        spans = []  # (j, a, b, wavelength, zsq), in order
+        spans: list[Span] = []
+        counts = []  # spans per interval
         for j in range(j0, j1):
-            lo, hi = j * h, (j + 1) * h
-            if lo < cfg.rs_switch:
-                cuts, zsq = [(lo, hi)], zeta.eta_mod_sq
-            else:
-                cuts, zsq = _kernels.rs_spans(lo, hi), rs_zsq
-            wavelength = _min_wavelength(hi)
-            spans += [(j, a, b, wavelength, zsq) for a, b in cuts]
-
-        def fit(span: tuple, first: np.ndarray | None) -> np.ndarray:
-            _j, a, b, wavelength, zsq = span
-            return chebyshev_pieces(zsq, a, b, cfg.quad_tol * (b - a), wavelength, first)
-
-        if len(spans) == 1:  # one uncut interval: nothing to batch or group
-            return (fit(span, None) for span in spans)
-        firsts = []
-        for zsq, group in itertools.groupby(spans, key=lambda span: span[4]):
-            edges = [initial_pieces(a, b, wl) for _, a, b, wl, _ in group]
-            nodes = piece_nodes(np.array([e for es in edges for e in es[:-1]]),
-                                np.array([e for es in edges for e in es[1:]]))
-            vals = zsq(nodes.ravel()).reshape(nodes.shape)
-            k = 0
-            for es in edges:
-                firsts.append(vals[k:k + len(es) - 1])
-                k += len(es) - 1
-
-        def fits() -> Iterator[np.ndarray]:
-            for _j, group in itertools.groupby(zip(spans, firsts), key=lambda p: p[0][0]):
-                rows = [fit(span, first) for span, first in group]
-                yield rows[0] if len(rows) == 1 else np.vstack(rows)
-
-        return fits()
+            a, hi = j * h, (j + 1) * h
+            zsq = zeta.eta_mod_sq if j < _RS_SEAM else rs_zsq
+            wavelength, n = _min_wavelength(hi), len(spans)
+            for below, above in jumps:
+                if a < below and above < hi:
+                    spans.append((zsq, a, below, cfg.quad_tol * (below - a), wavelength))
+                    a = above
+            spans.append((zsq, a, hi, cfg.quad_tol * (hi - a), wavelength))
+            counts.append(len(spans) - n)
+        rows = chebyshev_spans(spans)
+        if len(spans) == j1 - j0:  # no interval is cut: each has its one span's rows
+            return rows
+        return (next(rows) if n == 1 else np.vstack([next(rows) for _ in range(n)])
+                for n in counts)
 
     def _landed(self, j: int) -> Landed:
         """Knot interval j in the form :func:`eval_pieces` reads, landed on first use.

@@ -17,9 +17,10 @@ use for integrals and root solves, so their contracts are deliberately narrow:
   :func:`land_pieces` read; the latter turns an interval's rows into the
   form :func:`eval_pieces` reads, once.  A loop that cannot meet
   its tolerance raises :class:`NonConvergence`, not halving below noise.
-  The loop starts from :func:`initial_pieces`; a caller fitting many spans
-  can evaluate all their initial pieces at their :func:`piece_nodes` in one
-  batch and hand each loop its values.
+  The loop starts from :func:`initial_pieces`.  :func:`chebyshev_spans`
+  fits many spans in one pass: their initial pieces in one batch, tested
+  and turned into rows together, and the loop run only for a span that
+  needs it, from its values.
 * :func:`invert_increasing` -- g(x) = target with g strictly increasing on
   the bracket.
 * :func:`find_level_crossing` -- leftmost solution of g(x) = level on an open
@@ -38,6 +39,7 @@ randomness.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -51,6 +53,7 @@ __all__ = [
     "QuadratureResult",
     "Bracket",
     "chebyshev_pieces",
+    "chebyshev_spans",
     "eval_pieces",
     "initial_pieces",
     "piece_nodes",
@@ -137,7 +140,7 @@ def _pieces(
     a: float,
     b: float,
     tol: float,
-    min_wavelength: float | None,
+    edges: list[float],
     first: np.ndarray | None = None,
 ) -> Iterator[tuple[float, np.ndarray]]:
     """The package's one quadrature policy: (error, row) per accepted piece of [a < b].
@@ -148,12 +151,12 @@ def _pieces(
     coefficients of f and b those of its integral from lo, in t units (the
     piece's integral is sum(b), since T_m(1) = 1).
 
-    [a, b] starts as its :func:`initial_pieces`, sharing ``tol`` equally;
-    ``first``, when given, holds their values, one row a piece at its
-    :func:`piece_nodes`, and every other piece gets its own batch.  A piece
-    whose error exceeds its share is halved, and each half gets half the
-    share.  Pieces are processed depth-first, so
-    rows come left to right.  A piece is also accepted at the resolution
+    [a, b] starts as the pieces between ``edges``, its :func:`initial_pieces`,
+    sharing ``tol`` equally; ``first``, when given, holds their values, one
+    row a piece at its :func:`piece_nodes`, and every other piece gets its
+    own batch.  A piece whose error exceeds its share is halved, and each
+    half gets half the share.  Pieces are processed depth-first, so rows
+    come left to right.  A piece is also accepted at the resolution
     limit (width <= 1e-14 |lo|), which a jump in f reaches.  Raises
     :class:`NonConvergence` when a rejected piece's error is at the rounding
     floor of its own weighted values (noise shrinks with the width, as the
@@ -162,7 +165,6 @@ def _pieces(
     it, where the floor test misses), past depth 48, or past _MAX_PANELS
     accepted pieces.
     """
-    edges = initial_pieces(a, b, min_wavelength)
     n0 = len(edges) - 1
     # stack of (lo, hi, tol_share, depth, values or None); deterministic LIFO processing
     stack = [(edges[i], edges[i + 1], tol / n0, 0, None if first is None else first[i])
@@ -240,7 +242,7 @@ def adaptive_panels(
 
     total = 0.0
     err_total = 0.0
-    for err, row in _pieces(counted, a, b, tol, min_wavelength):
+    for err, row in _pieces(counted, a, b, tol, initial_pieces(a, b, min_wavelength)):
         total += float(piece_integrals(row))
         err_total += err
     return sign * total, err_total, evals
@@ -252,24 +254,84 @@ def chebyshev_pieces(
     b: float,
     tol: float,
     min_wavelength: float | None = None,
-    first: np.ndarray | None = None,
 ) -> np.ndarray:
     """Piecewise Chebyshev interpolant of f on [a < b] and of its integral.
 
     One row per piece accepted by :func:`_pieces`, left to right:
     ``[lo, hi, b_0..b_33, c_0..c_32]``.  The pieces are exactly those
     :func:`adaptive_panels` sums, so the rows' integrals add up to its value.
-    ``first``, when given, holds f at the :func:`piece_nodes` of the
-    :func:`initial_pieces`, one row a piece, so that a caller can evaluate
-    many spans' first pieces in one batch.
     """
-    rows = [row for _err, row in _pieces(fvals, a, b, tol, min_wavelength, first)]
+    return _rows(fvals, a, b, tol, initial_pieces(a, b, min_wavelength))
+
+
+def _rows(fvals: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float,
+          edges: list[float], first: np.ndarray | None = None) -> np.ndarray:
+    """The rows of :func:`_pieces` (same arguments), one array."""
+    rows = [row for _err, row in _pieces(fvals, a, b, tol, edges, first)]
     return rows[0][None] if len(rows) == 1 else np.array(rows)
+
+
+#: a span to fit: chebyshev_pieces' arguments (fvals, a, b, tol, min_wavelength)
+Span = tuple[Callable[[np.ndarray], np.ndarray], float, float, float, float | None]
+
+
+def chebyshev_spans(spans: list[Span]) -> Iterator[np.ndarray]:
+    """:func:`chebyshev_pieces` of each span, in order, from one pass.
+
+    The :func:`initial_pieces` of every span are evaluated here, one batch
+    per run of spans that share fvals, before the first rows are asked for.
+    A span whose initial pieces all meet their share of its tol gets their
+    rows from one pass over the batch; any other goes to :func:`_pieces`
+    with its values, so the splitting policy stays one loop.  The pass
+    stacks the pieces' two dots and coefficient products, one BLAS call a
+    piece as :func:`_pieces` makes them (one matrix product would sum in
+    another order), and f at a node does not depend on its batch, so the
+    rows are bit for bit those of each span fitted alone.  A lone piece has
+    nothing to stack, so it goes straight to :func:`_pieces`, which
+    evaluates it when its rows are asked for: stacking one piece costs more
+    than it saves.
+    """
+    edges = [initial_pieces(a, b, wl) for _f, a, b, _tol, wl in spans]
+    if len(edges) == 1 and len(edges[0]) == 2:
+        return (_rows(fvals, a, b, tol, es) for (fvals, a, b, tol, _wl), es in zip(spans, edges))
+    lo = np.array([e for es in edges for e in es[:-1]])
+    hi = np.array([e for es in edges for e in es[1:]])
+    nodes = piece_nodes(lo, hi)
+    vals, k = [], 0
+    for fvals, run in itertools.groupby(zip(spans, edges), key=lambda span_es: span_es[0][0]):
+        n = sum(len(es) - 1 for _span, es in run)
+        vals.append(fvals(nodes[k:k + n].ravel()))
+        k += n
+    vals = (vals[0] if len(vals) == 1 else np.concatenate(vals)).reshape(k, 1, N_HI + 1)
+    half = 0.5 * (hi - lo)
+    quad_hi = np.matmul(vals, WEIGHTS_HI).ravel().tolist()
+    quad_lo = np.matmul(vals[..., ::2], WEIGHTS_LO).ravel().tolist()
+    rows = np.empty((k, _ROW))
+    rows[:, 0], rows[:, 1] = lo, hi
+    np.matmul(vals, CHEB_FIT.T, out=rows[:, None, 2:])  # CHEB_FIT @ v, one gemv a piece
+    rows[:, 2:2 + _NB] *= half[:, None]
+    half = half.tolist()
+
+    def fits() -> Iterator[np.ndarray]:
+        k = 0
+        for (fvals, a, b, tol, _wl), es in zip(spans, edges):
+            n0 = len(es) - 1
+            share = tol / n0
+            for i in range(k, k + n0):
+                # the error as _pieces takes it; one that is not finite fails
+                if not abs(quad_hi[i] - quad_lo[i]) * half[i] <= share:
+                    yield _rows(fvals, a, b, tol, es, vals[k:k + n0, 0])
+                    break
+            else:
+                yield rows[k:k + n0]
+            k += n0
+
+    return fits()
 
 
 def piece_integrals(rows: np.ndarray) -> np.ndarray:
     """Each piece's integral (a scalar for one row): T_m(1) = 1, so the sum of b."""
-    return rows[..., 2:2 + _NB].sum(axis=-1)
+    return np.add.reduce(rows[..., 2:2 + _NB], axis=-1)
 
 
 def land_pieces(rows: np.ndarray, total: float, width: float) -> Landed:

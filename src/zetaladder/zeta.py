@@ -102,8 +102,11 @@ def _eta_zeta(ts: np.ndarray) -> np.ndarray:
         sel = ns == n
         coeff, d_n, log_k1 = _borwein(n)
         s = [complex(0.5, t) for t in ts[sel].tolist()]
-        powers = np.exp(-np.array(s)[:, None] * log_k1)
-        eta = -(coeff * powers).sum(axis=1) / d_n
+        # in place, with the bits of exp(-s log(k + 1)) * coeff
+        powers = np.multiply(-np.array(s)[:, None], log_k1)
+        np.exp(powers, out=powers)
+        powers *= coeff
+        eta = -powers.sum(axis=1) / d_n
         out[sel] = eta / np.array([1.0 - 2.0 ** (1.0 - x) for x in s])
     return out
 

@@ -372,17 +372,26 @@ def test_a_combiner_overflow_exits_3(capsys):
 
 
 @pytest.mark.parametrize("argv, named", [
-    # sin^2's mass 0.5 U - 0.25 sin 2U cancels to 0: a level with no log
-    (("verify", "mixed", "--L", "200", "--U", "1e-12", "--k", "1"), "chain level 0.0"),
     # a walk lands alpha_0 a few ulps below pi L, where v^(1/3) is complex
     (("verify", "echf2", "--L", "400", "--U", "1e-10", "--k3", "0", "--k4", "3",
       "--delta3", "7", "--delta4", "1/3"), "offset"),
-], ids=["mixed-zero-level", "echf2-negative-offset"])
+], ids=["echf2-negative-offset"])
 def test_windows_too_narrow_for_their_weights_exit_2(capsys, argv, named):
     code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert named in err and "Traceback" not in err
+
+
+def test_a_sin2_window_too_narrow_to_cross_exits_3(capsys):
+    # sin^2's mass at U = 1e-12 is its series' 3.3e-37, where 0.5 U -
+    # 0.25 sin 2U cancelled to 0: the chain has a level, but its crossing
+    # scan finds no sign change on a seg_1 a few ulps wide
+    code, out, err = _run(capsys, "verify", "mixed", "--L", "200", "--U", "1e-12",
+                          "--k", "1")
+    assert code == 3
+    assert out == ""
+    assert "no crossing" in err and "Traceback" not in err
 
 
 def test_ladder_build_nan_height_exit_2(capsys, cache):

@@ -326,6 +326,19 @@ def test_seeded_reports_are_pinned(model):
         "6a3cdb73f553e0aeeaeafef55a35407b3dc82ed8607266387ef3fd37cb4acad7")
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_seeded_scan_is_pinned(small_config, monkeypatch, in_process_pool, workers):
+    # the default ranges' first 12 samples at (1/3, 1/5), bit for bit: serial,
+    # and on a pool of 2 whose workers fit the prefill (extend_on's
+    # _fit_chunks, each chunk through knot_increments)
+    monkeypatch.setattr(hybrid.os, "cpu_count", lambda: 2)
+    scan = invariance_scan(PAIR_35, n_samples=12, seed=20260819, config=small_config,
+                           workers=workers)
+    assert [p.max_workers for p in in_process_pool.made] == ([2] if workers == 2 else [])
+    digest = hashlib.sha256(json.dumps(scan.to_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest[:16] == "cf280b5d32fb692f"
+
+
 @pytest.mark.parametrize("fn, names", [
     (echf1, "factory l u k1 k2"),
     (echf2, "factory pair l u k3 k4"),

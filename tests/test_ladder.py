@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetaladder import _kernels, cli, ladder
+from zetaladder import _kernels, cli, ladder, numerics, zeta
 from zetaladder.config import EULER_GAMMA, TABLE_FORMAT, RunConfig
 from zetaladder.errors import (
     CacheCorrupt,
@@ -32,7 +32,13 @@ from zetaladder.ladder import (
     normalizer,
     normalizer_prime,
 )
-from zetaladder.numerics import Bracket, integrate, invert_increasing, piece_integrals
+from zetaladder.numerics import (
+    Bracket,
+    chebyshev_pieces,
+    integrate,
+    invert_increasing,
+    piece_integrals,
+)
 from zetaladder.tower import ChainFactory
 from zetaladder.zeta import hardy_z, zeta_mod_sq
 
@@ -663,6 +669,59 @@ def test_a_failing_fit_in_a_chunk_leaves_the_knots_below_it(small_config, monkey
     assert len(outcomes[0][2]) == 701 * 8
 
 
+def _lone_fit(m, j):
+    """Interval j's rows from numerics.chebyshev_pieces, one span at a time."""
+    cfg, h = m.config, m.table.spacing
+    lo, hi = j * h, (j + 1) * h
+    if lo < cfg.rs_switch:
+        spans, zsq = [(lo, hi)], zeta.eta_mod_sq
+    else:
+        spans = _kernels.rs_spans(lo, hi)
+
+        def zsq(ts):
+            z = _kernels.z_rs_many(ts, cfg.rs_terms)
+            return z * z
+    wavelength = ladder._min_wavelength(hi)
+    return np.vstack([chebyshev_pieces(zsq, a, b, cfg.quad_tol * (b - a), wavelength)
+                      for a, b in spans])
+
+
+@pytest.mark.parametrize("j", [201, 452, 7001])
+def test_an_interval_fit_is_its_spans_fitted_alone(small_config, j):
+    # chebyshev_pieces evaluates and tests each piece on its own; the chunk
+    # pass stacks them.  Interval 201 is cut at 2 pi 4^2 and the span below
+    # the cut halved, 452 is cut at 2 pi 6^2, and 7001 (t = 3500.5) starts
+    # as two pieces.  Alone and in each interval of a chunk around it (the
+    # one around 201 also crosses the eta / Riemann-Siegel seam at 200)
+    m = LadderModel(small_config)
+    lone = [_lone_fit(m, i) for i in range(j - 7, j + 9)]
+    fit = m._raw_fit(j)
+    assert fit.shape == lone[7].shape and fit.tobytes() == lone[7].tobytes()
+    chunk = list(m._raw_fits(j - 7, j + 9))
+    assert [r.shape for r in chunk] == [r.shape for r in lone]
+    assert [r.tobytes() for r in chunk] == [r.tobytes() for r in lone]
+
+
+def test_a_chunk_fit_splits_only_the_spans_whose_first_pieces_fail(small_config,
+                                                                   monkeypatch):
+    # the chunk pass accepts first pieces itself: the splitting loop runs
+    # for a span only when one of its first pieces misses its share, and
+    # then starts from the values the chunk's batch gave it
+    calls = []
+    pieces = numerics._pieces
+
+    def counted(fvals, a, b, tol, edges, first=None):
+        rows = list(pieces(fvals, a, b, tol, edges, first))
+        calls.append((first is not None, len(edges) - 1, len(rows)))
+        return iter(rows)
+
+    monkeypatch.setattr(numerics, "_pieces", counted)
+    LadderModel(small_config).extend_to(450.0)
+    # of the 905 spans up to t = 450, one: interval 201's below 2 pi 4^2,
+    # its one first piece halved into three
+    assert calls == [(True, 1, 3)]
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_extend_on_a_pool_is_extend_to(small_config, in_process_pool, knots_to_450,
                                        workers):
@@ -1031,6 +1090,15 @@ def test_table_to_2200_is_pinned(model):
     # the session table: every Riemann-Siegel branch up to N = 18
     assert ladder._values_digest(model.table.values[:4401]) == (
         "dbc31954ee0b42637fd415be37cb191d1cb9e4a46ebccbf769eba00e03054209")
+
+
+def test_table_to_6000_is_pinned(small_config):
+    # above t ~ 3360 half the shortest Z wavelength is below h, so each
+    # interval starts as two pieces, which the pins at 150 and 2200 never reach
+    m = LadderModel(small_config)
+    m.extend_to(6000.0)
+    assert ladder._values_digest(m.table.values) == (
+        "214c77882c7be2e3991184065367f66c326ec9ba4fd57610d8b996ec9d202e97")
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])

@@ -155,6 +155,19 @@ def test_sin2_mass_closed_form():
     assert gf_sin2().mass(u) == pytest.approx(math.pi / 8 - 0.25, abs=1e-15)
 
 
+def test_sin2_mass_has_no_cancellation():
+    # (2U - sin 2U) / 4 against 50 digits, U from 1e-12 to pi/2: the series
+    # below the cut, the closed form (unchanged, so no U >= 0.2 moves) above
+    mp = pytest.importorskip("mpmath")
+    mass = gf_sin2().mass
+    with mp.workdps(50):
+        for u in np.geomspace(1e-12, math.pi / 2, 300, endpoint=False).tolist():
+            exact = (2 * mp.mpf(u) - mp.sin(2 * mp.mpf(u))) / 4
+            assert abs(mass(u) - exact) <= 4e-15 * exact, u
+    for u in (tower._SIN2_SERIES_BELOW, 0.2, 0.3, 1.0, 1.5):
+        assert mass(u) == 0.5 * u - 0.25 * math.sin(2.0 * u)
+
+
 def test_power_mass_closed_form():
     gf = gf_power(Fraction(1, 3))
     u = 1.2
