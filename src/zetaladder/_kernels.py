@@ -16,8 +16,9 @@ One source for every formula, in plain Python and numpy:
   its array operations few, without reordering any: each rounds as the
   formula reads.
 
-The correction rows C_0..C_3 are fit to Chebyshev degree 64 (``_rs_tables``)
-and evaluated to index 28, past which each row is below its noise floor.
+The correction rows C_0..C_3 are a degree-64 Chebyshev table that
+``_rs_tables`` ships as data (nothing is fitted at import), evaluated to
+index 28, past which each row is below its noise floor.
 
 The scalar and batched paths differ only in how the main sum is accumulated,
 so they agree to rounding (~1e-13 absolute on Z); the test suite pins it.

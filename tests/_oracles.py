@@ -9,9 +9,10 @@ regenerated from package code.
 The last section holds reference code: the plain bisection loop the package's
 root loop is measured against, the one-point eta series the package's batched
 one must equal bit for bit, the ladder's read path as it read interpolant rows
-(which its landed form must equal bit for bit), and small helpers that only
-the tests use (a mixed-route Z batch, segment membership, a swapped delta
-pair).
+(which its landed form must equal bit for bit), the derivation of the
+Riemann-Siegel correction table the package ships as data (which that table
+must equal bit for bit), and small helpers that only the tests use (a
+mixed-route Z batch, segment membership, a swapped delta pair).
 
 Generator: mpmath 1.3.0 --
   zeros       mp.zetazero(n).imag
@@ -202,6 +203,64 @@ def eta_zeta(t: float) -> complex:
     coeff = (d[:n] - d[n]) * np.where(k % 2 == 0, 1.0, -1.0)
     eta = -(coeff * np.exp(-s * np.log(k + 1.0))).sum() / d[n]
     return complex(eta / (1.0 - 2.0 ** (1.0 - s)))
+
+
+#: Chebyshev degree of each fitted correction function
+DEGREE = 64
+#: contour radius and sample count for the derivative transform
+_RADIUS = 0.5
+_SAMPLES = 512
+
+
+def _psi(z: np.ndarray) -> np.ndarray:
+    return np.cos(2.0 * np.pi * (z * z - z - 0.0625)) / np.cos(2.0 * np.pi * z)
+
+
+def _cheb_coeffs(values: np.ndarray) -> np.ndarray:
+    """DCT-I style coefficients from values at extrema nodes cos(pi j / n)."""
+    n = values.shape[0] - 1
+    j = np.arange(n + 1)
+    c = np.empty(n + 1)
+    for k in range(n + 1):
+        s = 0.5 * values[0] + 0.5 * values[n] * np.cos(np.pi * k)
+        s += np.sum(values[1:n] * np.cos(np.pi * k * j[1:n] / n))
+        c[k] = 2.0 / n * s
+    c[0] *= 0.5
+    c[n] *= 0.5
+    return c
+
+
+def build_tables(degree: int = DEGREE) -> np.ndarray:
+    """(4, degree+1) Chebyshev coefficients of C_0..C_3 on p in [0, 1].
+
+    The derivation ``zetaladder._rs_tables.CTAB`` was written out from:
+    each C_k at the extrema nodes from Cauchy-integral derivatives of Psi
+    on a half-step-offset ring, then a DCT-I per row.
+    """
+    j = np.arange(degree + 1)
+    p = 0.5 * (1.0 + np.cos(np.pi * j / degree))
+
+    ang = 2.0 * np.pi * (np.arange(_SAMPLES) + 0.5) / _SAMPLES
+    ring = _RADIUS * np.exp(1j * ang)
+    # one node's ring at a time: only its first 10 transform terms are kept
+    hat = np.array([np.fft.fft(_psi(x + ring))[:10] for x in p]) / _SAMPLES
+
+    korders = np.arange(10)
+    fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, 10.0))))
+    phase = np.exp(-1j * np.pi * korders / _SAMPLES)
+    derivs = (hat * phase * fact / _RADIUS**korders).real  # (nodes, 10)
+
+    pi2 = np.pi * np.pi
+    c0 = derivs[:, 0]
+    c1 = -derivs[:, 3] / (96.0 * pi2)
+    c2 = derivs[:, 6] / (18432.0 * pi2 * pi2) + derivs[:, 2] / (64.0 * pi2)
+    c3 = (-derivs[:, 9] / (5308416.0 * pi2**3)
+          - derivs[:, 5] / (3840.0 * pi2 * pi2)
+          - derivs[:, 1] / (64.0 * pi2))
+
+    return np.ascontiguousarray(
+        np.stack([_cheb_coeffs(v) for v in (c0, c1, c2, c3)]), dtype=np.float64
+    )
 
 
 #: a row is [lo, hi, b_0..b_33, c_0..c_32]: integral, then f coefficients

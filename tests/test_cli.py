@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
 import re
 from array import array
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zetaladder.cli import _report_passes, main
+from zetaladder.cli import _FORMULAS, _report_passes, main
 from zetaladder.hybrid import HybridReport
 from zetaladder.ladder import _values_digest
 
@@ -375,7 +381,10 @@ def test_a_combiner_overflow_exits_3(capsys):
     # a walk lands alpha_0 a few ulps below pi L, where v^(1/3) is complex
     (("verify", "echf2", "--L", "400", "--U", "1e-10", "--k3", "0", "--k4", "3",
       "--delta3", "7", "--delta4", "1/3"), "offset"),
-], ids=["echf2-negative-offset"])
+    # a power weight's mass U^31 / 31 underflows to 0 at U = 1e-12
+    (("verify", "echf2", "--L", "200", "--U", "1e-12", "--k3", "1", "--k4", "2",
+      "--delta3", "30", "--delta4", "1/3"), "chain level"),
+], ids=["echf2-negative-offset", "echf2-power-mass-underflow"])
 def test_windows_too_narrow_for_their_weights_exit_2(capsys, argv, named):
     code, out, err = _run(capsys, *argv)
     assert code == 2
@@ -392,6 +401,78 @@ def test_a_sin2_window_too_narrow_to_cross_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "no crossing" in err and "Traceback" not in err
+
+
+# verify's exit-code contract over its whole input space: any formula, L at
+# the floor (100) or just below, U from the least subnormal to just below
+# pi/2, any depth up to k_max, distinct delta pairs from 1/1000 to 1000 and
+# tolerances at both extremes.  Every call exits 0..3 without raising, and
+# exits 0 or 1 only with a report.
+
+_U_TOP = math.nextafter(math.pi / 2.0, 0.0)
+_WIDTHS = st.one_of(
+    st.floats(min_value=0.05, max_value=_U_TOP),
+    st.integers(-323, 0).map(lambda e: min(10.0 ** e, _U_TOP)),
+    st.floats(min_value=5e-324, max_value=_U_TOP),
+    st.sampled_from([5e-324, 1e-12, _U_TOP]),
+)
+_DELTAS = st.one_of(
+    st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
+    st.sampled_from([Fraction(1, 1000), Fraction(1000), Fraction(999, 1000),
+                     Fraction(7, 3)]),
+)
+_TOLS = st.one_of(st.none(), st.sampled_from(
+    ["5e-324", "1e-300", "1e-16", "1e-13", "1e-3", "1e3", "1e300"]))
+
+
+def _verify_argv(draw, formula: str) -> list[str]:
+    _, depth_flags, paired = next(v for names, v in _FORMULAS.items()
+                                  if names[0] == formula)
+    argv = ["verify", formula, "--L", str(draw(st.integers(99, 108))),
+            "--U", repr(draw(_WIDTHS))]
+    for flag in depth_flags:
+        argv += [f"--{flag}", str(draw(st.integers(0, 4)))]
+    if paired:
+        d3, d4 = draw(st.lists(_DELTAS, min_size=2, max_size=2, unique=True))
+        argv += ["--delta3", str(d3), "--delta4", str(d4)]
+    for flag in ("--root-tol", "--quad-tol"):
+        tol = draw(_TOLS)
+        if tol is not None:
+            argv += [flag, tol]
+    return argv
+
+
+def _check_verify_contract(argv: list[str]) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code in (0, 1):
+        payload = json.loads(out.getvalue())
+        assert payload["pass"] is (code == 0), argv
+        assert "formula_id" in payload["report"], argv
+    else:
+        assert out.getvalue() == "", argv
+    assert "Traceback" not in err.getvalue(), argv
+
+
+_VERIFY_NAMES = [names[0] for names in _FORMULAS]
+
+
+@pytest.mark.parametrize("formula", _VERIFY_NAMES)
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_verify_exit_codes_hold_over_the_input_space(formula, data):
+    _check_verify_contract(_verify_argv(data.draw, formula))
+
+
+@pytest.mark.fuzz
+@pytest.mark.parametrize("formula", _VERIFY_NAMES)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_verify_exit_codes_hold_over_the_input_space_long(formula, data):
+    # opt in with `pytest -m fuzz`: 800 calls, about half a minute
+    _check_verify_contract(_verify_argv(data.draw, formula))
 
 
 def test_ladder_build_nan_height_exit_2(capsys, cache):

@@ -6,9 +6,10 @@ the main series in one vectorized pass.  Both are plain Python and numpy:
 there is no compiled twin.  The correction evaluates each Chebyshev row to
 index 28 through one basis product; here it is checked against the full
 degree-64 rows evaluated by ``chebval`` and against the high-precision spot
-values.  The Z^2 integral runs batched panels under the package's one
-quadrature loop; ``numerics.integrate`` over scalar ``zeta_mod_sq`` reaches
-the same integral through the scalar core instead.  The formula jumps where
+values, and the shipped rows against their derivation, bit for bit.  The Z^2
+integral runs batched panels under the package's one quadrature loop;
+``numerics.integrate`` over scalar ``zeta_mod_sq`` reaches the same integral
+through the scalar core instead.  The formula jumps where
 its main sum gains a term, and ``rs_spans`` cuts an interval there.
 """
 
@@ -29,7 +30,7 @@ from zetaladder.errors import NonConvergence
 from zetaladder.numerics import integrate, piece_nodes
 from zetaladder.zeta import err_bound, zeta_mod_sq
 
-from _oracles import C_TABLES
+from _oracles import C_TABLES, build_tables
 
 _TS = (100.0, 120.0, 150.0, 314.159, 777.0, 1000.0, 2200.0, 2500.25, 4321.5, 9999.5)
 
@@ -193,3 +194,13 @@ def test_dropped_chebyshev_tail_is_below_noise():
     assert kept == 29 and CTAB.shape[1] == 65
     np.testing.assert_array_equal(_kernels._CT, CTAB[:, :kept].T)
     assert np.abs(CTAB[:, kept:]).sum(axis=1).max() <= 1.3e-14
+
+
+def test_shipped_correction_table_is_its_derivation_bit_for_bit():
+    # CTAB ships as float reprs; the contour-FFT fit they were written from
+    # lives in the oracles and must reproduce every bit
+    derived = build_tables()
+    assert CTAB.dtype == derived.dtype == np.float64
+    assert CTAB.shape == derived.shape == (4, 65)
+    assert CTAB.flags["C_CONTIGUOUS"]
+    assert CTAB.tobytes() == derived.tobytes()

@@ -194,7 +194,8 @@ def test_hardy_z_below_the_switch_is_the_scalar_series():
 def test_import_and_table_build_leave_scipy_special_unloaded():
     # scipy.special costs ~19 MB and ~0.25 s to import; only theta below
     # t = 10 needs it, and neither a table build nor a gap report reaches it.
-    # The process pool's module (~1 MB) loads only where a scan forks.
+    # The process pool's module (~1 MB) loads only where a scan forks, and
+    # numpy.fft not at all: the correction table ships as data.
     import zetaladder
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(zetaladder.__file__)))
@@ -205,7 +206,8 @@ def test_import_and_table_build_leave_scipy_special_unloaded():
             "zetaladder.gap_rho(zetaladder.ChainFactory(m).tower(30, 0.5, 1), 0)\n"
             "zeta_mod_sq(5.0)\n"
             "assert 'scipy.special' not in sys.modules, 'scipy.special imported'\n"
-            "assert 'concurrent.futures.process' not in sys.modules, 'pool imported'\n")
+            "assert 'concurrent.futures.process' not in sys.modules, 'pool imported'\n"
+            "assert 'numpy.fft' not in sys.modules, 'numpy.fft imported'\n")
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
