@@ -12,13 +12,15 @@ One source for every formula, in plain Python and numpy:
   one product per branch N over log n and sqrt n sliced from tables grown
   on demand (:func:`_n_table`), and shares theta and the correction terms
   with the scalar core; a height's value does not depend on the rest of
-  its batch.  A 33-node call is mostly numpy dispatch, so the batch keeps
-  its array operations few, without reordering any: each rounds as the
-  formula reads.
+  its batch, nor on whether it has one.  A 33-node call is mostly numpy
+  dispatch, so the batch keeps its array operations few, without
+  reordering any: each rounds as the formula reads.
 
 The correction rows C_0..C_3 are a degree-64 Chebyshev table that
 ``_rs_tables`` ships as data (nothing is fitted at import), evaluated to
-index 28, past which each row is below its noise floor.
+index 28, past which each row is below its noise floor.  Half its basis is
+cosines, half products (Mason & Handscomb, *Chebyshev Polynomials*, 2003),
+with the correction of 29 cosines bit for bit; the test suite checks it.
 
 The scalar and batched paths differ only in how the main sum is accumulated,
 so they agree to rounding (~1e-13 absolute on Z); the test suite pins it.
@@ -49,6 +51,8 @@ TWO_PI = 2.0 * math.pi
 #: exceeds 1.3e-15, and row 0's dropped tail sums to 1.2e-14
 _CT = np.ascontiguousarray(CTAB[:, :29].T)
 _CHEB_K = np.arange(_CT.shape[0], dtype=np.float64)
+#: the top degree taken as a cosine; the ones above come from products
+_HALF = (_CT.shape[0] - 1) // 2
 #: log n and sqrt n for n = 1, 2, ..., covering N <= 64 (t < 2 pi 65^2);
 #: :func:`_n_table` grows them
 _LOG_N = np.log(np.arange(1.0, 65.0))
@@ -76,12 +80,23 @@ def _theta_asym(t):
 def _rs_remainder(rt, big_n, nterms):
     """Signed correction sum (-1)^(N-1) sum_k C_k(p) rt^-k / sqrt(rt), p = rt - N.
 
-    On 1-D arrays (N as floats or ints): T_j(cos a) = cos(j a), so one basis
-    matrix times the coefficient block gives C_0..C_3 at every height.
+    On a 1-D array rt, with N one float or an array like rt.  The Chebyshev
+    basis is one (29, n) block: cos(k arccos u) for k <= 14, and
+    T_{14+j} = 2 T_14 T_j - T_{14-j} above, where every coefficient is below
+    4.4e-9: the last bits it moves in C_1..C_3 (190 at 10^6 heights) are lost
+    in the sum, C_0 keeps its own.  Its C-order copy times the coefficient
+    block gives C_0..C_3; BLAS sums that product alike for every n >= 2, so a
+    lone height is stacked twice.
     """
+    if rt.size == 1:  # one row would take BLAS's gemv path, which rounds otherwise
+        return _rs_remainder(np.repeat(rt, 2), big_n, nterms)[:1]
     u = 2.0 * (rt - big_n) - 1.0
-    basis = np.arccos(u)[:, None] * _CHEB_K
-    rows = np.cos(basis, out=basis) @ _CT  # (n, 4); in place: one (n, 29) block
+    basis = np.empty((_CT.shape[0], rt.size))
+    low = np.multiply(_CHEB_K[:_HALF + 1, None], np.arccos(u), out=basis[:_HALF + 1])
+    np.cos(low, out=low)
+    high = np.multiply(2.0 * basis[_HALF], basis[1:_HALF + 1], out=basis[_HALF + 1:])
+    high -= basis[_HALF - 1::-1]
+    rows = np.ascontiguousarray(basis.T) @ _CT  # (n, 4)
     irt = 1.0 / rt
     corr = rows[:, nterms - 1] + 0.0  # as 0.0 / rt + C reads: -0.0 becomes +0.0
     for k in range(nterms - 2, -1, -1):
@@ -145,6 +160,7 @@ def _z_rs_many_np(ts: np.ndarray, nterms: int) -> np.ndarray:
         return 0.0 * ts
     if (n_lo := int(big_n.min())) == (n_hi := int(big_n.max())):
         main = _main_sum(ts, th, n_lo)
+        big_n = float(n_lo)  # the remainder's sign flip: one scalar product
     else:
         main = np.empty_like(ts)
         for nb in range(n_lo, n_hi + 1):

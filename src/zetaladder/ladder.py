@@ -99,9 +99,9 @@ _LOG_TWO_PI = math.log(2.0 * math.pi)
 #: V(y) = y log y + _V_LINEAR y
 _V_LINEAR = EULER_GAMMA - _LOG_TWO_PI
 #: most knot intervals one pass serves when a call adds many knots: a
-#: 33-node piece costs the RS kernel about 58 us alone and 22 us in a
-#: 16-piece batch, and an interval's whole fit about 80 us alone and 29 us
-#: in a chunk (t = 1000, best of 9, 2-core machine)
+#: 33-node piece costs the RS kernel about 52 us alone and 17 us in a
+#: 16-piece batch, and an interval's whole fit about 77 us alone and 23 us
+#: in a chunk (t = 1000, best of 15, 2-core machine)
 _CHUNK = 16
 #: the first knot interval on the Riemann-Siegel route: j h < rs_switch below it
 _RS_SEAM = math.ceil(RunConfig.rs_switch / RunConfig.knot_spacing)
@@ -494,24 +494,27 @@ class LadderModel:
         header: dict[str, str] = {}
         ts: list[str] = []
         values = array("d")
-        with open(path) as fh:
-            first = fh.readline().strip()
-            if first != f"# {TABLE_FORMAT}":
-                raise CacheHashMismatch(f"unrecognized table format line: {first!r}")
-            for line in fh:
-                line = line.strip()
-                if line.startswith("#"):
-                    key, _, val = line[1:].strip().partition("=")
-                    header[key.strip()] = val.strip()
-                    continue
-                if line == "t,a" or not line:
-                    continue
-                t, _, a = line.partition(",")
-                val = _parse_float(path, a)
-                if val < (values[-1] if values else 0.0):
-                    raise CacheCorrupt(f"table {path}: A decreases at t={t}")
-                ts.append(t)
-                values.append(val)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                first = fh.readline().strip()
+                if first != f"# {TABLE_FORMAT}":
+                    raise CacheHashMismatch(f"unrecognized table format line: {first!r}")
+                for line in fh:
+                    line = line.strip()
+                    if line.startswith("#"):
+                        key, _, val = line[1:].strip().partition("=")
+                        header[key.strip()] = val.strip()
+                        continue
+                    if line == "t,a" or not line:
+                        continue
+                    t, _, a = line.partition(",")
+                    val = _parse_float(path, a)
+                    if val < (values[-1] if values else 0.0):
+                        raise CacheCorrupt(f"table {path}: A decreases at t={t}")
+                    ts.append(t)
+                    values.append(val)
+        except UnicodeDecodeError:
+            raise CacheCorrupt(f"table {path} is not UTF-8 text") from None
         want = config.config_hash()
         got = header.get("config_hash", "<missing>")
         if got != want:

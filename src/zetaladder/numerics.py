@@ -429,7 +429,10 @@ def _itp(
     towards the midpoint; kappa2 = 2, kappa1 = 0.2 / w0 for the starting
     width w0), then projects it to within r of the midpoint (Oliveira &
     Takahashi, ACM TOMS 47(1), 2021; n0 = 0).  The slack s is what still lets
-    the width reach tol within n_max steps, bisection's own count, so no g
+    the width reach tol + ulp within n_max steps, the least n with
+    w0 <= (tol + ulp) 2^n.  The loop stops only at a width <= tol, so where
+    w0 / 2^n_max falls in (tol, tol + ulp] it takes n_max + 1 steps, the last
+    with r = 0: a bisection step, which bisection takes there too.  So no g
     costs more steps than bisection (which can stop sooner only when a
     midpoint hits an exact zero), and a smooth g converges
     superlinearly.  r is 3/4 of s: with n0 = 0, a step that spent all of s
@@ -506,9 +509,10 @@ def invert_increasing(
 
     :func:`_itp` from the bracket to a width <= tol, returning the final
     midpoint: a handful of steps on a smooth g, and never more than
-    bisection's ceil(log2(width / tol)) whatever g's shape.  The endpoint
-    values must enclose the target or :class:`BracketInvalid` is raised; a
-    non-finite value of g raises :class:`NonConvergence`.
+    bisection takes whatever g's shape, ceil(log2(width / tol)) or, where
+    the rounding of its midpoints leaves a width just above tol, one more.
+    The endpoint values must enclose the target or :class:`BracketInvalid`
+    is raised; a non-finite value of g raises :class:`NonConvergence`.
     """
     lo, hi = bracket.lo, bracket.hi
     glo = g(lo) - target

@@ -42,6 +42,9 @@ TWO_PI = 2.0 * math.pi
 _THETA_EXACT_BELOW = 10.0
 #: error budget of the eta route (rounding-dominated; observed < 2e-14)
 _ETA_ERR = 1e-12
+#: |2^{1-s}| and log 2 as Python's complex power takes them on the line
+_SQRT_2 = 2.0 ** 0.5
+_LOG_2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,9 @@ def _eta_zeta(ts: np.ndarray) -> np.ndarray:
     Heights that share a series length n share one set of Borwein weights
     (:func:`_borwein`) and one (heights x n) product; a knot interval's nodes
     span at most two n.  Every node keeps the scalar recipe's arithmetic: the
-    denominator 1 - 2^{1-s} is a Python complex power (numpy's differs by an
-    ulp).
+    denominator 1 - 2^{1-s} takes Python's complex power apart, 2^{1-s} =
+    sqrt(2) (cos phi, sin phi) with phi = (0.0 - t) log 2, whose cos and sin
+    numpy takes as libm does (numpy's complex power differs by an ulp).
     """
     ts = np.asarray(ts, dtype=np.float64)
     out = np.empty(ts.shape, dtype=np.complex128)
@@ -101,13 +105,18 @@ def _eta_zeta(ts: np.ndarray) -> np.ndarray:
     for n in sorted(set(ns.tolist())):  # np.unique's first call costs ~1 MB
         sel = ns == n
         coeff, d_n, log_k1 = _borwein(n)
-        s = [complex(0.5, t) for t in ts[sel].tolist()]
+        t = ts[sel]
+        neg_s = np.empty(t.shape, dtype=np.complex128)
+        neg_s.real, neg_s.imag = -0.5, -t
         # in place, with the bits of exp(-s log(k + 1)) * coeff
-        powers = np.multiply(-np.array(s)[:, None], log_k1)
+        powers = np.multiply(neg_s[:, None], log_k1)
         np.exp(powers, out=powers)
         powers *= coeff
         eta = -powers.sum(axis=1) / d_n
-        out[sel] = eta / np.array([1.0 - 2.0 ** (1.0 - x) for x in s])
+        phi = (0.0 - t) * _LOG_2
+        den = np.empty(t.shape, dtype=np.complex128)
+        den.real, den.imag = 1.0 - _SQRT_2 * np.cos(phi), 0.0 - _SQRT_2 * np.sin(phi)
+        out[sel] = eta / den
     return out
 
 

@@ -8,11 +8,13 @@ regenerated from package code.
 
 The last section holds reference code: the plain bisection loop the package's
 root loop is measured against, the one-point eta series the package's batched
-one must equal bit for bit, the ladder's read path as it read interpolant rows
-(which its landed form must equal bit for bit), the derivation of the
-Riemann-Siegel correction table the package ships as data (which that table
-must equal bit for bit), and small helpers that only the tests use (a
-mixed-route Z batch, segment membership, a swapped delta pair).
+one must equal bit for bit (its denominator 1 - 2^{1-s} a Python complex
+power), the Riemann-Siegel correction from a basis of cosines alone (which
+the package's split basis must equal bit for bit), the ladder's read path as
+it read interpolant rows (which its landed form must equal bit for bit), the
+derivation of the Riemann-Siegel correction table the package ships as data
+(which that table must equal bit for bit), and small helpers that only the
+tests use (a mixed-route Z batch, segment membership, a swapped delta pair).
 
 Generator: mpmath 1.3.0 --
   zeros       mp.zetazero(n).imag
@@ -203,6 +205,22 @@ def eta_zeta(t: float) -> complex:
     coeff = (d[:n] - d[n]) * np.where(k % 2 == 0, 1.0, -1.0)
     eta = -(coeff * np.exp(-s * np.log(k + 1.0))).sum() / d[n]
     return complex(eta / (1.0 - 2.0 ** (1.0 - s)))
+
+
+def rs_remainder(rt: np.ndarray, big_n: np.ndarray, nterms: int) -> np.ndarray:
+    """The signed Riemann-Siegel correction from all 29 basis rows as cosines,
+    T_k(u) = cos(k arccos u): the form the package's split basis keeps, bit
+    for bit, on every batch of two or more heights."""
+    from zetaladder._kernels import _CT
+
+    u = 2.0 * (rt - big_n) - 1.0
+    basis = np.arccos(u)[:, None] * np.arange(_CT.shape[0], dtype=np.float64)
+    rows = np.cos(basis) @ _CT
+    irt = 1.0 / rt
+    corr = rows[:, nterms - 1] + 0.0
+    for k in range(nterms - 2, -1, -1):
+        corr = corr * irt + rows[:, k]
+    return (2.0 * (big_n % 2.0) - 1.0) * corr / np.sqrt(rt)
 
 
 #: Chebyshev degree of each fitted correction function

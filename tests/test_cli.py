@@ -276,6 +276,17 @@ def test_ladder_build_corrupt_cache_exit_2(capsys, cache, tmp_path):
     assert "usage error" in err and "Traceback" not in err
 
 
+def test_ladder_build_non_utf8_cache_exit_2(capsys, cache, tmp_path):
+    # the format line reads right, the next does not decode
+    f = tmp_path / "table.csv"
+    f.write_bytes(b"# zl-table-v5\n\xff\xfe\n")
+    code, out, err = _run(capsys, "ladder-build", "--tmax", "5",
+                          "--cache-file", str(f), *cache)
+    assert code == 2
+    assert out == ""
+    assert str(f) in err and "UTF-8" in err and "Traceback" not in err
+
+
 def test_ladder_build_monotone_edit_exit_2(capsys, cache, tmp_path):
     # raising the last knot keeps A increasing; the values checksum catches it
     f = tmp_path / "table.csv"

@@ -4,13 +4,16 @@ Every one-point Z goes through the scalar core; arrays go through the numpy
 batch, which shares theta and the Riemann-Siegel correction with it but sums
 the main series in one vectorized pass.  Both are plain Python and numpy:
 there is no compiled twin.  The correction evaluates each Chebyshev row to
-index 28 through one basis product; here it is checked against the full
-degree-64 rows evaluated by ``chebval`` and against the high-precision spot
-values, and the shipped rows against their derivation, bit for bit.  The Z^2
-integral runs batched panels under the package's one quadrature loop;
-``numerics.integrate`` over scalar ``zeta_mod_sq`` reaches the same integral
-through the scalar core instead.  The formula jumps where
-its main sum gains a term, and ``rs_spans`` cuts an interval there.
+index 28 through one basis product, its rows past degree 14 taken from a
+product identity; here it is checked bit for bit against a basis of cosines
+alone, against the full degree-64 rows evaluated by ``chebval`` and against
+the high-precision spot values, and the shipped rows against their
+derivation, bit for bit.  A height's Z does not depend on its batch, a batch
+of one included.  The Z^2 integral runs batched panels under the package's
+one quadrature loop; ``numerics.integrate`` over scalar ``zeta_mod_sq``
+reaches the same integral through the scalar core instead.  The formula
+jumps where its main sum gains a term, and ``rs_spans`` cuts an interval
+there.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from zetaladder.errors import NonConvergence
 from zetaladder.numerics import integrate, piece_nodes
 from zetaladder.zeta import err_bound, zeta_mod_sq
 
-from _oracles import C_TABLES, build_tables
+from _oracles import C_TABLES, build_tables, rs_remainder
 
 _TS = (100.0, 120.0, 150.0, 314.159, 777.0, 1000.0, 2200.0, 2500.25, 4321.5, 9999.5)
 
@@ -64,6 +67,12 @@ def test_a_heights_z_does_not_depend_on_its_batch(spans, seed):
     mixed[order] = _kernels.z_rs_many(nodes.ravel()[order], 4)
     alone = np.concatenate([_kernels.z_rs_many(row, 4) for row in nodes])
     assert mixed.tobytes() == alone.tobytes()
+    # and so must each height on its own, and in pairs
+    flat = nodes.ravel()
+    single = np.concatenate([_kernels.z_rs_many(flat[i:i + 1], 4) for i in range(flat.size)])
+    pairs = np.concatenate([_kernels.z_rs_many(flat[i:i + 2], 4)
+                            for i in range(0, flat.size, 2)])
+    assert single.tobytes() == pairs.tobytes() == alone.tobytes()
 
 
 def test_z_past_the_initial_log_table_does_not_depend_on_its_growth(monkeypatch):
@@ -187,6 +196,39 @@ def test_remainder_rows_match_spot_values():
         prev = cur
         ref = np.array([C_TABLES[p][j] for p in ps])
         np.testing.assert_allclose(rows, ref, rtol=0.0, atol=2e-13)
+
+
+def _check_remainder_is_the_cosine_basis(count: int, seed: int) -> None:
+    # sorted heights in [100, 2e5], batched as the kernel batches them: N as
+    # one float where a batch has one, an array where it spans several
+    rng = np.random.default_rng(seed)
+    rt = np.sqrt(np.sort(rng.uniform(100.0, 2e5, count)) / _kernels.TWO_PI)
+    big_n = np.floor(rt)
+    for size in (528, 33):
+        got, ref = [], []
+        for i in range(0, rt.size, size):
+            r, n = rt[i:i + size], big_n[i:i + size]
+            if r.size == 1:  # the reference's one-row product takes BLAS's gemv path
+                continue
+            got.append(_kernels._rs_remainder(r, float(n[0]) if n[0] == n[-1] else n, 4))
+            ref.append(rs_remainder(r, n, 4))
+        assert np.concatenate(got).tobytes() == np.concatenate(ref).tobytes()
+    # one unsorted batch over many N
+    pick = rng.permutation(rt.size)[:528]
+    assert np.unique(big_n[pick]).size > 100
+    assert (_kernels._rs_remainder(rt[pick], big_n[pick], 4).tobytes()
+            == rs_remainder(rt[pick], big_n[pick], 4).tobytes())
+
+
+def test_remainder_is_the_cosine_basis_bit_for_bit():
+    # basis rows past degree 14 come from the product identity; its rounding
+    # meets coefficients below 4.4e-9 and is lost in the remainder's sum
+    _check_remainder_is_the_cosine_basis(100_000, 20261020)
+
+
+@pytest.mark.fuzz
+def test_remainder_is_the_cosine_basis_bit_for_bit_long():
+    _check_remainder_is_the_cosine_basis(1_000_000, 20261021)
 
 
 def test_dropped_chebyshev_tail_is_below_noise():
