@@ -10,17 +10,21 @@ Subcommands
 
 ``verify FORMULA``
     Solve the chains a formula needs, evaluate both sides, and emit a JSON
-    report to stdout.  Exit 0 when the relative residual is within
-    ``--tol`` (default 1e-6), 1 on a tolerance breach, 2 on usage errors,
-    3 on numerical failures.  Delta flags take exact fractions ("1/3").
+    report to stdout; it passes when the relative residual is within
+    ``--tol`` (default 1e-6).  Delta flags take exact fractions ("1/3").
 
 ``scan invariance | gaps | asymptotic``
     Seeded random sampling of the parameter-free combination, tower-gap
     diagnostics against (1-gamma) pi(pi L), or the raw-moment drift across a
     height grid.  Fixed seeds give byte-identical output.
 
+Every command runs on the model that ``_model`` builds from its config
+flags.  Parent parsers declare those flags, ``--output`` and the delta pair
+once each; ``verify`` and the two gated scans report through ``_verdict``.
+
 Exit codes: 0 pass, 1 tolerance failure, 2 usage/config error, 3 numerical
-failure.
+failure.  A scan whose every sample fails exits 2 if the first sample's
+error is a usage error, 3 otherwise.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from typing import Any
 
@@ -52,9 +57,6 @@ from .ladder import LadderModel
 from .tower import ChainFactory
 
 __all__ = ["main"]
-
-_SCAN_TOL_DEFAULT = 1e-5
-_VERIFY_TOL_DEFAULT = 1e-6
 
 
 def _fraction(text: str) -> Fraction:
@@ -86,30 +88,11 @@ def _int_list(text: str) -> list[int]:
     return vals
 
 
-#: RunConfig fields settable from the command line: name -> (type, help)
-_CONFIG_FLAGS: dict[str, tuple[Any, str]] = {
-    "quad_tol": (float, "absolute tolerance per unit length for the mass quadrature"),
-    "root_tol": (float, "abscissa tolerance for root and crossing solves"),
-    "rs_terms": (int, "number of correction terms in the high-range Z evaluation (1-4)"),
-    "cache_dir": (str, "directory for the knot-table cache (default ./.zl-cache)"),
-    "l_floor": (int, "smallest admissible window index L"),
-    "k_max": (int, "deepest admissible tower"),
-}
-#: what a chain-solving command reads; only ladder-build touches a table file
-_SOLVE_FLAGS = ("quad_tol", "root_tol", "rs_terms", "l_floor", "k_max")
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return DEFAULT_CONFIG.with_overrides(**{
-        name: getattr(args, name) for name in _CONFIG_FLAGS
-        if getattr(args, name, None) is not None})
-
-
-def _add_config_flags(p: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
-    for name in names:
-        kind, text = _CONFIG_FLAGS[name]
-        p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
-                       default=None, help=text)
+def _model(args: argparse.Namespace) -> LadderModel:
+    """The model a command runs on, under the RunConfig fields its flags set."""
+    return LadderModel(DEFAULT_CONFIG.with_overrides(**{
+        f.name: getattr(args, f.name) for f in fields(RunConfig)
+        if getattr(args, f.name, None) is not None}))
 
 
 def _emit(payload: dict[str, Any], path: str | None) -> None:
@@ -119,6 +102,14 @@ def _emit(payload: dict[str, Any], path: str | None) -> None:
         with open(path, "w") as fh:
             fh.write(text + "\n")
     print(text)
+
+
+def _verdict(args: argparse.Namespace, ok: bool, key: str, value: Any,
+             label: str, detail: str = "") -> int:
+    """Emit the {pass, tolerance, key} envelope and the PASS/FAIL line; exit 0 or 1."""
+    _emit({"pass": ok, "tolerance": args.tol, key: value}, args.output)
+    print(f"{label}: {'PASS' if ok else 'FAIL'}{detail}", file=sys.stderr)
+    return 0 if ok else 1
 
 
 # -- verify -----------------------------------------------------------------
@@ -157,7 +148,7 @@ _FORMULAS = {
 }
 
 
-def _run_formula(args: argparse.Namespace, factory: ChainFactory) -> HybridReport:
+def _cmd_verify(args: argparse.Namespace, model: LadderModel) -> int:
     name = args.formula.lower().replace("_", "-")
     spec = next((v for names, v in _FORMULAS.items() if name in names), None)
     if spec is None:
@@ -169,77 +160,45 @@ def _run_formula(args: argparse.Namespace, factory: ChainFactory) -> HybridRepor
         listed = ", ".join("--" + f for f in missing)
         raise UsageError(f"formula {args.formula!r} requires {listed}")
     head = [DeltaPair(args.delta3, args.delta4)] if paired else []
-    return fn(factory, *head, args.L, args.U, *(getattr(args, f) for f in depth_flags))
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    factory = ChainFactory(LadderModel(config))
-    report = _run_formula(args, factory)
-    ok = _report_passes(report, args.tol)
-    _emit({"pass": ok, "tolerance": args.tol, "report": report.to_dict()},
-          args.output)
-    print(f"{report.formula_id}: {'PASS' if ok else 'FAIL'} "
-          f"(rel_residual={report.rel_residual:.3e}, tol={args.tol:g})",
-          file=sys.stderr)
-    return 0 if ok else 1
+    report = fn(ChainFactory(model), *head, args.L, args.U,
+                *(getattr(args, f) for f in depth_flags))
+    return _verdict(args, _report_passes(report, args.tol), "report", report.to_dict(),
+                    report.formula_id,
+                    f" (rel_residual={report.rel_residual:.3e}, tol={args.tol:g})")
 
 
 # -- ladder-build -------------------------------------------------------------
 
 
-def _cmd_ladder_build(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    model = LadderModel(config)
+def _cmd_ladder_build(args: argparse.Namespace, model: LadderModel) -> int:
     path = args.cache_file or model.default_cache_path()
     if os.path.exists(path):
-        model = LadderModel.load_table(path, config)
+        model = LadderModel.load_table(path, model.config)
     model.extend_to(args.tmax)
     saved = model.save_table(path)
-    _emit(
-        {
-            "cache_file": saved,
-            "config_hash": model.table.config_hash,
-            "knots": len(model.table.values),
-            "spacing": model.table.spacing,
-            "t_covered": model.table.t_covered,
-        },
-        args.output,
-    )
+    table = model.table
+    _emit({"cache_file": saved, "config_hash": table.config_hash, "knots": len(table.values),
+           "spacing": table.spacing, "t_covered": table.t_covered}, args.output)
     return 0
 
 
 # -- scans ---------------------------------------------------------------------
 
 
-def _cmd_scan_invariance(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    pair = DeltaPair(args.delta3, args.delta4)
+def _cmd_scan_invariance(args: argparse.Namespace, model: LadderModel) -> int:
     scan = invariance_scan(
-        pair,
-        n_samples=args.samples,
-        seed=args.seed,
-        config=config,
-        u_range=(args.u_min, args.u_max),
-        l_range=(args.l_min, args.l_max),
-        k_range=(args.k_min, args.k_max_scan),
-        workers=args.workers,
-    )
-    ok = scan.max_rel_dev <= args.scan_tol and not scan.failures
-    _emit({"pass": ok, "tolerance": args.scan_tol, "scan": scan.to_dict()},
-          args.output)
-    print(
-        f"invariance: {'PASS' if ok else 'FAIL'} "
-        f"(max_rel_dev={scan.max_rel_dev:.3e}, tol={args.scan_tol:g}, "
-        f"{len(scan.samples)} ok / {len(scan.failures)} failed)",
-        file=sys.stderr,
-    )
-    return 0 if ok else 1
+        DeltaPair(args.delta3, args.delta4), n_samples=args.samples, seed=args.seed,
+        u_range=(args.u_min, args.u_max), l_range=(args.l_min, args.l_max),
+        k_range=(args.k_min, args.k_max_scan), workers=args.workers,
+        factory=ChainFactory(model))
+    return _verdict(args, scan.max_rel_dev <= args.tol and not scan.failures, "scan",
+                    scan.to_dict(), "invariance",
+                    f" (max_rel_dev={scan.max_rel_dev:.3e}, tol={args.tol:g}, "
+                    f"{len(scan.samples)} ok / {len(scan.failures)} failed)")
 
 
-def _cmd_scan_gaps(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    factory = ChainFactory(LadderModel(config))
+def _cmd_scan_gaps(args: argparse.Namespace, model: LadderModel) -> int:
+    factory = ChainFactory(model)
     reports = []
     for l in args.L:
         tower = factory.tower(l, args.U, max(args.r) + 1)
@@ -261,9 +220,8 @@ def _cmd_scan_gaps(args: argparse.Namespace) -> int:
     return 1 if hard_breach else 0
 
 
-def _cmd_scan_asymptotic(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    factory = ChainFactory(LadderModel(config))
+def _cmd_scan_asymptotic(args: argparse.Namespace, model: LadderModel) -> int:
+    factory = ChainFactory(model)
     pair = DeltaPair(args.delta3, args.delta4)
     rows = []
     ok = True
@@ -278,12 +236,19 @@ def _cmd_scan_asymptotic(args: argparse.Namespace) -> int:
             "predicted_deviation": rep.extras["predicted_deviation"],
             "anchor_residual": rep.extras["anchor_residual"],
         })
-    _emit({"pass": ok, "tolerance": args.tol, "rows": rows}, args.output)
-    print(f"asymptotic: {'PASS' if ok else 'FAIL'}", file=sys.stderr)
-    return 0 if ok else 1
+    return _verdict(args, ok, "rows", rows, "asymptotic")
 
 
 # -- parser ---------------------------------------------------------------------
+
+
+def _pair(required: bool) -> argparse.ArgumentParser:
+    """A parent parser declaring the delta pair."""
+    pair = argparse.ArgumentParser(add_help=False)
+    for flag, example in (("--delta3", "1/3"), ("--delta4", "1/5")):
+        pair.add_argument(flag, type=_fraction, required=required,
+                          help=f"power exponent, exact fraction like {example}")
+    return pair
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -295,72 +260,76 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pb = sub.add_parser("ladder-build", help="build/extend the knot-table cache")
+    # parent parsers: the RunConfig flags (each command reads what it uses;
+    # only ladder-build touches a table file), the JSON output and the gate
+    quad = argparse.ArgumentParser(add_help=False)
+    quad.add_argument("--quad-tol", type=float,
+                      help="absolute tolerance per unit length for the mass quadrature")
+    solve = argparse.ArgumentParser(add_help=False, parents=[quad])
+    solve.add_argument("--root-tol", type=float,
+                       help="abscissa tolerance for root and crossing solves")
+    solve.add_argument("--l-floor", type=int, help="smallest admissible window index L")
+    solve.add_argument("--k-max", type=int, help="deepest admissible tower")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="also write the JSON output here")
+    gate = argparse.ArgumentParser(add_help=False, parents=[output])
+    gate.add_argument("--tol", type=_positive, default=1e-6,
+                      help="largest residual that passes")
+    pair = _pair(required=True)
+
+    pb = sub.add_parser("ladder-build", parents=[quad, output],
+                        help="build/extend the knot-table cache")
     pb.add_argument("--tmax", type=_positive, required=True,
                     help="height to cover with knots")
-    pb.add_argument("--cache-file", default=None,
+    pb.add_argument("--cache-file",
                     help="explicit cache path (default: hash-named file in cache dir)")
-    pb.add_argument("--output", default=None, help="also write the JSON summary here")
-    _add_config_flags(pb, ("quad_tol", "rs_terms", "cache_dir"))
+    pb.add_argument("--cache-dir",
+                    help="directory for the knot-table cache (default ./.zl-cache)")
     pb.set_defaults(fn=_cmd_ladder_build)
 
-    pv = sub.add_parser("verify", help="evaluate one identity and report")
+    pv = sub.add_parser("verify", parents=[solve, _pair(required=False), gate],
+                        help="evaluate one identity and report")
     pv.add_argument("formula", help=" | ".join(names[0] for names in _FORMULAS))
     pv.add_argument("--L", type=int, required=True, help="base window index")
     pv.add_argument("--U", type=float, required=True, help="base window width")
     for k in ("k1", "k2", "k3", "k4", "k"):
-        pv.add_argument(f"--{k}", type=int, default=None)
-    pv.add_argument("--delta3", type=_fraction, default=None,
-                    help="first power exponent, exact fraction like 1/3")
-    pv.add_argument("--delta4", type=_fraction, default=None,
-                    help="second power exponent, exact fraction like 1/5")
-    pv.add_argument("--tol", type=_positive, default=_VERIFY_TOL_DEFAULT)
-    pv.add_argument("--output", default=None, help="also write the JSON report here")
-    _add_config_flags(pv, _SOLVE_FLAGS)
+        pv.add_argument(f"--{k}", type=int)
     pv.set_defaults(fn=_cmd_verify)
 
     ps = sub.add_parser("scan", help="seeded sampling and diagnostics")
     scan_sub = ps.add_subparsers(dest="scan_kind", required=True)
 
-    pi = scan_sub.add_parser("invariance", help="random (U, L, k) sampling of "
-                                               "the parameter-free combination")
-    pi.add_argument("--delta3", type=_fraction, required=True)
-    pi.add_argument("--delta4", type=_fraction, required=True)
+    pi = scan_sub.add_parser("invariance", parents=[solve, pair, output],
+                             help="random (U, L, k) sampling of "
+                                  "the parameter-free combination")
     pi.add_argument("--samples", type=int, default=20)
     pi.add_argument("--seed", type=int, default=20260819)
     pi.add_argument("--workers", type=int, default=1)
-    pi.add_argument("--u-min", dest="u_min", type=float, default=0.3)
-    pi.add_argument("--u-max", dest="u_max", type=float, default=1.45)
-    pi.add_argument("--l-min", dest="l_min", type=int, default=100)
-    pi.add_argument("--l-max", dest="l_max", type=int, default=260)
-    pi.add_argument("--k-min", dest="k_min", type=int, default=1)
-    pi.add_argument("--k-max-scan", dest="k_max_scan", type=int, default=3)
-    pi.add_argument("--scan-tol", dest="scan_tol", type=_positive,
-                    default=_SCAN_TOL_DEFAULT)
-    pi.add_argument("--output", default=None)
-    _add_config_flags(pi, _SOLVE_FLAGS)
+    pi.add_argument("--u-min", type=float, default=0.3)
+    pi.add_argument("--u-max", type=float, default=1.45)
+    pi.add_argument("--l-min", type=int, default=100)
+    pi.add_argument("--l-max", type=int, default=260)
+    pi.add_argument("--k-min", type=int, default=1)
+    pi.add_argument("--k-max-scan", type=int, default=3)
+    pi.add_argument("--scan-tol", dest="tol", type=_positive, default=1e-5)
     pi.set_defaults(fn=_cmd_scan_invariance)
 
-    pg = scan_sub.add_parser("gaps", help="segment spacing vs (1-gamma) pi(pi L)")
+    pg = scan_sub.add_parser("gaps", parents=[solve],
+                             help="segment spacing vs (1-gamma) pi(pi L)")
     pg.add_argument("--L", type=_int_list, default=[300, 500, 1000],
                     help="comma list of window indices")
     pg.add_argument("--U", type=float, default=1.0)
     pg.add_argument("--r", type=_int_list, default=[0],
                     help="comma list of gap indices")
-    pg.add_argument("--csv", default=None, help="also write the CSV here")
-    _add_config_flags(pg, _SOLVE_FLAGS)
+    pg.add_argument("--csv", help="also write the CSV here")
     pg.set_defaults(fn=_cmd_scan_gaps)
 
-    pa = scan_sub.add_parser("asymptotic", help="raw-moment drift across heights")
-    pa.add_argument("--delta3", type=_fraction, required=True)
-    pa.add_argument("--delta4", type=_fraction, required=True)
+    pa = scan_sub.add_parser("asymptotic", parents=[solve, pair, gate],
+                             help="raw-moment drift across heights")
     pa.add_argument("--L", type=_int_list, default=[150, 300, 500])
     pa.add_argument("--U", type=float, default=1.0)
     pa.add_argument("--k1", type=int, default=1)
     pa.add_argument("--k2", type=int, default=2)
-    pa.add_argument("--tol", type=_positive, default=_VERIFY_TOL_DEFAULT)
-    pa.add_argument("--output", default=None)
-    _add_config_flags(pa, _SOLVE_FLAGS)
     pa.set_defaults(fn=_cmd_scan_asymptotic)
 
     return parser
@@ -374,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; keep its code
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        return args.fn(args, _model(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

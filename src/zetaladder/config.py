@@ -24,16 +24,15 @@ class RunConfig:
 
     The defaults are tuned so that chain residuals land near 1e-9, two orders
     below the 1e-6 acceptance tolerances.  The fields are what a caller may
-    set; ``rs_switch``, ``knot_spacing``, ``t_min`` and ``t_start`` are fixed
-    properties of the model, class constants that every instance reads.
+    set; ``rs_terms``, ``rs_switch``, ``knot_spacing``, ``t_min`` and
+    ``t_start`` are fixed properties of the model, class constants that every
+    instance reads.
     """
 
     # quadrature: absolute tolerance per unit length of integration range
     quad_tol: float = 1e-10
     # root solves: final bracket width (absolute, in t units)
     root_tol: float = 1e-11
-    # Riemann-Siegel correction depth: number of correction terms (1..4)
-    rs_terms: int = 4
     # hard ceiling for table extension (resource guard)
     t_table_max: float = 2.0e5
     # tower defaults
@@ -42,6 +41,8 @@ class RunConfig:
     # cache file override (None -> env var ZETALADDER_CACHE_DIR -> ./.zl-cache)
     cache_dir: str | None = None
 
+    # Riemann-Siegel correction depth: every row of the correction table
+    rs_terms: ClassVar[int] = 4
     # below this height Z is evaluated through the alternating-series route
     rs_switch: ClassVar[float] = 100.0
     # cumulative-table knot spacing in t: a power of two, so t / h and j * h
@@ -53,9 +54,6 @@ class RunConfig:
     t_start: ClassVar[float] = 200.0
 
     def __post_init__(self):
-        # one row of the correction table (and of its error bound) per term
-        if not 1 <= self.rs_terms <= 4:
-            raise UsageError(f"rs_terms={self.rs_terms} must be in 1..4")
         for name in ("quad_tol", "root_tol", "t_table_max"):
             val = getattr(self, name)
             if not (math.isfinite(val) and val > 0.0):

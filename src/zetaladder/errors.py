@@ -46,10 +46,6 @@ class CacheCorrupt(UsageError):
 class NonConvergence(NumericalError):
     """Adaptive quadrature or a Newton solve could not reach its tolerance."""
 
-    def __init__(self, msg: str, achieved: float | None = None):
-        super().__init__(msg)
-        self.achieved = achieved
-
 
 class BracketInvalid(NumericalError):
     """Root bracket does not enclose the target value."""

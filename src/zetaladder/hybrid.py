@@ -73,7 +73,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (ConditionTooHigh, DeltaDegenerate, DomainTooSmall, NonConvergence,
-                     RangeTooLarge, ZetaLadderError)
+                     RangeTooLarge, UsageError, ZetaLadderError)
 from .ladder import LadderModel, mean_square_climb
 from .tower import (
     ChainFactory,
@@ -620,7 +620,8 @@ def _scan_init(model: LadderModel, pair: DeltaPair) -> None:
     _WORKER_STATE.update(factory=ChainFactory(model), pair=pair)
 
 
-_Outcome = tuple[float | None, str | None]
+#: a sample's lhs, or the class and "Name: message" text of its error
+_Outcome = tuple[float | None, type[ZetaLadderError] | None, str | None]
 #: a scan sample (U, L, k1, k2)
 _Sample = tuple[float, int, int, int]
 
@@ -629,9 +630,9 @@ def _scan_sample(factory: ChainFactory, pair: DeltaPair, sample: _Sample) -> _Ou
     """The sample's secondary_v1 lhs, or the error that stopped it."""
     u, l, k1, k2 = sample
     try:
-        return secondary_v1(factory, pair, l, u, k1, k2).lhs, None
+        return secondary_v1(factory, pair, l, u, k1, k2).lhs, None, None
     except ZetaLadderError as exc:  # aggregate, do not abort the scan
-        return None, f"{type(exc).__name__}: {exc}"
+        return None, type(exc), f"{type(exc).__name__}: {exc}"
 
 
 def _scan_eval(item: tuple[_Sample, bytes]) -> _Outcome:
@@ -671,7 +672,9 @@ def invariance_scan(
     table to its worker, which fits any knot above it itself.  A knot does
     not depend on where it is fitted, so results, and the knots both tables
     hold, are bit-identical to the serial scan's.  Per-sample failures are
-    collected, not raised, unless every sample fails.
+    collected, not raised, unless every sample fails: then the first
+    sample's error class is raised if it is a usage error (a window the
+    ranges allow but no chain can use), and ``NonConvergence`` otherwise.
     """
     if not (isinstance(n_samples, numbers.Integral) and n_samples >= 2):
         raise DomainTooSmall(f"n_samples={n_samples!r} must be an integer >= 2")
@@ -720,14 +723,16 @@ def invariance_scan(
     const = theorem1_constant(pair)
     good: list[tuple[dict[str, Any], float]] = []
     bad: list[tuple[dict[str, Any], str]] = []
-    for (u, l, k1, k2), (lhs, err) in zip(samples, outcomes):
+    for (u, l, k1, k2), (lhs, _, err) in zip(samples, outcomes):
         params = _params(l, u, k1=k1, k2=k2, pair=pair)
         if lhs is None:
             bad.append((params, err or "unknown"))
         else:
             good.append((params, lhs))
     if not good:
-        raise NonConvergence(f"all {n_samples} scan samples failed: {bad[0][1]}")
+        kind = outcomes[0][1]
+        raise (kind if issubclass(kind, UsageError) else NonConvergence)(
+            f"all {n_samples} scan samples failed: {bad[0][1]}")
     values = np.array([v for _, v in good])
     return InvarianceScan(
         seed=seed,

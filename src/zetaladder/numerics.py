@@ -180,19 +180,18 @@ def _pieces(
         # .dot: the product @ takes, with less dispatch
         err = abs(float(WEIGHTS_HI.dot(v)) - float(WEIGHTS_LO.dot(v[::2]))) * half
         if not math.isfinite(err):
-            raise NonConvergence(f"non-finite error {err} at [{lo}, {hi}]", achieved=err)
+            raise NonConvergence(f"non-finite error {err} at [{lo}, {hi}]")
         if err <= tshare or (hi - lo) <= 1e-14 * max(1.0, abs(lo)):
             if err > tshare:
                 forced += 1
                 if forced > _MAX_FORCED:
                     raise NonConvergence(f"{forced} pieces at the resolution limit on "
-                                         f"[{a}, {b}] (err {err:.3e})", achieved=err)
+                                         f"[{a}, {b}] (err {err:.3e})")
             err_total += err
             panels += 1
             if panels > _MAX_PANELS:
                 raise NonConvergence(
-                    f"panel budget exceeded on [{a}, {b}]", achieved=err_total
-                )
+                    f"panel budget exceeded on [{a}, {b}] (err {err_total:.3e})")
             row = np.empty(_ROW)
             row[0], row[1] = lo, hi
             coef = np.matmul(CHEB_FIT, v, out=row[2:])
@@ -201,14 +200,10 @@ def _pieces(
             continue
         if err <= _ROUNDING_FLOOR * half * float(WEIGHTS_HI @ np.abs(v)):
             raise NonConvergence(
-                f"rounding floor at [{lo}, {hi}] (err {err:.3e} > {tshare:.3e})",
-                achieved=err,
-            )
+                f"rounding floor at [{lo}, {hi}] (err {err:.3e} > {tshare:.3e})")
         if depth >= _MAX_SPLIT_DEPTH:
             raise NonConvergence(
-                f"splitting depth exceeded at [{lo}, {hi}] (err {err:.3e} > {tshare:.3e})",
-                achieved=err,
-            )
+                f"splitting depth exceeded at [{lo}, {hi}] (err {err:.3e} > {tshare:.3e})")
         mid = 0.5 * (lo + hi)
         stack.append((mid, hi, 0.5 * tshare, depth + 1, None))
         stack.append((lo, mid, 0.5 * tshare, depth + 1, None))

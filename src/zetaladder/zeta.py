@@ -2,10 +2,10 @@
 
 Two evaluation routes, switched at the constant ``RunConfig.rs_switch`` (t = 100):
 
-* **rs** -- Riemann-Siegel main sum plus ``config.rs_terms`` correction terms
-  (Chebyshev-tabulated coefficient functions; see `_rs_tables`).  Absolute
-  error is bounded by :func:`_kernels.err_bound_rs`; with the default four
-  terms the bound stays below 1e-6 for every t >= 100.
+* **rs** -- Riemann-Siegel main sum plus four correction terms
+  (``RunConfig.rs_terms``; Chebyshev-tabulated coefficient functions, see
+  `_rs_tables`).  Absolute error is bounded by :func:`_kernels.err_bound_rs`,
+  which stays below 1e-6 for every t >= 100.
 * **eta** -- the alternating series for the Dirichlet eta function with
   Borwein's acceleration weights, converted through
   zeta(s) = eta(s) / (1 - 2^{1-s}).  Cost grows linearly with t, accuracy sits

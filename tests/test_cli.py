@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaladder.cli import _FORMULAS, _report_passes, main
+from zetaladder.cli import _FORMULAS, _build_parser, _report_passes, main
 from zetaladder.hybrid import HybridReport
 from zetaladder.ladder import _values_digest
 
@@ -318,13 +320,19 @@ def test_ladder_build_respaced_cache_exit_2(capsys, cache, tmp_path):
     assert "spacing" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("terms", ["0", "5"])
-def test_rs_terms_outside_correction_table_exit_2(capsys, cache, terms):
-    code, out, err = _run(capsys, "ladder-build", "--tmax", "101",
-                          "--rs-terms", terms, *cache)
+@pytest.mark.parametrize("argv", [
+    ("ladder-build", "--tmax", "101"),
+    ("verify", "echf1", "--L", "150", "--U", "1.0", "--k1", "1", "--k2", "2"),
+    ("scan", "invariance", "--delta3", "1/3", "--delta4", "1/5"),
+    ("scan", "gaps"),
+    ("scan", "asymptotic", "--delta3", "1/3", "--delta4", "1/5"),
+], ids=["ladder-build", "verify", "scan-invariance", "scan-gaps", "scan-asymptotic"])
+def test_rs_terms_is_not_a_flag(capsys, cache, argv):
+    # every correction term is always used: the depth is a model constant
+    table = cache if argv[0] == "ladder-build" else []
+    code, out, err = _run(capsys, *argv, *table, "--rs-terms", "3")
     assert code == 2
-    assert out == ""
-    assert "rs_terms" in err and "Traceback" not in err
+    assert out == "" and "unrecognized arguments: --rs-terms" in err
 
 
 @pytest.mark.parametrize("flag", ["--quad-tol", "--root-tol"])
@@ -366,8 +374,15 @@ def test_invalid_gate_tolerance_exit_2(capsys, argv, value):
     # a root_tol past a knot interval: both ends of seg_1 step to one midpoint
     (("verify", "echf1", "--L", "150", "--U", "1.0", "--k1", "1", "--k2", "2",
       "--root-tol", "10"), "no width"),
+    # every sample's base window is too narrow: the scan raises the first
+    # sample's usage error, on one worker or two
+    *((("scan", "invariance", "--delta3", "1/3", "--delta4", "1/5", "--samples", "2",
+        "--l-min", "100", "--l-max", "100", "--u-min", "1e-300", "--u-max", "1e-300",
+        "--workers", workers), "all 2 scan samples failed: DomainTooSmall")
+      for workers in ("1", "2")),
 ], ids=["negative-seed", "L-past-float-range", "delta-past-float-range",
-        "zero-width-base", "zero-width-tower-segment"])
+        "zero-width-base", "zero-width-tower-segment", "scan-every-sample-1-worker",
+        "scan-every-sample-2-workers"])
 def test_inputs_outside_the_typed_domain_exit_2(capsys, argv, named):
     # exit 1 means "out of tolerance"; each of these is refused by the
     # library with a typed error before any chain is solved
@@ -689,3 +704,76 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "verify" in out and "ladder-build" in out
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_the_flag_surface_is_pinned():
+    # each subcommand's option strings; a new flag needs an edit here
+    top = _subcommands(_build_parser())
+    parsers = {"ladder-build": top["ladder-build"], "verify": top["verify"],
+               **{f"scan {k}": p for k, p in _subcommands(top["scan"]).items()}}
+    solve = ["--k-max", "--l-floor", "--quad-tol", "--root-tol"]
+    help_ = ["--help", "-h"]
+    surface = {name: sorted(s for a in p._actions for s in a.option_strings)
+               for name, p in parsers.items()}
+    assert surface == {
+        "ladder-build": sorted(["--cache-dir", "--cache-file", "--output", "--quad-tol",
+                                "--tmax", *help_]),
+        "verify": sorted(["--L", "--U", "--delta3", "--delta4", "--k", "--k1", "--k2",
+                          "--k3", "--k4", "--output", "--tol", *solve, *help_]),
+        "scan invariance": sorted(["--delta3", "--delta4", "--k-max-scan", "--k-min",
+                                   "--l-max", "--l-min", "--output", "--samples",
+                                   "--scan-tol", "--seed", "--u-max", "--u-min",
+                                   "--workers", *solve, *help_]),
+        "scan gaps": sorted(["--L", "--U", "--csv", "--r", *solve, *help_]),
+        "scan asymptotic": sorted(["--L", "--U", "--delta3", "--delta4", "--k1", "--k2",
+                                   "--output", "--tol", *solve, *help_]),
+    }
+
+
+# ---------------------------------------------------------------------------
+# pinned output of every subcommand
+# ---------------------------------------------------------------------------
+
+# one call per path: (argv, exit code, sha256 prefix of stdout with the
+# report's timings emptied and the temporary directory named {tmp}, last
+# stderr line); a refactor of the front end must keep all three
+_PINNED_CALLS = {
+    "verify-pass": (
+        "verify echf1 --L 150 --U 1.0 --k1 1 --k2 2", 0, "2ac428605015941f",
+        "ECHF1: PASS (rel_residual=3.906e-11, tol=1e-06)"),
+    "verify-fail": (
+        "verify echf1 --L 150 --U 1.0 --k1 1 --k2 2 --tol 1e-18", 1, "8f1e335f6fd4e444",
+        "ECHF1: FAIL (rel_residual=3.906e-11, tol=1e-18)"),
+    "verify-usage": (
+        "verify echf2 --delta3 1/3 --delta4 1/3 --L 150 --U 1.0 --k3 1 --k4 2", 2,
+        "e3b0c44298fc1c14",
+        "usage error: d3 = d4 = 1/3 makes every combined identity trivial"),
+    "scan-invariance": (
+        "scan invariance --delta3 1/3 --delta4 1/5 --samples 3 --seed 3 --u-min 0.5 "
+        "--u-max 1.0 --l-min 100 --l-max 130 --k-max-scan 2", 0, "42b0253c415b5756",
+        "invariance: PASS (max_rel_dev=5.007e-11, tol=1e-05, 3 ok / 0 failed)"),
+    "scan-gaps": (
+        "scan gaps --L 150,300 --U 1.0 --r 0,1 --csv {tmp}/gaps.csv", 0,
+        "df3016ce9e5cc515", "gaps: PASS (worst |log ratio| = 0.083)"),
+    "scan-asymptotic": (
+        "scan asymptotic --delta3 1/3 --delta4 1/5 --L 150,200 --U 1.0", 0,
+        "4e0ba13044e8dab9", "asymptotic: PASS"),
+    "ladder-build": (
+        "ladder-build --tmax 300 --cache-dir {tmp}/cache", 0, "9ec80602347a64a9", ""),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_CALLS))
+def test_each_subcommand_output_is_pinned(capsys, tmp_path, name):
+    argv, code, digest, summary = _PINNED_CALLS[name]
+    got, out, err = _run(capsys, *argv.replace("{tmp}", str(tmp_path)).split())
+    text = re.sub(r'"timings": \{[^}]*\}', '"timings": {}', out)
+    text = text.replace(str(tmp_path), "{tmp}")
+    lines = err.strip().splitlines() or [""]
+    assert (got, hashlib.sha256(text.encode()).hexdigest()[:16], lines[-1]) == (
+        code, digest, summary)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetaladder import _kernels, cli, ladder, numerics, zeta
+from zetaladder import _kernels, ladder, numerics, zeta
 from zetaladder.config import EULER_GAMMA, TABLE_FORMAT, RunConfig
 from zetaladder.errors import (
     CacheCorrupt,
@@ -904,12 +904,14 @@ def test_default_config_hash_is_pinned():
 
 
 def test_the_settable_config_fields_are_pinned():
-    # the knot spacing, the Z route seam and the two domain floors are model
-    # constants; a new knob needs an edit here, and the CLI sets only fields
+    # the correction depth, the knot spacing, the Z route seam and the two
+    # domain floors are model constants; a new knob needs an edit here
     names = [f.name for f in dataclasses.fields(RunConfig)]
-    assert names == ["quad_tol", "root_tol", "rs_terms", "t_table_max", "l_floor",
-                     "k_max", "cache_dir"]
-    assert set(cli._CONFIG_FLAGS) <= set(names)
+    assert names == ["quad_tol", "root_tol", "t_table_max", "l_floor", "k_max",
+                     "cache_dir"]
+    assert RunConfig.rs_terms == RunConfig().rs_terms == 4
+    with pytest.raises(TypeError):
+        RunConfig(rs_terms=3)
 
 
 #: headers of tables saved before the correction rows were cut at index 28
