@@ -40,11 +40,6 @@ WEIGHTS_HI: np.ndarray = _cc_weights(N_HI)
 #: low-rule weights aligned to the even-indexed high nodes
 WEIGHTS_LO: np.ndarray = _cc_weights(N_LO)
 
-# frozen copies for kernel consumption (contiguous float64)
-NODES_HI = np.ascontiguousarray(NODES_HI, dtype=np.float64)
-WEIGHTS_HI = np.ascontiguousarray(WEIGHTS_HI, dtype=np.float64)
-WEIGHTS_LO = np.ascontiguousarray(WEIGHTS_LO, dtype=np.float64)
-
 
 def _cheb_fit(n: int) -> np.ndarray:
     """(2n+3, n+1): node values -> integral coefficients b_0..b_{n+1}, then c_0..c_n."""

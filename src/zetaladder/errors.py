@@ -40,7 +40,12 @@ class CacheHashMismatch(UsageError):
 
 
 class CacheCorrupt(UsageError):
-    """Persisted table has unparsable, non-finite, decreasing or off-grid rows."""
+    """Persisted table is damaged or foreign to the knot grid.
+
+    Unparsable, non-finite, decreasing or off-grid rows; no rows at all; a
+    first row that is not A(0) = 0; values that do not match their checksum;
+    a spacing header other than the knot spacing; or text that is not UTF-8.
+    """
 
 
 class NonConvergence(NumericalError):

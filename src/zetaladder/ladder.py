@@ -10,13 +10,15 @@ The model has three ingredients:
   a knot table at the fixed spacing h = 0.5, extendable in place without
   disturbing existing knots, up to the last knot at or below t_table_max
   (:attr:`LadderModel.top_knot`).  Each knot interval [j h, (j + 1) h] has one
-  **fit**, the package's one Z^2 quadrature: ``numerics.chebyshev_pieces``
-  rows of Z^2 and its integral, pieces halved while their 17/33 difference
-  exceeds their share of quad_tol * h.  A new knot adds the sum of its
-  interval's piece integrals and drops the rows; a call that adds many
-  knots fits up to 16 intervals in one pass (``numerics.chebyshev_spans``):
-  their first pieces in one Z batch per route, accepted together, the
-  splitting loop run only for a span whose first pieces miss their share.
+  **fit**, the package's one Z^2 quadrature: rows of Z^2 and its integral
+  from ``numerics.chebyshev_spans``, one span for each of the interval's
+  pieces on a stretch where Z^2 keeps one formula (``zeta.zsq_stretches``),
+  pieces halved while their 17/33 difference exceeds their share of
+  quad_tol * h.  A new knot adds the sum of its interval's piece integrals
+  and drops the rows; a call that adds many knots fits up to 16 intervals
+  in one pass: their first pieces in one Z batch per route, accepted
+  together, the splitting loop run only for a span whose first pieces miss
+  their share.
   :meth:`LadderModel.extend_on` deals such chunks to a process pool's
   workers and appends their increments in order.  An off-knot query refits
   the interval, lands it on its knots and keeps it in memory in the form a
@@ -57,6 +59,7 @@ match their sha256, raises :class:`CacheCorrupt`.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import hashlib
 import itertools
 import math
@@ -67,7 +70,7 @@ from typing import Any, ClassVar, Iterable, Iterator
 
 import numpy as np
 
-from . import _kernels, zeta
+from . import zeta
 from .config import DEFAULT_CONFIG, EULER_GAMMA, TABLE_FORMAT, RunConfig
 from .errors import (
     CacheCorrupt,
@@ -103,8 +106,6 @@ _V_LINEAR = EULER_GAMMA - _LOG_TWO_PI
 #: 16-piece batch, and an interval's whole fit about 77 us alone and 23 us
 #: in a chunk (t = 1000, best of 15, 2-core machine)
 _CHUNK = 16
-#: the first knot interval on the Riemann-Siegel route: j h < rs_switch below it
-_RS_SEAM = math.ceil(RunConfig.rs_switch / RunConfig.knot_spacing)
 
 
 def normalizer(y: float) -> float:
@@ -291,52 +292,42 @@ class LadderModel:
             vals.append(vals[-1] + inc)
 
     def _raw_fit(self, j: int) -> np.ndarray:
-        """Z^2 on knot interval j as chebyshev_pieces rows: :meth:`_raw_fits` of one."""
+        """Z^2 on knot interval j as chebyshev_spans rows: :meth:`_raw_fits` of one."""
         return next(self._raw_fits(j, j + 1))
 
     def _raw_fits(self, j0: int, j1: int) -> Iterator[np.ndarray]:
-        """Z^2 on knot intervals j0..j1 - 1 as chebyshev_pieces rows, in order.
+        """Z^2 on knot intervals j0..j1 - 1 as chebyshev_spans rows, in order.
 
-        The one Z^2 quadrature, and the one place that picks the route:
-        Riemann-Siegel batches, or the batched eta series for an interval
-        that starts below the switch -- a piece never mixes the two, whose
-        values differ by the RS error.  Nor does a piece straddle a jump of
-        the RS formula: the interval is cut there first, each span sharing
-        the tolerance by its width.  The route seam and the jumps
-        (``_kernels.rs_spans`` of the chunk's RS part) are found once a
-        chunk.  Initial pieces are capped at half the shortest Z wavelength.
+        The one Z^2 quadrature.  The chunk [j0 h, j1 h] is asked once for its
+        ``zeta.zsq_stretches``, on each of which Z^2 has one formula: the
+        eta series below the switch, Riemann-Siegel above it, cut at each
+        jump of that formula.  Each interval is cut by one rule: it is
+        intersected with every stretch and the empty pieces are dropped, so
+        no span mixes two routes, whose values differ by the RS error, or
+        straddles a jump.  Each span shares the tolerance by its width, and
+        its initial pieces are capped at half the shortest Z wavelength.
 
         The spans go to ``numerics.chebyshev_spans`` in one pass: every
         first piece is evaluated here, before the first fit is yielded, in
-        one Z batch per route; the first pieces that meet their share become
-        rows at once, and only a span with one that does not runs the
+        one Z batch per evaluator; the first pieces that meet their share
+        become rows at once, and only a span with one that does not runs the
         splitting loop, from its values.  A lone first piece (a one-interval
         fit below t ~ 3360) goes to the loop directly.  A height's Z^2 does
-        not depend on its batch, so each fit is bit-identical to its spans
-        fitted one by one (``numerics.chebyshev_pieces``).
+        not depend on its batch, and no jump's cut falls on a knot, so each
+        fit is bit-identical to its interval's own stretches fitted one by
+        one (``numerics.chebyshev_pieces``).
         """
-        cfg = self.config
-        h = self.table.spacing
-        cuts = _kernels.rs_spans(max(j0, _RS_SEAM) * h, j1 * h) if j1 > _RS_SEAM else []
-        # each jump as (the last height below it, the first above it)
-        jumps = ([(below[1], above[0]) for below, above in zip(cuts, cuts[1:])]
-                 if len(cuts) > 1 else ())
-
-        def rs_zsq(ts: np.ndarray) -> np.ndarray:
-            z = _kernels.z_rs_many(ts, cfg.rs_terms)
-            return np.multiply(z, z, out=z)
-
+        cfg, h = self.config, self.table.spacing
+        stretches = zeta.zsq_stretches(j0 * h, j1 * h)
         spans: list[Span] = []
         counts = []  # spans per interval
         for j in range(j0, j1):
-            a, hi = j * h, (j + 1) * h
-            zsq = zeta.eta_mod_sq if j < _RS_SEAM else rs_zsq
-            wavelength, n = _min_wavelength(hi), len(spans)
-            for below, above in jumps:
-                if a < below and above < hi:
-                    spans.append((zsq, a, below, cfg.quad_tol * (below - a), wavelength))
-                    a = above
-            spans.append((zsq, a, hi, cfg.quad_tol * (hi - a), wavelength))
+            a, b = j * h, (j + 1) * h
+            wavelength, n = _min_wavelength(b), len(spans)
+            for zsq, lo, hi in stretches:
+                lo, hi = max(a, lo), min(b, hi)
+                if lo < hi:
+                    spans.append((zsq, lo, hi, cfg.quad_tol * (hi - lo), wavelength))
             counts.append(len(spans) - n)
         rows = chebyshev_spans(spans)
         if len(spans) == j1 - j0:  # no interval is cut: each has its one span's rows
@@ -477,16 +468,22 @@ class LadderModel:
     def save_table(self, path: str | None = None) -> str:
         path = path or self.default_cache_path()
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(f"# {TABLE_FORMAT}\n")
-            fh.write(f"# config_hash={self.table.config_hash}\n")
-            fh.write(f"# spacing={self.table.spacing!r}\n")
-            fh.write(f"# values_sha256={_values_digest(self.table.values)}\n")
-            fh.write("t,a\n")
-            for j, v in enumerate(self.table.values):
-                fh.write(f"{j * self.table.spacing!r},{v!r}\n")
-        os.replace(tmp, path)
+        # a name no other writer of path uses; "x" creates it as "w" would
+        tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+        try:
+            with open(tmp, "x") as fh:
+                fh.write(f"# {TABLE_FORMAT}\n")
+                fh.write(f"# config_hash={self.table.config_hash}\n")
+                fh.write(f"# spacing={self.table.spacing!r}\n")
+                fh.write(f"# values_sha256={_values_digest(self.table.values)}\n")
+                fh.write("t,a\n")
+                for j, v in enumerate(self.table.values):
+                    fh.write(f"{j * self.table.spacing!r},{v!r}\n")
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
         return path
 
     @classmethod
@@ -498,7 +495,7 @@ class LadderModel:
             with open(path, encoding="utf-8") as fh:
                 first = fh.readline().strip()
                 if first != f"# {TABLE_FORMAT}":
-                    raise CacheHashMismatch(f"unrecognized table format line: {first!r}")
+                    raise CacheHashMismatch(f"table {path}: unrecognized format line {first!r}")
                 for line in fh:
                     line = line.strip()
                     if line.startswith("#"):

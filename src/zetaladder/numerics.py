@@ -8,8 +8,10 @@ use for integrals and root solves, so their contracts are deliberately narrow:
   integrands the caller passes ``min_wavelength`` and the initial panels are
   capped at half of it, so no panel ever straddles more than half an
   oscillation.  Its loop, :func:`adaptive_panels`, takes an integrand that
-  maps a panel's 33 nodes to values, so the batched Z^2 kernel runs the very
-  same policy.
+  maps a panel's 33 nodes to values; it serves only :func:`integrate` and
+  ``_kernels.zsq_integral_rs``, the batched Z^2 integral that the tests and
+  the benchmark's kernel cases run (the ladder fits through
+  :func:`chebyshev_spans`).
 * :func:`chebyshev_pieces` -- the interpolant behind those 33 values, and its
   integral, on the pieces :func:`adaptive_panels` accepts: both read one
   splitting loop, :func:`_pieces`, which turns a piece's 33 values into its

@@ -22,12 +22,20 @@ expansion above, with error < 5e-13 at the seam.
 |zeta(1/2+it)|^2 == Z(t)^2 exactly; :func:`zeta_mod_sq` returns Z(t)^2 on the
 rs route and |zeta|^2 from the eta series, without theta, below the switch;
 :func:`eta_mod_sq` gives the latter over an array of heights.
+
+The switch is used in two ways, both here.  A point query (:func:`hardy_z`,
+:func:`zeta_mod_sq`, :func:`err_bound`) picks its route by its own height.  A
+range is handed out as stretches (:func:`zsq_stretches`): on each, Z^2 has one
+formula and one batched evaluator, the switch ending a stretch as the jumps
+of the Riemann-Siegel formula do.  The ladder's knot fit cuts its intervals
+at them and never reads the kernels itself.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +43,8 @@ from . import _kernels
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import DomainTooSmall
 
-__all__ = ["ZSample", "rs_theta", "hardy_z", "zeta_mod_sq", "eta_mod_sq", "err_bound"]
+__all__ = ["ZSample", "rs_theta", "hardy_z", "zeta_mod_sq", "eta_mod_sq", "err_bound",
+           "zsq_stretches"]
 
 TWO_PI = 2.0 * math.pi
 #: below this height the asymptotic theta expansion is replaced by log-gamma
@@ -158,3 +167,22 @@ def zeta_mod_sq(t: float, config: RunConfig = DEFAULT_CONFIG) -> float:
         return float(eta_mod_sq([t])[0])
     z = hardy_z(t, config).z
     return z * z
+
+
+def _rs_zsq(ts: np.ndarray) -> np.ndarray:
+    """Z^2 at each height t >= rs_switch from the batched Riemann-Siegel formula."""
+    z = _kernels.z_rs_many(ts, RunConfig.rs_terms)
+    return np.multiply(z, z, out=z)
+
+
+def zsq_stretches(a: float, b: float) -> list[tuple[Callable, float, float]]:
+    """[a, b] as (evaluator, lo, hi) stretches, in order, Z^2 one formula on each.
+
+    :func:`eta_mod_sq` below the switch; the batched Riemann-Siegel Z^2 above
+    it, cut where the main sum gains a term (``_kernels.rs_spans``), each cut
+    leaving out its one-ulp gap.  The evaluators are module-level functions,
+    the same objects on every call, so a caller may group stretches by them.
+    """
+    seam = RunConfig.rs_switch
+    rs = [(_rs_zsq, lo, hi) for lo, hi in _kernels.rs_spans(max(a, seam), b)] if b > seam else []
+    return ([(eta_mod_sq, a, min(b, seam))] if a < seam else []) + rs

@@ -250,7 +250,24 @@ def test_ladder_build_refuses_v2_cache(capsys, cache, tmp_path):
                               "--cache-file", str(f), *cache)
         assert code == 2
         assert out == ""
-        assert header[0][2:] in err and "Traceback" not in err
+        assert header[0][2:] in err and str(f) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: b"# zl-table-v4\n" + data.partition(b"\n")[2],
+    lambda data: b"",
+    lambda data: b"\xef\xbb\xbf" + data,
+], ids=["foreign-format-line", "empty", "byte-order-mark"])
+def test_ladder_build_bad_format_line_names_the_file(capsys, cache, tmp_path, edit):
+    # the first line is not this build's format tag: exit 2, naming the file
+    f = tmp_path / "table.csv"
+    assert _run(capsys, "ladder-build", "--tmax", "5", "--cache-file", str(f), *cache)[0] == 0
+    f.write_bytes(edit(f.read_bytes()))
+    code, out, err = _run(capsys, "ladder-build", "--tmax", "5",
+                          "--cache-file", str(f), *cache)
+    assert code == 2
+    assert out == ""
+    assert f"table {f}: unrecognized format line" in err and "Traceback" not in err
 
 
 def test_ladder_build_at_the_rounding_floor_exit_3(capsys, cache):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import bisect
+import contextlib
 import dataclasses
+import io
 import math
 import os
 import subprocess
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetaladder import _kernels, ladder, numerics, zeta
+from zetaladder import _kernels, cli, ladder, numerics, zeta
 from zetaladder.config import EULER_GAMMA, TABLE_FORMAT, RunConfig
 from zetaladder.errors import (
     CacheCorrupt,
@@ -670,20 +672,24 @@ def test_a_failing_fit_in_a_chunk_leaves_the_knots_below_it(small_config, monkey
 
 
 def _lone_fit(m, j):
-    """Interval j's rows from numerics.chebyshev_pieces, one span at a time."""
+    """Interval j's rows from numerics.chebyshev_pieces, one stretch at a time."""
     cfg, h = m.config, m.table.spacing
     lo, hi = j * h, (j + 1) * h
-    if lo < cfg.rs_switch:
-        spans, zsq = [(lo, hi)], zeta.eta_mod_sq
-    else:
-        spans = _kernels.rs_spans(lo, hi)
-
-        def zsq(ts):
-            z = _kernels.z_rs_many(ts, cfg.rs_terms)
-            return z * z
     wavelength = ladder._min_wavelength(hi)
     return np.vstack([chebyshev_pieces(zsq, a, b, cfg.quad_tol * (b - a), wavelength)
-                      for a, b in spans])
+                      for zsq, a, b in zeta.zsq_stretches(lo, hi)])
+
+
+def test_no_jump_cut_falls_on_a_knot():
+    # a chunk's fit cuts each interval at the chunk's stretches; that is the
+    # interval's own stretches as long as no height on either side of a
+    # jump's one-ulp gap is a knot, up to the default t_table_max
+    h = RunConfig.knot_spacing
+    stretches = zeta.zsq_stretches(RunConfig.rs_switch, RunConfig().t_table_max)
+    cuts = [t for (_, _, below), (_, above, _) in zip(stretches, stretches[1:])
+            for t in (below, above)]
+    assert len(cuts) == 2 * 175  # N = 4..178
+    assert not [t for t in cuts if (t / h).is_integer()]
 
 
 @pytest.mark.parametrize("j", [201, 452, 7001])
@@ -874,6 +880,48 @@ def test_cache_dir_comes_from_the_config_the_environment_or_the_working_dir(
         os.getcwd(), ".zl-cache", f"table_{cfg.config_hash()}.csv")
 
 
+def test_two_saves_of_one_path_interleaved_both_land(small_config, tmp_path, monkeypatch):
+    # a second model saves the same path just before the first one's
+    # os.replace: each writes its own temp file, both saves succeed, and the
+    # file holds one whole table, the one replaced last, with the
+    # permissions a plain open gives
+    path = str(tmp_path / "t.csv")
+    first, second = LadderModel(small_config), LadderModel(small_config)
+    first.extend_to(20.0)
+    second.extend_to(10.0)
+    replace = os.replace
+
+    def interleaved(src, dst):
+        monkeypatch.setattr(os, "replace", replace)
+        assert second.save_table(path) == path
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", interleaved)
+    assert first.save_table(path) == path
+    assert LadderModel.load_table(path, small_config).table.values == first.table.values
+    assert len(first.table.values) == 41 and os.listdir(tmp_path) == ["t.csv"]
+    with open(tmp_path / "plain", "w"):
+        pass
+    assert os.stat(path).st_mode == os.stat(tmp_path / "plain").st_mode
+
+
+def test_a_save_that_fails_leaves_the_file_and_no_temp(small_config, tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    m = LadderModel(small_config)
+    m.extend_to(5.0)
+    m.save_table(str(path))
+    saved = path.read_bytes()
+    m.extend_to(10.0)
+
+    def refusing(values):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ladder, "_values_digest", refusing)
+    with pytest.raises(OSError, match="disk full"):
+        m.save_table(str(path))
+    assert os.listdir(tmp_path) == ["t.csv"] and path.read_bytes() == saved
+
+
 def test_load_rejects_garbage_file(small_config, tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("not a table\n1,2\n")
@@ -988,6 +1036,78 @@ def test_single_row_corruption_never_loads(saved_table, tmp_path_factory, row, f
     else:
         with pytest.raises(CacheCorrupt):
             LadderModel.load_table(path, cfg)
+
+
+#: one edit of a cache file's bytes: a flipped bit, a deleted run, inserted
+#: bytes (NUL, invalid UTF-8 and line breaks among them) or a cut tail
+_BYTE_EDITS = st.one_of(
+    st.tuples(st.just("flip"), st.floats(0.0, 1.0), st.integers(0, 7)),
+    st.tuples(st.just("delete"), st.floats(0.0, 1.0), st.integers(1, 40)),
+    st.tuples(st.just("insert"), st.floats(0.0, 1.0), st.one_of(
+        st.binary(min_size=1, max_size=6),
+        st.sampled_from([b"\x00", b"\xff", b"\xc3", b"\xef\xbb\xbf", b"\n", b"\r",
+                         b",", b"#", b"-", b"e", b"0"]))),
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0), st.none()),
+)
+
+
+def _mutated(data: bytes, edits) -> bytes:
+    for kind, frac, arg in edits:
+        i = min(int(frac * len(data)), max(len(data) - 1, 0))
+        if kind == "flip" and data:
+            data = data[:i] + bytes([data[i] ^ (1 << arg)]) + data[i + 1:]
+        elif kind == "delete":
+            data = data[:i] + data[i + arg:]
+        elif kind == "insert":
+            data = data[:i] + arg + data[i:]
+        elif kind == "truncate":
+            data = data[:i]
+    return data
+
+
+@pytest.fixture(scope="module")
+def cache_to_5(tmp_path_factory):
+    """A valid default-config cache to t = 5, and a path for its mutants."""
+    path = str(tmp_path_factory.mktemp("cache") / "t.csv")
+    m = LadderModel(RunConfig())
+    m.extend_to(5.0)
+    m.save_table(path)
+    with open(path, "rb") as fh:
+        return fh.read(), path
+
+
+def _check_mutated_cache(cache_to_5, edits):
+    # ladder-build exits 0 exactly when load_table accepts the file, and 2
+    # naming the file otherwise; it never raises
+    valid, path = cache_to_5
+    data = _mutated(valid, edits)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    try:
+        LadderModel.load_table(path, RunConfig())
+        loads = True
+    except UsageError:
+        loads = False
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["ladder-build", "--tmax", "5", "--cache-file", path])
+    assert code == (0 if loads else 2), (data, err.getvalue())
+    if code == 2:
+        assert path in err.getvalue() and out.getvalue() == "", data
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(edits=st.lists(_BYTE_EDITS, min_size=1, max_size=3))
+def test_a_mutated_cache_never_crashes_ladder_build(cache_to_5, edits):
+    _check_mutated_cache(cache_to_5, edits)
+
+
+@pytest.mark.fuzz
+@settings(max_examples=2500, deadline=None, derandomize=True)
+@given(edits=st.lists(_BYTE_EDITS, min_size=1, max_size=3))
+def test_a_mutated_cache_never_crashes_ladder_build_long(cache_to_5, edits):
+    # opt in with `pytest -m fuzz`: about 25 s
+    _check_mutated_cache(cache_to_5, edits)
 
 
 def test_knots_are_a_double_array_when_built_and_loaded(small_config, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import os
 import subprocess
@@ -233,6 +234,61 @@ def test_routes_agree_across_switch_height():
         assert a.route == "rs"
         eta = zeta._eta_z(t, rs_theta(t))
         assert a.z == pytest.approx(eta, abs=2.0 * err_bound(t) + 1e-11)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 50.0), (50.0, 100.0), (99.5, 100.0), (100.0, 100.5),
+                                  (80.0, 310.0), (3.0, 2200.0), (307.5, 308.0)])
+def test_zsq_stretches_tile_the_range_but_the_jump_gaps(a, b):
+    # eta below the switch, Riemann-Siegel above; a stretch ends at the seam,
+    # and the only holes are the one-ulp gaps left at the jumps of the
+    # Riemann-Siegel formula, none of which a stretch spans
+    stretches = zeta.zsq_stretches(a, b)
+    assert stretches[0][1] == a and stretches[-1][2] == b
+    for f, lo, hi in stretches:
+        assert lo < hi
+        assert (f, hi <= 100.0, lo >= 100.0) in [(zeta.eta_mod_sq, True, False),
+                                                (zeta._rs_zsq, False, True)]
+        if f is zeta._rs_zsq:
+            rt = np.sqrt(np.linspace(lo, hi, 33) / _kernels.TWO_PI)
+            assert (rt.astype(np.int64) == int(rt[0])).all()
+    for (f, _, hi), (g, nxt, _) in zip(stretches, stretches[1:]):
+        if f is zeta.eta_mod_sq:
+            assert g is zeta._rs_zsq and hi == nxt == 100.0
+        else:
+            assert nxt == math.nextafter(hi, math.inf)
+
+
+def test_zsq_stretches_hand_out_module_level_evaluators():
+    # callers batch stretches by evaluator identity, so every call gives the
+    # same two objects; the Riemann-Siegel one is the batch kernel's Z squared
+    seen = {f for a, b in [(0.0, 1.0), (99.0, 101.0), (500.0, 2000.0)]
+            for f, _, _ in zeta.zsq_stretches(a, b)}
+    assert seen == {zeta.eta_mod_sq, zeta._rs_zsq}
+    ts = np.linspace(100.0, 2200.0, 101)
+    z = _kernels.z_rs_many(ts, 4)
+    assert zeta._rs_zsq(ts).tobytes() == (z * z).tobytes()
+
+
+def test_only_zeta_imports_the_kernels():
+    # zeta is the package's one door to the Riemann-Siegel kernels
+    src = os.path.dirname(zetaladder.__file__)
+    importers = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+                names.append(node.module or "")
+            else:
+                continue
+            if any("_kernels" in n.split(".") for n in names):
+                importers.add(name)
+    assert importers == {"zeta.py"}
 
 
 def test_err_bound_below_the_switch_is_the_eta_budget():
