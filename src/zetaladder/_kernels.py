@@ -16,11 +16,17 @@ One source for every formula, in plain Python and numpy:
   dispatch, so the batch keeps its array operations few, without
   reordering any: each rounds as the formula reads.
 
-The correction rows C_0..C_3 are a degree-64 Chebyshev table that
-``_rs_tables`` ships as data (nothing is fitted at import), evaluated to
-index 28, past which each row is below its noise floor.  Half its basis is
-cosines, half products (Mason & Handscomb, *Chebyshev Polynomials*, 2003),
-with the correction of 29 cosines bit for bit; the test suite checks it.
+The correction functions C_0..C_3, combinations of derivatives of
+Psi(x) = cos(2 pi (x^2 - x - 1/16)) / cos(2 pi x) at the cyclic fraction
+p = sqrt(t / 2 pi) - N, ship as data: ``_CT`` holds the first 29 Chebyshev
+coefficients of each as float reprs, so nothing is fitted at import.  They
+come from a degree-64 fit whose dropped coefficients are each below 1.3e-15
+and sum to at most 1.2e-14 per function.  The fit (``build_tables``,
+Cauchy-integral derivatives at the 65 extrema nodes) lives in
+``tests/_oracles.py``; the test suite checks ``_CT`` against it bit for bit,
+and its dropped tail against the noise floor.  Half the basis is cosines,
+half products (Mason & Handscomb, *Chebyshev Polynomials*, 2003), with the
+correction of 29 cosines bit for bit; the test suite checks it.
 
 The scalar and batched paths differ only in how the main sum is accumulated,
 so they agree to rounding (~1e-13 absolute on Z); the test suite pins it.
@@ -39,7 +45,6 @@ import math
 
 import numpy as np
 
-from ._rs_tables import CTAB
 from .numerics import adaptive_panels
 
 #: always False: the kernels have no compiled twin.  Kept only because the
@@ -47,9 +52,39 @@ from .numerics import adaptive_panels
 HAS_NUMBA = False
 
 TWO_PI = 2.0 * math.pi
-#: Chebyshev coefficients kept per correction row (k = 0..28): no dropped one
-#: exceeds 1.3e-15, and row 0's dropped tail sums to 1.2e-14
-_CT = np.ascontiguousarray(CTAB[:, :29].T)
+#: Chebyshev coefficients of the correction functions on p in [0, 1]: row k
+#: holds (C_0, C_1, C_2, C_3)'s coefficient of T_k(2p - 1), k = 0..28
+_CT = np.array([
+    [0.6426672862397684, 2.981555974335137e-19, 0.0031461158539889114, 9.317362419797304e-19],
+    [1.5092094240998222e-16, 0.010697913921003003, -2.371692252312041e-18, 7.123256221204023e-05],
+    [0.27197299999785507, 8.131516293641283e-19, -0.002308783884530751, 4.819617469876969e-19],
+    [1.0928757898653885e-16, 0.017170651243377882, -9.0801931945661e-19, 0.0002323430529816485],
+    [0.010738605819340219, 5.149960319306146e-18, 5.769820766689829e-05, -8.470329472543003e-21],
+    [9.194034422677078e-17, 0.002793211149788472, -4.87890977618477e-19, -0.00012929912045472425],
+    [-0.0013743815296337787, 5.041540102057596e-18, 0.00035238862023665796, 6.2426328212641935e-19],
+    [3.2959746043559335e-17, -3.637565371927636e-05, -5.421010862427522e-20, 1.8074496413671013e-05],
+    [-0.0001246822188033722, 3.63207727782644e-18, 2.5246667458684075e-05, -2.337810934421869e-19],
+    [3.174543961037557e-16, -2.7108955231155757e-05, 1.0164395367051604e-18, 6.526185187220365e-06],
+    [-5.764599707545892e-07, -3.7947076036992655e-19, -3.4428211971933607e-06, 4.912791094074942e-20],
+    [2.411265631607762e-16, -1.0483749866825685e-06, 4.743384504624082e-20, -1.1696365378453385e-07],
+    [2.72806742834808e-07, 3.848917712323541e-18, -3.5350745566365934e-07, 9.571472303973594e-20],
+    [1.43982048506075e-16, 5.8864671665043514e-08, 4.2690460541616737e-19, -7.34947612655467e-08],
+    [8.077953025237283e-09, -7.047314121155779e-19, 3.73083018359512e-09, -4.0234064994579266e-19],
+    [8.153200337090993e-17, 4.322967268660313e-09, 5.624298769768554e-19, -1.7750910080443648e-09],
+    [-2.088461903415606e-10, 2.0057740190981832e-18, 1.2776951846933888e-09, 5.844527336054672e-20],
+    [-1.43982048506075e-16, -1.1369591899901277e-11, -9.656175598699024e-19, 2.5555529619773325e-10],
+    [-1.3115338676206179e-11, -3.74049749507499e-18, 2.187461774487854e-11, -2.702035101741218e-19],
+    [2.5847379792054426e-16, -6.699842612124807e-12, -8.809142651444724e-20, 1.1376635846219434e-11],
+    [-1.4280243654241076e-14, -1.7889335846010823e-18, -1.914141046187312e-12, -4.0318768289304696e-19],
+    [-1.5612511283791264e-16, -1.0079589073119788e-13, 7.386127300057499e-19, -3.3498651105085507e-13],
+    [1.0047518372857667e-14, 5.583641188300348e-18, -6.56291901791721e-14, 3.015437292225309e-19],
+    [-3.3133218391157016e-16, 5.1529960853891055e-15, -1.2739375526704677e-18, -2.553718108017685e-14],
+    [-1.1102230246251565e-16, 3.144186300207963e-18, 1.2571866291055667e-15, 2.2573428044327104e-19],
+    [9.020562075079397e-17, 1.5395670849294163e-16, 4.3198680309969317e-19, 6.783378654791339e-17],
+    [-1.3877787807814457e-16, -4.87890977618477e-19, 8.275173081495613e-17, 7.4750657595192e-20],
+    [-2.3071822230491534e-16, 1.1709383462843448e-17, -4.2351647362715017e-20, 3.0460151816211894e-17],
+    [1.3877787807814457e-17, 9.215718466126788e-18, 6.166399856011306e-19, 2.771915319889698e-19],
+])
 _CHEB_K = np.arange(_CT.shape[0], dtype=np.float64)
 #: the top degree taken as a cosine; the ones above come from products
 _HALF = (_CT.shape[0] - 1) // 2

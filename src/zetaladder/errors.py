@@ -70,3 +70,7 @@ class ConditionTooHigh(NumericalError):
     def __init__(self, msg: str, condition: float):
         super().__init__(msg)
         self.condition = condition
+
+    def __reduce__(self):
+        # pickle rebuilds an exception from its args, which hold only msg
+        return type(self), (*self.args, self.condition)

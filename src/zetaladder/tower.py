@@ -212,12 +212,18 @@ def gf_power(delta: Fraction | float) -> GeneratingFunction:
         key = f"pow:{delta!r}"
     whole = d.is_integer()
 
+    def power(v: float, p: float) -> float:
+        try:
+            return v ** p
+        except OverflowError:  # float ** raises where the value passes the float range
+            return -math.inf if v < 0.0 and p % 2.0 == 1.0 else math.inf
+
     def fn(v: float) -> float:
         if v < 0.0 and not whole:  # a walk that lands a few ulps below pi L
             raise DomainTooSmall(f"power weight v^{delta} read at offset v={v!r} < 0")
-        return v ** d
+        return power(v, d)
 
-    return GeneratingFunction(key, fn, lambda v: v ** (1.0 + d) / (1.0 + d))
+    return GeneratingFunction(key, fn, lambda v: power(v, 1.0 + d) / (1.0 + d))
 
 
 # -- chains -------------------------------------------------------------------

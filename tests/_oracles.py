@@ -251,9 +251,11 @@ def _cheb_coeffs(values: np.ndarray) -> np.ndarray:
 def build_tables(degree: int = DEGREE) -> np.ndarray:
     """(4, degree+1) Chebyshev coefficients of C_0..C_3 on p in [0, 1].
 
-    The derivation ``zetaladder._rs_tables.CTAB`` was written out from:
-    each C_k at the extrema nodes from Cauchy-integral derivatives of Psi
-    on a half-step-offset ring, then a DCT-I per row.
+    The derivation of ``zetaladder._kernels._CT``, which ships the first 29
+    columns, transposed to one row per degree: each C_k at the extrema nodes
+    from Cauchy-integral derivatives of Psi on a half-step-offset ring, then
+    a DCT-I per row.  The columns past 28 are kept here so the test suite
+    can check that the dropped tail is below noise.
     """
     j = np.arange(degree + 1)
     p = 0.5 * (1.0 + np.cos(np.pi * j / degree))

@@ -435,6 +435,24 @@ def test_windows_too_narrow_for_their_weights_exit_2(capsys, argv, named):
     assert named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, code, named", [
+    # U^100001 passes the float range: the chain's level is not finite
+    (("verify", "echf2", "--L", "150", "--U", "1.5", "--k3", "1", "--k4", "2",
+      "--delta3", "100000", "--delta4", "1/3"), 2, "chain level inf"),
+    # at root_tol 1e3 a walk lands 3.5 below pi L, where v^1000 passes the
+    # float range: that sample fails as a non-finite crossing sample
+    (("scan", "invariance", "--samples", "2", "--seed", "4", "--u-min", "1.5",
+      "--u-max", "1.5", "--l-min", "100", "--l-max", "107", "--k-min", "0",
+      "--k-max-scan", "3", "--delta3", "1/1000", "--delta4", "1000",
+      "--root-tol", "1e3"), 1, "= inf is not finite"),
+], ids=["verify-power-mass", "scan-power-weight"])
+def test_a_power_weight_past_the_float_range_is_typed(capsys, argv, code, named):
+    # float ** raises OverflowError there; the weight reads inf instead
+    got, out, err = _run(capsys, *argv)
+    assert got == code
+    assert named in (out if code == 1 else err) and "Traceback" not in err
+
+
 def test_a_sin2_window_too_narrow_to_cross_exits_3(capsys):
     # sin^2's mass at U = 1e-12 is its series' 3.3e-37, where 0.5 U -
     # 0.25 sin 2U cancelled to 0: the chain has a level, but its crossing
@@ -468,6 +486,20 @@ _TOLS = st.one_of(st.none(), st.sampled_from(
     ["5e-324", "1e-300", "1e-16", "1e-13", "1e-3", "1e3", "1e300"]))
 
 
+def _pair_flags(draw) -> list[str]:
+    d3, d4 = draw(st.lists(_DELTAS, min_size=2, max_size=2, unique=True))
+    return ["--delta3", str(d3), "--delta4", str(d4)]
+
+
+def _tol_flags(draw) -> list[str]:
+    argv = []
+    for flag in ("--root-tol", "--quad-tol"):
+        tol = draw(_TOLS)
+        if tol is not None:
+            argv += [flag, tol]
+    return argv
+
+
 def _verify_argv(draw, formula: str) -> list[str]:
     _, depth_flags, paired = next(v for names, v in _FORMULAS.items()
                                   if names[0] == formula)
@@ -476,26 +508,27 @@ def _verify_argv(draw, formula: str) -> list[str]:
     for flag in depth_flags:
         argv += [f"--{flag}", str(draw(st.integers(0, 4)))]
     if paired:
-        d3, d4 = draw(st.lists(_DELTAS, min_size=2, max_size=2, unique=True))
-        argv += ["--delta3", str(d3), "--delta4", str(d4)]
-    for flag in ("--root-tol", "--quad-tol"):
-        tol = draw(_TOLS)
-        if tol is not None:
-            argv += [flag, tol]
-    return argv
+        argv += _pair_flags(draw)
+    return argv + _tol_flags(draw)
 
 
-def _check_verify_contract(argv: list[str]) -> None:
+def _check_exit_contract(argv: list[str]) -> None:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3), (argv, code)
-    if code in (0, 1):
+    if code not in (0, 1):
+        assert out.getvalue() == "", argv
+    elif argv[:2] == ["scan", "gaps"]:
+        # one row per (L, r): argv is [scan, gaps, --L, Ls, --U, U, --r=rs, ...]
+        n_l, n_r = len(argv[3].split(",")), len(argv[6].split(","))
+        lines = out.getvalue().splitlines()
+        assert lines[0] == "L,U,r,rho,predicted,ratio", argv
+        assert len(lines) == 1 + n_l * n_r, argv
+    else:
         payload = json.loads(out.getvalue())
         assert payload["pass"] is (code == 0), argv
-        assert "formula_id" in payload["report"], argv
-    else:
-        assert out.getvalue() == "", argv
+        assert argv[0] == "scan" or "formula_id" in payload["report"], argv
     assert "Traceback" not in err.getvalue(), argv
 
 
@@ -506,7 +539,7 @@ _VERIFY_NAMES = [names[0] for names in _FORMULAS]
 @settings(max_examples=5, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_verify_exit_codes_hold_over_the_input_space(formula, data):
-    _check_verify_contract(_verify_argv(data.draw, formula))
+    _check_exit_contract(_verify_argv(data.draw, formula))
 
 
 @pytest.mark.fuzz
@@ -515,7 +548,7 @@ def test_verify_exit_codes_hold_over_the_input_space(formula, data):
 @given(data=st.data())
 def test_verify_exit_codes_hold_over_the_input_space_long(formula, data):
     # opt in with `pytest -m fuzz`: 800 calls, about half a minute
-    _check_verify_contract(_verify_argv(data.draw, formula))
+    _check_exit_contract(_verify_argv(data.draw, formula))
 
 
 def test_ladder_build_nan_height_exit_2(capsys, cache):
@@ -706,6 +739,59 @@ def test_scan_asymptotic_reports_heights(capsys):
     assert payload["pass"] is True
     assert len(payload["rows"]) == 2
     assert {row["L"] for row in payload["rows"]} == {150, 200}
+
+
+# the scans' exit-code contract, drawn as verify's is: comma lists of L at
+# the floor or just below, widths and delta pairs from the same strategies,
+# depths up to 4 and, for gaps, gap indices one below the first; invariance
+# draws ordered ranges (ends may meet) and 2 to 4 samples on one worker.  Every
+# call exits 0..3 without raising, and exits 0 or 1 only with output.
+
+def _scan_argv(draw, kind: str) -> list[str]:
+    def int_list(lo: int, hi: int) -> str:
+        return ",".join(map(str, draw(st.lists(st.integers(lo, hi), min_size=1,
+                                               max_size=3))))
+
+    depth = st.integers(0, 4)
+    if kind == "gaps":
+        # "--r=-1": a lone "-1,0" would read as an option
+        argv = ["scan", "gaps", "--L", int_list(99, 108), "--U", repr(draw(_WIDTHS)),
+                f"--r={int_list(-1, 3)}"]
+    elif kind == "asymptotic":
+        argv = ["scan", "asymptotic", "--L", int_list(99, 108),
+                "--U", repr(draw(_WIDTHS)), "--k1", str(draw(depth)),
+                "--k2", str(draw(depth)), *_pair_flags(draw)]
+    else:
+        def ordered(values) -> list:
+            return sorted(draw(st.lists(values, min_size=2, max_size=2)))
+
+        (u_lo, u_hi), (l_lo, l_hi), (k_lo, k_hi) = (
+            ordered(_WIDTHS), ordered(st.integers(99, 108)), ordered(depth))
+        argv = ["scan", "invariance", "--samples", str(draw(st.integers(2, 4))),
+                "--seed", str(draw(st.integers(0, 2**32 - 1))), "--workers", "1",
+                "--u-min", repr(u_lo), "--u-max", repr(u_hi), "--l-min", str(l_lo),
+                "--l-max", str(l_hi), "--k-min", str(k_lo), "--k-max-scan", str(k_hi),
+                *_pair_flags(draw)]
+    return argv + _tol_flags(draw)
+
+
+_SCAN_KINDS = ["gaps", "asymptotic", "invariance"]
+
+
+@pytest.mark.parametrize("kind", _SCAN_KINDS)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_scan_exit_codes_hold_over_the_input_space(kind, data):
+    _check_exit_contract(_scan_argv(data.draw, kind))
+
+
+@pytest.mark.fuzz
+@pytest.mark.parametrize("kind", _SCAN_KINDS)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_scan_exit_codes_hold_over_the_input_space_long(kind, data):
+    # opt in with `pytest -m fuzz`: 450 calls
+    _check_exit_contract(_scan_argv(data.draw, kind))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import hashlib
 import inspect
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaladder import _kernels, hybrid, ladder
+from zetaladder import _kernels, errors, hybrid, ladder
 from zetaladder.errors import DeltaDegenerate, DomainTooSmall, NonConvergence
 from zetaladder.hybrid import (
     DeltaPair,
@@ -451,6 +452,18 @@ def test_scan_rejects_degenerate_requests(factory):
                dict(workers=0), dict(workers=-3), dict(workers=2.0)):
         with pytest.raises(DomainTooSmall):
             invariance_scan(PAIR_35, factory=factory, **kw)
+
+
+def test_every_error_class_survives_pickling():
+    # a pooled task's exception reaches the parent pickled
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and c.__module__ == errors.__name__]
+    assert errors.ConditionTooHigh in classes and len(classes) == 14
+    for cls in classes:
+        exc = cls("m", 1.5) if cls is errors.ConditionTooHigh else cls("m")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls and str(back) == "m" and back.args == exc.args
+        assert vars(back) == vars(exc)
 
 
 # ---------------------------------------------------------------------------

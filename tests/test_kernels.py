@@ -27,7 +27,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetaladder import _kernels
-from zetaladder._rs_tables import CTAB
 from zetaladder.config import DEFAULT_CONFIG
 from zetaladder.errors import NonConvergence
 from zetaladder.numerics import integrate, piece_nodes
@@ -175,9 +174,10 @@ def test_remainder_matches_full_rows(nterms):
     big_n = rt.astype(np.int64)
     p = rt - big_n
     assert p.min() < 1e-11 and p.max() > 1.0 - 1e-11
+    full = build_tables()
     ref = np.zeros_like(rt)
     for k in range(nterms - 1, -1, -1):
-        ref = ref / rt + np.polynomial.chebyshev.chebval(2.0 * p - 1.0, CTAB[k])
+        ref = ref / rt + np.polynomial.chebyshev.chebval(2.0 * p - 1.0, full[k])
     ref *= np.where(big_n % 2 == 1, 1.0, -1.0) / np.sqrt(rt)
     got = _kernels._rs_remainder(rt, big_n, nterms)
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=5e-15)
@@ -232,17 +232,17 @@ def test_remainder_is_the_cosine_basis_bit_for_bit_long():
 
 
 def test_dropped_chebyshev_tail_is_below_noise():
+    # the derivation fits degree 64; the kernels keep degrees 0..28
+    derived = build_tables()
     kept = _kernels._CT.shape[0]
-    assert kept == 29 and CTAB.shape[1] == 65
-    np.testing.assert_array_equal(_kernels._CT, CTAB[:, :kept].T)
-    assert np.abs(CTAB[:, kept:]).sum(axis=1).max() <= 1.3e-14
+    assert kept == 29 and derived.shape == (4, 65)
+    assert np.abs(derived[:, kept:]).sum(axis=1).max() <= 1.3e-14
 
 
 def test_shipped_correction_table_is_its_derivation_bit_for_bit():
-    # CTAB ships as float reprs; the contour-FFT fit they were written from
+    # _CT ships as float reprs; the contour-FFT fit they were written from
     # lives in the oracles and must reproduce every bit
-    derived = build_tables()
-    assert CTAB.dtype == derived.dtype == np.float64
-    assert CTAB.shape == derived.shape == (4, 65)
-    assert CTAB.flags["C_CONTIGUOUS"]
-    assert CTAB.tobytes() == derived.tobytes()
+    ct = _kernels._CT
+    assert ct.dtype == np.float64 and ct.shape == (29, 4)
+    assert ct.flags["C_CONTIGUOUS"]
+    assert ct.tobytes() == np.ascontiguousarray(build_tables()[:, :29].T).tobytes()

@@ -320,12 +320,12 @@ def test_err_bound_covers_actual_error_at_reference_points():
 def _coeff(j: int, p: float) -> float:
     """Evaluate correction function C_j at fractional part p via chebval.
 
-    Deliberately does NOT reuse the package's correction kernel, so the stored
-    coefficient tables get an independent evaluation path here.
+    Deliberately does NOT reuse the package's correction kernel, so the shipped
+    coefficients (degrees 0..28) get an independent evaluation path here.
     """
-    from zetaladder._rs_tables import CTAB
+    from zetaladder._kernels import _CT
 
-    return float(np.polynomial.chebyshev.chebval(2.0 * p - 1.0, CTAB[j]))
+    return float(np.polynomial.chebyshev.chebval(2.0 * p - 1.0, _CT[:, j]))
 
 
 def test_c1_quarter_is_one_ninety_sixth():
