@@ -1,20 +1,22 @@
 """Hot numerical kernels: Riemann-Siegel Z, scalar and batched.
 
-One source for every formula, in plain Python and numpy:
+One source for every formula, in plain Python and numpy, each a function of
+its heights alone: no state, and one depth, the correction terms C_0..C_3
+that ``_CT``'s columns hold.
 
-* scalar cores (``_theta_asym``, ``_rs_remainder``, ``_z_rs``) serve every
-  one-point evaluation -- :func:`z_rs_one`, :func:`theta_asym`, and through
-  them ``hardy_z``.  The ladder and the chain weights no longer call them:
+* scalar cores (``_theta_asym``, ``_rs_remainder``) serve every one-point
+  evaluation -- :func:`z_rs_one`, :func:`theta_asym`, and through them
+  ``hardy_z``.  The ladder and the chain weights no longer call them:
   they read Z^2 from a knot interval's interpolant;
 * one numpy batched evaluator, :func:`_z_rs_many_np`, serves arrays (the 33
   nodes of an interval's fit, or the first pieces of a table extension's
   new intervals at once, :func:`z_rs_many`).  It vectorizes the main sum,
-  one product per branch N over log n and sqrt n sliced from tables grown
-  on demand (:func:`_n_table`), and shares theta and the correction terms
-  with the scalar core; a height's value does not depend on the rest of
-  its batch, nor on whether it has one.  A 33-node call is mostly numpy
-  dispatch, so the batch keeps its array operations few, without
-  reordering any: each rounds as the formula reads.
+  one product per branch N over log n and sqrt n taken on each call,
+  and shares theta and the correction terms with the scalar core; a
+  height's value does not depend on the rest of its batch, nor on whether
+  it has one.  A 33-node call is mostly numpy dispatch, so the batch keeps
+  its array operations few, without reordering any: each rounds as the
+  formula reads.
 
 The correction functions C_0..C_3, combinations of derivatives of
 Psi(x) = cos(2 pi (x^2 - x - 1/16)) / cos(2 pi x) at the cyclic fraction
@@ -26,14 +28,16 @@ Cauchy-integral derivatives at the 65 extrema nodes) lives in
 ``tests/_oracles.py``; the test suite checks ``_CT`` against it bit for bit,
 and its dropped tail against the noise floor.  Half the basis is cosines,
 half products (Mason & Handscomb, *Chebyshev Polynomials*, 2003), with the
-correction of 29 cosines bit for bit; the test suite checks it.
+correction of 29 cosines bit for bit; the test suite checks it, and peels
+the rows apart through its own reference of any depth.
 
 The scalar and batched paths differ only in how the main sum is accumulated,
 so they agree to rounding (~1e-13 absolute on Z); the test suite pins it.
 :func:`zsq_integral_rs` runs the package's one adaptive panel driver,
 :func:`numerics.adaptive_panels`, over batched Z^2 panels; the ladder fits
 its knot intervals itself, so only the tests and the benchmark's kernel
-cases call it.
+cases call it.  It and :func:`z_rs_many` keep the benchmark's call shape,
+a depth ``nterms`` they only check, until the benchmark next changes.
 
 Only the t >= rs_switch regime lives here.  The low-t alternating-series route
 is cold (the fits of knot intervals below t = 100 and direct low-t queries)
@@ -45,6 +49,7 @@ import math
 
 import numpy as np
 
+from .errors import UsageError
 from .numerics import adaptive_panels
 
 #: always False: the kernels have no compiled twin.  Kept only because the
@@ -88,18 +93,10 @@ _CT = np.array([
 _CHEB_K = np.arange(_CT.shape[0], dtype=np.float64)
 #: the top degree taken as a cosine; the ones above come from products
 _HALF = (_CT.shape[0] - 1) // 2
-#: log n and sqrt n for n = 1, 2, ..., covering N <= 64 (t < 2 pi 65^2);
-#: :func:`_n_table` grows them
-_LOG_N = np.log(np.arange(1.0, 65.0))
-_SQRT_N = np.sqrt(np.arange(1.0, 65.0))
-#: Gabcke-style truncation constants: |remainder| <= _RS_BOUND[m-1] * t^{-(2m+1)/4}
-#: for m correction terms, plus the argument-reduction noise floor added in
-#: :func:`err_bound_rs`.
-RS_BOUND_CONST = (0.127, 0.053, 0.011, 0.031)
 
 
 # --------------------------------------------------------------------------
-# scalar cores (all but _z_rs also serve the batch)
+# scalar cores (both also serve the batch)
 # --------------------------------------------------------------------------
 
 def _theta_asym(t):
@@ -112,7 +109,7 @@ def _theta_asym(t):
     return half_t * lg - half_t - math.pi / 8.0 + corr
 
 
-def _rs_remainder(rt, big_n, nterms):
+def _rs_remainder(rt, big_n):
     """Signed correction sum (-1)^(N-1) sum_k C_k(p) rt^-k / sqrt(rt), p = rt - N.
 
     On a 1-D array rt, with N one float or an array like rt.  The Chebyshev
@@ -124,7 +121,7 @@ def _rs_remainder(rt, big_n, nterms):
     lone height is stacked twice.
     """
     if rt.size == 1:  # one row would take BLAS's gemv path, which rounds otherwise
-        return _rs_remainder(np.repeat(rt, 2), big_n, nterms)[:1]
+        return _rs_remainder(np.repeat(rt, 2), big_n)[:1]
     u = 2.0 * (rt - big_n) - 1.0
     basis = np.empty((_CT.shape[0], rt.size))
     low = np.multiply(_CHEB_K[:_HALF + 1, None], np.arccos(u), out=basis[:_HALF + 1])
@@ -133,53 +130,28 @@ def _rs_remainder(rt, big_n, nterms):
     high -= basis[_HALF - 1::-1]
     rows = np.ascontiguousarray(basis.T) @ _CT  # (n, 4)
     irt = 1.0 / rt
-    corr = rows[:, nterms - 1] + 0.0  # as 0.0 / rt + C reads: -0.0 becomes +0.0
-    for k in range(nterms - 2, -1, -1):
+    corr = rows[:, -1] + 0.0  # as 0.0 / rt + C reads: -0.0 becomes +0.0
+    for k in range(_CT.shape[1] - 2, -1, -1):
         corr = corr * irt + rows[:, k]
     # (-1)^(N-1) as an exact sign flip
     return (2.0 * (big_n % 2.0) - 1.0) * corr / np.sqrt(rt)
-
-
-def _z_rs(t: float, nterms: int) -> float:
-    """Hardy Z via the main-sum formula with `nterms` correction terms."""
-    th = _theta_asym(t)
-    tau = t / TWO_PI
-    rt = math.sqrt(tau)
-    big_n = int(rt)
-    s = 0.0
-    for n in range(1, big_n + 1):
-        s += math.cos(th - t * math.log(n)) / math.sqrt(n)
-    return 2.0 * s + _rs_remainder(np.array([rt]), np.array([float(big_n)]), nterms)[0]
 
 
 # --------------------------------------------------------------------------
 # batched evaluator + public kernel API
 # --------------------------------------------------------------------------
 
-def _n_table(big_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log n, sqrt n) for n = 1..N, sliced from tables grown on demand.
-
-    A ufunc's value at n does not depend on the array it comes in, so each
-    slice is bit for bit ``np.log`` / ``np.sqrt`` of ``arange(1, N + 1)``.
-    """
-    global _LOG_N, _SQRT_N
-    if big_n > _LOG_N.size:
-        n = np.arange(1.0, max(2 * _LOG_N.size, big_n) + 1.0)
-        _LOG_N, _SQRT_N = np.log(n), np.sqrt(n)
-    return _LOG_N[:big_n], _SQRT_N[:big_n]
-
-
 def _main_sum(ts: np.ndarray, th: np.ndarray, big_n: int) -> np.ndarray:
     """sum_{n <= N} cos(theta - t log n) / sqrt(n) at heights that share one N."""
-    log_n, sqrt_n = _n_table(big_n)
-    terms = ts[:, None] * log_n
+    n = np.arange(1.0, big_n + 1.0)
+    terms = ts[:, None] * np.log(n)
     np.subtract(th[:, None], terms, out=terms)
     np.cos(terms, out=terms)
-    terms /= sqrt_n
+    terms /= np.sqrt(n)
     return np.add.reduce(terms, axis=1)
 
 
-def _z_rs_many_np(ts: np.ndarray, nterms: int) -> np.ndarray:
+def _z_rs_many_np(ts: np.ndarray) -> np.ndarray:
     """Hardy Z on an array of heights: the scalar core with a vectorized main sum.
 
     Heights that share a branch N = floor(sqrt(t / 2 pi)) share one
@@ -202,7 +174,7 @@ def _z_rs_many_np(ts: np.ndarray, nterms: int) -> np.ndarray:
             sel = big_n == nb
             if sel.any():
                 main[sel] = _main_sum(ts[sel], th[sel], nb)
-    return 2.0 * main + _rs_remainder(rt, big_n, nterms)
+    return 2.0 * main + _rs_remainder(rt, big_n)
 
 
 def rs_spans(lo: float, hi: float) -> list[tuple[float, float]]:
@@ -229,12 +201,22 @@ def rs_spans(lo: float, hi: float) -> list[tuple[float, float]]:
 
 
 def z_rs_many(ts: np.ndarray, nterms: int) -> np.ndarray:
-    """Hardy Z on an array of heights (all must be >= the RS switch)."""
-    return _z_rs_many_np(ts, nterms)
+    """Hardy Z on an array of heights (all must be >= the RS switch); nterms = 4."""
+    if nterms != _CT.shape[1]:
+        raise UsageError(f"the kernels sum {_CT.shape[1]} correction terms, not {nterms}")
+    return _z_rs_many_np(ts)
 
 
-def z_rs_one(t: float, nterms: int) -> float:
-    return float(_z_rs(float(t), nterms))
+def z_rs_one(t: float) -> float:
+    """Hardy Z at one height: the main sum term by term, then the correction."""
+    t = float(t)
+    th = _theta_asym(t)
+    rt = math.sqrt(t / TWO_PI)
+    big_n = int(rt)
+    s = 0.0
+    for n in range(1, big_n + 1):
+        s += math.cos(th - t * math.log(n)) / math.sqrt(n)
+    return float(2.0 * s + _rs_remainder(np.array([rt]), np.array([float(big_n)]))[0])
 
 
 def theta_asym(t: float) -> float:
@@ -246,22 +228,24 @@ def zsq_integral_rs(a: float, b: float, tol: float, min_wavelength: float,
     """Adaptive integral of Z^2 over [a, b] (RS regime only).
 
     Returns (value, error_estimate, evaluations).  Raises NonConvergence if
-    the splitting budget is exhausted.
+    the splitting budget is exhausted.  nterms must be 4.
     """
+    if nterms != _CT.shape[1]:
+        raise UsageError(f"the kernels sum {_CT.shape[1]} correction terms, not {nterms}")
+
     def zsq(ts: np.ndarray) -> np.ndarray:
-        z = _z_rs_many_np(ts, nterms)
+        z = _z_rs_many_np(ts)
         return z * z
 
     return adaptive_panels(zsq, a, b, tol, min_wavelength)
 
 
-def err_bound_rs(t: float, nterms: int) -> float:
-    """Absolute error bound for the RS route with `nterms` correction terms.
+def err_bound_rs(t: float) -> float:
+    """Absolute error bound for the RS route with its four correction terms.
 
-    Truncation constant times t^{-(2m+1)/4} plus an empirically calibrated
+    Gabcke-style truncation term 0.031 t^{-9/4} plus an empirically calibrated
     floor (5e-14 t) for cos argument-reduction noise in the main sum; the
     floor dominates only above t ~ 5000 where the truncation term has fallen
     below 1e-10.
     """
-    m = nterms
-    return RS_BOUND_CONST[m - 1] * t ** (-(2.0 * m + 1.0) / 4.0) + 5e-14 * t
+    return 0.031 * t ** -2.25 + 5e-14 * t

@@ -2,10 +2,11 @@
 
 Two evaluation routes, switched at the constant ``RunConfig.rs_switch`` (t = 100):
 
-* **rs** -- Riemann-Siegel main sum plus four correction terms
-  (``RunConfig.rs_terms``; Chebyshev-tabulated coefficient functions, see
-  `_kernels._CT`).  Absolute error is bounded by :func:`_kernels.err_bound_rs`,
-  which stays below 1e-6 for every t >= 100.
+* **rs** -- Riemann-Siegel main sum plus the four correction terms that
+  `_kernels._CT` tabulates.  Absolute error is bounded by
+  :func:`_kernels.err_bound_rs`, below 1e-6 for every t in [100, RS_CEILING]
+  (1.9999e7); above it the bound's 5e-14 t floor passes 1e-6, and
+  :func:`hardy_z`, :func:`zeta_mod_sq` and :func:`err_bound` raise RangeTooLarge.
 * **eta** -- the alternating series for the Dirichlet eta function with
   Borwein's acceleration weights, converted through
   zeta(s) = eta(s) / (1 - 2^{1-s}).  Cost grows linearly with t, accuracy sits
@@ -14,7 +15,7 @@ Two evaluation routes, switched at the constant ``RunConfig.rs_switch`` (t = 100
   caller: a fit's 33 nodes as one (nodes x terms) product per series length,
   a one-point Z or |zeta|^2 as a batch of one.  Each length's Borwein
   weights are built once and kept for the 64 lengths used last
-  (:func:`_borwein`).
+  (:func:`_borwein`); above t = 414.6 their sums overflow.
 
 theta itself is exact (log-gamma) below t = 10 and a seven-term asymptotic
 expansion above, with error < 5e-13 at the seam.
@@ -29,6 +30,9 @@ range is handed out as stretches (:func:`zsq_stretches`): on each, Z^2 has one
 formula and one batched evaluator, the switch ending a stretch as the jumps
 of the Riemann-Siegel formula do.  The ladder's knot fit cuts its intervals
 at them and never reads the kernels itself.
+
+``zeta_mod_sq`` keeps a ``config`` it does not read, and ``_rs_zsq`` passes
+``z_rs_many`` the depth it only checks: the benchmark calls both shapes.
 """
 from __future__ import annotations
 
@@ -41,14 +45,19 @@ import numpy as np
 
 from . import _kernels
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import DomainTooSmall
+from .errors import DomainTooSmall, RangeTooLarge
 
 __all__ = ["ZSample", "rs_theta", "hardy_z", "zeta_mod_sq", "eta_mod_sq", "err_bound",
            "zsq_stretches"]
 
-TWO_PI = 2.0 * math.pi
+#: the top height of a point query: just below 2e7 the Riemann-Siegel error
+#: bound's 5e-14 t floor reaches 1e-6
+RS_CEILING = 1.9999e7
 #: below this height the asymptotic theta expansion is replaced by log-gamma
 _THETA_EXACT_BELOW = 10.0
+#: the eta series' top height: t = 414.6 takes 402 terms, which stay in float
+#: range, and at 403 terms the weighted sum overflows
+_ETA_CEILING = 414.6
 #: error budget of the eta route (rounding-dominated; observed < 2e-14)
 _ETA_ERR = 1e-12
 #: |2^{1-s}| and log 2 as Python's complex power takes them on the line
@@ -130,7 +139,18 @@ def _eta_zeta(ts: np.ndarray) -> np.ndarray:
 
 
 def eta_mod_sq(ts: np.ndarray) -> np.ndarray:
-    """|zeta(1/2 + it)|^2 at each height t >= 0 from the eta series alone (no theta)."""
+    """|zeta(1/2 + it)|^2 at each height t >= 0 from the eta series alone (no theta).
+
+    Refuses, before any series is built, a negative or non-finite height
+    (DomainTooSmall) and one above _ETA_CEILING (RangeTooLarge).
+    """
+    ts = np.asarray(ts, dtype=np.float64)
+    if ts.size and not 0.0 <= ts.min() <= ts.max() <= _ETA_CEILING:
+        if not 0.0 <= ts.min() <= ts.max() < math.inf:
+            raise DomainTooSmall(f"eta_mod_sq requested on [{ts.min()}, {ts.max()}]: "
+                                 "needs finite heights t >= 0")
+        raise RangeTooLarge(f"eta_mod_sq requested up to t={ts.max()}: its series "
+                            f"overflows above t = {_ETA_CEILING}")
     z = _eta_zeta(ts)
     # abs(z) ** 2 of each Python complex: numpy's h * h differs at ~1 node in 1000
     return np.array([h ** 2 for h in np.hypot(z.real, z.imag).tolist()])
@@ -141,31 +161,40 @@ def _eta_z(t: float, theta: float) -> float:
     return (complex(math.cos(theta), math.sin(theta)) * complex(_eta_zeta([t])[0])).real
 
 
-def err_bound(t: float, config: RunConfig = DEFAULT_CONFIG) -> float:
-    """Absolute error budget of :func:`hardy_z` at a finite height t >= 0."""
+def _check_height(t: float, what: str) -> None:
+    """Refuse a height outside [0, RS_CEILING] with a typed error, before any work."""
     if not 0.0 <= t < math.inf:
-        raise DomainTooSmall(f"err_bound requested at t={t}: needs a finite t >= 0")
-    if t < config.rs_switch:
+        raise DomainTooSmall(f"{what} requested at t={t}: needs a finite t >= 0")
+    if t > RS_CEILING:
+        raise RangeTooLarge(f"{what} requested at t={t}: above t = {RS_CEILING:g} "
+                            "the Riemann-Siegel error bound passes 1e-6")
+
+
+def err_bound(t: float) -> float:
+    """Absolute error budget of :func:`hardy_z` at a height 0 <= t <= RS_CEILING."""
+    _check_height(t, "err_bound")
+    if t < RunConfig.rs_switch:
         return _ETA_ERR
-    return _kernels.err_bound_rs(t, config.rs_terms)
+    return _kernels.err_bound_rs(t)
 
 
-def hardy_z(t: float, config: RunConfig = DEFAULT_CONFIG) -> ZSample:
-    """Evaluate Z(t), t finite and >= 0, with an explicit error bound and route tag."""
-    if not 0.0 <= t < math.inf:
-        raise DomainTooSmall(f"hardy_z requested at t={t}: needs a finite t >= 0 (Z is even)")
+def hardy_z(t: float) -> ZSample:
+    """Evaluate Z(t), 0 <= t <= RS_CEILING, with an explicit error bound and route tag."""
+    _check_height(t, "hardy_z")
     th = rs_theta(t)
-    if t < config.rs_switch:
+    if t < RunConfig.rs_switch:
         return ZSample(t, _eta_z(t, th), th, _ETA_ERR, "eta")
-    z = _kernels.z_rs_one(t, config.rs_terms)
-    return ZSample(t, z, th, _kernels.err_bound_rs(t, config.rs_terms), "rs")
+    return ZSample(t, _kernels.z_rs_one(t), th, _kernels.err_bound_rs(t), "rs")
 
 
 def zeta_mod_sq(t: float, config: RunConfig = DEFAULT_CONFIG) -> float:
-    """|zeta(1/2 + it)|^2: Z(t)^2 on the rs route, |zeta|^2 directly below the switch."""
-    if 0.0 <= t < config.rs_switch:
+    """|zeta(1/2 + it)|^2: Z(t)^2 on the rs route, |zeta|^2 directly below the switch.
+
+    ``config`` is not read: perfbench's ``_scalar_increment`` passes one.
+    """
+    if 0.0 <= t < RunConfig.rs_switch:
         return float(eta_mod_sq([t])[0])
-    z = hardy_z(t, config).z
+    z = hardy_z(t).z
     return z * z
 
 

@@ -209,8 +209,9 @@ def eta_zeta(t: float) -> complex:
 
 def rs_remainder(rt: np.ndarray, big_n: np.ndarray, nterms: int) -> np.ndarray:
     """The signed Riemann-Siegel correction from all 29 basis rows as cosines,
-    T_k(u) = cos(k arccos u): the form the package's split basis keeps, bit
-    for bit, on every batch of two or more heights."""
+    T_k(u) = cos(k arccos u), summed to depth nterms: at the package's one
+    depth, 4, the form its split basis keeps, bit for bit, on every batch of
+    two or more heights; shallower depths peel the rows apart."""
     from zetaladder._kernels import _CT
 
     u = 2.0 * (rt - big_n) - 1.0

@@ -54,7 +54,7 @@ JUMPS = [2.0 * math.pi * n * n for n in range(4, 8)]
 
 def _fresh(m, a, b, tol):
     """Integral of Z^2 over [a, b] by the scalar path, apart from the ladder's fits."""
-    return integrate(lambda u: zeta_mod_sq(u, m.config), a, b, tol).value
+    return integrate(zeta_mod_sq, a, b, tol).value
 
 
 def _zsq(m, t):
@@ -185,16 +185,15 @@ def test_interpolated_zsq_matches_hardy_z(model):
     for t in np.concatenate([rng.uniform(1.0, 100.0, 30), rng.uniform(250.0, 2190.0, 270),
                              rng.uniform(100.0, 250.0, 30), JUMPS]):
         t = float(t)
-        assert abs(_zsq(model, t) - hardy_z(t, model.config).z ** 2) <= 1e-9
+        assert abs(_zsq(model, t) - hardy_z(t).z ** 2) <= 1e-9
 
 
 def test_a_built_interval_answers_without_z(model, monkeypatch):
     fresh = LadderModel(model.config, model.table)  # same knots, no interpolants
     calls = []
     many, one = _kernels._z_rs_many_np, _kernels.z_rs_one
-    monkeypatch.setattr(_kernels, "_z_rs_many_np",
-                        lambda ts, n: calls.append(len(ts)) or many(ts, n))
-    monkeypatch.setattr(_kernels, "z_rs_one", lambda t, n: calls.append(1) or one(t, n))
+    monkeypatch.setattr(_kernels, "_z_rs_many_np", lambda ts: calls.append(len(ts)) or many(ts))
+    monkeypatch.setattr(_kernels, "z_rs_one", lambda t: calls.append(1) or one(t))
     fresh.cumulative_hl(1234.1)
     assert calls == [33]  # one batch at the interval's nodes
     fresh.cumulative_hl(1234.4)
@@ -222,7 +221,7 @@ def test_interval_that_fails_the_17_33_test_is_halved(small_config):
         t = float(t)
         fresh = vals[j] + _fresh(m, j * h, t, tol)
         assert abs(m.cumulative_hl(t) - fresh) <= tol
-        assert abs(_zsq(m, t) - hardy_z(t, m.config).z ** 2) <= 1e-9
+        assert abs(_zsq(m, t) - hardy_z(t).z ** 2) <= 1e-9
     for edge in rows[:-1, 1]:
         left = m.cumulative_hl(float(edge))
         right = m.cumulative_hl(math.nextafter(float(edge), math.inf))
@@ -294,7 +293,7 @@ def test_quadrature_across_a_jump_still_converges(model):
     # [307.5, 308] holds the jump at t = 2 pi 7^2; the ladder's fit is cut
     # there, the scalar quadrature is not
     tol = model.config.quad_tol * model.table.spacing
-    res = integrate(lambda u: zeta_mod_sq(u, model.config), 307.5, 308.0, tol)
+    res = integrate(zeta_mod_sq, 307.5, 308.0, tol)
     assert res.error_estimate <= tol
     mass = model.cumulative_hl(308.0) - model.cumulative_hl(307.5)
     assert res.value == pytest.approx(mass, abs=2 * tol)
@@ -386,7 +385,7 @@ def test_step_is_phi1_omega_and_ztilde_sq_at_once(model):
         y, om, zt = model.step(t)
         assert (y, om) == (model.phi1(t), model.omega(t))
         assert zt == _zsq(model, t) / om
-        assert _zsq(model, t) == pytest.approx(hardy_z(t, model.config).z ** 2, abs=1e-9)
+        assert _zsq(model, t) == pytest.approx(hardy_z(t).z ** 2, abs=1e-9)
         assert model.ztilde_sq(t) == zt
 
 

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -216,6 +217,19 @@ def test_import_and_table_build_leave_scipy_special_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_eta_mod_sq_types_its_domain_and_its_overflow():
+    # a negative or non-finite height is refused before any series is built,
+    # and so is one past t = 414.6, where the Borwein sums leave the float
+    # range; up to it every height keeps a finite value
+    for t in (-100.0, -1e-300, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainTooSmall):
+            zeta.eta_mod_sq(np.array([50.0, t]))
+    assert np.isfinite(zeta.eta_mod_sq(np.append(np.arange(0.0, 415.0, 1.0), 414.6))).all()
+    for t in (math.nextafter(414.6, math.inf), 415.0, 999.0, 1e300):
+        with pytest.raises(RangeTooLarge, match="overflows"):
+            zeta.eta_mod_sq(np.array([10.0, t]))
+
+
 def test_z_many_rejects_negative_heights():
     with pytest.raises(DomainTooSmall):
         z_many(np.array([10.0, -0.5]))
@@ -291,15 +305,54 @@ def test_only_zeta_imports_the_kernels():
     assert importers == {"zeta.py"}
 
 
+def _unread_parameters(tree: ast.Module):
+    """(function name, parameter) for each parameter its function's body never reads."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = fn.args
+            params = [p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if p]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            yield from ((getattr(fn, "name", "<lambda>"), p) for p in params if p not in read)
+
+
+def test_src_keeps_no_global_state_and_reads_every_parameter():
+    # the kernels are functions of their heights alone: no module rebinds a
+    # name through `global`, and no parameter is taken only to be dropped
+    # but two: the benchmark still passes zeta_mod_sq a config, and gf_one's
+    # constant weight, a lambda, ignores its v
+    allowed = {("zeta.py", "zeta_mod_sq", "config"), ("tower.py", "<lambda>", "v")}
+    src = os.path.dirname(zetaladder.__file__)
+    unread, rebound = set(), []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        rebound += [(name, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Global)]
+        unread |= {(name, fn, p) for fn, p in _unread_parameters(tree)}
+    assert rebound == []
+    assert unread == allowed
+
+
 def test_err_bound_below_the_switch_is_the_eta_budget():
     assert err_bound(50.0) == 1e-12
 
 
-def test_err_bound_decreases_with_more_correction_terms():
-    t = 300.0
-    bounds = [_kernels.err_bound_rs(t, k) for k in (1, 2, 3, 4)]
-    assert all(b > 0 for b in bounds)
-    assert bounds == sorted(bounds, reverse=True)
+def test_point_queries_stop_at_the_error_ceiling():
+    # up to RS_CEILING the Riemann-Siegel bound keeps its 1e-6 promise; past
+    # it, and at 1e300, whose main sum would never end, each query refuses
+    # before any work
+    top = zeta.RS_CEILING
+    assert err_bound(top) <= 1e-6 < _kernels.err_bound_rs(2e7)
+    assert hardy_z(top).err_bound <= 1e-6 and zeta_mod_sq(top) >= 0.0
+    t0 = time.perf_counter()
+    for t in (math.nextafter(top, math.inf), 2e7, 1e300):
+        for fn in (hardy_z, zeta_mod_sq, err_bound):
+            with pytest.raises(RangeTooLarge, match="passes 1e-6"):
+                fn(t)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_err_bound_shrinks_with_height_on_rs_route():
