@@ -13,10 +13,10 @@ that ``_CT``'s columns hold.
   new intervals at once, :func:`z_rs_many`).  It vectorizes the main sum,
   one product per branch N over log n and sqrt n taken on each call,
   and shares theta and the correction terms with the scalar core; a
-  height's value does not depend on the rest of its batch, nor on whether
-  it has one.  A 33-node call is mostly numpy dispatch, so the batch keeps
-  its array operations few, without reordering any: each rounds as the
-  formula reads.
+  height's value does not depend on the rest of its batch, whatever its
+  size, nor on whether it has one.  A 33-node call is mostly numpy
+  dispatch, so the batch keeps its array operations few, without
+  reordering any: each rounds as the formula reads.
 
 The correction functions C_0..C_3, combinations of derivatives of
 Psi(x) = cos(2 pi (x^2 - x - 1/16)) / cos(2 pi x) at the cyclic fraction
@@ -93,6 +93,9 @@ _CT = np.array([
 _CHEB_K = np.arange(_CT.shape[0], dtype=np.float64)
 #: the top degree taken as a cosine; the ones above come from products
 _HALF = (_CT.shape[0] - 1) // 2
+#: most heights one correction product takes: BLAS rounds a larger one
+#: otherwise (from about 8600 rows, OpenBLAS on 2 cores)
+_BLOCK = 4096
 
 
 # --------------------------------------------------------------------------
@@ -117,8 +120,9 @@ def _rs_remainder(rt, big_n):
     T_{14+j} = 2 T_14 T_j - T_{14-j} above, where every coefficient is below
     4.4e-9: the last bits it moves in C_1..C_3 (190 at 10^6 heights) are lost
     in the sum, C_0 keeps its own.  Its C-order copy times the coefficient
-    block gives C_0..C_3; BLAS sums that product alike for every n >= 2, so a
-    lone height is stacked twice.
+    block gives C_0..C_3, taken _BLOCK rows at a time: BLAS sums that product
+    alike for every 2 <= n <= _BLOCK (not far above it), so a lone height is
+    stacked twice, and no block holds one row.
     """
     if rt.size == 1:  # one row would take BLAS's gemv path, which rounds otherwise
         return _rs_remainder(np.repeat(rt, 2), big_n)[:1]
@@ -128,7 +132,14 @@ def _rs_remainder(rt, big_n):
     np.cos(low, out=low)
     high = np.multiply(2.0 * basis[_HALF], basis[1:_HALF + 1], out=basis[_HALF + 1:])
     high -= basis[_HALF - 1::-1]
-    rows = np.ascontiguousarray(basis.T) @ _CT  # (n, 4)
+    flat = np.ascontiguousarray(basis.T)
+    if rt.size <= _BLOCK:
+        rows = flat @ _CT  # (n, 4)
+    else:
+        rows = np.empty((rt.size, _CT.shape[1]))
+        for k in range(0, rt.size, _BLOCK):
+            k = min(k, rt.size - 2)  # a last block of one row would take gemv
+            np.matmul(flat[k:k + _BLOCK], _CT, out=rows[k:k + _BLOCK])
     irt = 1.0 / rt
     corr = rows[:, -1] + 0.0  # as 0.0 / rt + C reads: -0.0 becomes +0.0
     for k in range(_CT.shape[1] - 2, -1, -1):
@@ -155,9 +166,10 @@ def _z_rs_many_np(ts: np.ndarray) -> np.ndarray:
     """Hardy Z on an array of heights: the scalar core with a vectorized main sum.
 
     Heights that share a branch N = floor(sqrt(t / 2 pi)) share one
-    (heights x N) main sum, so a height's value never depends on the rest of
-    its batch: padding shorter rows with zero terms would change the order
-    in which numpy's pairwise sum adds them.
+    (heights x N) main sum, and :func:`_rs_remainder` takes the correction
+    in blocks, so a height's value never depends on the rest of its batch,
+    whatever its size: padding shorter rows with zero terms would change the
+    order in which numpy's pairwise sum adds them.
     """
     ts = np.asarray(ts, dtype=np.float64)
     th = _theta_asym(ts)

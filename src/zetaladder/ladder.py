@@ -11,14 +11,14 @@ The model has three ingredients:
   disturbing existing knots, up to the last knot at or below t_table_max
   (:attr:`LadderModel.top_knot`).  Each knot interval [j h, (j + 1) h] has one
   **fit**, the package's one Z^2 quadrature: rows of Z^2 and its integral
-  from ``numerics.chebyshev_spans``, one span for each of the interval's
+  from ``numerics.chebyshev_pieces``, one span for each of the interval's
   pieces on a stretch where Z^2 keeps one formula (``zeta.zsq_stretches``),
   pieces halved while their 17/33 difference exceeds their share of
-  quad_tol * h.  A new knot adds the sum of its interval's piece integrals
-  and drops the rows; a call that adds many knots fits up to 16 intervals
-  in one pass: their first pieces in one Z batch per route, accepted
-  together, the splitting loop run only for a span whose first pieces miss
-  their share.
+  quad_tol * h.  A new knot adds the sum of its interval's piece integrals;
+  a call that adds many knots fits up to 16 intervals in one array pass
+  (``numerics.chebyshev_spans``): their first pieces in one Z batch per
+  route, tested and integrated together, no rows kept, the splitting loop
+  run only for a span whose first pieces miss their share.
   :meth:`LadderModel.extend_on` deals such chunks to a process pool's
   workers and appends their increments in order.  An off-knot query refits
   the interval, lands it on its knots and keeps it in memory in the form a
@@ -82,12 +82,12 @@ from .errors import (
 from .numerics import (
     Bracket,
     Landed,
-    Span,
+    chebyshev_pieces,
     chebyshev_spans,
     eval_pieces,
     invert_increasing,
     land_pieces,
-    piece_integrals,
+    rows_integral,
 )
 
 __all__ = [
@@ -102,8 +102,8 @@ _LOG_TWO_PI = math.log(2.0 * math.pi)
 #: V(y) = y log y + _V_LINEAR y
 _V_LINEAR = EULER_GAMMA - _LOG_TWO_PI
 #: most knot intervals one pass serves when a call adds many knots: a
-#: 33-node piece costs the RS kernel about 52 us alone and 17 us in a
-#: 16-piece batch, and an interval's whole fit about 77 us alone and 23 us
+#: 33-node piece costs the RS kernel about 52 us alone and 15 us in a
+#: 16-piece batch, and an interval's whole fit about 63 us alone and 19 us
 #: in a chunk (t = 1000, best of 15, 2-core machine)
 _CHUNK = 16
 
@@ -210,10 +210,10 @@ class LadderModel:
 
         Each new knot adds the integral of its interval's raw fit.  The new
         intervals are fitted in chunks of at most ``_CHUNK``, each in one
-        pass (:meth:`_raw_fits`), so a build costs far fewer kernel calls
-        than it fits pieces; a call that adds one knot fits it alone.  Every
-        knot is bit-identical to one built alone, and a fit that raises
-        leaves the table with exactly the knots below its interval.
+        pass (:meth:`knot_increments`), so a build costs far fewer kernel
+        calls than it fits pieces; a call that adds one knot fits it alone.
+        Every knot is bit-identical to one built alone, and a fit that
+        raises leaves the table with exactly the knots below its interval.
         """
         for j0, j1 in self.missing_chunks(t):
             self.append_knots(self.knot_increments(j0, j1))
@@ -266,24 +266,26 @@ class LadderModel:
     def knot_increments(self, j0: int, j1: int) -> Iterator[float]:
         """A((j + 1) h) - A(j h) for knot intervals j0..j1 - 1, in order.
 
-        Each is the sum of the interval's :meth:`_raw_fits` piece integrals,
-        taken from its rows whether its chunk's pass accepted them or the
-        splitting loop made them; the rows are dropped (kept, they cost
-        ~3 MB up to t = 2200).  The table is not read, so
+        Each is the :func:`rows_integral` of the interval's fit.  A lone
+        interval is :meth:`_raw_fit` alone.  A chunk of more is fitted by
+        ``numerics.chebyshev_spans`` in one array pass over its
+        :meth:`_spans`, each interval a group; the rows are dropped (kept,
+        they cost ~3 MB up to t = 2200).  The table is not read, so
         :func:`_fit_chunks` fits on a bare model under the same
         configuration.  A fit that raises stops the increments at its
         interval.
         """
+        if j1 - j0 == 1:
+            yield rows_integral(self._raw_fit(j0))
+            return
         try:
-            fits = self._raw_fits(j0, j1)
+            increments = chebyshev_spans(*self._spans(j0, j1))
         except Exception:
             # a Z batch that raises (a kernel failing at some height): one
             # interval at a time, the one that holds it raises again with
             # the increments below it given, as a knot-by-knot build ends
-            fits = (self._raw_fit(j) for j in range(j0, j1))
-        for rows in fits:
-            yield float(piece_integrals(rows[0]) if len(rows) == 1
-                        else piece_integrals(rows).sum())
+            increments = (rows_integral(self._raw_fit(j)) for j in range(j0, j1))
+        yield from increments
 
     def append_knots(self, increments: Iterable[float]) -> None:
         """Append one knot per increment: the top knot's value plus it."""
@@ -292,48 +294,56 @@ class LadderModel:
             vals.append(vals[-1] + inc)
 
     def _raw_fit(self, j: int) -> np.ndarray:
-        """Z^2 on knot interval j as chebyshev_spans rows: :meth:`_raw_fits` of one."""
-        return next(self._raw_fits(j, j + 1))
+        """Z^2 on knot interval j as chebyshev_pieces rows, one stretch at a time.
 
-    def _raw_fits(self, j0: int, j1: int) -> Iterator[np.ndarray]:
-        """Z^2 on knot intervals j0..j1 - 1 as chebyshev_spans rows, in order.
-
-        The one Z^2 quadrature.  The chunk [j0 h, j1 h] is asked once for its
+        The one Z^2 quadrature.  The interval is cut at its
         ``zeta.zsq_stretches``, on each of which Z^2 has one formula: the
         eta series below the switch, Riemann-Siegel above it, cut at each
-        jump of that formula.  Each interval is cut by one rule: it is
-        intersected with every stretch and the empty pieces are dropped, so
-        no span mixes two routes, whose values differ by the RS error, or
-        straddles a jump.  Each span shares the tolerance by its width, and
-        its initial pieces are capped at half the shortest Z wavelength.
-
-        The spans go to ``numerics.chebyshev_spans`` in one pass: every
-        first piece is evaluated here, before the first fit is yielded, in
-        one Z batch per evaluator; the first pieces that meet their share
-        become rows at once, and only a span with one that does not runs the
-        splitting loop, from its values.  A lone first piece (a one-interval
-        fit below t ~ 3360) goes to the loop directly.  A height's Z^2 does
-        not depend on its batch, and no jump's cut falls on a knot, so each
-        fit is bit-identical to its interval's own stretches fitted one by
-        one (``numerics.chebyshev_pieces``).
+        jump of that formula.  So no span mixes two routes, whose values
+        differ by the RS error, or straddles a jump.  Each span shares the
+        tolerance by its width, and its initial pieces are capped at half the
+        shortest Z wavelength.
         """
-        cfg, h = self.config, self.table.spacing
+        h, quad_tol = self.table.spacing, self.config.quad_tol
+        wavelength = _min_wavelength((j + 1) * h)
+        rows = [chebyshev_pieces(zsq, lo, hi, quad_tol * (hi - lo), wavelength)
+                for zsq, lo, hi in zeta.zsq_stretches(j * h, (j + 1) * h)]
+        return rows[0] if len(rows) == 1 else np.vstack(rows)
+
+    def _spans(self, j0: int, j1: int) -> tuple:
+        """Knot intervals j0..j1 - 1 cut as :meth:`_raw_fit` cuts each, as the
+        arrays ``numerics.chebyshev_spans`` takes, one group an interval.
+
+        The chunk [j0 h, j1 h] is asked once for its stretches, and each is
+        cut at the knots inside it.  No jump's cut falls on a knot, so the
+        spans are every interval's own, with the same tolerance and initial
+        pieces, and each increment is bit for bit its interval's fitted
+        alone.  The wavelength falls with t, so while half of it at the
+        chunk's top spans a whole interval, every span is one piece.
+        """
+        h = self.table.spacing
         stretches = zeta.zsq_stretches(j0 * h, j1 * h)
-        spans: list[Span] = []
-        counts = []  # spans per interval
-        for j in range(j0, j1):
-            a, b = j * h, (j + 1) * h
-            wavelength, n = _min_wavelength(b), len(spans)
-            for zsq, lo, hi in stretches:
-                lo, hi = max(a, lo), min(b, hi)
-                if lo < hi:
-                    spans.append((zsq, lo, hi, cfg.quad_tol * (hi - lo), wavelength))
-            counts.append(len(spans) - n)
-        rows = chebyshev_spans(spans)
-        if len(spans) == j1 - j0:  # no interval is cut: each has its one span's rows
-            return rows
-        return (next(rows) if n == 1 else np.vstack([next(rows) for _ in range(n)])
-                for n in counts)
+        if len(stretches) == 1:  # no interval is cut
+            knots = np.arange(j0, j1 + 1) * h
+            runs, lo, hi = [(stretches[0][0], j1 - j0)], knots[:-1], knots[1:]
+            group = np.arange(j1 - j0)
+        else:
+            knots = [j * h for j in range(j0, j1 + 1)]
+            runs, lo, hi = [], [], []
+            for zsq, a, b in stretches:
+                inner = knots[bisect.bisect_right(knots, a):bisect.bisect_left(knots, b)]
+                runs.append((zsq, len(inner) + 1))
+                lo += [a, *inner]
+                hi += [*inner, b]
+            lo, hi = np.array(lo), np.array(hi)
+            group = (lo // h).astype(np.intp) - j0
+        width = hi - lo
+        if 0.5 * _min_wavelength(j1 * h) >= h:  # below t ~ 3360 no span is split
+            n0 = np.ones(lo.size, np.intp)
+        else:  # at its interval's top, as _raw_fit caps it
+            wavelength = np.array([_min_wavelength(b) for b in ((group + (j0 + 1)) * h).tolist()])
+            n0 = np.ceil(width / (0.5 * wavelength)).astype(np.intp)  # >= 1: no span is empty
+        return runs, lo, hi, self.config.quad_tol * width, n0, group
 
     def _landed(self, j: int) -> Landed:
         """Knot interval j in the form :func:`eval_pieces` reads, landed on first use.

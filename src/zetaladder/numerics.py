@@ -20,9 +20,9 @@ use for integrals and root solves, so their contracts are deliberately narrow:
   form :func:`eval_pieces` reads, once.  A loop that cannot meet
   its tolerance raises :class:`NonConvergence`, not halving below noise.
   The loop starts from :func:`initial_pieces`.  :func:`chebyshev_spans`
-  fits many spans in one pass: their initial pieces in one batch, tested
-  and turned into rows together, and the loop run only for a span that
-  needs it, from its values.
+  integrates many spans in one array pass: their initial pieces in one
+  batch, tested and integrated together, and the loop run only for a span
+  that needs it, from its values.
 * :func:`invert_increasing` -- g(x) = target with g strictly increasing on
   the bracket.
 * :func:`find_level_crossing` -- leftmost solution of g(x) = level on an open
@@ -61,6 +61,7 @@ __all__ = [
     "piece_nodes",
     "land_pieces",
     "piece_integrals",
+    "rows_integral",
     "integrate",
     "invert_increasing",
     "find_level_crossing",
@@ -257,8 +258,15 @@ def chebyshev_pieces(
     One row per piece accepted by :func:`_pieces`, left to right:
     ``[lo, hi, b_0..b_33, c_0..c_32]``.  The pieces are exactly those
     :func:`adaptive_panels` sums, so the rows' integrals add up to its value.
+    Several initial pieces are evaluated in one batch, which f at a node
+    does not feel.
     """
-    return _rows(fvals, a, b, tol, initial_pieces(a, b, min_wavelength))
+    edges = initial_pieces(a, b, min_wavelength)
+    first = None
+    if len(edges) > 2:
+        e = np.array(edges)
+        first = fvals(piece_nodes(e[:-1], e[1:]).ravel()).reshape(-1, N_HI + 1)
+    return _rows(fvals, a, b, tol, edges, first)
 
 
 def _rows(fvals: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float,
@@ -268,67 +276,96 @@ def _rows(fvals: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: fl
     return rows[0][None] if len(rows) == 1 else np.array(rows)
 
 
-#: a span to fit: chebyshev_pieces' arguments (fvals, a, b, tol, min_wavelength)
-Span = tuple[Callable[[np.ndarray], np.ndarray], float, float, float, float | None]
+def chebyshev_spans(runs: list[tuple[Callable[[np.ndarray], np.ndarray], int]],
+                    lo: np.ndarray, hi: np.ndarray, tol: np.ndarray, n0: np.ndarray,
+                    group: np.ndarray) -> Iterator[float]:
+    """The integral of each group of spans, in order, from one array pass.
 
+    Span s is [lo[s] < hi[s]], fitted as :func:`chebyshev_pieces` fits it
+    to tolerance tol[s] from n0[s] equal initial pieces.  ``runs`` gives the
+    fvals of consecutive spans, as (fvals, number of spans); group[s] is the
+    group span s adds to, 0 for the first spans and one more for each next
+    group.  A group's integral is :func:`rows_integral` of its spans' rows,
+    stacked in order.
 
-def chebyshev_spans(spans: list[Span]) -> Iterator[np.ndarray]:
-    """:func:`chebyshev_pieces` of each span, in order, from one pass.
-
-    The :func:`initial_pieces` of every span are evaluated here, one batch
-    per run of spans that share fvals, before the first rows are asked for.
-    A span whose initial pieces all meet their share of its tol gets their
-    rows from one pass over the batch; any other goes to :func:`_pieces`
-    with its values, so the splitting policy stays one loop.  The pass
-    stacks the pieces' two dots and coefficient products, one BLAS call a
-    piece as :func:`_pieces` makes them (one matrix product would sum in
-    another order), and f at a node does not depend on its batch, so the
-    rows are bit for bit those of each span fitted alone.  A lone piece has
-    nothing to stack, so it goes straight to :func:`_pieces`, which
-    evaluates it when its rows are asked for: stacking one piece costs more
-    than it saves.
+    Every initial piece is evaluated before the first integral is asked
+    for, one batch per run of spans that share fvals, and the pass then
+    works on whole arrays: the pieces' edges (:func:`initial_pieces`,
+    elementwise), one test of every 17/33 error against its share, one
+    reduce for every piece's integral, and one left-to-right sum a group.
+    Only a group with a span whose initial pieces miss their share, or of 8
+    pieces or more (which ``ndarray.sum`` adds pairwise), is summed on its
+    own; such a span goes to :func:`_pieces` with its values, so the
+    splitting policy stays one loop.  The pass stacks the pieces' two dots
+    and coefficient products, one BLAS call a piece as :func:`_pieces` makes
+    them (one matrix product would sum in another order), f at a node does
+    not depend on its batch, and a reduce over the last axis sums each row
+    as it sums a row alone, so each integral is bit for bit that of its
+    spans fitted alone.  One that raises ends the integrals at its group.
     """
-    edges = [initial_pieces(a, b, wl) for _f, a, b, _tol, wl in spans]
-    if len(edges) == 1 and len(edges[0]) == 2:
-        return (_rows(fvals, a, b, tol, es) for (fvals, a, b, tol, _wl), es in zip(spans, edges))
-    lo = np.array([e for es in edges for e in es[:-1]])
-    hi = np.array([e for es in edges for e in es[1:]])
-    nodes = piece_nodes(lo, hi)
-    vals, k = [], 0
-    for fvals, run in itertools.groupby(zip(spans, edges), key=lambda span_es: span_es[0][0]):
-        n = sum(len(es) - 1 for _span, es in run)
-        vals.append(fvals(nodes[k:k + n].ravel()))
-        k += n
-    vals = (vals[0] if len(vals) == 1 else np.concatenate(vals)).reshape(k, 1, N_HI + 1)
-    half = 0.5 * (hi - lo)
-    quad_hi = np.matmul(vals, WEIGHTS_HI).ravel().tolist()
-    quad_lo = np.matmul(vals[..., ::2], WEIGHTS_LO).ravel().tolist()
-    rows = np.empty((k, _ROW))
-    rows[:, 0], rows[:, 1] = lo, hi
+    span = np.repeat(np.arange(lo.size), n0)  # each initial piece's span
+    if span.size == lo.size:  # one piece a span: the edges below at i = 0, n = 1
+        head, plo, phi, share, piece_group = span, lo, lo + (hi - lo), tol, group
+    else:
+        head = np.add.accumulate(n0) - n0  # each span's first piece
+        i = np.arange(span.size) - head[span]
+        a, width, n = lo[span], (hi - lo)[span], n0[span]
+        plo, phi = a + width * i / n, a + width * (i + 1) / n
+        share, piece_group = (tol / n0)[span], group[span]
+    nodes = piece_nodes(plo, phi)
+    bound = head.tolist() + [span.size]  # span s's pieces: bound[s]..bound[s + 1] - 1
+    vals, by_fvals, s = [], [], 0
+    for fvals, run in itertools.groupby(runs, key=lambda run: run[0]):
+        s1 = s + sum(count for _f, count in run)
+        vals.append(fvals(nodes[bound[s]:bound[s1]].ravel()))
+        by_fvals.append((s1, fvals))
+        s = s1
+    vals = (vals[0] if len(vals) == 1 else np.concatenate(vals)).reshape(span.size, 1, N_HI + 1)
+    half = 0.5 * (phi - plo)
+    quad_hi = np.matmul(vals, WEIGHTS_HI).ravel()
+    quad_lo = np.matmul(vals[..., ::2], WEIGHTS_LO).ravel()
+    # the error as _pieces takes it; one that is not finite fails
+    passed = np.abs(quad_hi - quad_lo) * half <= share
+    rows = np.empty((span.size, _ROW))
+    rows[:, 0], rows[:, 1] = plo, phi
     np.matmul(vals, CHEB_FIT.T, out=rows[:, None, 2:])  # CHEB_FIT @ v, one gemv a piece
     rows[:, 2:2 + _NB] *= half[:, None]
-    half = half.tolist()
+    # each group's pieces added left to right, as ndarray.sum() adds fewer than 8
+    sums = np.bincount(piece_group, weights=piece_integrals(rows)).tolist()
+    alone = np.bincount(piece_group) >= 8
+    alone[piece_group[~passed]] = True
 
-    def fits() -> Iterator[np.ndarray]:
+    def integrals() -> Iterator[float]:
         k = 0
-        for (fvals, a, b, tol, _wl), es in zip(spans, edges):
-            n0 = len(es) - 1
-            share = tol / n0
-            for i in range(k, k + n0):
-                # the error as _pieces takes it; one that is not finite fails
-                if not abs(quad_hi[i] - quad_lo[i]) * half[i] <= share:
-                    yield _rows(fvals, a, b, tol, es, vals[k:k + n0, 0])
-                    break
-            else:
-                yield rows[k:k + n0]
-            k += n0
+        for g in alone.nonzero()[0].tolist():
+            yield from sums[k:g]
+            s0, s1 = np.searchsorted(group, (g, g + 1)).tolist()
+            stack = []
+            for s in range(s0, s1):
+                k0, k1 = bound[s], bound[s + 1]
+                if passed[k0:k1].all():
+                    stack.append(rows[k0:k1])
+                    continue
+                fvals = next(f for end, f in by_fvals if s < end)
+                edges = plo[k0:k1].tolist() + [float(phi[k1 - 1])]
+                stack.append(_rows(fvals, float(lo[s]), float(hi[s]), float(tol[s]), edges,
+                                   vals[k0:k1, 0]))
+            sums[g] = rows_integral(stack[0] if len(stack) == 1 else np.vstack(stack))
+            k = g
+        yield from sums[k:]
 
-    return fits()
+    return integrals()
 
 
 def piece_integrals(rows: np.ndarray) -> np.ndarray:
     """Each piece's integral (a scalar for one row): T_m(1) = 1, so the sum of b."""
     return np.add.reduce(rows[..., 2:2 + _NB], axis=-1)
+
+
+def rows_integral(rows: np.ndarray) -> float:
+    """The integral of rows' pieces: their :func:`piece_integrals`, summed as
+    ``ndarray.sum`` adds them."""
+    return float(piece_integrals(rows[0]) if len(rows) == 1 else piece_integrals(rows).sum())
 
 
 def land_pieces(rows: np.ndarray, total: float, width: float) -> Landed:

@@ -79,6 +79,16 @@ def test_a_heights_z_does_not_depend_on_its_batch(spans, seed):
     assert single.tobytes() == pairs.tobytes() == alone.tobytes()
 
 
+@pytest.mark.parametrize("size", [8193, 20_000])
+def test_a_large_batchs_z_is_its_33_height_batches(size):
+    # the correction's (n, 29) @ (29, 4) product rounds otherwise once n
+    # passes some thousands of rows, so it is taken in blocks of at most
+    # 4096, none of one row
+    ts = np.sort(np.random.default_rng(size).uniform(100.0, 2e5, size))
+    small = np.concatenate([_kernels.z_rs_many(ts[i:i + 33], 4) for i in range(0, size, 33)])
+    assert _kernels.z_rs_many(ts, 4).tobytes() == small.tobytes()
+
+
 def test_z_at_large_n_does_not_depend_on_its_batch():
     # N = 398 at t = 1e6 and 797 at 4e6, each main sum read after the other
     t = np.array([1e6 + 0.123])

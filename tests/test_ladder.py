@@ -581,15 +581,16 @@ def test_knot_reads_fit_nothing_and_a_reverse_step_lands_only_its_root(model,
     # value, and the root loop's reads land one interval, the root's
     fresh = LadderModel(model.config, model.table)
     h, vals = fresh.table.spacing, fresh.table.values
-    fits, raw_fits = [], fresh._raw_fits
-    monkeypatch.setattr(fresh, "_raw_fits",
-                        lambda j0, j1: fits.append((j0, j1)) or raw_fits(j0, j1))
+    fits = []
+    for name in ("_raw_fit", "_spans"):  # a lone interval's fit, a chunk's
+        fit = getattr(fresh, name)
+        monkeypatch.setattr(fresh, name, lambda *js, fit=fit: fits.append(js) or fit(*js))
     for j in (0, 1, 600, len(vals) - 1):
         assert fresh.cumulative_hl(j * h) == vals[j]
     assert fits == [] and fresh._pieces == {}
     u = fresh.reverse_step(1500.0)
     root = math.ceil(u / h) - 1
-    assert fits == [(root, root + 1)] and list(fresh._pieces) == [root]
+    assert fits == [(root,)] and list(fresh._pieces) == [root]
 
 
 def test_reverse_step_grows_a_cold_table_to_the_root_knot(small_config):
@@ -691,20 +692,66 @@ def test_no_jump_cut_falls_on_a_knot():
     assert not [t for t in cuts if (t / h).is_integer()]
 
 
-@pytest.mark.parametrize("j", [201, 452, 7001])
+@pytest.mark.parametrize("j", [201, 452, 7001, 13633])
 def test_an_interval_fit_is_its_spans_fitted_alone(small_config, j):
     # chebyshev_pieces evaluates and tests each piece on its own; the chunk
     # pass stacks them.  Interval 201 is cut at 2 pi 4^2 and the span below
-    # the cut halved, 452 is cut at 2 pi 6^2, and 7001 (t = 3500.5) starts
-    # as two pieces.  Alone and in each interval of a chunk around it (the
-    # one around 201 also crosses the eta / Riemann-Siegel seam at 200)
+    # the cut halved, 452 is cut at 2 pi 6^2, 7001 (t = 3500.5) starts as
+    # two pieces, and so does 13633 (t = 6816.5), which the splitting loop
+    # then takes from the chunk's values.  Alone, and as the increment of
+    # each interval of a chunk around it (the one around 201 also crosses
+    # the eta / Riemann-Siegel seam at 200)
     m = LadderModel(small_config)
     lone = [_lone_fit(m, i) for i in range(j - 7, j + 9)]
     fit = m._raw_fit(j)
     assert fit.shape == lone[7].shape and fit.tobytes() == lone[7].tobytes()
-    chunk = list(m._raw_fits(j - 7, j + 9))
-    assert [r.shape for r in chunk] == [r.shape for r in lone]
-    assert [r.tobytes() for r in chunk] == [r.tobytes() for r in lone]
+    _assert_chunk_is_its_lone_fits(m, j - 7, j + 9, lone)
+
+
+def _assert_chunk_is_its_lone_fits(m, j0, j1, lone=None):
+    """knot_increments(j0, j1) is each interval's lone fit integrated, bit for bit."""
+    lone = lone or [m._raw_fit(j) for j in range(j0, j1)]
+    chunk = np.array(list(m.knot_increments(j0, j1)))
+    alone = np.array([piece_integrals(rows).sum() for rows in lone])
+    assert chunk.tobytes() == alone.tobytes(), (j0, j1)
+
+
+def test_chunks_where_intervals_start_as_two_pieces_are_their_lone_fits(small_config):
+    # above t ~ 3360 every interval starts as two pieces; [3300, 3700] also
+    # holds the jump at 2 pi 24^2 ~ 3619.1.  The fit reads no table, so a
+    # bare model fits each chunk
+    m = LadderModel(small_config)
+    for j0 in range(6600, 7400, ladder._CHUNK):
+        _assert_chunk_is_its_lone_fits(m, j0, j0 + ladder._CHUNK)
+
+
+def test_chunks_around_each_jump_are_their_lone_fits(small_config):
+    # the interval that holds a jump t = 2 pi N^2 is cut there; above
+    # t ~ 3360 it holds three or four pieces, which its increment adds in
+    # ndarray.sum's order (a pairwise sum moves 5 of these 47 chunks)
+    m = LadderModel(small_config)
+    h = m.table.spacing
+    stretches = zeta.zsq_stretches(RunConfig.rs_switch, 16_000.0)
+    for _, _, below in stretches[:-1]:
+        _assert_chunk_is_its_lone_fits(m, int(below // h) - 7, int(below // h) + 9)
+
+
+def _check_random_chunks(config, seed, n):
+    m = LadderModel(config)
+    rng = np.random.default_rng(seed)
+    for j0, size in zip(rng.integers(0, 20_000, n).tolist(), rng.integers(2, 17, n).tolist()):
+        _assert_chunk_is_its_lone_fits(m, j0, j0 + size)
+
+
+def test_random_chunks_are_their_lone_fits(small_config):
+    # chunks of 2..16 intervals anywhere in [0, 10^4]
+    _check_random_chunks(small_config, 20261021, 250)
+
+
+@pytest.mark.fuzz
+def test_random_chunks_are_their_lone_fits_long(small_config):
+    # opt in with `pytest -m fuzz`: 2000 chunks
+    _check_random_chunks(small_config, 20261022, 2000)
 
 
 def test_a_chunk_fit_splits_only_the_spans_whose_first_pieces_fail(small_config,
