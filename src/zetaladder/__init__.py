@@ -66,7 +66,6 @@ from .tower import (
     GeneratingFunction,
     IterationTower,
     Segment,
-    chain_identity_residual,
     gf_cos2,
     gf_one,
     gf_power,
@@ -99,7 +98,7 @@ __all__ = [
     # tower
     "Segment", "IterationTower", "GeneratingFunction", "ChainPoints",
     "ChainFactory", "gf_one", "gf_sin2", "gf_cos2", "gf_power",
-    "make_chain_weight", "chain_identity_residual", "lemma_residual",
+    "make_chain_weight", "lemma_residual",
     # hybrid
     "DeltaPair", "HybridReport", "InvarianceScan", "theorem1_constant",
     "theorem2_constant", "echf1", "echf2", "beta_product_elim",

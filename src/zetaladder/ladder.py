@@ -37,9 +37,10 @@ The read path is short: a height maps to its knot interval by one rule,
 ``_landed`` gives that interval's landed form, fitting it on
 first use; and ``numerics.eval_pieces`` reads it.  ``cumulative_hl`` is the
 one reader of A: a knot reads its value, any other t one ``eval_pieces``.
-One **ladder step**, ``step(t) -> (phi1(t), omega(t), ztilde_sq(t))``, is
+One **ladder step**, ``step(t) -> (phi1(t), omega(t), ztilde_sq(t))`` with
+omega(t) = V'(phi1(t)), the normalizer's slope at the mapped point, is
 the one forward query: one ``eval_pieces`` gives A(t) and Z(t)^2, one Newton
-solve phi1, and no Z is evaluated.  ``phi1``, ``omega``, ``ztilde_sq`` and
+solve phi1, and no Z is evaluated.  ``phi1``, ``ztilde_sq`` and
 every chain walk in :mod:`zetaladder.tower` read it: a ladder level costs
 one of each.  A reverse step's root loop reads A through ``cumulative_hl``.
 
@@ -424,10 +425,6 @@ class LadderModel:
     def phi1(self, t: float) -> float:
         """V^{-1}(A(t)): the first part of :meth:`step`."""
         return self.step(t)[0]
-
-    def omega(self, t: float) -> float:
-        """Slope of the normalizer at the mapped point: V'(phi1(t)) > 0."""
-        return self.step(t)[1]
 
     def ztilde_sq(self, t: float) -> float:
         """Z(t)^2 / omega(t) -- the exact derivative of phi1 at t."""

@@ -49,7 +49,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ._quadrule import CHEB_FIT, N_HI, NODES_HI, WEIGHTS_HI, WEIGHTS_LO
-from .errors import BracketInvalid, DomainTooSmall, NoCrossing, NonConvergence
+from .errors import BracketInvalid, DomainTooSmall, NoCrossing, NonConvergence, RangeTooLarge
 
 __all__ = [
     "QuadratureResult",
@@ -119,12 +119,20 @@ def initial_pieces(a: float, b: float, min_wavelength: float | None) -> list[flo
 
     Equal pieces no wider than half of ``min_wavelength`` (one piece when it
     is None); :func:`_pieces` starts from them, and :func:`piece_nodes` gives
-    their nodes.
+    their nodes.  Refuses, before any edge is built, a width b - a that is
+    not finite (DomainTooSmall) and more than _MAX_PANELS pieces, which
+    :func:`_pieces` could not accept (RangeTooLarge).
     """
     width = b - a
+    if not math.isfinite(width):
+        raise DomainTooSmall(f"quadrature requested on [{a!r}, {b!r}]: needs a finite width")
     n0 = 1
     if min_wavelength is not None and min_wavelength > 0.0:
-        n0 = max(1, math.ceil(width / (0.5 * min_wavelength)))
+        half = 0.5 * min_wavelength
+        if not width <= _MAX_PANELS * half:  # half may round to 0
+            raise RangeTooLarge(f"more than {_MAX_PANELS} initial pieces on [{a!r}, {b!r}] "
+                                f"at min_wavelength={min_wavelength!r}")
+        n0 = max(1, math.ceil(width / half))
     return [a + width * i / n0 for i in range(n0 + 1)]
 
 
@@ -426,8 +434,10 @@ def integrate(
     ``min_wavelength``, when given, caps the initial panel width at half the
     shortest oscillation the integrand contains; adaptivity then only ever
     shrinks panels further.  Raises :class:`NonConvergence` when the tolerance
-    cannot be met within the splitting-depth budget, and
-    :class:`DomainTooSmall` at a tol that is not > 0 (NaN included).
+    cannot be met within the splitting-depth budget,
+    :class:`DomainTooSmall` at a tol that is not > 0 (NaN included) or a
+    bound that is not finite, and :class:`RangeTooLarge` when
+    ``min_wavelength`` asks for more than _MAX_PANELS initial panels.
     """
     if not (tol > 0.0):
         raise DomainTooSmall(f"integrate requested at tol={tol!r}: must be > 0")

@@ -64,7 +64,6 @@ __all__ = [
     "gf_cos2",
     "gf_power",
     "make_chain_weight",
-    "chain_identity_residual",
     "lemma_residual",
 ]
 
@@ -202,10 +201,20 @@ def gf_cos2() -> GeneratingFunction:
 
 
 def gf_power(delta: Fraction | float) -> GeneratingFunction:
-    """v -> v^delta for delta > -1; exact mass U^(1+delta)/(1+delta)."""
-    d = float(delta)
-    if d <= -1.0:
+    """v -> v^delta for finite delta > -1; exact mass U^(1+delta)/(1+delta).
+
+    As :class:`hybrid.DeltaPair` types its exponents: a NaN or delta <= -1
+    is refused with DomainTooSmall, an infinite delta or one past the float
+    range with RangeTooLarge.
+    """
+    try:
+        d = float(delta)
+    except OverflowError:  # an exact value past the largest float
+        d = math.inf if delta > 0 else -math.inf
+    if not d > -1.0:
         raise DomainTooSmall(f"power weight needs delta > -1, got {delta}")
+    if d == math.inf:
+        raise RangeTooLarge(f"power weight needs a finite delta, got {delta}")
     if isinstance(delta, Fraction):
         key = f"pow:{delta.numerator}/{delta.denominator}"
     else:
@@ -256,14 +265,6 @@ class ChainPoints:
     @property
     def f_key(self) -> str:
         return self.gf.key
-
-    @property
-    def xi(self) -> float:
-        return float(self.alpha[-1])
-
-    @property
-    def product(self) -> float:
-        return self.f0 * float(np.prod(self.zt2))
 
 
 #: xi -> (prod_r ztilde_sq(alpha_r), alpha_0): the part of a chain weight
@@ -422,16 +423,6 @@ def _fresh_logs(model: LadderModel, chain: ChainPoints) -> tuple[float, float]:
             )
         log_prod += math.log(v)
     return math.log(f0), log_prod
-
-
-def chain_identity_residual(model: LadderModel, chain: ChainPoints) -> float:
-    """Freshly re-evaluate the defining chain identity at the stored points.
-
-    Returns |lhs/rhs - 1| accumulated in log space, so enormous or tiny
-    factors do not overflow the comparison.
-    """
-    log_f0, log_prod = _fresh_logs(model, chain)
-    return abs(math.expm1(log_f0 + log_prod - math.log(chain.level)))
 
 
 def lemma_residual(model: LadderModel, alpha_chain: ChainPoints,

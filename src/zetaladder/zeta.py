@@ -17,8 +17,9 @@ Two evaluation routes, switched at the constant ``RunConfig.rs_switch`` (t = 100
   weights are built once and kept for the 64 lengths used last
   (:func:`_borwein`); above t = 414.6 their sums overflow.
 
-theta itself is exact (log-gamma) below t = 10 and a seven-term asymptotic
-expansion above, with error < 5e-13 at the seam.
+theta is Stirling's series for log-gamma, shifted up by 10, below t = 10
+(within 1e-14 of the exact value) and a seven-term asymptotic expansion
+above, with error < 5e-13 at the seam.
 
 |zeta(1/2+it)|^2 == Z(t)^2 exactly; :func:`zeta_mod_sq` returns Z(t)^2 on the
 rs route and |zeta|^2 from the eta series, without theta, below the switch;
@@ -53,8 +54,14 @@ __all__ = ["ZSample", "rs_theta", "hardy_z", "zeta_mod_sq", "eta_mod_sq", "err_b
 #: the top height of a point query: just below 2e7 the Riemann-Siegel error
 #: bound's 5e-14 t floor reaches 1e-6
 RS_CEILING = 1.9999e7
-#: below this height the asymptotic theta expansion is replaced by log-gamma
+#: below this height the asymptotic theta expansion gives way to Stirling's
+#: series for log Gamma(1/4 + it/2), taken at w = 10.25 + it/2 and shifted back
 _THETA_EXACT_BELOW = 10.0
+#: B_2k / (2k (2k - 1)), k = 1..8: Stirling's series for log Gamma(w) is
+#: (w - 1/2) log w - w + log(2 pi) / 2 + sum_k B_2k / (2k (2k - 1) w^(2k - 1));
+#: at |w| >= 10.25 the first term left out is below 1.2e-18
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+             -3617 / 122400)
 #: the eta series' top height: t = 414.6 takes 402 terms, which stay in float
 #: range, and at 403 terms the weighted sum overflows
 _ETA_CEILING = 414.6
@@ -77,14 +84,27 @@ class ZSample:
 
 
 def rs_theta(t: float) -> float:
-    """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi, for finite t >= 0."""
+    """theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi, for finite t >= 0.
+
+    Below t = 10, from Stirling's series at w = z + 10, z = 1/4 + it/2:
+    Gamma(z) = Gamma(w) / prod_{k<10} (z + k), so Im log Gamma(z) is the
+    series' imaginary part less sum_k arg(z + k), each arg in (-pi, pi): the
+    continuous branch, which theta follows.  log w is built from its modulus
+    and argument, and the real constant log(2 pi) / 2 drops out.
+    """
     if not 0.0 <= t < math.inf:
         raise DomainTooSmall(f"theta requested at t={t}: needs a finite t >= 0")
-    if t < _THETA_EXACT_BELOW:
-        from scipy.special import loggamma  # here: importing it costs ~19 MB and ~0.25 s
-
-        return float(loggamma(0.25 + 0.5j * t).imag - 0.5 * t * math.log(math.pi))
-    return _kernels.theta_asym(t)
+    if t >= _THETA_EXACT_BELOW:
+        return _kernels.theta_asym(t)
+    w = complex(10.25, 0.5 * t)
+    log_w = complex(math.log(abs(w)), math.atan2(w.imag, w.real))
+    r = 1.0 / (w * w)
+    s = 0.0
+    for c in reversed(_STIRLING):  # Horner's rule in 1/w^2
+        s = s * r + c
+    im_log_gamma = ((w - 0.5) * log_w - w + s / w).imag
+    shift = sum(math.atan2(0.5 * t, 0.25 + k) for k in range(10))
+    return im_log_gamma - shift - 0.5 * t * math.log(math.pi)
 
 
 @functools.lru_cache(maxsize=64)

@@ -13,8 +13,9 @@ power), the Riemann-Siegel correction from a basis of cosines alone (which
 the package's split basis must equal bit for bit), the ladder's read path as
 it read interpolant rows (which its landed form must equal bit for bit), the
 derivation of the Riemann-Siegel correction table the package ships as data
-(which that table must equal bit for bit), and small helpers that only the
-tests use (a mixed-route Z batch, segment membership, a swapped delta pair).
+(which that table must equal bit for bit), a fresh re-evaluation of a solved
+chain's defining identity, and small helpers that only the tests use (a
+mixed-route Z batch, segment membership, a swapped delta pair).
 
 Generator: mpmath 1.3.0 --
   zeros       mp.zetazero(n).imag
@@ -169,6 +170,19 @@ SIN2_MEAN_QUARTER_PI = 0.18169011381620932846  # 0.5 * (1 - 2/pi)
 
 
 # --- reference code -------------------------------------------------------------
+
+
+def chain_identity_residual(model, chain) -> float:
+    """|f(alpha_0 - pi L) prod_r ztilde_sq(alpha_r) / level - 1|, re-evaluated.
+
+    Each factor is read again at the chain's stored points through
+    ``LadderModel.step`` (not the stored zt2, nor the package's own fresh
+    re-evaluation) and the identity compared in log space, so enormous or
+    tiny factors do not overflow it.
+    """
+    f0 = chain.gf.fn(float(chain.alpha[0]) - math.pi * chain.l)
+    logs = [math.log(f0)] + [math.log(model.step(float(a))[2]) for a in chain.alpha[1:]]
+    return abs(math.expm1(math.fsum(logs) - math.log(chain.level)))
 
 
 def bisect(g, lo: float, hi: float, f_lo: float, tol: float) -> float:

@@ -19,6 +19,7 @@ from zetaladder.errors import (
     NoCrossing,
     NonConvergence,
     NumericalError,
+    RangeTooLarge,
 )
 from zetaladder.numerics import (
     Bracket,
@@ -107,6 +108,25 @@ def test_integrate_rejects_nonpositive_tol():
     for tol in (0.0, -1e-10, math.nan):
         with pytest.raises(DomainTooSmall, match="tol"):
             integrate(math.sin, 0.0, 1.0, tol=tol)
+
+
+def test_integrate_refuses_a_piece_count_it_cannot_finish_before_building_it():
+    # 2.2e5 initial pieces pass the 2e5 panel cap; 2e300 would not fit in
+    # memory, and 1 / 2.5e-324 is no count at all.  Each is refused at once.
+    for wavelength in (9e-6, 1e-300, 5e-324):
+        start = time.perf_counter()
+        with pytest.raises(RangeTooLarge, match="initial pieces"):
+            integrate(lambda x: 1.0, 0.0, 1.0, 1e-10, wavelength)
+        assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0),
+                                  (0.0, math.nan), (-1e308, 1e308)])
+@pytest.mark.parametrize("wavelength", [None, 1.0])
+def test_integrate_refuses_a_bound_without_a_finite_width(a, b, wavelength):
+    # neither a raw OverflowError from the piece count nor a NaN edge
+    with pytest.raises(DomainTooSmall, match="finite width"):
+        integrate(lambda x: 1.0, a, b, 1e-10, wavelength)
 
 
 @settings(max_examples=40, deadline=None)

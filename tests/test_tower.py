@@ -28,7 +28,6 @@ from zetaladder.tower import (
     ChainPoints,
     GeneratingFunction,
     Segment,
-    chain_identity_residual,
     gf_cos2,
     gf_one,
     gf_power,
@@ -38,7 +37,7 @@ from zetaladder.tower import (
 )
 from zetaladder.zeta import hardy_z
 
-from _oracles import SIN2_MEAN_QUARTER_PI, bisect, segment_contains
+from _oracles import SIN2_MEAN_QUARTER_PI, bisect, chain_identity_residual, segment_contains
 
 # ---------------------------------------------------------------------------
 # segments and tower structure
@@ -182,6 +181,19 @@ def test_power_rejects_delta_at_minus_one():
         gf_power(Fraction(-3, 2))
 
 
+def test_power_types_nan_infinite_and_out_of_range_exponents():
+    # as DeltaPair types its exponents: a NaN passes a d <= -1 test (and
+    # gives a weight of mass NaN), and float() of an exact delta past the
+    # float range raises OverflowError
+    for delta in (math.nan, -math.inf, Fraction(-10 ** 400), -10 ** 400):
+        with pytest.raises(DomainTooSmall):
+            gf_power(delta)
+    for delta in (math.inf, Fraction(10 ** 400), 10 ** 400):
+        with pytest.raises(RangeTooLarge):
+            gf_power(delta)
+    assert gf_power(1e300).mass(0.5) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # depth-0 chains: closed forms
 # ---------------------------------------------------------------------------
@@ -189,14 +201,14 @@ def test_power_rejects_delta_at_minus_one():
 
 def test_k0_constant_family_returns_midpoint(factory):
     ch = factory.solve(150, 1.0, 0, gf_one())
-    assert ch.xi == pytest.approx(math.pi * 150 + 0.5, abs=1e-9)
-    assert ch.product == pytest.approx(ch.level, rel=1e-12)
+    assert ch.alpha[-1] == pytest.approx(math.pi * 150 + 0.5, abs=1e-9)
+    assert ch.f0 * np.prod(ch.zt2) == pytest.approx(ch.level, rel=1e-12)
 
 
 def test_k0_linear_family_returns_midpoint(factory):
     # f(v) = v: mean over [0, U] is U/2, attained at the midpoint
     ch = factory.solve(150, 1.0, 0, gf_power(1))
-    assert ch.xi - math.pi * 150 == pytest.approx(0.5, abs=1e-9)
+    assert ch.alpha[-1] - math.pi * 150 == pytest.approx(0.5, abs=1e-9)
 
 
 def test_k0_sin2_quarter_pi_closed_form(factory):
@@ -205,7 +217,7 @@ def test_k0_sin2_quarter_pi_closed_form(factory):
     ch = factory.solve(150, u, 0, gf_sin2())
     assert ch.level == pytest.approx(SIN2_MEAN_QUARTER_PI, abs=1e-14)
     expected = math.asin(math.sqrt(SIN2_MEAN_QUARTER_PI))
-    assert ch.xi - math.pi * 150 == pytest.approx(expected, abs=1e-9)
+    assert ch.alpha[-1] - math.pi * 150 == pytest.approx(expected, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +289,10 @@ def test_one_phi1_solve_per_ladder_level(model, factory, solve_count, k):
     tw = factory.tower(150, 1.0, k)
     g = make_chain_weight(model, tw, gf)
     solve_count.clear()
-    g(ch.xi)
+    g(ch.alpha[-1])
     assert len(solve_count) == k
     solve_count.clear()
-    again = factory._assemble(tw, gf, ch.xi, ch.level)
+    again = factory._assemble(tw, gf, ch.alpha[-1], ch.level)
     assert len(solve_count) == k
     assert len(again.omega) == len(again.zt2) == k
     assert np.array_equal(again.alpha, ch.alpha)
@@ -305,7 +317,7 @@ def test_fresh_factory_reproduces_chains_exactly(model, factory):
     a = factory.solve(150, 1.0, 2, gf_sin2())
     b = other.solve(150, 1.0, 2, gf_sin2())
     assert float(a.alpha[-1]) == float(b.alpha[-1])
-    assert a.product == b.product
+    assert a.f0 * np.prod(a.zt2) == b.f0 * np.prod(b.zt2)
 
 
 PAIR = DeltaPair(Fraction(1, 3), Fraction(1, 5))
@@ -541,12 +553,14 @@ def test_a_chain_on_a_zero_factor_is_refused(factory):
 
 
 def test_a_fresh_re_evaluation_refuses_nonpositive_factors(model, factory, monkeypatch):
-    # a stored chain re-evaluated under a weight that vanishes at alpha_0,
-    # then with every ztilde_sq read as 0 (a chain point on a zero of Z)
+    # lemma_residual re-evaluates stored chains: under a weight that vanishes
+    # at alpha_0, then with every ztilde_sq read as 0 (a chain point on a
+    # zero of Z)
     chain = factory.solve(150, 1.0, 2, gf_sin2())
+    beta = factory.beta(150, 1.0, 2)
     with pytest.raises(ConditionTooHigh, match="f0=0.0"):
-        chain_identity_residual(model, dataclasses.replace(chain, gf=_ZERO_WEIGHT))
+        lemma_residual(model, dataclasses.replace(chain, gf=_ZERO_WEIGHT), beta)
     monkeypatch.setattr(LadderModel, "ztilde_sq", lambda self, t: 0.0)
     with pytest.raises(ConditionTooHigh, match="zero of Z") as info:
-        chain_identity_residual(model, chain)
+        lemma_residual(model, chain, beta)
     assert info.value.condition == math.inf

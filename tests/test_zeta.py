@@ -45,7 +45,7 @@ def test_theta_at_100_matches_reference():
 
 
 def test_theta_at_10_matches_reference():
-    # small-t branch goes through loggamma directly
+    # t = 10 is the first height of the asymptotic branch (t < 10 is Stirling's)
     assert rs_theta(10.0) == pytest.approx(THETA_10, abs=1e-12)
 
 
@@ -54,12 +54,27 @@ def test_theta_vanishes_at_first_gram_point():
 
 
 def test_theta_branches_agree_at_seam():
-    # asymptotic and loggamma evaluations must agree where the branch flips
+    # the asymptotic branch against scipy's log-gamma at t = 28-50, well above
+    # where the branch flips at t = 10 (test_theta_below_10_matches_mpmath
+    # checks both branches there)
     from scipy.special import loggamma
 
     for t in (28.0, 30.0, 35.0, 50.0):
         exact = float(loggamma(0.25 + 0.5j * t).imag) - 0.5 * t * math.log(math.pi)
         assert rs_theta(t) == pytest.approx(exact, abs=1e-10)
+
+
+def test_theta_below_10_matches_mpmath():
+    # Stirling's series, shifted by 10, at seeded heights in [0, 10), its ends
+    # and the least subnormal; where the branch flips, the two agree
+    mp = pytest.importorskip("mpmath")
+    below = math.nextafter(zeta._THETA_EXACT_BELOW, 0.0)
+    ts = np.random.default_rng(32).uniform(0.0, 10.0, 500).tolist() + [0.0, 5e-324, below]
+    with mp.workdps(25):
+        worst = max(abs(rs_theta(t) - float(mp.siegeltheta(t))) for t in ts)
+    assert worst <= 1e-14
+    assert rs_theta(0.0) == 0.0
+    assert abs(rs_theta(below) - rs_theta(zeta._THETA_EXACT_BELOW)) <= 5e-13
 
 
 def test_theta_rejects_negative_t():
@@ -195,10 +210,10 @@ def test_hardy_z_below_the_switch_is_the_scalar_series():
 
 
 def test_import_and_table_build_leave_scipy_special_unloaded():
-    # scipy.special costs ~19 MB and ~0.25 s to import; only theta below
-    # t = 10 needs it, and neither a table build nor a gap report reaches it.
-    # The process pool's module (~1 MB) loads only where a scan forks, and
-    # numpy.fft not at all: the correction table ships as data.
+    # numpy is the one runtime dependency: no scipy module loads, not for a
+    # table build, a gap report or a point query below t = 10.  The process
+    # pool's module (~1 MB) loads only where a scan forks, and numpy.fft not
+    # at all: the correction table ships as data.
     import zetaladder
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(zetaladder.__file__)))
@@ -208,7 +223,10 @@ def test_import_and_table_build_leave_scipy_special_unloaded():
             "m.extend_to(120.0)\n"
             "zetaladder.gap_rho(zetaladder.ChainFactory(m).tower(30, 0.5, 1), 0)\n"
             "zeta_mod_sq(5.0)\n"
-            "assert 'scipy.special' not in sys.modules, 'scipy.special imported'\n"
+            "zetaladder.hardy_z(5.0)\n"
+            "zetaladder.rs_theta(3.0)\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n"
             "assert 'concurrent.futures.process' not in sys.modules, 'pool imported'\n"
             "assert 'numpy.fft' not in sys.modules, 'numpy.fft imported'\n")
     env = {**os.environ, "PYTHONPATH": src}
@@ -303,6 +321,28 @@ def test_only_zeta_imports_the_kernels():
             if any("_kernels" in n.split(".") for n in names):
                 importers.add(name)
     assert importers == {"zeta.py"}
+
+
+def test_src_imports_only_numpy_and_the_standard_library():
+    # pyproject.toml lists numpy as the one runtime dependency: every import
+    # under src/ is relative, numpy, or a standard-library module
+    src = os.path.dirname(zetaladder.__file__)
+    foreign = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign |= {(name, top) for top in tops
+                        if top != "numpy" and top not in sys.stdlib_module_names}
+    assert foreign == set()
 
 
 def _unread_parameters(tree: ast.Module):
