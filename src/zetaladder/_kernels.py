@@ -93,9 +93,12 @@ _CT = np.array([
 _CHEB_K = np.arange(_CT.shape[0], dtype=np.float64)
 #: the top degree taken as a cosine; the ones above come from products
 _HALF = (_CT.shape[0] - 1) // 2
-#: most heights one correction product takes: BLAS rounds a larger one
-#: otherwise (from about 8600 rows, OpenBLAS on 2 cores)
-_BLOCK = 4096
+#: most heights one correction product takes: BLAS rounds it alike for any
+#: 2..4096 rows (not from about 8600, OpenBLAS on 2 cores), and 512 rows of
+#: the basis stay in cache; the basis is built 4 * _BLOCK heights at a time
+_BLOCK = 512
+#: doubles one main-sum block holds (1 MB), whatever the batch and N
+_CELLS = 2 ** 17
 
 
 # --------------------------------------------------------------------------
@@ -115,31 +118,12 @@ def _theta_asym(t):
 def _rs_remainder(rt, big_n):
     """Signed correction sum (-1)^(N-1) sum_k C_k(p) rt^-k / sqrt(rt), p = rt - N.
 
-    On a 1-D array rt, with N one float or an array like rt.  The Chebyshev
-    basis is one (29, n) block: cos(k arccos u) for k <= 14, and
-    T_{14+j} = 2 T_14 T_j - T_{14-j} above, where every coefficient is below
-    4.4e-9: the last bits it moves in C_1..C_3 (190 at 10^6 heights) are lost
-    in the sum, C_0 keeps its own.  Its C-order copy times the coefficient
-    block gives C_0..C_3, taken _BLOCK rows at a time: BLAS sums that product
-    alike for every 2 <= n <= _BLOCK (not far above it), so a lone height is
-    stacked twice, and no block holds one row.
+    On a 1-D array rt, with N one float or an array like rt.  A lone height
+    is stacked twice: BLAS rounds a product of one row otherwise.
     """
     if rt.size == 1:  # one row would take BLAS's gemv path, which rounds otherwise
         return _rs_remainder(np.repeat(rt, 2), big_n)[:1]
-    u = 2.0 * (rt - big_n) - 1.0
-    basis = np.empty((_CT.shape[0], rt.size))
-    low = np.multiply(_CHEB_K[:_HALF + 1, None], np.arccos(u), out=basis[:_HALF + 1])
-    np.cos(low, out=low)
-    high = np.multiply(2.0 * basis[_HALF], basis[1:_HALF + 1], out=basis[_HALF + 1:])
-    high -= basis[_HALF - 1::-1]
-    flat = np.ascontiguousarray(basis.T)
-    if rt.size <= _BLOCK:
-        rows = flat @ _CT  # (n, 4)
-    else:
-        rows = np.empty((rt.size, _CT.shape[1]))
-        for k in range(0, rt.size, _BLOCK):
-            k = min(k, rt.size - 2)  # a last block of one row would take gemv
-            np.matmul(flat[k:k + _BLOCK], _CT, out=rows[k:k + _BLOCK])
+    rows = _correction_rows(2.0 * (rt - big_n) - 1.0)
     irt = 1.0 / rt
     corr = rows[:, -1] + 0.0  # as 0.0 / rt + C reads: -0.0 becomes +0.0
     for k in range(_CT.shape[1] - 2, -1, -1):
@@ -148,12 +132,46 @@ def _rs_remainder(rt, big_n):
     return (2.0 * (big_n % 2.0) - 1.0) * corr / np.sqrt(rt)
 
 
+def _correction_rows(u):
+    """C_0..C_3 at each of at least two u = 2p - 1, as (heights, 4) rows.
+
+    The Chebyshev basis is a (29, heights) block: cos(k arccos u) for
+    k <= 14, and T_{14+j} = 2 T_14 T_j - T_{14-j} above, where every
+    coefficient is below 4.4e-9: the last bits it moves in C_1..C_3 (190 at
+    10^6 heights) are lost in the sum, C_0 keeps its own.  It is built for at
+    most 4 * _BLOCK heights at a time, and each _BLOCK of its columns, copied
+    in C order, times the coefficient block: a batch of at most _BLOCK takes
+    one product, and a larger one keeps its working set in cache.  Parts
+    from ``np.array_split`` differ by at most one height, so none has one.
+    """
+    if u.size > 4 * _BLOCK:
+        return np.concatenate([_correction_rows(part)
+                               for part in np.array_split(u, -(-u.size // (4 * _BLOCK)))])
+    basis = np.empty((_CT.shape[0], u.size))
+    low = np.multiply(_CHEB_K[:_HALF + 1, None], np.arccos(u), out=basis[:_HALF + 1])
+    np.cos(low, out=low)
+    high = np.multiply(2.0 * basis[_HALF], basis[1:_HALF + 1], out=basis[_HALF + 1:])
+    high -= basis[_HALF - 1::-1]
+    if u.size <= _BLOCK:
+        return np.ascontiguousarray(basis.T) @ _CT
+    return np.concatenate([np.ascontiguousarray(part.T) @ _CT
+                           for part in np.array_split(basis, -(-u.size // _BLOCK), axis=1)])
+
+
 # --------------------------------------------------------------------------
 # batched evaluator + public kernel API
 # --------------------------------------------------------------------------
 
 def _main_sum(ts: np.ndarray, th: np.ndarray, big_n: int) -> np.ndarray:
-    """sum_{n <= N} cos(theta - t log n) / sqrt(n) at heights that share one N."""
+    """sum_{n <= N} cos(theta - t log n) / sqrt(n) at heights that share one N.
+
+    Each row of the (heights x N) terms is summed alone, so they are taken
+    at most _CELLS at a time (at N <= 23, below t ~ 3360, a chunk's heights
+    at once), and memory stays bounded at any N.
+    """
+    if ts.size > (step := max(1, _CELLS // big_n)):
+        return np.concatenate([_main_sum(ts[k:k + step], th[k:k + step], big_n)
+                               for k in range(0, ts.size, step)])
     n = np.arange(1.0, big_n + 1.0)
     terms = ts[:, None] * np.log(n)
     np.subtract(th[:, None], terms, out=terms)
@@ -166,10 +184,11 @@ def _z_rs_many_np(ts: np.ndarray) -> np.ndarray:
     """Hardy Z on an array of heights: the scalar core with a vectorized main sum.
 
     Heights that share a branch N = floor(sqrt(t / 2 pi)) share one
-    (heights x N) main sum, and :func:`_rs_remainder` takes the correction
-    in blocks, so a height's value never depends on the rest of its batch,
-    whatever its size: padding shorter rows with zero terms would change the
-    order in which numpy's pairwise sum adds them.
+    (heights x N) main sum, taken in blocks of whole rows, and
+    :func:`_rs_remainder` takes the correction in blocks, so a height's
+    value never depends on the rest of its batch, whatever its size: padding
+    shorter rows with zero terms would change the order in which numpy's
+    pairwise sum adds them.
     """
     ts = np.asarray(ts, dtype=np.float64)
     th = _theta_asym(ts)

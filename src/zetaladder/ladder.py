@@ -15,10 +15,11 @@ The model has three ingredients:
   pieces on a stretch where Z^2 keeps one formula (``zeta.zsq_stretches``),
   pieces halved while their 17/33 difference exceeds their share of
   quad_tol * h.  A new knot adds the sum of its interval's piece integrals;
-  a call that adds many knots fits up to 16 intervals in one array pass
+  a call that adds many knots fits up to 128 intervals in one array pass
   (``numerics.chebyshev_spans``): their first pieces in one Z batch per
-  route, tested and integrated together, no rows kept, the splitting loop
-  run only for a span whose first pieces miss their share.
+  route (up to 8448 heights, which the kernels take in cache-sized
+  blocks), tested and integrated together, no rows kept, the splitting
+  loop run only for a span whose first pieces miss their share.
   :meth:`LadderModel.extend_on` deals such chunks to a process pool's
   workers and appends their increments in order.  An off-knot query refits
   the interval, lands it on its knots and keeps it in memory in the form a
@@ -102,11 +103,11 @@ __all__ = [
 _LOG_TWO_PI = math.log(2.0 * math.pi)
 #: V(y) = y log y + _V_LINEAR y
 _V_LINEAR = EULER_GAMMA - _LOG_TWO_PI
-#: most knot intervals one pass serves when a call adds many knots: a
-#: 33-node piece costs the RS kernel about 52 us alone and 15 us in a
-#: 16-piece batch, and an interval's whole fit about 63 us alone and 19 us
-#: in a chunk (t = 1000, best of 15, 2-core machine)
-_CHUNK = 16
+#: most knot intervals one pass serves when a call adds many knots, and
+#: the knots a reverse step grows the table by: an interval's whole fit
+#: costs about 63 us alone, 19 us in a chunk of 16 and 15-17 us in one of 128
+#: (t = 1000, best of 15, 2-core machine)
+_CHUNK = 128
 
 
 def normalizer(y: float) -> float:
@@ -212,7 +213,8 @@ class LadderModel:
         Each new knot adds the integral of its interval's raw fit.  The new
         intervals are fitted in chunks of at most ``_CHUNK``, each in one
         pass (:meth:`knot_increments`), so a build costs far fewer kernel
-        calls than it fits pieces; a call that adds one knot fits it alone.
+        calls than it fits pieces, and the kernels keep each pass's memory
+        bounded; a call that adds one knot fits it alone.
         Every knot is bit-identical to one built alone, and a fit that
         raises leaves the table with exactly the knots below its interval.
         """
@@ -225,6 +227,8 @@ class LadderModel:
         The chunks up to :attr:`top_knot` are dealt round-robin into one
         :func:`_fit_chunks` task per worker, and appended in order up to the
         first interval a worker could not fit, where ``extend_to`` raises.
+        From an empty table, the two chunks that share the eta work below
+        t = 100 go to two workers.
         """
         chunks = self.missing_chunks(min(t, self.top_knot * self.table.spacing))
         done = pool.map(_fit_chunks, [(self.config, chunks[w::workers]) for w in range(workers)])
@@ -237,9 +241,9 @@ class LadderModel:
     def missing_chunks(self, t: float) -> list[tuple[int, int]]:
         """The knot intervals :meth:`extend_to` (t) fits, as (j0, j1) chunks.
 
-        Chunks of at most ``_CHUNK`` intervals, from the top knot up, in
-        order; empty when the table covers t.  Knots do not depend on where
-        the chunks split, so :meth:`extend_on` fits them in other processes,
+        Chunks of at most ``_CHUNK`` intervals (64 in t), from the top knot
+        up, in order; empty when the table covers t.  Knots do not depend on
+        where the chunks split, so :meth:`extend_on` fits them in other processes,
         in any order, and appends their increments in this order.  Raises
         TableExhausted when covering t needs a knot past :attr:`top_knot`.
         """
@@ -435,7 +439,7 @@ class LadderModel:
 
         A is increasing, so the knot table brackets the root.  The table
         grows toward it by whole chunks: each :meth:`extend_to` adds
-        ``_CHUNK`` knots above the top one (one Z batch per route), never
+        ``_CHUNK`` knots (64 in t) above the top one, one pass, never
         past ``t_table_max``, until the top knot reaches V(x).  So the table
         ends fewer than ``_CHUNK`` knots above the first knot that reaches
         V(x).  A fit that raises fails the step only if the knots below its

@@ -14,7 +14,7 @@ Two evaluation routes, switched at the constant ``RunConfig.rs_switch`` (t = 100
   too few terms to meet the error budget.  One batched series serves every
   caller: a fit's 33 nodes as one (nodes x terms) product per series length,
   a one-point Z or |zeta|^2 as a batch of one.  Each length's Borwein
-  weights are built once and kept for the 64 lengths used last
+  weights are built once and kept for every length below the switch
   (:func:`_borwein`); above t = 414.6 their sums overflow.
 
 theta is Stirling's series for log-gamma, shifted up by 10, below t = 10
@@ -107,13 +107,13 @@ def rs_theta(t: float) -> float:
     return im_log_gamma - shift - 0.5 * t * math.log(math.pi)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=128)
 def _borwein(n: int) -> tuple[np.ndarray, np.float64, np.ndarray]:
     """The length-n series' signed Borwein coefficients, d_n and log(k + 1).
 
-    Kept for the 64 lengths used last: a knot interval's nodes span at most
-    two lengths and a chunk of 16 intervals about seven, so a table build
-    computes each length's weights once.  The arrays are read-only.
+    Kept for 128 lengths, more than the 90 (33..122) below the switch, so a
+    process computes each length's weights once, however many tables it
+    builds (about 0.1 MB of arrays in all).  The arrays are read-only.
     """
     # Borwein weights d_k via the stable increasing recurrence
     i = np.arange(1, n + 1, dtype=np.float64)

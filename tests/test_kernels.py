@@ -79,12 +79,21 @@ def test_a_heights_z_does_not_depend_on_its_batch(spans, seed):
     assert single.tobytes() == pairs.tobytes() == alone.tobytes()
 
 
-@pytest.mark.parametrize("size", [8193, 20_000])
-def test_a_large_batchs_z_is_its_33_height_batches(size):
+@pytest.mark.parametrize("size, lo, hi", [
+    # one branch N = 12, about each edge of the correction's product blocks
+    # (_BLOCK = 512 rows) and of its basis blocks (2048 heights), up to a
+    # 128-interval chunk's 4224 nodes
+    *(pytest.param(n, 1000.0, 1060.0, id=str(n)) for n in (511, 512, 513, 2048, 2049, 4224)),
+    pytest.param(4224, 3300.0, 3700.0, id="4224-N22-24"),
+    # N = 178: more rows than one main-sum block of _CELLS // 178 = 736 takes
+    pytest.param(2000, 2e5, 2e5 + 64.0, id="2000-N178"),
+    *(pytest.param(n, 100.0, 2e5, id=str(n)) for n in (8193, 20_000)),
+])
+def test_a_large_batchs_z_is_its_33_height_batches(size, lo, hi):
     # the correction's (n, 29) @ (29, 4) product rounds otherwise once n
-    # passes some thousands of rows, so it is taken in blocks of at most
-    # 4096, none of one row
-    ts = np.sort(np.random.default_rng(size).uniform(100.0, 2e5, size))
+    # passes some thousands of rows, so it is taken in blocks, none of one
+    # row; the main sum is taken in blocks of whole rows
+    ts = np.sort(np.random.default_rng(size).uniform(lo, hi, size))
     small = np.concatenate([_kernels.z_rs_many(ts[i:i + 33], 4) for i in range(0, size, 33)])
     assert _kernels.z_rs_many(ts, 4).tobytes() == small.tobytes()
 

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -739,12 +740,13 @@ def test_chunks_around_each_jump_are_their_lone_fits(small_config):
 def _check_random_chunks(config, seed, n):
     m = LadderModel(config)
     rng = np.random.default_rng(seed)
-    for j0, size in zip(rng.integers(0, 20_000, n).tolist(), rng.integers(2, 17, n).tolist()):
+    sizes = rng.integers(2, ladder._CHUNK + 1, n).tolist()
+    for j0, size in zip(rng.integers(0, 20_000, n).tolist(), sizes):
         _assert_chunk_is_its_lone_fits(m, j0, j0 + size)
 
 
 def test_random_chunks_are_their_lone_fits(small_config):
-    # chunks of 2..16 intervals anywhere in [0, 10^4]
+    # chunks of 2.._CHUNK intervals anywhere in [0, 10^4]
     _check_random_chunks(small_config, 20261021, 250)
 
 
@@ -752,6 +754,25 @@ def test_random_chunks_are_their_lone_fits(small_config):
 def test_random_chunks_are_their_lone_fits_long(small_config):
     # opt in with `pytest -m fuzz`: 2000 chunks
     _check_random_chunks(small_config, 20261022, 2000)
+
+
+@pytest.mark.parametrize("t, cap_mb", [(2000.0, 1.5), (16_000.0, 3.0)])
+def test_a_full_pass_keeps_its_working_set_bounded(small_config, t, cap_mb):
+    # tracemalloc sees numpy's buffers: a whole chunk's pass (one, then two
+    # pieces an interval: 4224 and 8448 Riemann-Siegel heights) peaks at
+    # about 0.8 and 1.5 MB, where one unblocked correction product took
+    # 2.4 and 4.7 MB
+    m = LadderModel(small_config)
+    j0 = int(t / m.table.spacing)
+    list(m.knot_increments(j0, j0 + ladder._CHUNK))  # lazy set-up done
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        list(m.knot_increments(j0, j0 + ladder._CHUNK))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= cap_mb * 2 ** 20
 
 
 def test_a_chunk_fit_splits_only_the_spans_whose_first_pieces_fail(small_config,
@@ -1355,14 +1376,15 @@ def test_a_cold_reverse_step_grows_by_whole_chunks(small_config, monkeypatch):
 
 
 def test_reverse_step_stops_at_a_ceiling_between_knots(small_config, monkeypatch):
-    # the top knot below 20.3 is 20.0: two whole chunks and the 8 knots up
-    # to it, then the pass past it raises
+    # the top knot below 20.3 is knot 40 (t = 20.0): whole chunks and the
+    # knots left up to it, then the pass past it raises
     m = LadderModel(small_config.with_overrides(t_table_max=20.3))
     added = _growth_passes(m, monkeypatch)
     with pytest.raises(TableExhausted):
         m.reverse_step(30.0)
     assert m.table.t_covered <= 20.3
-    assert added == [ladder._CHUNK, ladder._CHUNK, 8, 0]
+    whole, rest = divmod(40, ladder._CHUNK)
+    assert added == [ladder._CHUNK] * whole + [rest] * (rest > 0) + [0]
 
 
 def test_no_knot_lies_past_a_ceiling_between_knots(small_config):

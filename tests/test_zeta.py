@@ -190,16 +190,30 @@ def test_batched_eta_is_the_scalar_series_at_random_heights():
 
 
 def test_batched_eta_is_the_scalar_series_past_its_weight_cache():
-    # t in [0, 100) spans about 90 series lengths, more than the 64 whose
+    # t in [0, 200) spans about 180 series lengths, more than the 128 whose
     # weights are kept; the first lengths are evicted and built again
     zeta._borwein.cache_clear()
-    ts = np.linspace(0.0, 99.9, 300)
+    ts = np.linspace(0.0, 199.9, 600)
     ref = [abs(eta_zeta(t)) ** 2 for t in ts.tolist()]
     assert zeta.eta_mod_sq(ts).tolist() == ref
     info = zeta._borwein.cache_info()
-    assert info.misses > info.maxsize == 64 and info.currsize <= 64
+    assert info.misses > info.maxsize == 128 and info.currsize <= 128
     assert zeta.eta_mod_sq(ts[:20]).tolist() == ref[:20]
-    assert zeta._borwein.cache_info().currsize <= 64
+    assert zeta._borwein.cache_info().currsize <= 128
+
+
+def test_a_second_table_build_builds_no_borwein_weights():
+    # the weights of every series length below the switch (90 of them) stay
+    # kept, so a process builds each once however many tables it builds
+    def build_knot_by_knot():
+        m = LadderModel()
+        for j in range(1, 201):
+            m.extend_to(0.5 * j)
+
+    build_knot_by_knot()
+    misses = zeta._borwein.cache_info().misses
+    build_knot_by_knot()
+    assert zeta._borwein.cache_info().misses == misses
 
 
 def test_hardy_z_below_the_switch_is_the_scalar_series():
